@@ -23,9 +23,16 @@ import numpy as np
 
 from .bilateral import BilateralGamma
 from .combo import build_mixture, load_model
-from .errors import BilgammaError, KappaUndefinedError, ModelFileError
+from .errors import (
+    BilgammaError,
+    DomainError,
+    KappaUndefinedError,
+    ModelFileError,
+    SeriesDivergenceError,
+)
 from .pricing import (
     PricingInputs,
+    gamma_route_growth,
     martingale_diagnostics,
     price_call_atm,
     price_call_gamma_series,
@@ -237,24 +244,28 @@ def cmd_price(args) -> int:
     model = _load_model(args.model)
     obj = _load_json(args.pricing, "pricing")
     try:
-        inputs = PricingInputs(
-            s0=float(obj["s0"]), strike=float(obj["strike"]),
-            rate=float(obj["rate"]), maturity=float(obj["maturity"]),
-            dividend=float(obj.get("dividend", 0.0)),
-            t_now=float(obj.get("t_now", 0.0)),
-            spot_at_t=(float(obj["spot_at_t"]) if "spot_at_t" in obj else None))
+        fields = {name: float(obj[name])
+                  for name in ("s0", "strike", "rate", "maturity")}
+        fields.update({name: float(obj[name])
+                       for name in ("dividend", "t_now", "spot_at_t")
+                       if name in obj})
     except KeyError as exc:
         raise ConfigError(f"pricing file missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"pricing file has a non-numeric field: {exc}") from exc
+    inputs = PricingInputs(**fields)
     spec = _spec_from_args(args)
     method = args.method
     if method == "auto":
+        # the closed form only where its own guards accept the model
         method = "integral"
         if inputs.spot_at_t == inputs.strike:
-            rep = build_mixture(model, tail_tol=args.tail_tol)
-            growth = (rep.eta / (rep.eta - 1.0)) ** inputs.t_remaining \
-                if rep.eta > 1.0 else math.inf
-            if rep.eta > 1.0 and rep.theta_pos_max * growth < 1.0:
+            try:
+                gamma_route_growth(build_mixture(model, tail_tol=args.tail_tol),
+                                   inputs)
                 method = "atm"
+            except (DomainError, SeriesDivergenceError):
+                pass
     diagnostics: dict = {}
     if method == "integral":
         price = price_call_integral(model, inputs, spec)

@@ -11,29 +11,30 @@ is the density of the combination with rates lam_j - 1 and mu_j + 1, so
 
     price = e^(-rT) [ s M(1) P~(X > L) - K P(X > L) ],
 
-two tail probabilities with plain absolute-error control (integrating
-(s e^x - K) h(x) directly would amplify the inversion noise of h at large
-x by e^x).  Both tails integrate Fourier-inverted densities over a window
-whose Chernoff-bounded remainder is below 1e-12.
+two tail probabilities, each one Gil-Pelaez integral of the closed-form cf
+of the tilted or the plain law (see _tail_probability).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy import special as sp
 
 from .combo import LinearCombinationModel, MixtureRepresentation
 from .errors import DomainError, OutOfStripError, SeriesDivergenceError
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, _quad
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, _quad, oscillatory_integral
 from .sampling import sample_direct
 
 __all__ = [
     "PricingInputs",
     "martingale_gap",
     "martingale_diagnostics",
+    "negative_part_bound",
+    "gamma_route_growth",
     "price_call_integral",
     "price_call_gamma_series",
     "price_call_atm",
@@ -45,8 +46,8 @@ __all__ = [
 class PricingInputs:
     """European-call inputs (S0, K, r, v, t, T) plus the conditioning spot.
 
-    Requires r >= v >= 0 and T > t; ``spot_at_t`` defaults to S0 when
-    pricing from t = 0.
+    Requires finite inputs with r >= v >= 0 and T > t; ``spot_at_t``
+    defaults to S0 when pricing from t = 0.
     """
 
     s0: float
@@ -70,6 +71,8 @@ class PricingInputs:
             object.__setattr__(self, "spot_at_t", self.s0)
         elif self.spot_at_t <= 0.0:
             raise DomainError("spot_at_t must be positive")
+        if not all(map(math.isfinite, astuple(self))):
+            raise DomainError(f"pricing inputs must be finite, got {self}")
 
     @property
     def t_remaining(self) -> float:
@@ -131,48 +134,29 @@ def martingale_diagnostics(model: LinearCombinationModel, rate: float,
     }
 
 
-def _log_mgf(model: LinearCombinationModel, theta: np.ndarray) -> np.ndarray:
-    lam, mu = model.lam, model.mu
-    return (np.sum(model.p[None, :] * np.log(lam / (lam - theta[:, None])), axis=1)
-            + np.sum(model.q[None, :] * np.log(mu / (mu + theta[:, None])), axis=1))
-
-
-def _chernoff_log_tail(model: LinearCombinationModel, level: float) -> float:
-    """min over theta of log E[e^(theta X)] - theta * level, an upper bound
-    on log P(X > level)."""
-    theta = model.lam_min * np.linspace(0.05, 0.999, 60)
-    return float(np.min(_log_mgf(model, theta) - theta * level))
-
-
 def _tail_probability(model: LinearCombinationModel, level: float,
                       spec: QuadratureSpec) -> float:
-    """P(X > level) by integrating the inverted density over a window whose
-    remainder is Chernoff-bounded below 1e-12."""
-    log_target = math.log(1e-12)
-    if _chernoff_log_tail(model, level) <= log_target:
-        return math.exp(_chernoff_log_tail(model, level))
-    sd = math.sqrt(model.variance)
-    upper = max(level + sd, model.mean + 5.0 * sd)
-    while _chernoff_log_tail(model, upper) > log_target:
-        upper += 2.0 * sd
-    inner = QuadratureSpec(abs_tol=min(spec.abs_tol, 1e-11), rel_tol=spec.rel_tol,
-                           max_subdivisions=spec.max_subdivisions)
-    outer = QuadratureSpec(abs_tol=max(spec.abs_tol, 1e-10),
-                           rel_tol=max(spec.rel_tol, 1e-9),
-                           max_subdivisions=spec.max_subdivisions)
-    return _quad(lambda x: model.pdf_fourier(x, inner), level, upper, outer)
+    """P(X > level) = 1/2 + (1/pi) int_0^inf Im(e^(-iz level) phi(z)) / z dz
+    (Gil-Pelaez), on [0, 1] by the adaptive rule, on [1, inf) by QAWF."""
+    def head(z: float) -> float:
+        if z == 0.0:
+            return model.mean - level
+        return (cmath.exp(-1j * z * level) * model.cf(z)).imag / z
+
+    near = _quad(head, 0.0, 1.0, spec)
+    far = oscillatory_integral(lambda z: -1j * model.cf(z) / z, level, 1.0,
+                               spec)
+    return 0.5 + (near + far) / math.pi
 
 
 def price_call_integral(model: LinearCombinationModel, inputs: PricingInputs,
                         spec: QuadratureSpec = DEFAULT_QUAD,
                         discount_time: float | None = None) -> float:
-    """Call price e^(-rT) int_L^inf (s e^x - K) h(x) dx against the
-    Fourier-inverted time-t' density, evaluated in tilted form (see module
-    docstring).  The discount uses the full maturity T unless overridden."""
+    """Call price e^(-rT) int_L^inf (s e^x - K) h(x) dx against the time-t'
+    law, as two Gil-Pelaez tails in tilted form (see module docstring).
+    The discount uses the full maturity T unless overridden."""
     t_prime = inputs.t_remaining
-    if model.lam_min <= 1.0:
-        raise OutOfStripError(
-            f"pricing requires min alpha_j/w1_j > 1, got {model.lam_min}")
+    m1 = _exp_moment(model, t_prime)
     scaled = model.scaled(t_prime)
     tilted = LinearCombinationModel(
         alpha=(model.lam - 1.0) * model.w1, p=scaled.p,
@@ -180,7 +164,6 @@ def price_call_integral(model: LinearCombinationModel, inputs: PricingInputs,
         w1=model.w1, w2=model.w2)
     s = inputs.spot_at_t
     level = inputs.log_moneyness
-    m1 = _exp_moment(model, t_prime)
     p_plain = _tail_probability(scaled, level, spec)
     p_tilted = _tail_probability(tilted, level, spec)
     horizon = inputs.maturity if discount_time is None else discount_time
@@ -189,11 +172,35 @@ def price_call_integral(model: LinearCombinationModel, inputs: PricingInputs,
     return max(price, 0.0)
 
 
-def _check_series_convergence(rep: MixtureRepresentation, growth: float):
+NEGATIVE_PART_TOL = 1e-8  # price change per unit strike the gamma routes may drop
+
+
+def negative_part_bound(model: LinearCombinationModel,
+                        inputs: PricingInputs) -> float:
+    """s E[e^G] (1 - E[e^-N]) = s E[e^X] (1 / E[e^-N] - 1) at time t', which
+    bounds what the negative part N of X = G - N changes in a call price:
+    the payoff is 1-Lipschitz in s e^X, and G and N are independent."""
+    t, mu = inputs.t_remaining, model.mu
+    log_neg = t * float(np.sum(model.q * np.log(mu / (mu + 1.0))))
+    return inputs.spot_at_t * _exp_moment(model, t) * math.expm1(-log_neg)
+
+
+def gamma_route_growth(rep: MixtureRepresentation,
+                       inputs: PricingInputs) -> float:
+    """Growth (eta/(eta-1))^t' of the gamma-only routes; raises unless eta > 1,
+    the mixture expectation converges and the negative part is negligible."""
+    if rep.eta <= 1.0:
+        raise DomainError(f"gamma-only pricing requires eta > 1, got {rep.eta}")
+    growth = (rep.eta / (rep.eta - 1.0)) ** inputs.t_remaining
     if rep.theta_pos_max * growth >= 1.0 - 1e-12:
         raise SeriesDivergenceError(
             "mixture expectation diverges: pmf tail ratio "
             f"{rep.theta_pos_max:.6g} times growth {growth:.6g} >= 1")
+    bound = negative_part_bound(rep.model, inputs)
+    if bound > NEGATIVE_PART_TOL * inputs.strike:
+        raise DomainError(
+            f"gamma-only pricing ignores a negative part worth up to {bound:.3g}")
+    return growth
 
 
 def price_call_gamma_series(rep: MixtureRepresentation, inputs: PricingInputs,
@@ -206,17 +213,14 @@ def price_call_gamma_series(rep: MixtureRepresentation, inputs: PricingInputs,
             [ s (eta/(eta-1))^((p+j)t') Gamma((p+j)t', (eta-1) ln(K/s))
               - K Gamma((p+j)t', eta ln(K/s)) ]
 
-    Requires eta > 1 and K >= s (nonnegative incomplete-gamma arguments).
-    The truncation tail is geometric and reported via ``diagnostics``.
+    Requires K >= s and a model :func:`gamma_route_growth` accepts; the
+    geometric truncation tail is reported via ``diagnostics``.
     """
-    eta = rep.eta
-    if eta <= 1.0:
-        raise DomainError(f"gamma-driven pricing requires eta > 1, got {eta}")
     if inputs.strike < inputs.spot_at_t:
         raise DomainError("gamma-driven series requires strike >= spot")
+    eta = rep.eta
+    growth = gamma_route_growth(rep, inputs)
     t_prime = inputs.t_remaining
-    growth = (eta / (eta - 1.0)) ** t_prime
-    _check_series_convergence(rep, growth)
     level = inputs.log_moneyness
     s, strike = inputs.spot_at_t, inputs.strike
     jj = np.arange(len(rep.pmf_pos))
@@ -243,16 +247,12 @@ def price_call_atm(rep: MixtureRepresentation, inputs: PricingInputs,
 
         K e^(-rT) ( E[(eta/(eta-1))^((L+p)t')] - 1 ),
 
-    requiring s = K and eta > 1.  The expectation diverges when the pmf
-    tail ratio times (eta/(eta-1))^t' reaches 1; that is detected from the
-    tail ratio before summation and raised, never summed past."""
-    if rep.eta <= 1.0:
-        raise DomainError(f"at-the-money formula requires eta > 1, got {rep.eta}")
+    requiring s = K and a model :func:`gamma_route_growth` accepts; it
+    detects a divergent expectation (pmf tail ratio times (eta/(eta-1))^t'
+    reaching 1) before summation, so that is raised, never summed past."""
     if inputs.spot_at_t != inputs.strike:
         raise DomainError("at-the-money formula requires spot == strike")
-    t_prime = inputs.t_remaining
-    growth = (rep.eta / (rep.eta - 1.0)) ** t_prime
-    _check_series_convergence(rep, growth)
+    growth = gamma_route_growth(rep, inputs)
     jj = np.arange(len(rep.pmf_pos))
     with np.errstate(divide="ignore"):
         terms = np.exp(np.log(rep.pmf_pos) + (rep.p + jj) * math.log(growth))

@@ -5,8 +5,8 @@ that tolerances and domain transformations are applied uniformly:
 
 * infinite upper limits are compactified with ``t = u / (1 - u)``,
 * the real line is split at 0 into two mirrored semi-infinite pieces,
-* Fourier-type integrals with trigonometric weight use QUADPACK's
-  dedicated oscillatory rule.
+* Fourier-type integrals (densities, Gil-Pelaez tails) go through
+  ``oscillatory_integral`` and QUADPACK's dedicated oscillatory rule.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "DEFAULT_QUAD",
     "integrate_zero_to_inf",
     "integrate_real_line",
+    "oscillatory_integral",
     "fourier_density",
     "conf_hypergeom_F",
     "log_hyperint",
@@ -93,32 +94,30 @@ def integrate_real_line(f: Callable[[float], float],
     return pos + neg
 
 
-def fourier_density(cf: Callable[[float], complex], x: float,
-                    spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Invert a characteristic function pointwise.
-
-    h(x) = (1/2pi) int e^{-ixz} cf(z) dz
-         = (1/pi) [ int_0^inf Re cf(z) cos(xz) dz + int_0^inf Im cf(z) sin(xz) dz ]
-
-    using Hermitian symmetry of ``cf``.  The semi-infinite oscillatory
-    integrals go through QUADPACK's Fourier rule; at x = 0 the weight is
-    constant and the plain compactified rule applies.
-    """
+def oscillatory_integral(g: Callable[[float], complex], x: float,
+                         lower: float, spec: QuadratureSpec) -> float:
+    """int_lower^inf Re(e^{-ixz} g(z)) dz: its cos and sin parts by QUADPACK's
+    Fourier rule, or the plain compactified rule when x = 0."""
     if x == 0.0:
-        return integrate_zero_to_inf(lambda z: cf(z).real, spec) / math.pi
+        return integrate_zero_to_inf(lambda t: g(lower + t).real, spec)
 
-    re_part = lambda z: cf(z).real
-    im_part = lambda z: cf(z).imag
     total = 0.0
-    for part, weight in ((re_part, "cos"), (im_part, "sin")):
-        out = quad(part, 0.0, np.inf, weight=weight, wvar=x,
+    for part, weight in ((lambda z: g(z).real, "cos"),
+                         (lambda z: g(z).imag, "sin")):
+        out = quad(part, lower, np.inf, weight=weight, wvar=x,
                    epsabs=spec.abs_tol, limlst=150,
                    limit=spec.max_subdivisions, full_output=1)
         if len(out) > 3 and out[1] > spec.abs_tol * 100.0:
             raise NonConvergenceError(
                 f"oscillatory quadrature failed at x={x}: {out[-1]}")
         total += out[0]
-    return total / math.pi
+    return total
+
+
+def fourier_density(cf: Callable[[float], complex], x: float,
+                    spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+    """Density h(x) = (1/pi) int_0^inf Re(e^{-ixz} cf(z)) dz of a cf."""
+    return oscillatory_integral(cf, x, 0.0, spec) / math.pi
 
 
 def log_hyperint(a: float, b: float, x: float,

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from bilgamma.cli import main
-from bilgamma.models import KAPPA_SINGLE, MODEL_GRID, PRICING_GAMMA
+from bilgamma.models import KAPPA_SINGLE, MARTINGALE, MODEL_GRID, PRICING_GAMMA
 
 
 @pytest.fixture()
@@ -176,6 +176,31 @@ class TestPriceCommand:
         assert payload["method"] == "atm"
         assert payload["price"] == pytest.approx(0.9737696444575116, rel=1e-6)
         assert "martingale_gap" in payload
+
+    def test_atm_bilateral_falls_back_to_integral(self, tmp_path):
+        # the gamma-only closed form would ignore MARTINGALE's negative part
+        # and return 0.565
+        model = tmp_path / "mg.json"
+        model.write_text(json.dumps(MARTINGALE.to_json_obj()))
+        pricing = tmp_path / "p.json"
+        pricing.write_text(json.dumps(
+            {"s0": 1.0, "strike": 1.0, "rate": 0.05, "maturity": 1.0}))
+        out = tmp_path / "price.json"
+        code = main(["price", "--model", str(model), "--pricing", str(pricing),
+                     "--method", "auto", "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["method"] == "integral"
+        assert payload["price"] == pytest.approx(0.2250160845, rel=1e-8)
+
+    def test_non_numeric_field_exits_2(self, gamma_file, tmp_path, capsys):
+        pricing = tmp_path / "p.json"
+        pricing.write_text(json.dumps(
+            {"s0": "abc", "strike": 1.0, "rate": 0.05, "maturity": 1.0}))
+        code = main(["price", "--model", gamma_file, "--pricing", str(pricing),
+                     "--method", "integral"])
+        assert code == 2
+        assert "non-numeric" in capsys.readouterr().err
 
     def test_deep_out_of_the_money(self, gamma_file, tmp_path):
         pricing = tmp_path / "p.json"

@@ -5,6 +5,7 @@ import pytest
 
 from bilgamma import (
     DomainError,
+    InversionNotIntegrableError,
     OutOfStripError,
     PricingInputs,
     RandomStream,
@@ -17,7 +18,14 @@ from bilgamma import (
     price_call_integral,
     price_call_monte_carlo,
 )
+from bilgamma.models import MARTINGALE
+from bilgamma.pricing import _tail_probability, negative_part_bound
+from bilgamma.quadrature import DEFAULT_QUAD
 from conftest import single
+
+# shapes sum to 0.7 < 1: the cf is not absolutely integrable, so there is no
+# pointwise Fourier density, but the Gil-Pelaez tails still converge
+LOW_SHAPE = single(3.0, 0.4, 4.0, 0.3)
 
 
 def base_inputs(strike=1.2, s0=1.0, rate=0.05, maturity=1.0, **kw):
@@ -41,6 +49,35 @@ class TestPricingInputs:
     def test_spot_required_later(self):
         with pytest.raises(DomainError):
             PricingInputs(s0=1, strike=1, rate=0.0, maturity=1.0, t_now=0.3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("s0", math.nan), ("strike", math.nan), ("strike", math.inf),
+        ("rate", math.inf), ("maturity", math.inf), ("spot_at_t", math.nan)])
+    def test_rejects_non_finite(self, field, value):
+        kw = {"s0": 1.0, "strike": 1.0, "rate": 0.0, "maturity": 1.0}
+        kw[field] = value
+        with pytest.raises(DomainError):
+            PricingInputs(**kw)
+
+
+class TestTailProbability:
+    @pytest.mark.parametrize("level", [0.1, 0.5, 1.0, 3.0, 8.0])
+    def test_single_gamma_component(self, level):
+        from scipy.special import gammaincc
+        model = single(2.0, 1.5, 1e8, 1e-8)
+        got = _tail_probability(model, level, DEFAULT_QUAD)
+        assert got == pytest.approx(gammaincc(1.5, 2.0 * level), abs=1e-10)
+
+    def test_symmetric_half_at_origin(self, laplace_model):
+        assert _tail_probability(laplace_model, 0.0, DEFAULT_QUAD) == \
+            pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("level", [0.3, 1.0, 4.0])
+    def test_symmetric_tails_complement(self, laplace_model, level):
+        lower = _tail_probability(laplace_model, -level, DEFAULT_QUAD)
+        upper = _tail_probability(laplace_model, level, DEFAULT_QUAD)
+        assert lower + upper == pytest.approx(1.0, abs=1e-12)
+        assert upper == pytest.approx(0.5 * math.exp(-level), abs=1e-10)
 
 
 class TestMartingaleCondition:
@@ -85,6 +122,22 @@ class TestIntegralPrice:
         mc, se = price_call_monte_carlo(pricing_gamma, inputs, 1_000_000,
                                         RandomStream(41))
         assert abs(price - mc) <= 4.0 * se
+
+    @pytest.mark.parametrize("model, strike", [
+        (MARTINGALE, 0.9), (MARTINGALE, 1.0), (LOW_SHAPE, 0.9),
+        (LOW_SHAPE, 1.0)], ids=["martingale-0.9", "martingale-1.0",
+                                "low-shape-0.9", "low-shape-1.0"])
+    def test_monte_carlo_cross_check_bilateral(self, model, strike):
+        inputs = base_inputs(strike=strike)
+        price = price_call_integral(model, inputs)
+        mc, se = price_call_monte_carlo(model, inputs, 1_000_000,
+                                        RandomStream(41))
+        assert abs(price - mc) <= 4.0 * se
+
+    def test_shapes_below_one_have_no_fourier_density(self):
+        # the integral route no longer needs the density LOW_SHAPE lacks
+        with pytest.raises(InversionNotIntegrableError):
+            LOW_SHAPE.pdf_fourier(0.5)
 
     def test_out_of_strip(self):
         model = single(1.0, 1.0, 3.0, 1.0)
@@ -135,6 +188,30 @@ class TestGammaSeriesPrice:
         diag = {}
         price_call_gamma_series(rep, base_inputs(), diagnostics=diag)
         assert diag["series_tail_bound"] < 1e-9
+
+
+class TestNegativePartGuard:
+    def test_bound_closed_form(self):
+        # s (lam/(lam-1))^p (1 - (mu/(mu+1))^q) = 2 (1 - 3/4)
+        model = single(2.0, 1.0, 3.0, 1.0)
+        inputs = PricingInputs(s0=1.0, strike=1.0, rate=0.0, maturity=1.0)
+        assert negative_part_bound(model, inputs) == pytest.approx(0.5)
+
+    def test_bound_covers_dropped_negative_part(self, martingale_model):
+        m = martingale_model
+        positive_only = type(m)(m.alpha, m.p, m.beta * 1e8, m.q * 1e-8,
+                                m.w1, m.w2)
+        inputs = base_inputs(strike=1.0)
+        gap = abs(price_call_integral(m, inputs)
+                  - price_call_integral(positive_only, inputs))
+        assert 0.0 < gap <= negative_part_bound(m, inputs)
+
+    @pytest.mark.parametrize("route", [price_call_atm,
+                                       price_call_gamma_series])
+    def test_bilateral_model_rejected(self, martingale_model, route):
+        rep = build_mixture(martingale_model, tail_tol=1e-12)
+        with pytest.raises(DomainError, match="negative part"):
+            route(rep, base_inputs(strike=1.0))
 
 
 class TestAtmPrice:
