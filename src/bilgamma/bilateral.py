@@ -9,6 +9,7 @@ Laplace; beta -> inf degenerates to Ga(alpha, p).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,9 @@ class BilateralGamma:
     def __post_init__(self):
         for name in ("alpha", "p", "beta", "q"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
                 raise DomainError(f"BilateralGamma.{name} must be finite and > 0, got {v!r}")
+            object.__setattr__(self, name, float(v))
 
     def cf(self, z):
         """Characteristic function (1 - iz/alpha)^(-p) (1 + iz/beta)^(-q)."""

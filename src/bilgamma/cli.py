@@ -33,7 +33,7 @@ from .errors import (
 from .pricing import (
     PricingInputs,
     gamma_route_growth,
-    martingale_diagnostics,
+    martingale_gap,
     price_call_atm,
     price_call_gamma_series,
     price_call_integral,
@@ -203,9 +203,12 @@ def cmd_bounds(args) -> int:
     if args.target:
         obj = _load_json(args.target, "target")
         try:
-            target = BilateralGamma(obj["alpha"], obj["p"], obj["beta"], obj["q"])
+            fields = [float(obj[name]) for name in ("alpha", "p", "beta", "q")]
         except KeyError as exc:
             raise ConfigError(f"target file missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"target file has a non-numeric field: {exc}") from exc
+        target = BilateralGamma(*fields)
         payload["d3_bg"] = {"value": bound_d3_bg(model, target),
                             "terms": d3_bg_terms(model, target)}
     if args.sigma is not None:
@@ -256,13 +259,15 @@ def cmd_price(args) -> int:
     inputs = PricingInputs(**fields)
     spec = _spec_from_args(args)
     method = args.method
-    if method == "auto":
+    if method in ("series", "atm"):
+        rep = build_mixture(model, tail_tol=args.tail_tol)
+    elif method == "auto":
         # the closed form only where its own guards accept the model
         method = "integral"
         if inputs.spot_at_t == inputs.strike:
+            rep = build_mixture(model, tail_tol=args.tail_tol)
             try:
-                gamma_route_growth(build_mixture(model, tail_tol=args.tail_tol),
-                                   inputs)
+                gamma_route_growth(rep, inputs)
                 method = "atm"
             except (DomainError, SeriesDivergenceError):
                 pass
@@ -270,14 +275,10 @@ def cmd_price(args) -> int:
     if method == "integral":
         price = price_call_integral(model, inputs, spec)
         tolerance = 1e-8
-    elif method == "series":
-        rep = build_mixture(model, tail_tol=args.tail_tol)
-        price = price_call_gamma_series(rep, inputs, diagnostics=diagnostics)
-        tolerance = diagnostics.get("series_tail_bound", args.tail_tol)
-    elif method == "atm":
-        rep = build_mixture(model, tail_tol=args.tail_tol)
-        price = price_call_atm(rep, inputs, diagnostics=diagnostics)
-        tolerance = diagnostics.get("series_tail_bound", args.tail_tol)
+    elif method in ("series", "atm"):
+        route = price_call_gamma_series if method == "series" else price_call_atm
+        price = route(rep, inputs, diagnostics=diagnostics)
+        tolerance = diagnostics["series_tail_bound"]
     else:  # monte-carlo
         if args.seed is None:
             raise ConfigError("--seed is required for the monte-carlo method")
@@ -288,8 +289,7 @@ def cmd_price(args) -> int:
         "price": price,
         "method": method,
         "tolerance_achieved": tolerance,
-        "martingale_gap": martingale_diagnostics(
-            model, inputs.rate, inputs.dividend)["gap"],
+        "martingale_gap": martingale_gap(model, inputs.rate, inputs.dividend),
     }
     _write_json(args.out, payload)
     return EXIT_OK

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -58,7 +58,7 @@ class LinearCombinationModel:
     Each of the six arrays has one entry per component; all entries are
     strictly positive.  ``w1``/``w2`` weight the positive and negative
     gamma parts, so equal weight pairs give a plain convolution of
-    bilateral-gamma laws.
+    bilateral-gamma laws.  Each field is a read-only copy of the input.
     """
 
     alpha: np.ndarray
@@ -72,7 +72,8 @@ class LinearCombinationModel:
         arrays = {}
         n = None
         for name in _FIELDS:
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            arr = np.atleast_1d(np.array(getattr(self, name), dtype=float))
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
             arrays[name] = arr
             if n is None:
@@ -96,7 +97,7 @@ class LinearCombinationModel:
         cols = list(zip(*components))
         if len(cols) != 6:
             raise DomainError("each component needs exactly 6 entries")
-        return cls(*[np.asarray(c, dtype=float) for c in cols])
+        return cls(*cols)
 
     @classmethod
     def from_json_obj(cls, obj) -> "LinearCombinationModel":
@@ -236,27 +237,21 @@ class LinearCombinationModel:
     def variance(self) -> float:
         return self.cumulant(2)
 
-    def pdf_fourier(self, x: float, spec: QuadratureSpec = DEFAULT_QUAD,
-                    diagnostics: dict | None = None) -> float:
+    def pdf_fourier(self, x: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
         """Density by Fourier inversion of the product-form cf.
 
         Requires sum_j (p_j + q_j) > 1 so the cf is absolutely integrable;
-        small negative quadrature values (above -1e-8) are clamped to zero,
-        with the raw value recorded in ``diagnostics`` when given.
+        small negative quadrature values (above -1e-8) are clamped to zero.
         """
         if self.p_total + self.q_total <= 1.0:
             raise InversionNotIntegrableError(
                 "cf decays like |z|^-(sum shapes) <= |z|^-1; pointwise "
                 "inversion is not guaranteed")
         raw = fourier_density(self.cf, float(x), spec)
-        if raw < 0.0:
-            if diagnostics is not None:
-                diagnostics.setdefault("clamped", []).append((float(x), raw))
-            if raw < -1e-8:
-                raise NonConvergenceError(
-                    f"inverted density materially negative at x={x}: {raw}")
-            return 0.0
-        return raw
+        if raw < -1e-8:
+            raise NonConvergenceError(
+                f"inverted density materially negative at x={x}: {raw}")
+        return max(raw, 0.0)
 
     def mixture(self, tail_tol: float = 1e-12,
                 k_max: int = 10000) -> "MixtureRepresentation":
@@ -322,6 +317,24 @@ def _mixture_pmf(theta: np.ndarray, shapes: np.ndarray, log_mass0: float,
     return mass0 * g, g, a
 
 
+def _completed_series(log_terms, r):
+    """Sum of exp(log_terms) over the last axis plus the geometric tail
+    of ratio r (a scalar or one per row, in [0, 1); callers reject r >= 1
+    with their own error) past the last term, exact when the dropped terms
+    shrink by exactly r.  Returns (completed sum, completion)."""
+    terms = np.exp(log_terms)
+    tail = terms[..., -1] * r / (1.0 - r)
+    return terms.sum(axis=-1) + tail, tail
+
+
+def _power_mean(pmf, shape0: float, base: float, theta_max: float):
+    """E[base^(shape0 + L)] over the truncated pmf of L with tail ratio
+    theta_max, completed as in :func:`_completed_series`."""
+    with np.errstate(divide="ignore"):
+        log_terms = np.log(pmf) + (shape0 + np.arange(len(pmf))) * math.log(base)
+    return _completed_series(log_terms, theta_max * base)
+
+
 @dataclass(frozen=True, eq=False)
 class MixtureRepresentation:
     """Randomised-shape mixture of one linear combination.
@@ -340,23 +353,13 @@ class MixtureRepresentation:
     c_n: float               # pmf_pos[0]
     d_n: float               # pmf_neg[0]
     alpha_star: float        # eta / (1 + eta), in (0, 1)
-    beta_star: float
     a_seq: np.ndarray
-    b_seq: np.ndarray
     gamma_seq: np.ndarray
     delta_seq: np.ndarray
     pmf_pos: np.ndarray
     pmf_neg: np.ndarray
-    tail_pos: float
-    tail_neg: float
-    lam_min: float
-    mu_min: float
-    theta_pos_max: float = field(repr=False, default=0.0)
-    theta_neg_max: float = field(repr=False, default=0.0)
-
-    @property
-    def tail_mass_bound(self) -> float:
-        return self.tail_tol
+    theta_pos_max: float     # largest pmf tail ratio, max_j (1 - lam_j/eta)
+    theta_neg_max: float
 
     # -- transforms ---------------------------------------------------------
 
@@ -388,23 +391,15 @@ class MixtureRepresentation:
         the remainder (exact when one component rate dominates)."""
         if not (-self.xi < z < self.eta):
             raise OutOfStripError(f"mgf argument {z} outside (-xi, eta)")
-        if not (-self.mu_min < z < self.lam_min):
+        lam_min, mu_min = self.model.lam_min, self.model.mu_min
+        if not (-mu_min < z < lam_min):
             raise OutOfStripError(
-                f"mgf argument {z} outside exact strip "
-                f"({-self.mu_min}, {self.lam_min})")
-
-        def side(pmf, shape0, base, theta_max):
-            kk = np.arange(len(pmf))
-            with np.errstate(divide="ignore"):
-                terms = np.exp(np.log(pmf) + (shape0 + kk) * math.log(base))
-            r = theta_max * base
-            return float(terms.sum()) + float(terms[-1]) * r / (1.0 - r)
-
-        s_pos = side(self.pmf_pos, self.p, self.eta / (self.eta - z),
-                     self.theta_pos_max)
-        s_neg = side(self.pmf_neg, self.q, self.xi / (self.xi + z),
-                     self.theta_neg_max)
-        return s_pos * s_neg
+                f"mgf argument {z} outside exact strip ({-mu_min}, {lam_min})")
+        s_pos = _power_mean(self.pmf_pos, self.p, self.eta / (self.eta - z),
+                            self.theta_pos_max)[0]
+        s_neg = _power_mean(self.pmf_neg, self.q, self.xi / (self.xi + z),
+                            self.theta_neg_max)[0]
+        return float(s_pos * s_neg)
 
     # -- moments -------------------------------------------------------------
 
@@ -440,7 +435,7 @@ class MixtureRepresentation:
             raise TruncationFailureError(
                 f"moment({k}) extrapolated tail {extrapolated:.3g} exceeds "
                 f"tolerance {tol:g}; rebuild the mixture with a smaller tail_tol")
-        return total
+        return float(total)
 
     # -- densities -----------------------------------------------------------
 
@@ -513,25 +508,19 @@ def _factorial_sums(pmf: np.ndarray, shape0: float, k: int, theta_max: float):
     """
     ll = np.arange(len(pmf))
     last = len(pmf) - 1
-    vals, exts = [], []
-    for r in range(k + 1):
-        with np.errstate(divide="ignore"):
-            terms = np.exp(np.log(pmf) + sp.gammaln(ll + shape0 + r)
-                           - sp.gammaln(ll + shape0))
-        v = float(terms.sum())
-        if theta_max <= 0.0 or last == 0:
-            vals.append(v)
-            exts.append(0.0)
-            continue
-        rho = theta_max * (last + shape0 + r) / (last + shape0)
-        if rho >= 1.0:
-            raise TruncationFailureError(
-                f"factorial series of order {r} has non-contracting tail "
-                f"(ratio {rho:.4g}); rebuild the mixture with a smaller tail_tol")
-        ext = float(terms[-1]) * rho / (1.0 - rho)
-        vals.append(v + ext)
-        exts.append(ext)
-    return vals, exts
+    rr = np.arange(k + 1)
+    with np.errstate(divide="ignore"):
+        log_terms = (np.log(pmf) + sp.gammaln(ll + shape0 + rr[:, None])
+                     - sp.gammaln(ll + shape0))
+    rho = np.zeros(k + 1)
+    if theta_max > 0.0 and last > 0:
+        rho = theta_max * (last + shape0 + rr) / (last + shape0)
+    if rho.max() >= 1.0:
+        r = int(np.argmax(rho >= 1.0))
+        raise TruncationFailureError(
+            f"factorial series of order {r} has non-contracting tail "
+            f"(ratio {rho[r]:.4g}); rebuild the mixture with a smaller tail_tol")
+    return _completed_series(log_terms, rho)
 
 
 def build_mixture(model: LinearCombinationModel, tail_tol: float = 1e-12,
@@ -554,8 +543,8 @@ def build_mixture(model: LinearCombinationModel, tail_tol: float = 1e-12,
     log_d = float(np.sum(model.q * np.log(mu / xi)))
     pmf_pos, gamma_seq, a_seq = _mixture_pmf(theta_pos, model.p, log_c,
                                              tail_tol, k_max)
-    pmf_neg, delta_seq, b_seq = _mixture_pmf(theta_neg, model.q, log_d,
-                                             tail_tol, k_max)
+    pmf_neg, delta_seq, _ = _mixture_pmf(theta_neg, model.q, log_d,
+                                         tail_tol, k_max)
     return MixtureRepresentation(
         model=model,
         tail_tol=tail_tol,
@@ -566,17 +555,11 @@ def build_mixture(model: LinearCombinationModel, tail_tol: float = 1e-12,
         c_n=float(pmf_pos[0]),
         d_n=float(pmf_neg[0]),
         alpha_star=eta / (1.0 + eta),
-        beta_star=xi / (1.0 + xi),
         a_seq=a_seq,
-        b_seq=b_seq,
         gamma_seq=gamma_seq,
         delta_seq=delta_seq,
         pmf_pos=pmf_pos,
         pmf_neg=pmf_neg,
-        tail_pos=max(0.0, 1.0 - float(pmf_pos.sum())),
-        tail_neg=max(0.0, 1.0 - float(pmf_neg.sum())),
-        lam_min=model.lam_min,
-        mu_min=model.mu_min,
         theta_pos_max=float(theta_pos.max()),
         theta_neg_max=float(theta_neg.max()),
     )

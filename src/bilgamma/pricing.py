@@ -3,7 +3,8 @@
 S_t = S0 exp(X_t) with bank account e^(rt) and dividend rate v; the
 discounted price e^(-(r-v)t) S_t is a martingale iff E[e^(X_1)] equals
 e^(r-v).  European call prices follow from the time-t' = T - t law of the
-process, whose shapes are the model's shapes scaled by t'.
+process, whose shapes are the model's shapes scaled by t'; the gamma-only
+routes sum the shape-mixing pmf of that law.
 
 The pricing integral int_L^inf (s e^x - K) h(x) dx (L = ln(K/s)) is
 evaluated through the exponential tilt: s e^x h(x) = s M(1) h~(x) where h~
@@ -24,7 +25,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from scipy import special as sp
 
-from .combo import LinearCombinationModel, MixtureRepresentation
+from .combo import (LinearCombinationModel, MixtureRepresentation,
+                    _completed_series, _power_mean, build_mixture)
 from .errors import DomainError, OutOfStripError, SeriesDivergenceError
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, _quad, oscillatory_integral
 from .sampling import sample_direct
@@ -116,8 +118,7 @@ def martingale_diagnostics(model: LinearCombinationModel, rate: float,
     def mix_expect(pmf, base, theta_max):
         if base <= 1.0 or theta_max * base / (base - 1.0) >= 1.0:
             return math.inf
-        kk = np.arange(len(pmf))
-        return float(np.sum(pmf * (base / (base - 1.0)) ** kk))
+        return float(_power_mean(pmf, 0.0, base / (base - 1.0), theta_max)[0])
 
     lhs = (mix_expect(rep.pmf_pos, rep.eta, rep.theta_pos_max)
            * mix_expect(rep.pmf_neg, rep.xi, rep.theta_neg_max))
@@ -187,11 +188,13 @@ def negative_part_bound(model: LinearCombinationModel,
 
 def gamma_route_growth(rep: MixtureRepresentation,
                        inputs: PricingInputs) -> float:
-    """Growth (eta/(eta-1))^t' of the gamma-only routes; raises unless eta > 1,
-    the mixture expectation converges and the negative part is negligible."""
+    """Growth eta/(eta-1) per unit of shape of the gamma-only routes; raises
+    unless eta > 1, the mixture expectation converges (at every t', since
+    the pmf tail ratio does not depend on t') and the negative part is
+    negligible."""
     if rep.eta <= 1.0:
         raise DomainError(f"gamma-only pricing requires eta > 1, got {rep.eta}")
-    growth = (rep.eta / (rep.eta - 1.0)) ** inputs.t_remaining
+    growth = rep.eta / (rep.eta - 1.0)
     if rep.theta_pos_max * growth >= 1.0 - 1e-12:
         raise SeriesDivergenceError(
             "mixture expectation diverges: pmf tail ratio "
@@ -207,37 +210,38 @@ def price_call_gamma_series(rep: MixtureRepresentation, inputs: PricingInputs,
                             discount_time: float | None = None,
                             diagnostics: dict | None = None) -> float:
     """Call price for the gamma-driven (positive-part) model by the
-    incomplete-gamma series:
+    incomplete-gamma series over the time-t' mixture (L, p of that law):
 
-        c e^(-rT) sum_j gamma_j / Gamma((p+j)t') *
-            [ s (eta/(eta-1))^((p+j)t') Gamma((p+j)t', (eta-1) ln(K/s))
-              - K Gamma((p+j)t', eta ln(K/s)) ]
+        e^(-rT) sum_j P(L=j) [ s (eta/(eta-1))^(p+j) Q(p+j, (eta-1) ln(K/s))
+                               - K Q(p+j, eta ln(K/s)) ],
 
-    Requires K >= s and a model :func:`gamma_route_growth` accepts; the
-    geometric truncation tail is reported via ``diagnostics``.
+    Q the regularised upper incomplete gamma.  Requires K >= s and a model
+    :func:`gamma_route_growth` accepts; the s and K sums are each completed
+    by their geometric tail, whose size is reported via ``diagnostics``.
     """
     if inputs.strike < inputs.spot_at_t:
         raise DomainError("gamma-driven series requires strike >= spot")
-    eta = rep.eta
     growth = gamma_route_growth(rep, inputs)
-    t_prime = inputs.t_remaining
-    level = inputs.log_moneyness
+    if inputs.t_remaining != 1.0:
+        rep = build_mixture(rep.model.scaled(inputs.t_remaining), rep.tail_tol)
+    eta, level = rep.eta, inputs.log_moneyness
     s, strike = inputs.spot_at_t, inputs.strike
-    jj = np.arange(len(rep.pmf_pos))
-    a = (rep.p + jj) * t_prime
+    a = rep.p + np.arange(len(rep.pmf_pos))
     with np.errstate(divide="ignore"):
         log_w = np.log(rep.pmf_pos)
-        term_s = np.exp(log_w + a * math.log(eta / (eta - 1.0))
-                        + np.log(sp.gammaincc(a, (eta - 1.0) * level)))
-        term_k = np.exp(log_w + np.log(sp.gammaincc(a, eta * level)))
-    total = float(np.sum(s * term_s - strike * term_k))
+        sum_s, tail_s = _completed_series(
+            log_w + a * math.log(growth)
+            + np.log(sp.gammaincc(a, (eta - 1.0) * level)),
+            rep.theta_pos_max * growth)
+        sum_k, tail_k = _completed_series(
+            log_w + np.log(sp.gammaincc(a, eta * level)), rep.theta_pos_max)
     horizon = inputs.maturity if discount_time is None else discount_time
-    ratio = rep.theta_pos_max * growth
-    tail = (s * term_s[-1] * ratio / (1.0 - ratio)) if ratio > 0.0 else 0.0
+    discount = math.exp(-inputs.rate * horizon)
     if diagnostics is not None:
-        diagnostics["series_tail_bound"] = tail
-        diagnostics["terms"] = len(jj)
-    return math.exp(-inputs.rate * horizon) * total
+        diagnostics["series_tail_bound"] = discount * float(abs(
+            s * tail_s - strike * tail_k))
+        diagnostics["terms"] = len(a)
+    return discount * float(s * sum_s - strike * sum_k)
 
 
 def price_call_atm(rep: MixtureRepresentation, inputs: PricingInputs,
@@ -245,24 +249,24 @@ def price_call_atm(rep: MixtureRepresentation, inputs: PricingInputs,
                    diagnostics: dict | None = None) -> float:
     """At-the-money closed form for the gamma-driven model,
 
-        K e^(-rT) ( E[(eta/(eta-1))^((L+p)t')] - 1 ),
+        K e^(-rT) ( E[(eta/(eta-1))^(p+L)] - 1 )
 
-    requiring s = K and a model :func:`gamma_route_growth` accepts; it
-    detects a divergent expectation (pmf tail ratio times (eta/(eta-1))^t'
-    reaching 1) before summation, so that is raised, never summed past."""
+    over the time-t' mixture (L, p of that law), requiring s = K and a
+    model :func:`gamma_route_growth` accepts; it detects a divergent
+    expectation (pmf tail ratio times eta/(eta-1) reaching 1) before
+    summation, so that is raised, never summed past.  The geometric tail
+    completion's size is reported via ``diagnostics``."""
     if inputs.spot_at_t != inputs.strike:
         raise DomainError("at-the-money formula requires spot == strike")
     growth = gamma_route_growth(rep, inputs)
-    jj = np.arange(len(rep.pmf_pos))
-    with np.errstate(divide="ignore"):
-        terms = np.exp(np.log(rep.pmf_pos) + (rep.p + jj) * math.log(growth))
-    ratio = rep.theta_pos_max * growth
-    tail = (terms[-1] * ratio / (1.0 - ratio)) if ratio > 0.0 else 0.0
-    if diagnostics is not None:
-        diagnostics["series_tail_bound"] = tail
+    if inputs.t_remaining != 1.0:
+        rep = build_mixture(rep.model.scaled(inputs.t_remaining), rep.tail_tol)
+    expect, tail = _power_mean(rep.pmf_pos, rep.p, growth, rep.theta_pos_max)
     horizon = inputs.maturity if discount_time is None else discount_time
-    return (inputs.strike * math.exp(-inputs.rate * horizon)
-            * (float(terms.sum()) - 1.0))
+    scale = inputs.strike * math.exp(-inputs.rate * horizon)
+    if diagnostics is not None:
+        diagnostics["series_tail_bound"] = scale * float(tail)
+    return scale * (float(expect) - 1.0)
 
 
 def price_call_monte_carlo(model: LinearCombinationModel,

@@ -28,6 +28,10 @@ class TestValidation:
         with pytest.raises(DomainError):
             BilateralGamma(**bad)
 
+    def test_accepts_numpy_scalars(self):
+        law = BilateralGamma(np.int64(2), np.float64(1.5), np.float32(1.0), 1)
+        assert (law.alpha, law.p, law.beta, law.q) == (2.0, 1.5, 1.0, 1.0)
+
 
 class TestCharacteristicFunction:
     def test_at_origin(self):

@@ -139,6 +139,14 @@ class TestBoundsCommand:
         assert payload["constants_default"] is True
         assert payload["kappa"]["kappa_n"] == pytest.approx(4.0 / 3.0)
 
+    def test_non_numeric_target_exits_2(self, kappa_file, tmp_path, capsys):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(
+            {"alpha": "abc", "p": 1.3, "beta": 2.0, "q": 0.7}))
+        code = main(["bounds", "--model", kappa_file, "--target", str(target)])
+        assert code == 2
+        assert "non-numeric" in capsys.readouterr().err
+
     def test_kappa_undefined_exits_3(self, model_file, tmp_path):
         out = tmp_path / "bounds.json"
         code = main(["bounds", "--model", model_file, "--sigma", "1.0",
@@ -176,6 +184,19 @@ class TestPriceCommand:
         assert payload["method"] == "atm"
         assert payload["price"] == pytest.approx(0.9737696444575116, rel=1e-6)
         assert "martingale_gap" in payload
+
+    def test_atm_auto_at_maturity_two(self, gamma_file, tmp_path):
+        # the closed form sums the time-2 pmf and matches the integral route
+        pricing = tmp_path / "p.json"
+        pricing.write_text(json.dumps(
+            {"s0": 1.0, "strike": 1.0, "rate": 0.05, "maturity": 2.0}))
+        out = tmp_path / "price.json"
+        code = main(["price", "--model", gamma_file, "--pricing", str(pricing),
+                     "--method", "auto", "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["method"] == "atm"
+        assert payload["price"] == pytest.approx(2.8007839978, rel=1e-8)
 
     def test_atm_bilateral_falls_back_to_integral(self, tmp_path):
         # the gamma-only closed form would ignore MARTINGALE's negative part

@@ -52,6 +52,17 @@ class TestModelValidation:
         with pytest.raises(ModelFileError, match="component 1.*'q'"):
             load_model(path)
 
+    def test_fields_read_only(self, pair_nonint):
+        with pytest.raises(ValueError):
+            pair_nonint.alpha[0] = -5.0
+
+    def test_caller_array_not_shared(self):
+        alpha = np.array([2.0, 3.0])
+        model = LinearCombinationModel(alpha, [1.0, 1.0], [1.0, 1.0],
+                                       [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
+        alpha[0] = -5.0
+        np.testing.assert_array_equal(model.alpha, [2.0, 3.0])
+
     def test_loader_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"components": [{"alpha": 1}]}))
@@ -164,7 +175,7 @@ class TestDensityRoutes:
         counts, _ = np.histogram(draws, bins=edges)
         from scipy.integrate import quad
         for lo, hi, count in zip(edges[:-1], edges[1:], counts):
-            prob = quad(lambda x: pair_integer.pdf_fourier(x, diagnostics={}),
+            prob = quad(lambda x: pair_integer.pdf_fourier(x),
                         lo, hi, epsabs=1e-9, limit=200)[0]
             sd = math.sqrt(n * prob * (1.0 - prob))
             assert abs(count - n * prob) <= 4.0 * sd
@@ -204,7 +215,7 @@ class TestMomentTransform:
 
     def test_log_convexity(self, pair_nonint):
         rep = build_mixture(pair_nonint, tail_tol=1e-12)
-        zs = np.linspace(-0.9, 0.9, 13) * min(rep.lam_min, rep.mu_min)
+        zs = np.linspace(-0.9, 0.9, 13) * min(rep.model.lam_min, rep.model.mu_min)
         logm = np.log([rep.mgf(float(z)) for z in zs])
         second = np.diff(logm, 2)
         assert np.all(second > -1e-9)

@@ -6,6 +6,7 @@ import pytest
 from bilgamma import (
     DomainError,
     InversionNotIntegrableError,
+    LinearCombinationModel,
     OutOfStripError,
     PricingInputs,
     RandomStream,
@@ -188,6 +189,36 @@ class TestGammaSeriesPrice:
         diag = {}
         price_call_gamma_series(rep, base_inputs(), diagnostics=diag)
         assert diag["series_tail_bound"] < 1e-9
+
+
+class TestTimeScaledGammaRoutes:
+    """Both gamma-only routes sum the pmf of the time-t' law."""
+
+    @pytest.mark.parametrize("maturity, t_now", [(0.5, 0.0), (2.0, 0.0),
+                                                 (1.5, 0.5), (2.5, 0.5)])
+    @pytest.mark.parametrize("route, strike", [
+        (price_call_gamma_series, 1.2), (price_call_atm, 1.0)],
+        ids=["series", "atm"])
+    def test_agrees_with_integral(self, pricing_gamma, route, strike,
+                                  maturity, t_now):
+        rep = build_mixture(pricing_gamma, tail_tol=1e-12)
+        inputs = base_inputs(strike=strike, maturity=maturity, t_now=t_now,
+                             spot_at_t=1.0)
+        integral = price_call_integral(pricing_gamma, inputs)
+        assert abs(route(rep, inputs) - integral) / integral < 1e-6
+
+
+class TestGeometricCompletion:
+    def test_exact_on_geometric_pmf(self):
+        # rates (3, 6) and unit shapes: P(L=k) = (1/2)^(k+1) exactly, so the
+        # geometric completion of a shallow pmf recovers the full sum
+        model = LinearCombinationModel.from_components(
+            [(3.0, 1.0, 1e8, 1e-8, 1.0, 1.0), (6.0, 1.0, 1e8, 1e-8, 1.0, 1.0)])
+        rep = build_mixture(model, tail_tol=1e-3)
+        inputs = base_inputs(strike=1.0)
+        expected = math.exp(-0.05) * ((3.0 / 2.0) * (6.0 / 5.0) - 1.0)
+        assert price_call_atm(rep, inputs) == pytest.approx(expected,
+                                                            rel=1e-12)
 
 
 class TestNegativePartGuard:
