@@ -285,19 +285,22 @@ class LevyDensity:
 
 
 def _mixture_pmf(theta: np.ndarray, shapes: np.ndarray, log_mass0: float,
-                 tail_tol: float, k_max: int):
+                 tail_tol: float, k_max: int) -> np.ndarray:
     """Shape-mixing pmf for one side of the combination.
 
     P(0) = exp(log_mass0), P(k) = P(0) * g_k with g_0 = 1 and
 
         g_k = (1/k) sum_{i=1}^{k} s_i g_{k-i},   s_i = sum_j shapes_j theta_j^i,
 
-    grown until the retained mass reaches 1 - tail_tol.  Returns
-    (pmf, g, a) where a_i = s_i / i are the recursion coefficients.
+    grown until the retained mass reaches 1 - tail_tol.  Returns the
+    truncated pmf.  Each step is one dot product over the filled prefixes
+    of ``s`` and ``g``, which grow by doubling, so K terms cost O(K^2)
+    flops and O(K) memory whatever ``k_max`` is.
     """
     mass0 = math.exp(log_mass0)
-    g = [1.0]
-    s = []          # s_i for i = 1..k
+    g = np.empty(64)
+    s = np.empty(64)    # s[i - 1] = s_i
+    g[0] = 1.0
     acc = mass0
     th_pow = np.ones_like(theta)
     k = 0
@@ -306,15 +309,15 @@ def _mixture_pmf(theta: np.ndarray, shapes: np.ndarray, log_mass0: float,
         if k > k_max:
             raise TruncationFailureError(
                 f"pmf mass {acc:.17g} below 1 - {tail_tol:g} after {k_max} terms")
+        if k == len(g):
+            g = np.concatenate([g, np.empty(k)])
+            s = np.concatenate([s, np.empty(k)])
         th_pow = th_pow * theta
-        s.append(float(np.dot(shapes, th_pow)))
+        s[k - 1] = np.dot(shapes, th_pow)
         g_k = float(np.dot(s[:k], g[k - 1::-1])) / k
-        g.append(g_k)
+        g[k] = g_k
         acc += mass0 * g_k
-    g = np.asarray(g)
-    s = np.asarray(s)
-    a = s / np.arange(1, len(s) + 1) if len(s) else s
-    return mass0 * g, g, a
+    return mass0 * g[:k + 1]
 
 
 def _completed_series(log_terms, r):
@@ -339,9 +342,8 @@ def _power_mean(pmf, shape0: float, base: float, theta_max: float):
 class MixtureRepresentation:
     """Randomised-shape mixture of one linear combination.
 
-    Truncated pmfs of the two shape-mixing variables together with the
-    recursion coefficients that generated them.  Immutable; every method
-    is a pure function of the stored arrays.
+    Truncated pmfs of the two shape-mixing variables.  Immutable; every
+    method is a pure function of the stored arrays.
     """
 
     model: LinearCombinationModel
@@ -350,12 +352,6 @@ class MixtureRepresentation:
     xi: float
     p: float                 # total positive shape
     q: float                 # total negative shape
-    c_n: float               # pmf_pos[0]
-    d_n: float               # pmf_neg[0]
-    alpha_star: float        # eta / (1 + eta), in (0, 1)
-    a_seq: np.ndarray
-    gamma_seq: np.ndarray
-    delta_seq: np.ndarray
     pmf_pos: np.ndarray
     pmf_neg: np.ndarray
     theta_pos_max: float     # largest pmf tail ratio, max_j (1 - lam_j/eta)
@@ -370,16 +366,23 @@ class MixtureRepresentation:
 
         which factorises into two single series.  Truncation error is
         bounded by the dropped pmf mass since every term has modulus <= 1.
+        The points are taken in blocks of about 2**16 / K, so the
+        (points x K) temporaries stay near a megabyte for any grid.
         """
         z = np.asarray(z, dtype=complex)
-        zz = z[..., None]
-        log_a = -np.log(1.0 - 1j * zz / self.eta)
-        log_b = -np.log(1.0 + 1j * zz / self.xi)
+        flat = z.reshape(-1)
         jj = np.arange(len(self.pmf_pos))
         kk = np.arange(len(self.pmf_neg))
-        s_pos = (self.pmf_pos * np.exp((self.p + jj) * log_a)).sum(axis=-1)
-        s_neg = (self.pmf_neg * np.exp((self.q + kk) * log_b)).sum(axis=-1)
-        val = s_pos * s_neg
+        rows = max(1, 2 ** 16 // max(len(jj), len(kk)))
+        val = np.empty(flat.shape, dtype=complex)
+        for start in range(0, len(flat), rows):
+            zz = flat[start:start + rows, None]
+            log_a = -np.log(1.0 - 1j * zz / self.eta)
+            log_b = -np.log(1.0 + 1j * zz / self.xi)
+            s_pos = (self.pmf_pos * np.exp((self.p + jj) * log_a)).sum(axis=-1)
+            s_neg = (self.pmf_neg * np.exp((self.q + kk) * log_b)).sum(axis=-1)
+            val[start:start + rows] = s_pos * s_neg
+        val = val.reshape(z.shape)
         return complex(val) if val.ndim == 0 else val
 
     def mgf(self, z: float) -> float:
@@ -450,7 +453,8 @@ class MixtureRepresentation:
         and for x < 0 the mirrored kernel swaps the roles of the two sides:
         e^(xi x) (-x)^(...) Gamma(p+j) F(p+j, p+q+j+k, -(eta+xi)x).  Terms
         are accumulated in log space; pairs whose pmf weight cannot reach
-        the tolerance are skipped.
+        the tolerance are skipped wherever they sit, since a pmf can peak
+        far from index 0.
         """
         if x == 0.0:
             raise SingularPointError("series density not evaluated at x = 0")
@@ -466,13 +470,9 @@ class MixtureRepresentation:
         # dropping a pair costs at most pmf weight times a density bound
         cut = math.log(spec.abs_tol * 1e-3 / max(self.eta, self.xi))
         total = 0.0
-        for j in range(len(self.pmf_pos)):
-            if lp_pos[j] + lp_neg[0] < cut:
-                break
-            for k in range(len(self.pmf_neg)):
+        for j in np.flatnonzero(lp_pos + lp_neg.max() >= cut).tolist():
+            for k in np.flatnonzero(lp_pos[j] + lp_neg >= cut).tolist():
                 lw = lp_pos[j] + lp_neg[k]
-                if lw < cut:
-                    break
                 b = self.p + self.q + j + k
                 lead = (lw + (self.p + j) * log_eta + (self.q + k) * log_xi
                         - lg_pos[j] - lg_neg[k] + (b - 1.0) * log_ax)
@@ -541,10 +541,8 @@ def build_mixture(model: LinearCombinationModel, tail_tol: float = 1e-12,
     theta_neg = 1.0 - mu / xi
     log_c = float(np.sum(model.p * np.log(lam / eta)))
     log_d = float(np.sum(model.q * np.log(mu / xi)))
-    pmf_pos, gamma_seq, a_seq = _mixture_pmf(theta_pos, model.p, log_c,
-                                             tail_tol, k_max)
-    pmf_neg, delta_seq, _ = _mixture_pmf(theta_neg, model.q, log_d,
-                                         tail_tol, k_max)
+    pmf_pos = _mixture_pmf(theta_pos, model.p, log_c, tail_tol, k_max)
+    pmf_neg = _mixture_pmf(theta_neg, model.q, log_d, tail_tol, k_max)
     return MixtureRepresentation(
         model=model,
         tail_tol=tail_tol,
@@ -552,12 +550,6 @@ def build_mixture(model: LinearCombinationModel, tail_tol: float = 1e-12,
         xi=xi,
         p=model.p_total,
         q=model.q_total,
-        c_n=float(pmf_pos[0]),
-        d_n=float(pmf_neg[0]),
-        alpha_star=eta / (1.0 + eta),
-        a_seq=a_seq,
-        gamma_seq=gamma_seq,
-        delta_seq=delta_seq,
         pmf_pos=pmf_pos,
         pmf_neg=pmf_neg,
         theta_pos_max=float(theta_pos.max()),

@@ -1,8 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bilgamma import (
     BilateralGamma,
@@ -23,6 +25,18 @@ from conftest import block_cumulant_se, single
 
 GEOMETRIC_PAIR = LinearCombinationModel.from_components(
     [(1.0, 1.0, 3.0, 1.0, 1.0, 1.0), (2.0, 1.0, 4.0, 1.0, 1.0, 1.0)])
+
+# positive rates spanning a ratio of 200: a positive pmf of about 5.5k terms
+DEEP_LAM = (4.0 / 200.0, 4.0 / math.sqrt(200.0), 4.0)
+DEEP_SHAPES = (1.0, 1.05, 0.95)
+DEEP_MODEL = LinearCombinationModel.from_components(
+    [(lam, p, 2.0 + j, 1.0, 1.0, 1.0)
+     for j, (lam, p) in enumerate(zip(DEEP_LAM, DEEP_SHAPES))])
+
+# pmf_pos[0] = 2^-50 lies below pdf_series' weight cut and the pmf peaks
+# at 48, so a loop that stops at the first small weight returns 0
+INTERIOR_MODE = LinearCombinationModel.from_components(
+    [(1.0, 50.0, 10.0, 0.5, 1.0, 1.0), (2.0, 0.5, 10.0, 0.5, 1.0, 1.0)])
 
 
 class TestModelValidation:
@@ -75,31 +89,56 @@ class TestMixtureConstruction:
         # one component with unit weights is exactly its bilateral-gamma law
         rep = build_mixture(single(2.0, 1.0, 3.0, 1.0))
         assert rep.eta == 2.0 and rep.xi == 3.0
-        assert rep.c_n == 1.0 and rep.d_n == 1.0
+        assert rep.pmf_pos[0] == 1.0 and rep.pmf_neg[0] == 1.0
         np.testing.assert_array_equal(rep.pmf_pos, [1.0])
         np.testing.assert_array_equal(rep.pmf_neg, [1.0])
-        assert rep.a_seq.size == 0
+        assert len(rep.pmf_pos) == 1
 
     def test_geometric_positive_side(self):
-        # rates (1, 2), unit shapes: P(L=k) = (1/2)^(k+1), a_i = (1/i) 2^-i
+        # rates (1, 2), unit shapes: P(L=k) = (1/2)^(k+1)
         rep = build_mixture(GEOMETRIC_PAIR)
         kk = np.arange(len(rep.pmf_pos))
         np.testing.assert_allclose(rep.pmf_pos, 0.5 ** (kk + 1), rtol=1e-13)
-        ii = np.arange(1, len(rep.a_seq) + 1)
-        np.testing.assert_allclose(rep.a_seq, 0.5 ** ii / ii, rtol=1e-13)
-        assert rep.c_n == pytest.approx(0.5)
+        assert rep.pmf_pos[0] == pytest.approx(0.5)
 
     def test_truncation_contract(self, model_grid):
         for model in model_grid.values():
             rep = build_mixture(model, tail_tol=1e-12)
             assert rep.pmf_pos.sum() >= 1.0 - 1e-12
             assert rep.pmf_neg.sum() >= 1.0 - 1e-12
-            assert np.all(rep.gamma_seq >= 0.0)
-            assert np.all(rep.delta_seq >= 0.0)
+            assert np.all(rep.pmf_pos >= 0.0)
+            assert np.all(rep.pmf_neg >= 0.0)
 
     def test_truncation_failure(self, pair_nonint):
         with pytest.raises(TruncationFailureError):
             build_mixture(pair_nonint, tail_tol=1e-12, k_max=3)
+
+    def test_k_max_is_not_preallocated(self, pair_nonint):
+        # k_max only bounds the recursion: a cap of 1e9 terms allocates as
+        # little and gives the same pmfs as the default cap
+        ref = build_mixture(pair_nonint, tail_tol=1e-12)
+        tracemalloc.start()
+        try:
+            rep = build_mixture(pair_nonint, tail_tol=1e-12, k_max=10 ** 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        np.testing.assert_array_equal(rep.pmf_pos, ref.pmf_pos)
+        np.testing.assert_array_equal(rep.pmf_neg, ref.pmf_neg)
+
+    def test_deep_pmf_is_negative_binomial_convolution(self):
+        # L is the sum of independent NB(p_j, lam_j/eta) counts; the
+        # component with lam_j = eta contributes nothing
+        rep = build_mixture(DEEP_MODEL, tail_tol=1e-12)
+        eta = DEEP_LAM[-1]
+        kk = np.arange(len(rep.pmf_pos))
+        nb = [stats.nbinom(p, lam / eta).pmf(kk)
+              for lam, p in zip(DEEP_LAM[:2], DEEP_SHAPES[:2])]
+        expected = np.convolve(nb[0], nb[1])[:len(kk)]
+        assert len(kk) > 5000
+        keep = expected > 1e-300
+        np.testing.assert_allclose(rep.pmf_pos[keep], expected[keep], rtol=1e-12)
 
     def test_rate_identity(self, model_grid):
         # eta = max lam_j coincides with a*/(1 - a*) for a* = max a_j/(w_j + a_j)
@@ -107,7 +146,6 @@ class TestMixtureConstruction:
             rep = build_mixture(model, tail_tol=1e-6)
             a_star = float(np.max(model.alpha / (model.w1 + model.alpha)))
             assert rep.eta == pytest.approx(a_star / (1.0 - a_star), rel=1e-13)
-            assert rep.alpha_star == pytest.approx(a_star, rel=1e-13)
 
 
 class TestCharacteristicFunction:
@@ -132,6 +170,31 @@ class TestCharacteristicFunction:
     def test_mixture_cf_at_origin(self, mixture_grid):
         for rep in mixture_grid.values():
             assert abs(rep.cf(0.0) - 1.0) <= 2.0 * rep.tail_tol + 1e-13
+
+    def test_blocked_mixture_cf_matches_one_shot(self):
+        # the mixture cf is evaluated in blocks of points; the blocks must
+        # not change a single bit against the one-shot sums
+        rep = build_mixture(DEEP_MODEL, tail_tol=1e-12)
+
+        def one_shot(z):
+            zz = np.asarray(z, dtype=complex)[..., None]
+            jj = np.arange(len(rep.pmf_pos))
+            kk = np.arange(len(rep.pmf_neg))
+            log_a = -np.log(1.0 - 1j * zz / rep.eta)
+            log_b = -np.log(1.0 + 1j * zz / rep.xi)
+            s_pos = (rep.pmf_pos * np.exp((rep.p + jj) * log_a)).sum(axis=-1)
+            s_neg = (rep.pmf_neg * np.exp((rep.q + kk) * log_b)).sum(axis=-1)
+            return s_pos * s_neg
+
+        zs = np.linspace(-20.0, 20.0, 401)
+        np.testing.assert_array_equal(rep.cf(zs), one_shot(zs))
+        grid = zs[150:171].reshape(3, 7)
+        out = rep.cf(grid)
+        assert out.shape == (3, 7)
+        np.testing.assert_array_equal(out, one_shot(grid))
+        val = rep.cf(0.7)
+        assert type(val) is complex
+        assert val == rep.cf(np.array([0.7]))[0]
 
     def test_degenerate_mixture_cf(self):
         rep = build_mixture(single(2.0, 1.0, 3.0, 1.0))
@@ -179,6 +242,18 @@ class TestDensityRoutes:
                         lo, hi, epsabs=1e-9, limit=200)[0]
             sd = math.sqrt(n * prob * (1.0 - prob))
             assert abs(count - n * prob) <= 4.0 * sd
+
+    def test_series_interior_pmf_mode(self):
+        # both loops of the double series: the deep side is L, then M
+        mirror = LinearCombinationModel(
+            INTERIOR_MODE.beta, INTERIOR_MODE.q, INTERIOR_MODE.alpha,
+            INTERIOR_MODE.p, INTERIOR_MODE.w2, INTERIOR_MODE.w1)
+        for model, sign in ((INTERIOR_MODE, 1.0), (mirror, -1.0)):
+            rep = build_mixture(model, tail_tol=1e-10)
+            for x in (42.0, 50.0, 58.0):
+                ref = model.pdf_fourier(sign * x)
+                assert ref > 0.02
+                assert abs(rep.pdf_series(sign * x) - ref) <= 1e-6
 
     def test_series_singular_origin(self, mixture_grid):
         with pytest.raises(SingularPointError):
