@@ -21,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bilateral import BilateralGamma
-from .combo import build_mixture, load_model
+from .combo import LinearCombinationModel, build_mixture, load_model
 from .errors import (
     BilgammaError,
     DomainError,
@@ -208,7 +207,7 @@ def cmd_bounds(args) -> int:
             raise ConfigError(f"target file missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"target file has a non-numeric field: {exc}") from exc
-        target = BilateralGamma(*fields)
+        target = LinearCombinationModel.from_components([fields + [1.0, 1.0]])
         payload["d3_bg"] = {"value": bound_d3_bg(model, target),
                             "terms": d3_bg_terms(model, target)}
     if args.sigma is not None:

@@ -43,7 +43,6 @@ from .quadrature import (
 __all__ = [
     "LinearCombinationModel",
     "MixtureRepresentation",
-    "LevyDensity",
     "build_mixture",
     "load_model",
 ]
@@ -59,6 +58,10 @@ class LinearCombinationModel:
     strictly positive.  ``w1``/``w2`` weight the positive and negative
     gamma parts, so equal weight pairs give a plain convolution of
     bilateral-gamma laws.  Each field is a read-only copy of the input.
+
+    One component with unit weights is the single law BG(alpha, p, beta, q),
+    ``from_components([(alpha, p, beta, q, 1, 1)])``; this is how the
+    package states a bilateral-gamma law, a Stein-bound target included.
     """
 
     alpha: np.ndarray
@@ -87,7 +90,7 @@ class LinearCombinationModel:
             if bad.size:
                 raise DomainError(
                     f"component {bad[0]}: field '{name}' must be finite and > 0, "
-                    f"got {arr[bad[0]]!r}")
+                    f"got {float(arr[bad[0]])!r}")
 
     # -- construction ------------------------------------------------------
 
@@ -253,10 +256,6 @@ class LinearCombinationModel:
                 f"inverted density materially negative at x={x}: {raw}")
         return max(raw, 0.0)
 
-    def mixture(self, tail_tol: float = 1e-12,
-                k_max: int = 10000) -> "MixtureRepresentation":
-        return build_mixture(self, tail_tol=tail_tol, k_max=k_max)
-
 
 def load_model(path) -> LinearCombinationModel:
     """Load a model JSON document from disk."""
@@ -266,22 +265,6 @@ def load_model(path) -> LinearCombinationModel:
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"invalid JSON in {path}: {exc}") from exc
     return LinearCombinationModel.from_json_obj(obj)
-
-
-@dataclass(frozen=True)
-class LevyDensity:
-    """Callable view of the combination's Levy measure density."""
-
-    model: LinearCombinationModel
-
-    def __call__(self, u: float) -> float:
-        return self.model.levy_density(u)
-
-    def abs_moment(self, k: int = 1) -> float:
-        """int |u|^k against the measure; finite for every k >= 1."""
-        lam, mu = self.model.lam, self.model.mu
-        return math.factorial(k - 1) * float(
-            np.sum(self.model.p / lam ** k) + np.sum(self.model.q / mu ** k))
 
 
 def _mixture_pmf(theta: np.ndarray, shapes: np.ndarray, log_mass0: float,
@@ -392,8 +375,6 @@ class MixtureRepresentation:
         The pmf tails are asymptotically geometric with the known ratios,
         so the truncated series is completed by the geometric estimate of
         the remainder (exact when one component rate dominates)."""
-        if not (-self.xi < z < self.eta):
-            raise OutOfStripError(f"mgf argument {z} outside (-xi, eta)")
         lam_min, mu_min = self.model.lam_min, self.model.mu_min
         if not (-mu_min < z < lam_min):
             raise OutOfStripError(

@@ -27,7 +27,7 @@ from scipy import special as sp
 
 from .combo import (LinearCombinationModel, MixtureRepresentation,
                     _completed_series, _power_mean, build_mixture)
-from .errors import DomainError, OutOfStripError, SeriesDivergenceError
+from .errors import DomainError, SeriesDivergenceError
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, _quad, oscillatory_integral
 from .sampling import sample_direct
 
@@ -85,21 +85,12 @@ class PricingInputs:
         return math.log(self.strike / self.spot_at_t)
 
 
-def _exp_moment(model: LinearCombinationModel, t: float = 1.0) -> float:
-    """E[e^(X_t)] by the product form; requires every lam_j > 1."""
-    if model.lam_min <= 1.0:
-        raise OutOfStripError(
-            f"E[e^X] requires min alpha_j/w1_j > 1, got {model.lam_min}")
-    lam, mu = model.lam, model.mu
-    return float(np.exp(t * (np.sum(model.p * np.log(lam / (lam - 1.0)))
-                             + np.sum(model.q * np.log(mu / (mu + 1.0))))))
-
-
 def martingale_gap(model: LinearCombinationModel, rate: float,
                    dividend: float) -> float:
     """E[e^(X_1)] - e^(rate - dividend); zero iff the measure is a
-    martingale measure for the discounted stock."""
-    return _exp_moment(model, 1.0) - math.exp(rate - dividend)
+    martingale measure for the discounted stock; raises OutOfStripError
+    unless every alpha_j/w1_j > 1."""
+    return model.mgf(1.0) - math.exp(rate - dividend)
 
 
 def martingale_diagnostics(model: LinearCombinationModel, rate: float,
@@ -113,7 +104,7 @@ def martingale_diagnostics(model: LinearCombinationModel, rate: float,
     as inf.
     """
     if rep is None:
-        rep = model.mixture(tail_tol=1e-10)
+        rep = build_mixture(model, tail_tol=1e-10)
 
     def mix_expect(pmf, base, theta_max):
         if base <= 1.0 or theta_max * base / (base - 1.0) >= 1.0:
@@ -128,7 +119,7 @@ def martingale_diagnostics(model: LinearCombinationModel, rate: float,
                * math.exp(rate - dividend))
     return {
         "gap": martingale_gap(model, rate, dividend),
-        "exp_moment": _exp_moment(model, 1.0),
+        "exp_moment": model.mgf(1.0),
         "target": math.exp(rate - dividend),
         "displayed_condition_lhs": lhs,
         "displayed_condition_rhs": rhs,
@@ -157,8 +148,8 @@ def price_call_integral(model: LinearCombinationModel, inputs: PricingInputs,
     law, as two Gil-Pelaez tails in tilted form (see module docstring).
     The discount uses the full maturity T unless overridden."""
     t_prime = inputs.t_remaining
-    m1 = _exp_moment(model, t_prime)
     scaled = model.scaled(t_prime)
+    m1 = scaled.mgf(1.0)
     tilted = LinearCombinationModel(
         alpha=(model.lam - 1.0) * model.w1, p=scaled.p,
         beta=(model.mu + 1.0) * model.w2, q=scaled.q,
@@ -183,7 +174,7 @@ def negative_part_bound(model: LinearCombinationModel,
     the payoff is 1-Lipschitz in s e^X, and G and N are independent."""
     t, mu = inputs.t_remaining, model.mu
     log_neg = t * float(np.sum(model.q * np.log(mu / (mu + 1.0))))
-    return inputs.spot_at_t * _exp_moment(model, t) * math.expm1(-log_neg)
+    return inputs.spot_at_t * model.scaled(t).mgf(1.0) * math.expm1(-log_neg)
 
 
 def gamma_route_growth(rep: MixtureRepresentation,

@@ -125,10 +125,12 @@ def log_hyperint(a: float, b: float, x: float,
     """log of I(a,b,x) = int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt.
 
     This is Gamma(a) times the second-kind confluent hypergeometric
-    integral; working in log space keeps large-shape evaluations (a of the
-    order of hundreds) inside float range.  The domain is split at t = 1;
-    on [0, 1] the substitution t = s^(1/a) removes the t^(a-1) endpoint
-    singularity when a < 1, and [1, inf) is compactified as usual.
+    integral; working in log space keeps large-shape evaluations (a or b
+    of the order of hundreds) inside float range.  The domain is split at
+    t = 1; on [0, 1] the substitution t = s^(1/a) removes the t^(a-1)
+    endpoint singularity when a < 1, and [1, inf) is compactified as usual.
+    Each piece is integrated relative to the peak of its exponent and the
+    two are combined in log space.
     """
     if not (a > 0.0 and x > 0.0):
         raise DomainError(f"require a > 0 and x > 0, got a={a}, x={x}")
@@ -137,34 +139,43 @@ def log_hyperint(a: float, b: float, x: float,
     def g(t: float) -> float:
         return -x * t + (a - 1.0) * math.log(t) + c * math.log1p(t)
 
-    # interior maximum of g (quadratic in t); exists only for a > 1
-    shift = 0.0
+    # the larger root of the quadratic g'(t) t (1 + t) = 0: the interior
+    # maximum of g for a > 1, a local maximum (if real) for a <= 1
+    bq = x - (a - 1.0) - c
+    disc = bq * bq + 4.0 * x * (a - 1.0)
+    t_star = (-bq + math.sqrt(max(disc, 0.0))) / (2.0 * x)
     if a > 1.0:
-        bq = x - (a - 1.0) - c
-        disc = bq * bq + 4.0 * x * (a - 1.0)
-        t_star = (-bq + math.sqrt(max(disc, 0.0))) / (2.0 * x)
-        if t_star > 0.0:
-            shift = g(t_star)
+        # one shift, the peak of g, scales both pieces
+        shift01 = shift1 = g(t_star) if t_star > 0.0 else 0.0
+    else:
+        # each piece is scaled by the peak of its own exponent: on [0, 1]
+        # -x t + c log1p(t) (t^(a-1) is integrated away or is 1), which
+        # peaks at c/x - 1 clipped to [0, 1]; on [1, inf) g, which falls
+        # except between its local minimum and t_star
+        t01 = min(max(c / x - 1.0, 0.0), 1.0)
+        shift01 = -x * t01 + c * math.log1p(t01)
+        shift1 = max(g(1.0), g(max(t_star, 1.0)))
 
     if a < 1.0:
         inv_a = 1.0 / a
 
         def piece01(s: float) -> float:
             t = s ** inv_a
-            return inv_a * math.exp(-x * t + c * math.log1p(t) - shift)
+            return inv_a * math.exp(-x * t + c * math.log1p(t) - shift01)
     else:
 
         def piece01(t: float) -> float:
-            return math.exp(g(t) - shift) if t > 0.0 else (
-                math.exp(-shift) if a == 1.0 else 0.0)
+            return math.exp(g(t) - shift01) if t > 0.0 else (
+                math.exp(-shift01) if a == 1.0 else 0.0)
 
     def piece1inf(u: float) -> float:
         t = u / (1.0 - u)
-        return math.exp(g(t) - shift) / (1.0 - u) ** 2
+        return math.exp(g(t) - shift1) / (1.0 - u) ** 2
 
     i1 = _quad(piece01, 0.0, 1.0, spec)
     i2 = _quad(piece1inf, 0.5, 1.0, spec)
-    total = i1 + i2
+    shift = max(shift01, shift1)
+    total = i1 * math.exp(shift01 - shift) + i2 * math.exp(shift1 - shift)
     if total <= 0.0:
         raise NonConvergenceError(
             f"hypergeometric integral underflowed for a={a}, b={b}, x={x}")

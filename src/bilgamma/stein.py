@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from .bilateral import BilateralGamma
 from .combo import LinearCombinationModel
 from .errors import (
     DomainError,
@@ -29,7 +28,7 @@ from .errors import (
     KappaUndefinedError,
     ModelMismatchError,
 )
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, _quad
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_zero_to_inf
 from .sampling import sample_direct
 
 __all__ = [
@@ -127,10 +126,8 @@ def stein_apply(model: LinearCombinationModel, f, x: float,
     def neg(u):
         return float(f(x - u)) * float(np.sum(q * np.exp(-mu * u)))
 
-    def mapped(g):
-        return _quad(lambda v: g(v / (1.0 - v)) / (1.0 - v) ** 2, 0.0, 1.0, spec)
-
-    return -x * float(f(x)) + mapped(pos) - mapped(neg)
+    return (-x * float(f(x)) + integrate_zero_to_inf(pos, spec)
+            - integrate_zero_to_inf(neg, spec))
 
 
 def stein_apply_batch(model: LinearCombinationModel, f, xs: np.ndarray,
@@ -267,20 +264,26 @@ def _d3_common_terms(model, kappa, target_inv_ab, target_mean_diff_rate,
 
 
 def d3_bg_terms(model: LinearCombinationModel,
-                target: BilateralGamma) -> dict:
+                target: LinearCombinationModel) -> dict:
     """Constituent terms of the order-3 smooth-Wasserstein bound against a
-    bilateral-gamma target."""
+    bilateral-gamma target, a one-component model: the law
+    BG(lam, p, mu, q) with its effective rates lam = alpha/w1, mu = beta/w2."""
+    if target.n != 1:
+        raise DomainError(
+            f"bilateral-gamma target needs one component, got {target.n}")
     kappa = kappa_inputs(model).kappa_n
-    ab = target.alpha * target.beta
+    a, b = float(target.lam[0]), float(target.mu[0])
+    ab = a * b
     return _d3_common_terms(
         model, kappa,
         target_inv_ab=1.0 / ab,
-        target_mean_diff_rate=1.0 / target.alpha - 1.0 / target.beta,
-        target_shape_term=(target.p + target.q) / ab,
+        target_mean_diff_rate=1.0 / a - 1.0 / b,
+        target_shape_term=float(target.p[0] + target.q[0]) / ab,
         target_mean=target.mean)
 
 
-def bound_d3_bg(model: LinearCombinationModel, target: BilateralGamma) -> float:
+def bound_d3_bg(model: LinearCombinationModel,
+                target: LinearCombinationModel) -> float:
     """Order-3 smooth-Wasserstein bound
 
         d3(T, Z) <= (2 + |E T|/3) kappa |sum w1 w2/(a_j b_j) - 1/(a b)|
@@ -288,15 +291,16 @@ def bound_d3_bg(model: LinearCombinationModel, target: BilateralGamma) -> float:
                   + (1/2) kappa |sum w1 w2 (p_j+q_j)/(a_j b_j) - (p+q)/(a b)|
                   + kappa |E T - E Z|
 
-    for Z ~ BG(a, p, b, q); exact constants, no configuration."""
+    for Z ~ BG(a, p, b, q), the one-component ``target`` (a, b its
+    effective rates); exact constants, no configuration."""
     return float(sum(d3_bg_terms(model, target).values()))
 
 
 def bound_d3_vg(model: LinearCombinationModel, target_alpha: float,
                 target_beta: float, target_p: float) -> float:
     """Variance-gamma target: the bilateral-gamma bound at q = p."""
-    return bound_d3_bg(model, BilateralGamma(target_alpha, target_p,
-                                             target_beta, target_p))
+    return bound_d3_bg(model, LinearCombinationModel.from_components(
+        [(target_alpha, target_p, target_beta, target_p, 1.0, 1.0)]))
 
 
 def d3_normal_terms(model: LinearCombinationModel, sigma: float) -> dict:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import special as sp
+from scipy.integrate import quad
 
 from bilgamma import LinearCombinationModel, build_mixture
 from bilgamma.models import (
@@ -64,6 +68,48 @@ def martingale_model():
 
 def single(alpha, p, beta, q, w1=1.0, w2=1.0) -> LinearCombinationModel:
     return LinearCombinationModel.from_components([(alpha, p, beta, q, w1, w2)])
+
+
+def bg_pdf(law, x: float) -> float:
+    """Oracle density of BG(alpha, p, beta, q) at x != 0 by the one-sided
+    convolution integral, independent of the package's density routes.
+
+    ``law`` is a one-component model (its rates are alpha/w1, beta/w2) or
+    the tuple (alpha, p, beta, q).  For x > 0 (x < 0 mirrored):
+
+        h(x) = alpha^p beta^q / (Gamma(p) Gamma(q)) *
+               e^(-alpha x) int_0^inf (x+s)^(p-1) s^(q-1) e^(-(alpha+beta)s) ds
+    """
+    if isinstance(law, LinearCombinationModel):
+        assert law.n == 1
+        law = (law.lam[0], law.p[0], law.mu[0], law.q[0])
+    alpha, p, beta, q = map(float, law)
+    assert x != 0.0, "the oracle covers x != 0"
+    if x > 0.0:
+        rate_out, shp_out, shp_in = alpha, p, q
+    else:
+        rate_out, shp_out, shp_in = beta, q, p
+    ax = abs(x)
+    c = alpha + beta
+    # v = c s makes the exponential decay at unit rate
+    log_pref = (p * math.log(alpha) + q * math.log(beta) - sp.gammaln(p)
+                - sp.gammaln(q) - rate_out * ax - shp_in * math.log(c))
+
+    def integral(f):
+        return quad(f, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=2000)[0]
+
+    def integrand(v):
+        return (ax + v / c) ** (shp_out - 1.0) * v ** (shp_in - 1.0) * math.exp(-v)
+
+    if shp_in < 1.0:
+        # v = w^(1/shp_in) on [0, 1] removes the endpoint singularity
+        inv = 1.0 / shp_in
+        part0 = integral(lambda w: inv * (ax + w ** inv / c) ** (shp_out - 1.0)
+                         * math.exp(-w ** inv))
+    else:
+        part0 = integral(integrand)
+    part1 = integral(lambda u: integrand(1.0 + u / (1.0 - u)) / (1.0 - u) ** 2)
+    return math.exp(log_pref) * (part0 + part1)
 
 
 def block_cumulant_se(draws: np.ndarray, k: int, blocks: int = 50):

@@ -1,20 +1,27 @@
+"""The single bilateral-gamma law BG(alpha, p, beta, q), stated as a
+one-component model with unit weights: validation, cf, cumulants, Levy
+density and sampling, with the convolution oracle for its density."""
+
 import math
 
 import numpy as np
 import pytest
 
 from bilgamma import (
-    BilateralGamma,
     DomainError,
+    InversionNotIntegrableError,
     RandomStream,
     SingularPointError,
+    build_mixture,
     integrate_real_line,
     integrate_zero_to_inf,
+    sample_direct,
 )
 from bilgamma.quadrature import fourier_density
+from conftest import bg_pdf, single
 
-LAPLACE = BilateralGamma(1.0, 1.0, 1.0, 1.0)
-SKEWED = BilateralGamma(2.0, 3.0, 5.0, 0.5)
+LAPLACE = single(1.0, 1.0, 1.0, 1.0)
+SKEWED = single(2.0, 3.0, 5.0, 0.5)
 
 
 class TestValidation:
@@ -26,11 +33,13 @@ class TestValidation:
     ])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(DomainError):
-            BilateralGamma(**bad)
+            single(**bad)
 
     def test_accepts_numpy_scalars(self):
-        law = BilateralGamma(np.int64(2), np.float64(1.5), np.float32(1.0), 1)
-        assert (law.alpha, law.p, law.beta, law.q) == (2.0, 1.5, 1.0, 1.0)
+        law = single(np.int64(2), np.float64(1.5), np.float32(1.0), 1)
+        assert (law.alpha[0], law.p[0], law.beta[0], law.q[0]) == (2.0, 1.5, 1.0, 1.0)
+        assert all(getattr(law, name).dtype == np.float64
+                   for name in ("alpha", "p", "beta", "q", "w1", "w2"))
 
 
 class TestCharacteristicFunction:
@@ -49,7 +58,7 @@ class TestCharacteristicFunction:
     def test_matches_empirical_cf(self):
         # Monte Carlo oracle: empirical cf of simulated gamma differences
         n = 1_000_000
-        draws = SKEWED.sample(n, RandomStream(909).generator())
+        draws = sample_direct(SKEWED, n, RandomStream(909))
         z = 1.7
         emp = np.exp(1j * z * draws)
         est = emp.mean()
@@ -67,56 +76,66 @@ class TestDensity:
     def test_laplace_closed_form(self):
         # difference of unit exponentials has density e^(-|x|)/2
         for x in (1.0, -1.0, 0.3, -2.7):
-            assert LAPLACE.pdf(x) == pytest.approx(0.5 * math.exp(-abs(x)),
-                                                   abs=1e-10)
+            assert bg_pdf(LAPLACE, x) == pytest.approx(0.5 * math.exp(-abs(x)),
+                                                       abs=1e-10)
 
     def test_symmetry(self):
-        assert LAPLACE.pdf(1.0) == pytest.approx(LAPLACE.pdf(-1.0), abs=1e-12)
+        assert bg_pdf(LAPLACE, 1.0) == pytest.approx(bg_pdf(LAPLACE, -1.0),
+                                                     abs=1e-12)
 
     def test_symmetric_variance_gamma(self):
         # equal rates and equal shapes give a symmetric law
-        law = BilateralGamma(2.0, 1.7, 2.0, 1.7)
+        law = single(2.0, 1.7, 2.0, 1.7)
         for x in (0.4, 1.2, 3.0):
-            assert law.pdf(x) == pytest.approx(law.pdf(-x), rel=1e-10)
+            assert bg_pdf(law, x) == pytest.approx(bg_pdf(law, -x), rel=1e-10)
 
     def test_matches_fourier_inversion(self):
-        law = BilateralGamma(2.0, 2.0, 3.0, 1.0)
+        law = single(2.0, 2.0, 3.0, 1.0)
         for x in (0.7, -0.4, 1.9):
-            conv = law.pdf(x)
+            conv = bg_pdf(law, x)
             inv = fourier_density(law.cf, x)
             assert abs(conv - inv) < 1e-7
 
     def test_normalisation_grid(self):
-        for law in (LAPLACE, SKEWED, BilateralGamma(0.8, 1.6, 1.4, 2.3)):
-            total = integrate_real_line(law.pdf)
+        for law in (LAPLACE, SKEWED, single(0.8, 1.6, 1.4, 2.3)):
+            total = integrate_real_line(lambda x, law=law: bg_pdf(law, x))
             assert abs(total - 1.0) < 1e-6
 
     def test_origin_inversion_route(self):
-        law = BilateralGamma(2.0, 2.0, 3.0, 1.0)
-        mid = fourier_density(law.cf, 0.0)
-        assert law.pdf(0.0) == pytest.approx(mid, abs=1e-12)
+        # p + q > 1: the Fourier route evaluates x = 0, where the density
+        # is continuous, so it meets the oracle's limits from both sides
+        law = single(2.0, 2.0, 3.0, 1.0)
+        mid = law.pdf_fourier(0.0)
+        assert mid == pytest.approx(fourier_density(law.cf, 0.0), abs=1e-12)
+        for x in (1e-7, -1e-7):
+            assert abs(bg_pdf(law, x) - mid) < 1e-6
 
     def test_origin_singularity(self):
+        # p + q <= 1: the density is unbounded at 0 and neither route
+        # returns a number there
+        law = single(1.0, 0.4, 1.0, 0.5)
         with pytest.raises(SingularPointError):
-            BilateralGamma(1.0, 0.4, 1.0, 0.5).pdf(0.0)
+            build_mixture(law).pdf_series(0.0)
+        with pytest.raises(InversionNotIntegrableError):
+            law.pdf_fourier(0.0)
 
     def test_laplace_family_pointwise(self):
         # p = q = 1 with alpha = beta is Laplace with rate alpha
         for a in (0.5, 2.0):
-            law = BilateralGamma(a, 1.0, a, 1.0)
+            law = single(a, 1.0, a, 1.0)
             for x in np.linspace(-3.0, 3.0, 13):
                 if x == 0.0:
                     continue
-                assert abs(law.pdf(float(x))
+                assert abs(bg_pdf(law, float(x))
                            - 0.5 * a * math.exp(-a * abs(x))) < 1e-8
 
     def test_gamma_limit(self):
         # beta -> inf collapses to Ga(alpha, p)
         from scipy.stats import gamma as gamma_dist
-        law = BilateralGamma(1.5, 2.0, 1.0e6, 1.0)
+        law = single(1.5, 2.0, 1.0e6, 1.0)
         xs = np.linspace(0.1, 10.0, 34)
         ref = gamma_dist.pdf(xs, a=2.0, scale=1.0 / 1.5)
-        vals = np.array([law.pdf(float(x)) for x in xs])
+        vals = np.array([bg_pdf(law, float(x)) for x in xs])
         assert np.abs(vals - ref).max() < 1e-3
 
 
@@ -133,7 +152,7 @@ class TestCumulants:
 
     def test_against_levy_integral(self):
         # k-th cumulant equals int u^k against the Levy measure
-        law = BilateralGamma(1.7, 0.9, 2.4, 1.8)
+        law = single(1.7, 0.9, 2.4, 1.8)
         for k in range(1, 5):
             pos = integrate_zero_to_inf(
                 lambda u, k=k: u ** k * law.levy_density(u))
@@ -164,16 +183,16 @@ class TestLevyDensity:
 class TestSampling:
     def test_symmetric_mean(self):
         n = 1_000_000
-        draws = LAPLACE.sample(n, RandomStream(12).generator())
+        draws = sample_direct(LAPLACE, n, RandomStream(12))
         assert abs(draws.mean()) <= 4.0 * math.sqrt(2.0 / n)
 
     def test_skewed_mean(self):
         n = 1_000_000
-        draws = SKEWED.sample(n, RandomStream(13).generator())
+        draws = sample_direct(SKEWED, n, RandomStream(13))
         se = draws.std(ddof=1) / math.sqrt(n)
         assert abs(draws.mean() - 1.4) <= 4.0 * se
 
     def test_determinism(self):
-        a = SKEWED.sample(1, RandomStream(99, 3).generator())
-        b = SKEWED.sample(1, RandomStream(99, 3).generator())
+        a = sample_direct(SKEWED, 1, RandomStream(99, 3))
+        b = sample_direct(SKEWED, 1, RandomStream(99, 3))
         assert a[0] == b[0]

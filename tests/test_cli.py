@@ -147,6 +147,14 @@ class TestBoundsCommand:
         assert code == 2
         assert "non-numeric" in capsys.readouterr().err
 
+    def test_zero_target_field_exits_3(self, kappa_file, tmp_path, capsys):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(
+            {"alpha": 2.0, "p": 1.3, "beta": 0.0, "q": 0.7}))
+        code = main(["bounds", "--model", kappa_file, "--target", str(target)])
+        assert code == 3
+        assert "DomainError" in capsys.readouterr().err
+
     def test_kappa_undefined_exits_3(self, model_file, tmp_path):
         out = tmp_path / "bounds.json"
         code = main(["bounds", "--model", model_file, "--sigma", "1.0",

@@ -7,9 +7,7 @@ import pytest
 from scipy import stats
 
 from bilgamma import (
-    BilateralGamma,
     DomainError,
-    LevyDensity,
     LinearCombinationModel,
     ModelFileError,
     OutOfStripError,
@@ -154,10 +152,11 @@ class TestCharacteristicFunction:
             assert model.cf(0.0) == pytest.approx(1.0 + 0.0j)
 
     def test_single_reduces_to_bilateral(self):
+        # closed-form BG(2, 3, 5, 0.5) cf: (1 - iz/2)^-3 (1 + iz/5)^-0.5
         model = single(2.0, 3.0, 5.0, 0.5)
-        law = BilateralGamma(2.0, 3.0, 5.0, 0.5)
         zs = np.linspace(-10, 10, 41)
-        np.testing.assert_allclose(model.cf(zs), law.cf(zs), atol=1e-15)
+        law_cf = (1.0 - 1j * zs / 2.0) ** -3.0 * (1.0 + 1j * zs / 5.0) ** -0.5
+        np.testing.assert_allclose(model.cf(zs), law_cf, atol=1e-15)
 
     def test_mixture_identity(self, model_grid, mixture_grid):
         # the executable form of the randomised-shape representation
@@ -197,10 +196,11 @@ class TestCharacteristicFunction:
         assert val == rep.cf(np.array([0.7]))[0]
 
     def test_degenerate_mixture_cf(self):
+        # closed-form BG(2, 1, 3, 1) cf: 1 / ((1 - iz/2)(1 + iz/3))
         rep = build_mixture(single(2.0, 1.0, 3.0, 1.0))
-        law = BilateralGamma(2.0, 1.0, 3.0, 1.0)
         for z in (0.0, 0.7, -4.0):
-            assert rep.cf(z) == pytest.approx(law.cf(z), abs=1e-14)
+            law_cf = 1.0 / ((1.0 - 1j * z / 2.0) * (1.0 + 1j * z / 3.0))
+            assert rep.cf(z) == pytest.approx(law_cf, abs=1e-14)
 
 
 class TestDensityRoutes:
@@ -255,6 +255,18 @@ class TestDensityRoutes:
                 assert ref > 0.02
                 assert abs(rep.pdf_series(sign * x) - ref) <= 1e-6
 
+    def test_series_small_shape_large_b_kernels(self):
+        # L has 506 terms and M one, so the x > 0 kernels reach
+        # log_hyperint at a = 0.5, 1 with b up to ~520
+        model = LinearCombinationModel.from_components(
+            [(1.0, 15.0, 10.0, 0.5, 1.0, 1.0), (10.0, 0.5, 10.0, 0.5, 1.0, 1.0)])
+        rep = build_mixture(model, tail_tol=1e-10)
+        assert (len(rep.pmf_pos), len(rep.pmf_neg)) == (506, 1)
+        ref = model.pdf_fourier(1.0)
+        got = rep.pdf_series(1.0)
+        assert abs(got - ref) <= 1e-6
+        assert got == pytest.approx(ref, rel=1e-3)
+
     def test_series_singular_origin(self, mixture_grid):
         with pytest.raises(SingularPointError):
             mixture_grid["laplace"].pdf_series(0.0)
@@ -287,6 +299,11 @@ class TestMomentTransform:
             rep.mgf(1.0)
         with pytest.raises(OutOfStripError):
             rep.mgf(-3.0)
+        # past the mixture's own rates (eta, xi) = (2, 4) as well
+        with pytest.raises(OutOfStripError):
+            rep.mgf(2.5)
+        with pytest.raises(OutOfStripError):
+            rep.mgf(-5.0)
 
     def test_log_convexity(self, pair_nonint):
         rep = build_mixture(pair_nonint, tail_tol=1e-12)
@@ -336,12 +353,15 @@ class TestMomentTransform:
 
 class TestLevyAndCumulants:
     def test_single_reduces(self):
+        # BG(2, 3, 5, 0.5): (3/u) e^(-2u) for u > 0, (0.5/|u|) e^(-5|u|) for
+        # u < 0, and cumulants (k-1)! (3/2^k + (-1)^k 0.5/5^k)
         model = single(2.0, 3.0, 5.0, 0.5)
-        law = BilateralGamma(2.0, 3.0, 5.0, 0.5)
-        for u in (0.3, -0.3, 2.0, -2.0):
-            assert model.levy_density(u) == pytest.approx(law.levy_density(u))
+        for u in (0.3, 2.0):
+            assert model.levy_density(u) == pytest.approx(3.0 / u * math.exp(-2.0 * u))
+            assert model.levy_density(-u) == pytest.approx(0.5 / u * math.exp(-5.0 * u))
         for k in range(1, 5):
-            assert model.cumulant(k) == pytest.approx(law.cumulant(k))
+            assert model.cumulant(k) == pytest.approx(
+                math.factorial(k - 1) * (3.0 / 2.0 ** k + (-1) ** k * 0.5 / 5.0 ** k))
 
     def test_two_component_value(self, pair_integer):
         assert pair_integer.levy_density(1.0) == pytest.approx(
@@ -365,12 +385,13 @@ class TestLevyAndCumulants:
                 mixture_grid[name].moment(1), abs=1e-9)
 
     def test_levy_density_object(self, pair_integer):
-        nu = LevyDensity(pair_integer)
-        assert nu(1.0) == pair_integer.levy_density(1.0)
-        # finite first absolute moment
+        # finite first absolute moment: int |u| nu(du) = sum p/lam + q/mu
+        nu = pair_integer.levy_density
         direct = integrate_zero_to_inf(lambda u: u * nu(u)) \
             + integrate_zero_to_inf(lambda u: u * nu(-u))
-        assert nu.abs_moment(1) == pytest.approx(direct, rel=1e-8)
+        closed = float(np.sum(pair_integer.p / pair_integer.lam)
+                       + np.sum(pair_integer.q / pair_integer.mu))
+        assert closed == pytest.approx(direct, rel=1e-8)
 
     def test_cumulant_against_samples(self, pair_nonint):
         draws = sample_direct(pair_nonint, 1_000_000, RandomStream(77))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import hyperu
@@ -13,6 +14,7 @@ from bilgamma import (
     integrate_zero_to_inf,
     upper_incomplete_gamma,
 )
+from bilgamma.quadrature import log_hyperint
 
 
 class TestQuadratureSpec:
@@ -100,6 +102,20 @@ class TestConfHypergeomF:
 
     def test_deterministic(self):
         assert conf_hypergeom_F(1.7, 2.2, 0.9) == conf_hypergeom_F(1.7, 2.2, 0.9)
+
+
+class TestLogHyperint:
+    @pytest.mark.parametrize("a,b,x", [
+        # a <= 1 with large b: the unscaled pieces used to overflow
+        (1.0, 365.5, 20.0), (0.5, 400.0, 20.0), (0.3, 500.0, 10.0),
+        # a = 1 with the [0, 1] peak at t = 0, and two small-value cases
+        (1.0, 2.0, 800.0), (0.5, 1.6, 800.0), (0.2, 0.5, 0.01),
+    ])
+    def test_small_shape_matches_mpmath(self, a, b, x):
+        # log Gamma(a) U(a, b, x) at 30 digits
+        with mpmath.workdps(30):
+            ref = float(mpmath.log(mpmath.gamma(a) * mpmath.hyperu(a, b, x)))
+        assert log_hyperint(a, b, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestUpperIncompleteGamma:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bilgamma import (
-    BilateralGamma,
     BoundConstants,
     DomainError,
     EmptySampleError,
@@ -23,9 +22,11 @@ from bilgamma import (
     stein_apply,
     stein_identity_check,
 )
+from bilgamma.models import KAPPA_SINGLE, MODEL_GRID
 from bilgamma.stein import (
     SIN_W3,
     STEIN_TEST_FUNCTIONS,
+    d3_bg_terms,
     stein_apply_batch,
 )
 from conftest import KS_CRIT_001, single
@@ -196,15 +197,27 @@ class TestCompoundPoissonBound:
 
 class TestD3Bounds:
     def test_self_target_vanishes(self, kappa_single):
-        target = BilateralGamma(2.0, 1.3, 2.0, 0.7)
-        from bilgamma.stein import d3_bg_terms
+        target = single(2.0, 1.3, 2.0, 0.7)
         terms = d3_bg_terms(kappa_single, target)
         for name, val in terms.items():
             assert val == pytest.approx(0.0, abs=1e-14), name
 
+    @pytest.mark.parametrize("model", [MODEL_GRID["single_asym"], KAPPA_SINGLE],
+                             ids=["single_asym", "kappa_single"])
+    def test_model_as_own_target_vanishes(self, model):
+        # the target's law is read through its effective rates, so a
+        # weighted one-component model is its own zero-distance target
+        for name, val in d3_bg_terms(model, model).items():
+            assert val == pytest.approx(0.0, abs=1e-14), name
+        assert bound_d3_bg(model, model) == pytest.approx(0.0, abs=1e-14)
+
+    def test_multi_component_target_rejected(self, kappa_single, pair_integer):
+        with pytest.raises(DomainError, match="one component"):
+            bound_d3_bg(kappa_single, pair_integer)
+
     def test_generic_value_second_path(self, pair_nonint):
         # independent re-evaluation of the four-term expression
-        target = BilateralGamma(2.0, 1.0, 2.0, 1.0)
+        target = single(2.0, 1.0, 2.0, 1.0)
         kap = kappa_inputs(pair_nonint).kappa_n
         m = pair_nonint
         mean_t = m.cumulant(1)
@@ -220,19 +233,18 @@ class TestD3Bounds:
 
     def test_undefined_kappa_propagates(self, laplace_model):
         with pytest.raises(KappaUndefinedError):
-            bound_d3_bg(laplace_model, BilateralGamma(1, 1, 1, 1))
+            bound_d3_bg(laplace_model, single(1, 1, 1, 1))
 
     def test_vg_equals_bg_with_equal_shapes(self, pair_kappa_model=None):
         model = single(3.0, 0.9, 3.0, 1.2)
         assert bound_d3_vg(model, 2.0, 2.5, 1.1) == pytest.approx(
-            bound_d3_bg(model, BilateralGamma(2.0, 1.1, 2.5, 1.1)))
+            bound_d3_bg(model, single(2.0, 1.1, 2.5, 1.1)))
 
     def test_vg_symmetric_target_drops_rate_term(self):
-        from bilgamma.stein import d3_bg_terms
         model = single(3.0, 0.9, 3.0, 0.9)
         # model is symmetric and the target has alpha = beta, so the
         # rate-difference term vanishes entirely
-        terms = d3_bg_terms(model, BilateralGamma(2.0, 1.1, 2.0, 1.1))
+        terms = d3_bg_terms(model, single(2.0, 1.1, 2.0, 1.1))
         assert terms["first_derivative"] == pytest.approx(0.0, abs=1e-15)
 
     def test_normal_matched_variance_drops_shape_term(self):
@@ -250,10 +262,10 @@ class TestD3Bounds:
 
     def test_bound_dominates_single_test_function(self, kappa_single):
         # metric ordering: the order-3 bound dominates |E sin(T) - E sin(Z)|
-        target = BilateralGamma(2.5, 1.0, 2.0, 0.8)
+        target = single(2.5, 1.0, 2.0, 0.8)
         n = 200_000
         t = sample_direct(kappa_single, n, RandomStream(90, 0))
-        z = target.sample(n, RandomStream(90, 1).generator())
+        z = sample_direct(target, n, RandomStream(90, 1))
         diff = abs(np.sin(t).mean() - np.sin(z).mean())
         se = math.sqrt(np.sin(t).var(ddof=1) / n + np.sin(z).var(ddof=1) / n)
         assert bound_d3_bg(kappa_single, target) >= diff - 4.0 * se
