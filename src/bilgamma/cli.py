@@ -79,12 +79,24 @@ def _load_json(path: str, what: str) -> dict:
         raise ConfigError(f"invalid JSON in {what} file {path}: {exc}") from exc
 
 
-def _write_csv(path: str | None, header, rows):
+_CSV_BLOCK_ROWS = 65_536
+
+
+def _write_csv(path: str | None, header, rows=(), column=None):
+    """Write ``header`` and ``rows`` as CSV.  ``column``, a float array,
+    follows as one %.17g value per row (exact on read-back), formatted as
+    text in blocks of _CSV_BLOCK_ROWS rows so that neither a per-value
+    f-string nor the whole text is ever materialised."""
     out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(header)
         writer.writerows(rows)
+        if column is not None:
+            line = "%.17g" + writer.dialect.lineterminator
+            for i in range(0, len(column), _CSV_BLOCK_ROWS):
+                block = column[i:i + _CSV_BLOCK_ROWS].tolist()
+                out.write(line * len(block) % tuple(block))
     finally:
         if path:
             out.close()
@@ -184,7 +196,7 @@ def cmd_sample(args) -> int:
     else:
         chunks = [draw(i) for i in range(streams)]
     values = np.concatenate(chunks)
-    _write_csv(args.out, ["value"], ([f"{v:.17g}"] for v in values))
+    _write_csv(args.out, ["value"], column=values)
     return EXIT_OK
 
 
@@ -193,11 +205,12 @@ def cmd_bounds(args) -> int:
     payload: dict = {"constants_default": DEFAULT_CONSTANTS.defaults_used}
     try:
         kap = kappa_inputs(model)
-        payload["kappa"] = {"g_n": kap.g_n, "h_n": kap.h_n,
+        payload["kappa"] = {"log_g_n": kap.log_g_n, "log_h_n": kap.log_h_n,
                             "kappa_n": kap.kappa_n}
     except KappaUndefinedError as exc:
         _write_json(args.out, {"error": "kappa_undefined",
-                               "g_n": exc.g_n, "h_n": exc.h_n})
+                               "log_g_n": exc.log_g_n,
+                               "log_h_n": exc.log_h_n})
         return EXIT_NUMERICAL
     if args.target:
         obj = _load_json(args.target, "target")
@@ -428,8 +441,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except KappaUndefinedError as exc:
-        print(f"error: {exc} (g_n={exc.g_n:.6g}, h_n={exc.h_n:.6g})",
-              file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except BilgammaError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

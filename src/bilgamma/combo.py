@@ -524,6 +524,8 @@ def build_mixture(model: LinearCombinationModel, tail_tol: float = 1e-12,
     log_d = float(np.sum(model.q * np.log(mu / xi)))
     pmf_pos = _mixture_pmf(theta_pos, model.p, log_c, tail_tol, k_max)
     pmf_neg = _mixture_pmf(theta_neg, model.q, log_d, tail_tol, k_max)
+    pmf_pos.flags.writeable = False
+    pmf_neg.flags.writeable = False
     return MixtureRepresentation(
         model=model,
         tail_tol=tail_tol,

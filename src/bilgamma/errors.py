@@ -54,13 +54,14 @@ class ModelFileError(BilgammaError, ValueError):
 class KappaUndefinedError(BilgammaError, ValueError):
     """The amplification factor g/(g-h) is undefined because g <= h.
 
-    Carries the offending ``g_n`` and ``h_n`` so callers can report them.
+    Carries the offending ``log_g_n`` and ``log_h_n`` (natural logs, since
+    g and h themselves can overflow) so callers can report them.
     """
 
-    def __init__(self, g_n: float, h_n: float):
-        self.g_n = g_n
-        self.h_n = h_n
+    def __init__(self, log_g_n: float, log_h_n: float):
+        self.log_g_n = log_g_n
+        self.log_h_n = log_h_n
         super().__init__(
-            f"kappa undefined: g_n={g_n:.6g} <= h_n={h_n:.6g} "
+            f"kappa undefined: log_g_n={log_g_n:.6g} <= log_h_n={log_h_n:.6g} "
             "(requires g_n > h_n)"
         )

@@ -7,10 +7,20 @@ with the operator
            = -x f(x) + int_0^inf f(x+u) sum_j p_j e^(-lam_j u) du
                      - int_0^inf f(x-u) sum_j q_j e^(-mu_j u) du
 
-(the 1/u of the Levy density cancels against the u weight).  The bound
-evaluators below are deterministic functions of model parameters; their
-unspecified universal constants default to 1.0 and are configuration, not
-truth, so outputs carry a "bound shape" flag when defaults are used.
+(the 1/u of the Levy density cancels against the u weight).  A test
+function that carries its exponential-kernel transform
+
+    K_f(x, lam) = int_0^inf f(x+u) e^(-lam u) du
+
+and a parity (f(-y) = parity f(y)) is applied in closed form,
+
+    A f(x) = -x f(x) + sum_j p_j K_f(x, lam_j) - parity sum_j q_j K_f(-x, mu_j),
+
+at O(n) cost per point; any other function takes a fixed Gauss-Laguerre
+rule on both integrals.  The bound evaluators below are deterministic
+functions of model parameters; their unspecified universal constants
+default to 1.0 and are configuration, not truth, so outputs carry a
+"bound shape" flag when defaults are used.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special as sp
 
 from .combo import LinearCombinationModel
 from .errors import (
@@ -28,7 +39,6 @@ from .errors import (
     KappaUndefinedError,
     ModelMismatchError,
 )
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_zero_to_inf
 from .sampling import sample_direct
 
 __all__ = [
@@ -40,7 +50,6 @@ __all__ = [
     "GAUSSIAN_W2",
     "X_GAUSSIAN_W1",
     "STEIN_TEST_FUNCTIONS",
-    "stein_apply",
     "stein_apply_batch",
     "stein_identity_check",
     "empirical_kolmogorov",
@@ -83,65 +92,100 @@ DEFAULT_CONSTANTS = BoundConstants()
 @dataclass(frozen=True)
 class KappaInputs:
     """g = prod alpha_j beta_j, h = g * sum (w1 w2 + |w1 beta - w2 alpha|)
-    / (alpha beta), and the amplification factor kappa = g / (g - h)."""
+    / (alpha beta), and the amplification factor kappa = g / (g - h).
 
-    g_n: float
-    h_n: float
+    g and h are carried as logs: g overflows a double for many components
+    (128 components with alpha beta = 1600 give g ~ 1e410), while kappa
+    needs only the ratio h/g."""
+
+    log_g_n: float
+    log_h_n: float
     kappa_n: float
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """A test function with a certified derivative-bound order r:
-    sup|h^(k)| <= 1 for k = 0..r."""
+    sup|h^(k)| <= 1 for k = 0..r.
+
+    ``kernel(x, lam)``, when given, is the exponential-kernel transform
+    int_0^inf f(x+u) e^(-lam u) du, and ``parity`` (+1 or -1) the symmetry
+    f(-y) = parity f(y); together they let ``stein_apply_batch`` use the
+    closed form instead of quadrature.
+    """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     derivative_bound_order: int
     name: str = ""
+    kernel: Callable[[np.ndarray, float], np.ndarray] | None = None
+    parity: int | None = None
+
+    def __post_init__(self):
+        if self.kernel is not None and self.parity not in (1, -1):
+            raise DomainError("a test function with a kernel needs parity +1 or -1")
 
     def __call__(self, x):
         return self.evaluator(x)
 
 
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+
+
+def _sin_kernel(x, lam):
+    return (lam * np.sin(x) + np.cos(x)) / (lam * lam + 1.0)
+
+
+def _gauss_kernel(x, lam):
+    """sqrt(pi/2) e^(-x^2/2) erfcx((x+lam)/sqrt 2).  Where x + lam < 0 the
+    reflection erfcx(-z) = 2 e^(z^2) - erfcx(z) turns it into
+    sqrt(pi/2) (2 e^(lam x + lam^2/2) - e^(-x^2/2) erfcx(|x+lam|/sqrt 2)),
+    so neither branch overflows or forms inf * 0."""
+    s = x + lam
+    tail = np.exp(-0.5 * x * x) * sp.erfcx(np.abs(s) * math.sqrt(0.5))
+    # lam x + lam^2/2 < 0 wherever s < 0; the clip only spares the other branch
+    body = 2.0 * np.exp(np.minimum(lam * x + 0.5 * lam * lam, 0.0))
+    return _SQRT_HALF_PI * np.where(s < 0.0, body - tail, tail)
+
+
+def _x_gauss_kernel(x, lam):
+    # by parts: int_0^inf (x+u) e^(-(x+u)^2/2) e^(-lam u) du
+    return np.exp(-0.5 * np.square(x)) - lam * _gauss_kernel(x, lam)
+
+
 # sin and all its derivatives are bounded by 1 (order 3 certified, and any
 # higher order too); e^(-x^2/2) has |h|, |h'|, |h''| <= 1 but |h'''| peaks
 # near 1.38; x e^(-x^2/2) has |h|, |h'| <= 1 but |h''| peaks near 1.38.
-SIN_W3 = TestFunction(np.sin, 3, "sin")
-GAUSSIAN_W2 = TestFunction(lambda x: np.exp(-0.5 * np.square(x)), 2, "gauss")
+SIN_W3 = TestFunction(np.sin, 3, "sin", _sin_kernel, -1)
+GAUSSIAN_W2 = TestFunction(lambda x: np.exp(-0.5 * np.square(x)), 2, "gauss",
+                           _gauss_kernel, 1)
 X_GAUSSIAN_W1 = TestFunction(lambda x: x * np.exp(-0.5 * np.square(x)), 1,
-                             "x*gauss")
+                             "x*gauss", _x_gauss_kernel, -1)
 STEIN_TEST_FUNCTIONS = (SIN_W3, X_GAUSSIAN_W1, GAUSSIAN_W2)
-
-
-def stein_apply(model: LinearCombinationModel, f, x: float,
-                spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Evaluate A f(x) by adaptive quadrature of the two exponential-kernel
-    integrals."""
-    lam, mu = model.lam, model.mu
-    p, q = model.p, model.q
-
-    def pos(u):
-        return float(f(x + u)) * float(np.sum(p * np.exp(-lam * u)))
-
-    def neg(u):
-        return float(f(x - u)) * float(np.sum(q * np.exp(-mu * u)))
-
-    return (-x * float(f(x)) + integrate_zero_to_inf(pos, spec)
-            - integrate_zero_to_inf(neg, spec))
 
 
 def stein_apply_batch(model: LinearCombinationModel, f, xs: np.ndarray,
                       nodes: int = 96) -> np.ndarray:
-    """Vectorised A f over many points via Gauss-Laguerre nodes.
+    """Vectorised A f over many points.
 
-    Each exponential kernel integral becomes (1/lam_j) E[f(x + V/lam_j)]
-    with V standard exponential; the fixed rule is exact to ~1e-13 for the
-    smooth bounded test functions shipped here (cross-checked against
-    stein_apply in the test suite).
+    A ``TestFunction`` with a ``kernel`` is applied in closed form,
+    -x f(x) + sum_j p_j K(x, lam_j) - parity sum_j q_j K(-x, mu_j), at
+    O(n) cost per point and with ``nodes`` unused.  Any other f takes
+    Gauss-Laguerre nodes: each exponential kernel integral becomes
+    (1/lam_j) E[f(x + V/lam_j)] with V standard exponential.  For the
+    shipped functions on the model grid the 96-node rule is within 1e-11
+    of the closed forms for |x| <= 8 (32 nodes: 4e-6), as the test suite
+    checks together with an adaptive-quadrature oracle.
     """
-    v, w = np.polynomial.laguerre.laggauss(nodes)
     xs = np.asarray(xs, dtype=float)
     out = -xs * f(xs)
+    kernel = f.kernel if isinstance(f, TestFunction) else None
+    if kernel is not None:
+        for j in range(model.n):
+            out += model.p[j] * kernel(xs, model.lam[j])
+        for j in range(model.n):
+            out -= (f.parity * model.q[j]) * kernel(-xs, model.mu[j])
+        return out
+    v, w = np.polynomial.laguerre.laggauss(nodes)
     for j in range(model.n):
         lam_j = model.lam[j]
         out += (model.p[j] / lam_j) * (f(xs[:, None] + v[None, :] / lam_j) @ w)
@@ -200,14 +244,14 @@ def empirical_wasserstein1(sample_a, sample_b) -> float:
 
 def kappa_inputs(model: LinearCombinationModel) -> KappaInputs:
     """Amplification-factor ingredients; defined only while g > h."""
-    g = float(np.prod(model.alpha * model.beta))
+    log_g = float(np.sum(np.log(model.alpha * model.beta)))
     ratio = float(np.sum(
         (model.w1 * model.w2 + np.abs(model.w1 * model.beta - model.w2 * model.alpha))
         / (model.alpha * model.beta)))
-    h = g * ratio
+    log_h = log_g + math.log(ratio)
     if not ratio < 1.0:
-        raise KappaUndefinedError(g, h)
-    return KappaInputs(g_n=g, h_n=h, kappa_n=1.0 / (1.0 - ratio))
+        raise KappaUndefinedError(log_g, log_h)
+    return KappaInputs(log_g_n=log_g, log_h_n=log_h, kappa_n=1.0 / (1.0 - ratio))
 
 
 def bound_two_sums(model_w: LinearCombinationModel,

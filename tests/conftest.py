@@ -6,6 +6,7 @@ from scipy import special as sp
 from scipy.integrate import quad
 
 from bilgamma import LinearCombinationModel, build_mixture
+from bilgamma.quadrature import DEFAULT_QUAD, integrate_zero_to_inf
 from bilgamma.models import (
     KAPPA_SINGLE,
     MARTINGALE,
@@ -110,6 +111,23 @@ def bg_pdf(law, x: float) -> float:
         part0 = integral(integrand)
     part1 = integral(lambda u: integrand(1.0 + u / (1.0 - u)) / (1.0 - u) ** 2)
     return math.exp(log_pref) * (part0 + part1)
+
+
+def stein_apply(model: LinearCombinationModel, f, x: float,
+                spec=DEFAULT_QUAD) -> float:
+    """Oracle A f(x) by adaptive quadrature of the two exponential-kernel
+    integrals, independent of the package's closed forms and fixed rule."""
+    lam, mu = model.lam, model.mu
+    p, q = model.p, model.q
+
+    def pos(u):
+        return float(f(x + u)) * float(np.sum(p * np.exp(-lam * u)))
+
+    def neg(u):
+        return float(f(x - u)) * float(np.sum(q * np.exp(-mu * u)))
+
+    return (-x * float(f(x)) + integrate_zero_to_inf(pos, spec)
+            - integrate_zero_to_inf(neg, spec))
 
 
 def block_cumulant_se(draws: np.ndarray, k: int, blocks: int = 50):

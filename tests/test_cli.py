@@ -1,9 +1,11 @@
 import csv
+import io
 import json
 import math
 
 import pytest
 
+from bilgamma import LinearCombinationModel, RandomStream, cli, sample_direct
 from bilgamma.cli import main
 from bilgamma.models import KAPPA_SINGLE, MARTINGALE, MODEL_GRID, PRICING_GAMMA
 
@@ -119,6 +121,22 @@ class TestSampleCommand:
               "--streams", "4", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_values_exact_across_blocks(self, pair_file, tmp_path,
+                                        monkeypatch):
+        # a block size of 7 puts several block boundaries inside 200 rows
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
+        out = tmp_path / "a.csv"
+        assert main(["sample", "--model", pair_file, "--n", "200",
+                     "--seed", "9", "--out", str(out)]) == 0
+        draws = sample_direct(MODEL_GRID["pair_integer"], 200, RandomStream(9, 0))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["value"])
+        writer.writerows([f"{v:.17g}"] for v in draws)
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+        _, rows = read_csv(out)
+        assert [float(r[0]) for r in rows] == draws.tolist()
+
     def test_seed_required(self, model_file, capsys):
         with pytest.raises(SystemExit) as err:
             main(["sample", "--model", model_file, "--n", "10"])
@@ -162,8 +180,25 @@ class TestBoundsCommand:
         assert code == 3
         payload = json.loads(out.read_text())
         assert payload["error"] == "kappa_undefined"
-        assert payload["g_n"] == pytest.approx(1.0)
-        assert payload["h_n"] == pytest.approx(1.0)
+        assert payload["log_g_n"] == pytest.approx(math.log(1.0))
+        assert payload["log_h_n"] == pytest.approx(math.log(1.0))
+
+    def test_many_components_write_strict_json(self, tmp_path):
+        # g = 1600^128 overflows a double; the report carries its log
+        model = tmp_path / "many.json"
+        model.write_text(json.dumps(LinearCombinationModel.from_components(
+            [(40, 1, 40, 1, 1, 1)] * 128).to_json_obj()))
+        out = tmp_path / "bounds.json"
+        code = main(["bounds", "--model", str(model), "--sigma", "1.0",
+                     "--out", str(out)])
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["kappa"]["log_g_n"] == pytest.approx(128 * math.log(1600.0))
+        assert payload["kappa"]["kappa_n"] == pytest.approx(1.0 / 0.92)
 
 
 class TestCpSweepCommand:

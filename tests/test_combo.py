@@ -107,6 +107,13 @@ class TestMixtureConstruction:
             assert np.all(rep.pmf_pos >= 0.0)
             assert np.all(rep.pmf_neg >= 0.0)
 
+    def test_pmfs_read_only(self, pair_integer):
+        rep = build_mixture(pair_integer)
+        with pytest.raises(ValueError):
+            rep.pmf_pos[1] *= 1.5
+        with pytest.raises(ValueError):
+            rep.pmf_neg[0] = 0.0
+
     def test_truncation_failure(self, pair_nonint):
         with pytest.raises(TruncationFailureError):
             build_mixture(pair_nonint, tail_tol=1e-12, k_max=3)

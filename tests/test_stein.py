@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +9,7 @@ from bilgamma import (
     DomainError,
     EmptySampleError,
     KappaUndefinedError,
+    LinearCombinationModel,
     ModelMismatchError,
     RandomStream,
     bound_compound_poisson_k,
@@ -19,17 +21,17 @@ from bilgamma import (
     empirical_wasserstein1,
     kappa_inputs,
     sample_direct,
-    stein_apply,
     stein_identity_check,
 )
 from bilgamma.models import KAPPA_SINGLE, MODEL_GRID
 from bilgamma.stein import (
     SIN_W3,
     STEIN_TEST_FUNCTIONS,
+    TestFunction as SteinFunction,
     d3_bg_terms,
     stein_apply_batch,
 )
-from conftest import KS_CRIT_001, single
+from conftest import KS_CRIT_001, single, stein_apply
 
 
 def sin_operator_closed_form(model, x):
@@ -86,6 +88,85 @@ class TestSteinOperator:
             assert np.all(np.abs(f(xs)) <= 1.0)
 
 
+def laguerre_batch(model, f, xs, nodes=96):
+    """The 96-node Gauss-Laguerre operator exactly as it stood before the
+    closed-form kernels, the reference for the fallback's bitwise output."""
+    v, w = np.polynomial.laguerre.laggauss(nodes)
+    xs = np.asarray(xs, dtype=float)
+    out = -xs * f(xs)
+    for j in range(model.n):
+        lam_j = model.lam[j]
+        out += (model.p[j] / lam_j) * (f(xs[:, None] + v[None, :] / lam_j) @ w)
+    for j in range(model.n):
+        mu_j = model.mu[j]
+        out -= (model.q[j] / mu_j) * (f(xs[:, None] - v[None, :] / mu_j) @ w)
+    return out
+
+
+MP_INTEGRANDS = {
+    "sin": mpmath.sin,
+    "gauss": lambda y: mpmath.exp(-y * y / 2),
+    "x*gauss": lambda y: y * mpmath.exp(-y * y / 2),
+}
+
+
+def mp_kernel(name, x, lam):
+    """int_0^inf f(x+u) e^(-lam u) du by mpmath quadrature: period-summed
+    for sin, split around the integrand's peak u = -x - lam otherwise."""
+    f = MP_INTEGRANDS[name]
+
+    def integrand(u):
+        return f(x + u) * mpmath.exp(-lam * u)
+
+    with mpmath.workdps(20):
+        if name == "sin":
+            return float(mpmath.quadosc(integrand, [0, mpmath.inf], omega=1))
+        peak = max(0.0, -x - lam)
+        points = sorted({0.0, max(0.0, peak - 10.0), peak, peak + 10.0})
+        return float(mpmath.quad(integrand, points + [mpmath.inf]))
+
+
+class TestClosedFormKernels:
+    @pytest.mark.parametrize("f", STEIN_TEST_FUNCTIONS, ids=lambda f: f.name)
+    def test_kernel_matches_mpmath(self, f):
+        for x in (-40.0, -6.0, -1.0, 0.0, 0.7, 5.0, 40.0):
+            for lam in (0.05, 0.5, 1.0, 7.0, 50.0):
+                got = float(f.kernel(np.array([x]), lam)[0])
+                assert got == pytest.approx(mp_kernel(f.name, x, lam),
+                                            abs=1e-12), (x, lam)
+
+    @pytest.mark.parametrize("f", STEIN_TEST_FUNCTIONS, ids=lambda f: f.name)
+    def test_kernel_finite_over_wide_range(self, f):
+        xs = np.linspace(-1e3, 1e3, 4001)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for lam in (1e-3, 0.05, 1.0, 50.0, 1e3):
+                assert np.all(np.isfinite(f.kernel(xs, lam))), lam
+
+    @pytest.mark.parametrize("name", list(MODEL_GRID))
+    def test_batch_matches_laguerre_fallback(self, name):
+        model = MODEL_GRID[name]
+        xs = np.concatenate([np.linspace(-8.0, 8.0, 65),
+                             sample_direct(model, 2000, RandomStream(73))])
+        for f in STEIN_TEST_FUNCTIONS:
+            np.testing.assert_allclose(stein_apply_batch(model, f, xs),
+                                       laguerre_batch(model, f.evaluator, xs),
+                                       rtol=0.0, atol=1e-10, err_msg=f.name)
+
+    def test_function_without_kernel_takes_laguerre_bitwise(self, pair_nonint):
+        xs = sample_direct(pair_nonint, 5000, RandomStream(74))
+        bare = SteinFunction(np.sin, 3, "sin")
+        assert bare.kernel is None
+        for f in (bare, lambda x: np.exp(-0.5 * np.square(x))):
+            assert np.array_equal(stein_apply_batch(pair_nonint, f, xs),
+                                  laguerre_batch(pair_nonint, f, xs))
+
+    def test_kernel_needs_parity(self):
+        with pytest.raises(DomainError, match="parity"):
+            SteinFunction(np.sin, 3, "sin", SIN_W3.kernel)
+        with pytest.raises(DomainError, match="parity"):
+            SteinFunction(np.sin, 3, "sin", SIN_W3.kernel, 0)
+
+
 class TestEmpiricalDistances:
     def test_kolmogorov_identical(self):
         a = np.array([0.1, 0.5, 2.0])
@@ -138,21 +219,29 @@ class TestEmpiricalDistances:
 class TestKappa:
     def test_balanced_single(self):
         kap = kappa_inputs(single(2.0, 1.0, 2.0, 1.0))
-        assert kap.g_n == pytest.approx(4.0)
-        assert kap.h_n == pytest.approx(1.0)
+        assert kap.log_g_n == pytest.approx(math.log(4.0))
+        assert kap.log_h_n == pytest.approx(math.log(1.0))
         assert kap.kappa_n == pytest.approx(4.0 / 3.0)
 
     def test_boundary_undefined(self):
         with pytest.raises(KappaUndefinedError) as err:
             kappa_inputs(single(1.0, 1.0, 1.0, 1.0))
-        assert err.value.g_n == pytest.approx(1.0)
-        assert err.value.h_n == pytest.approx(1.0)
+        assert err.value.log_g_n == pytest.approx(math.log(1.0))
+        assert err.value.log_h_n == pytest.approx(math.log(1.0))
 
     def test_offset_rates(self):
         kap = kappa_inputs(single(2.0, 1.0, 3.0, 1.0))
-        assert kap.g_n == pytest.approx(6.0)
-        assert kap.h_n == pytest.approx(2.0)
+        assert kap.log_g_n == pytest.approx(math.log(6.0))
+        assert kap.log_h_n == pytest.approx(math.log(2.0))
         assert kap.kappa_n == pytest.approx(1.5)
+
+    def test_many_components_stay_finite(self):
+        # g = 1600^128 overflows a double; its log and kappa do not
+        model = LinearCombinationModel.from_components([(40, 1, 40, 1, 1, 1)] * 128)
+        kap = kappa_inputs(model)
+        assert kap.log_g_n == pytest.approx(128 * math.log(1600.0))
+        assert kap.log_h_n == pytest.approx(kap.log_g_n + math.log(0.08))
+        assert kap.kappa_n == pytest.approx(1.0 / 0.92)
 
 
 class TestTwoSumsBound:
