@@ -123,6 +123,14 @@ def _thread_cap() -> int:
         raise ConfigError(f"BILGAMMA_THREADS must be an integer, got {raw!r}")
 
 
+def _fan_out(draw, count: int) -> list:
+    """[draw(i) for i in range(count)], mapped over a pool of at most
+    BILGAMMA_THREADS workers; the result never depends on the pool size."""
+    workers = max(1, min(_thread_cap(), count))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(draw, range(count)))
+
+
 def _parse_tgrid(text: str) -> np.ndarray:
     try:
         start, step, stop = (float(v) for v in text.split(":"))
@@ -182,21 +190,13 @@ def cmd_moments(args) -> int:
 
 def cmd_sample(args) -> int:
     model = _load_model(args.model)
-    streams = max(1, args.streams)
+    streams = max(1, min(args.streams, args.n))
     counts = [args.n // streams + (1 if i < args.n % streams else 0)
               for i in range(streams)]
-    workers = min(_thread_cap(), streams)
-
-    def draw(i: int) -> np.ndarray:
-        return sample_direct(model, counts[i], RandomStream(args.seed, i))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(draw, range(streams)))
-    else:
-        chunks = [draw(i) for i in range(streams)]
-    values = np.concatenate(chunks)
-    _write_csv(args.out, ["value"], column=values)
+    chunks = _fan_out(lambda i: sample_direct(model, counts[i],
+                                              RandomStream(args.seed, i)),
+                      streams)
+    _write_csv(args.out, ["value"], column=np.concatenate(chunks))
     return EXIT_OK
 
 
@@ -310,16 +310,9 @@ def cmd_price(args) -> int:
 def cmd_simulate(args) -> int:
     model = _load_model(args.model)
     grid = _parse_tgrid(args.tgrid)
-    workers = min(_thread_cap(), args.paths)
-
-    def one(i: int) -> np.ndarray:
-        return sample_path(model, grid, RandomStream(args.seed, i))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            paths = list(pool.map(one, range(args.paths)))
-    else:
-        paths = [one(i) for i in range(args.paths)]
+    paths = _fan_out(lambda i: sample_path(model, grid,
+                                           RandomStream(args.seed, i)),
+                     args.paths)
     header = ["t"] + [f"path_{i}" for i in range(args.paths)]
     rows = [[f"{t:.12g}"] + [f"{p[k]:.12g}" for p in paths]
             for k, t in enumerate(grid)]

@@ -94,17 +94,16 @@ def martingale_gap(model: LinearCombinationModel, rate: float,
 
 
 def martingale_diagnostics(model: LinearCombinationModel, rate: float,
-                           dividend: float,
-                           rep: MixtureRepresentation | None = None) -> dict:
-    """Gap plus the two sides of the displayed mixture-form condition.
+                           dividend: float) -> dict:
+    """Gap plus the two sides of the displayed mixture-form condition,
+    evaluated on the model's mixture at tail_tol 1e-10.
 
     The displayed condition multiplies E[(xi/(xi-1))^M] although the mgf
     at 1 produces (xi/(xi+1))^(q+M); both values are reported so the
     discrepancy is visible.  Divergent mixture expectations are reported
     as inf.
     """
-    if rep is None:
-        rep = build_mixture(model, tail_tol=1e-10)
+    rep = build_mixture(model, tail_tol=1e-10)
 
     def mix_expect(pmf, base, theta_max):
         if base <= 1.0 or theta_max * base / (base - 1.0) >= 1.0:

@@ -4,7 +4,6 @@ All adaptive integration in the package funnels through the helpers here so
 that tolerances and domain transformations are applied uniformly:
 
 * infinite upper limits are compactified with ``t = u / (1 - u)``,
-* the real line is split at 0 into two mirrored semi-infinite pieces,
 * Fourier-type integrals (densities, Gil-Pelaez tails) go through
   ``oscillatory_integral`` and QUADPACK's dedicated oscillatory rule.
 """
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as sp
 from scipy.integrate import quad
 
 from .errors import DomainError, NonConvergenceError
@@ -25,12 +23,9 @@ __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUAD",
     "integrate_zero_to_inf",
-    "integrate_real_line",
     "oscillatory_integral",
     "fourier_density",
-    "conf_hypergeom_F",
     "log_hyperint",
-    "upper_incomplete_gamma",
 ]
 
 
@@ -80,18 +75,6 @@ def integrate_zero_to_inf(f: Callable[[float], float],
         return f(t) / (1.0 - u) ** 2
 
     return _quad(mapped, 0.0, 1.0, spec)
-
-
-def integrate_real_line(f: Callable[[float], float],
-                        spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Adaptive integral of ``f`` over the whole real line.
-
-    Split at 0 into two semi-infinite halves, each compactified with
-    ``t = u / (1 - u)``.
-    """
-    pos = integrate_zero_to_inf(f, spec)
-    neg = integrate_zero_to_inf(lambda t: f(-t), spec)
-    return pos + neg
 
 
 def oscillatory_integral(g: Callable[[float], complex], x: float,
@@ -180,25 +163,3 @@ def log_hyperint(a: float, b: float, x: float,
         raise NonConvergenceError(
             f"hypergeometric integral underflowed for a={a}, b={b}, x={x}")
     return shift + math.log(total)
-
-
-def conf_hypergeom_F(a: float, b: float, x: float,
-                     spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Second-kind confluent hypergeometric function, by its integral form.
-
-    F(a,b,x) = (1/Gamma(a)) int_0^inf e^{-xt} t^(a-1) (1+t)^(b-a-1) dt,
-    valid for a > 0, x > 0.
-    """
-    return math.exp(log_hyperint(a, b, x, spec) - sp.gammaln(a))
-
-
-def upper_incomplete_gamma(w: float, z: float) -> float:
-    """Upper incomplete gamma Gamma(w, z) = int_z^inf x^(w-1) e^(-x) dx.
-
-    Gamma(w, 0) equals the complete Gamma(w); strictly decreasing in z.
-    """
-    if w <= 0.0:
-        raise DomainError(f"upper incomplete gamma requires w > 0, got {w}")
-    if z < 0.0:
-        raise DomainError(f"upper incomplete gamma requires z >= 0, got {z}")
-    return float(sp.gammaincc(w, z) * sp.gamma(w))

@@ -1,11 +1,13 @@
 """Random-variate generation with reproducible stream semantics.
 
 Every sampler takes a RandomStream; identical (seed, stream_id) pairs
-reproduce identical draws.  Gamma variates come from numpy's exact
-rejection samplers (valid for shapes below 1 as well, which the
-compound-Poisson jump laws rely on).  Parallel Monte Carlo splits work by
-stream_id, so results depend on the stream layout but never on the worker
-count.
+reproduce identical draws.  The direct, path and compound-Poisson samplers
+share one kernel, ``_gamma_sums``, which draws the combination's Levy
+process at time t: by gamma additivity that is the combination with every
+shape scaled by t.  Gamma variates come from numpy's exact rejection
+samplers (valid for shapes below 1 as well).  Parallel Monte Carlo splits
+work by stream_id, so results depend on the stream layout but never on the
+worker count.
 """
 
 from __future__ import annotations
@@ -47,16 +49,23 @@ def _as_generator(rng) -> np.random.Generator:
     raise DomainError(f"expected RandomStream or numpy Generator, got {type(rng)!r}")
 
 
+def _gamma_sums(model: LinearCombinationModel, time, n: int,
+                gen: np.random.Generator) -> np.ndarray:
+    """n draws of the combination's Levy process at ``time`` (a scalar or
+    n values): sum_j (w1_j Ga(p_j t, alpha_j) - w2_j Ga(q_j t, beta_j)),
+    2 gamma variates per component and draw; t = 0 gives exactly 0."""
+    out = np.zeros(n)
+    for j in range(model.n):
+        out += model.w1[j] * gen.gamma(model.p[j] * time, 1.0 / model.alpha[j], n)
+        out -= model.w2[j] * gen.gamma(model.q[j] * time, 1.0 / model.beta[j], n)
+    return out
+
+
 def sample_direct(model: LinearCombinationModel, n: int, rng) -> np.ndarray:
     """n i.i.d. draws of sum_j (w1_j X_j - w2_j Y_j), 2n gamma variates each."""
     if n < 1:
         raise DomainError("sample size must be >= 1")
-    gen = _as_generator(rng)
-    out = np.zeros(n)
-    for j in range(model.n):
-        out += model.w1[j] * gen.gamma(model.p[j], 1.0 / model.alpha[j], n)
-        out -= model.w2[j] * gen.gamma(model.q[j], 1.0 / model.beta[j], n)
-    return out
+    return _gamma_sums(model, 1.0, n, _as_generator(rng))
 
 
 def sample_mixture(rep: MixtureRepresentation, n: int, rng) -> np.ndarray:
@@ -84,23 +93,17 @@ def sample_compound_poisson(model: LinearCombinationModel, m: int, n: int,
     """n draws of Z_m = sum_{i<=N} J_i with N ~ Poisson(m) and jumps J_i
     i.i.d. copies of the combination with all shapes scaled by 1/m.
 
-    The cf is exp(m (phi^(1/m)(z) - 1)); N = 0 yields an exact atom at 0.
+    Given N jumps their sum is exactly the combination's Levy process at
+    time N/m, so each draw takes 2 gamma variates per component whatever
+    m is.  The cf is exp(m (phi^(1/m)(z) - 1)); N = 0 yields an exact atom
+    at 0.
     """
     if m < 1:
         raise DomainError("compound-Poisson order m must be >= 1")
     if n < 1:
         raise DomainError("sample size must be >= 1")
     gen = _as_generator(rng)
-    counts = gen.poisson(m, n)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(n)
-    jumps = np.zeros(total)
-    for j in range(model.n):
-        jumps += model.w1[j] * gen.gamma(model.p[j] / m, 1.0 / model.alpha[j], total)
-        jumps -= model.w2[j] * gen.gamma(model.q[j] / m, 1.0 / model.beta[j], total)
-    owner = np.repeat(np.arange(n), counts)
-    return np.bincount(owner, weights=jumps, minlength=n)
+    return _gamma_sums(model, gen.poisson(m, n) / m, n, gen)
 
 
 def sample_path(model: LinearCombinationModel, t_grid, rng) -> np.ndarray:
@@ -116,11 +119,5 @@ def sample_path(model: LinearCombinationModel, t_grid, rng) -> np.ndarray:
     dt = np.diff(t)
     if np.any(dt <= 0.0):
         raise GridError("time grid must be strictly increasing")
-    gen = _as_generator(rng)
-    if len(dt) == 0:
-        return np.zeros(1)
-    inc = np.zeros(len(dt))
-    for j in range(model.n):
-        inc += model.w1[j] * gen.gamma(model.p[j] * dt, 1.0 / model.alpha[j])
-        inc -= model.w2[j] * gen.gamma(model.q[j] * dt, 1.0 / model.beta[j])
+    inc = _gamma_sums(model, dt, len(dt), _as_generator(rng))
     return np.concatenate([[0.0], np.cumsum(inc)])

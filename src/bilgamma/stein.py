@@ -163,14 +163,18 @@ X_GAUSSIAN_W1 = TestFunction(lambda x: x * np.exp(-0.5 * np.square(x)), 1,
 STEIN_TEST_FUNCTIONS = (SIN_W3, X_GAUSSIAN_W1, GAUSSIAN_W2)
 
 
-def stein_apply_batch(model: LinearCombinationModel, f, xs: np.ndarray,
-                      nodes: int = 96) -> np.ndarray:
+_LAGUERRE_NODES = 96     # the Gauss-Laguerre rule for f without a kernel
+_STEIN_CHUNK = 50_000    # points per stein_apply_batch call in the check
+
+
+def stein_apply_batch(model: LinearCombinationModel, f,
+                      xs: np.ndarray) -> np.ndarray:
     """Vectorised A f over many points.
 
     A ``TestFunction`` with a ``kernel`` is applied in closed form,
     -x f(x) + sum_j p_j K(x, lam_j) - parity sum_j q_j K(-x, mu_j), at
-    O(n) cost per point and with ``nodes`` unused.  Any other f takes
-    Gauss-Laguerre nodes: each exponential kernel integral becomes
+    O(n) cost per point.  Any other f takes the _LAGUERRE_NODES-node
+    Gauss-Laguerre rule: each exponential kernel integral becomes
     (1/lam_j) E[f(x + V/lam_j)] with V standard exponential.  For the
     shipped functions on the model grid the 96-node rule is within 1e-11
     of the closed forms for |x| <= 8 (32 nodes: 4e-6), as the test suite
@@ -185,7 +189,7 @@ def stein_apply_batch(model: LinearCombinationModel, f, xs: np.ndarray,
         for j in range(model.n):
             out -= (f.parity * model.q[j]) * kernel(-xs, model.mu[j])
         return out
-    v, w = np.polynomial.laguerre.laggauss(nodes)
+    v, w = np.polynomial.laguerre.laggauss(_LAGUERRE_NODES)
     for j in range(model.n):
         lam_j = model.lam[j]
         out += (model.p[j] / lam_j) * (f(xs[:, None] + v[None, :] / lam_j) @ w)
@@ -196,9 +200,9 @@ def stein_apply_batch(model: LinearCombinationModel, f, xs: np.ndarray,
 
 
 def stein_identity_check(model: LinearCombinationModel, f, n_samples: int,
-                         rng, nodes: int = 96,
-                         chunk: int = 50_000) -> tuple[float, float]:
-    """Monte Carlo estimate of E[A f(T)] with its standard error.
+                         rng) -> tuple[float, float]:
+    """Monte Carlo estimate of E[A f(T)] with its standard error, A f
+    applied in chunks of _STEIN_CHUNK draws.
 
     The characterisation holds iff the estimate is statistically zero
     (|estimate| within ~4 standard errors at large n).
@@ -206,8 +210,8 @@ def stein_identity_check(model: LinearCombinationModel, f, n_samples: int,
     if n_samples < 10_000:
         raise DomainError("identity check needs n_samples >= 10000")
     draws = sample_direct(model, n_samples, rng)
-    parts = [stein_apply_batch(model, f, draws[i:i + chunk], nodes)
-             for i in range(0, n_samples, chunk)]
+    parts = [stein_apply_batch(model, f, draws[i:i + _STEIN_CHUNK])
+             for i in range(0, n_samples, _STEIN_CHUNK)]
     vals = np.concatenate(parts)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 

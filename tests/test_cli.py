@@ -142,6 +142,18 @@ class TestSampleCommand:
             main(["sample", "--model", model_file, "--n", "10"])
         assert err.value.code == 2
 
+    def test_more_streams_than_draws(self, pair_file, tmp_path):
+        # streams that would get no draw are dropped, not sampled empty
+        out2, out4 = tmp_path / "s2.csv", tmp_path / "s4.csv"
+        for streams, out in (("2", out2), ("4", out4)):
+            assert main(["sample", "--model", pair_file, "--n", "2", "--seed",
+                         "5", "--streams", streams, "--out", str(out)]) == 0
+        assert out4.read_bytes() == out2.read_bytes()
+
+    def test_empty_sample_exits_3(self, pair_file, tmp_path):
+        assert main(["sample", "--model", pair_file, "--n", "0", "--seed", "5",
+                     "--streams", "4", "--out", str(tmp_path / "a.csv")]) == 3
+
 
 class TestBoundsCommand:
     def test_self_target_zeros(self, kappa_file, tmp_path):
@@ -300,6 +312,13 @@ class TestSimulateCommand:
         assert header == ["t", "path_0", "path_1", "path_2"]
         assert len(rows) == 5
         assert [float(v) for v in rows[0][1:]] == [0.0, 0.0, 0.0]
+
+    def test_no_paths_writes_time_column(self, pair_file, tmp_path):
+        out = tmp_path / "paths.csv"
+        assert main(["simulate", "--model", pair_file, "--tgrid", "0:0.5:1",
+                     "--paths", "0", "--seed", "3", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["t"] and rows == [["0"], ["0.5"], ["1"]]
 
     def test_bad_grid_exits_2(self, pair_file):
         assert main(["simulate", "--model", pair_file, "--tgrid", "1:0:0",

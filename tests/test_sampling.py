@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bilgamma import (
     sample_mixture,
     sample_path,
 )
+from bilgamma.models import MODEL_GRID
 from conftest import KS_CRIT_001, block_cumulant_se, single
 
 
@@ -108,6 +110,17 @@ class TestCompoundPoisson:
         b = sample_compound_poisson(pair_integer, 2, 300, RandomStream(1, 1))
         np.testing.assert_array_equal(a, b)
 
+    def test_memory_independent_of_jump_count(self, pair_integer):
+        # given N jumps the sum is one draw at time N/m: no per-jump arrays
+        # (1e6 jumps would take about 8 MB each)
+        tracemalloc.start()
+        try:
+            sample_compound_poisson(pair_integer, 100, 10_000, RandomStream(13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestProcessPath:
     def test_grid_contract(self, pair_integer):
@@ -133,6 +146,14 @@ class TestProcessPath:
                          for i in range(n)])
         ref = sample_direct(pair_integer, n, RandomStream(51))
         assert empirical_kolmogorov(vals, ref) < KS_CRIT_001 * math.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_GRID))
+    def test_unit_step_is_direct_draw(self, name):
+        # one step of length 1 takes the direct sampler's variates
+        model = MODEL_GRID[name]
+        for s in range(5):
+            path = sample_path(model, [0.0, 1.0], RandomStream(s))
+            assert path[1] == sample_direct(model, 1, RandomStream(s))[0]
 
     def test_determinism(self, pair_integer):
         g = np.linspace(0.0, 2.0, 9)
