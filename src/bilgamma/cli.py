@@ -330,6 +330,20 @@ def cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+def _count(least: int):
+    """argparse type for a count of at least ``least``: anything else is a
+    usage error (exit 2), not a numpy traceback or an empty result."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return parse
+
+
 def _add_quad_args(p):
     p.add_argument("--abs-tol", type=float, default=1e-10, dest="abs_tol")
     p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
@@ -348,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--xmin", type=float, required=True)
     p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--points", type=int, default=401)
+    p.add_argument("--points", type=_count(1), default=401)
     p.add_argument("--tail-tol", type=float, default=1e-10, dest="tail_tol")
     p.add_argument("--out")
     _add_quad_args(p)
@@ -357,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cf", help="characteristic-function grid (both routes)")
     p.add_argument("--model", required=True)
     p.add_argument("--zmax", type=float, default=20.0)
-    p.add_argument("--points", type=int, default=401)
+    p.add_argument("--points", type=_count(1), default=401)
     p.add_argument("--tail-tol", type=float, default=1e-12, dest="tail_tol")
     p.add_argument("--out")
     p.set_defaults(func=cmd_cf)
 
     p = sub.add_parser("moments", help="moments and cumulants up to kmax")
     p.add_argument("--model", required=True)
-    p.add_argument("--kmax", type=int, default=4)
+    p.add_argument("--kmax", type=_count(1), default=4)
     p.add_argument("--tail-tol", type=float, default=1e-12, dest="tail_tol")
     p.add_argument("--out")
     p.set_defaults(func=cmd_moments)
@@ -409,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="process paths on a time grid")
     p.add_argument("--model", required=True)
     p.add_argument("--tgrid", required=True, help="start:step:stop")
-    p.add_argument("--paths", type=int, default=1)
+    p.add_argument("--paths", type=_count(0), default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)

@@ -26,6 +26,7 @@ __all__ = [
     "oscillatory_integral",
     "fourier_density",
     "log_hyperint",
+    "log_hyperint_rows",
 ]
 
 
@@ -111,9 +112,12 @@ def log_hyperint(a: float, b: float, x: float,
     integral; working in log space keeps large-shape evaluations (a or b
     of the order of hundreds) inside float range.  The domain is split at
     t = 1; on [0, 1] the substitution t = s^(1/a) removes the t^(a-1)
-    endpoint singularity when a < 1, and [1, inf) is compactified as usual.
-    Each piece is integrated relative to the peak of its exponent and the
-    two are combined in log space.
+    endpoint singularity when a < 1.  [1, inf) is split again at the peak
+    t_star of the exponent when t_star > 1: [1, t_star] is integrated in t
+    and [t_star, inf) is compactified by t = t_star / (1 - u), so the peak,
+    of width about t_star / sqrt(b), stays a fixed share of each interval
+    however far out it lies.  Each piece is integrated relative to the
+    peak of its exponent and the pieces are combined in log space.
     """
     if not (a > 0.0 and x > 0.0):
         raise DomainError(f"require a > 0 and x > 0, got a={a}, x={x}")
@@ -127,6 +131,7 @@ def log_hyperint(a: float, b: float, x: float,
     bq = x - (a - 1.0) - c
     disc = bq * bq + 4.0 * x * (a - 1.0)
     t_star = (-bq + math.sqrt(max(disc, 0.0))) / (2.0 * x)
+    t0 = max(t_star, 1.0)
     if a > 1.0:
         # one shift, the peak of g, scales both pieces
         shift01 = shift1 = g(t_star) if t_star > 0.0 else 0.0
@@ -137,7 +142,7 @@ def log_hyperint(a: float, b: float, x: float,
         # except between its local minimum and t_star
         t01 = min(max(c / x - 1.0, 0.0), 1.0)
         shift01 = -x * t01 + c * math.log1p(t01)
-        shift1 = max(g(1.0), g(max(t_star, 1.0)))
+        shift1 = max(g(1.0), g(t0))
 
     if a < 1.0:
         inv_a = 1.0 / a
@@ -151,15 +156,61 @@ def log_hyperint(a: float, b: float, x: float,
             return math.exp(g(t) - shift01) if t > 0.0 else (
                 math.exp(-shift01) if a == 1.0 else 0.0)
 
-    def piece1inf(u: float) -> float:
-        t = u / (1.0 - u)
-        return math.exp(g(t) - shift1) / (1.0 - u) ** 2
+    def piece_tail(u: float) -> float:
+        # t = t0 / (1 - u) maps [0, 1) onto [t0, inf)
+        v = 1.0 - u
+        return t0 * math.exp(g(t0 / v) - shift1) / (v * v)
 
     i1 = _quad(piece01, 0.0, 1.0, spec)
-    i2 = _quad(piece1inf, 0.5, 1.0, spec)
+    i2 = _quad(piece_tail, 0.0, 1.0, spec)
+    if t0 > 1.0:
+        i2 += _quad(lambda t: math.exp(g(t) - shift1), 1.0, t0, spec)
     shift = max(shift01, shift1)
     total = i1 * math.exp(shift01 - shift) + i2 * math.exp(shift1 - shift)
     if total <= 0.0:
         raise NonConvergenceError(
             f"hypergeometric integral underflowed for a={a}, b={b}, x={x}")
     return shift + math.log(total)
+
+
+def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int,
+                      spec: QuadratureSpec = DEFAULT_QUAD,
+                      seed: Callable[..., float] = log_hyperint):
+    """Yield (i, L_i) for i = rows - 1 down to 0, where
+
+        L_i[j] = log I(a0 + i, b0 + i + j, x),  j = 0 .. cols - 1,
+
+    with I the integral of ``log_hyperint``.  Only rows + 1 entries are
+    integrated (by ``seed``, which takes log_hyperint's arguments): the
+    first entry of every row and the second entry of the last.  The rest
+    follow from two exact contiguous relations of U (DLMF 13.3):
+
+    * (B) x I(a, b+1) = (b - 1 + x) I(a, b) - (b - a - 1) I(a, b-1)
+      (13.3.8) fills the last row forward in b, the direction in which U
+      is the dominant solution, so the recurrence is stable;
+    * (A) I(a, b+1) = I(a, b) + I(a+1, b+1) (13.3.10; the integrand
+      identity (1 + t) = 1 + t) builds each earlier row as a running sum
+      of the row below it, a sum of positive terms.
+
+    At most two rows are held at a time.
+    """
+    if rows < 1 or cols < 1:
+        raise DomainError(f"require rows >= 1 and cols >= 1, got {rows}, {cols}")
+    a, b = a0 + rows - 1, b0 + rows - 1
+    row = np.empty(cols)
+    row[0] = seed(a, b, x, spec)
+    if cols > 1:
+        row[1] = seed(a, b + 1.0, x, spec)
+        # (B) as a recurrence for the ratio I(a, b+j+1) / I(a, b+j)
+        ratio = math.exp(row[1] - row[0])
+        for j in range(1, cols - 1):
+            bj = b + j
+            ratio = (bj - 1.0 + x - (bj - a - 1.0) / ratio) / x
+            row[j + 1] = row[j] + math.log(ratio)
+    yield rows - 1, row
+    for i in range(rows - 2, -1, -1):
+        below = row
+        row = np.empty(cols)
+        row[0] = seed(a0 + i, b0 + i, x, spec)
+        row[1:] = below[:-1]
+        yield i, np.logaddexp.accumulate(row, out=row)

@@ -6,7 +6,7 @@ from scipy import special as sp
 from scipy.integrate import quad
 
 from bilgamma import LinearCombinationModel, build_mixture
-from bilgamma.quadrature import DEFAULT_QUAD, integrate_zero_to_inf
+from bilgamma.quadrature import DEFAULT_QUAD, integrate_zero_to_inf, log_hyperint
 from bilgamma.models import (
     KAPPA_SINGLE,
     MARTINGALE,
@@ -111,6 +111,27 @@ def bg_pdf(law, x: float) -> float:
         part0 = integral(integrand)
     part1 = integral(lambda u: integrand(1.0 + u / (1.0 - u)) / (1.0 - u) ** 2)
     return math.exp(log_pref) * (part0 + part1)
+
+
+def pdf_series_pairwise(rep, x: float, spec=DEFAULT_QUAD) -> float:
+    """Oracle series density: every kept (j, k) pair's kernel by its own
+    ``log_hyperint`` quadrature, with ``pdf_series``' weight cut."""
+    ax = abs(x)
+    lp_pos, lp_neg = np.log(rep.pmf_pos), np.log(rep.pmf_neg)
+    lg_pos = sp.gammaln(rep.p + np.arange(len(rep.pmf_pos)))
+    lg_neg = sp.gammaln(rep.q + np.arange(len(rep.pmf_neg)))
+    cut = math.log(spec.abs_tol * 1e-3 / max(rep.eta, rep.xi))
+    total = 0.0
+    for j in np.flatnonzero(lp_pos + lp_neg.max() >= cut).tolist():
+        for k in np.flatnonzero(lp_pos[j] + lp_neg >= cut).tolist():
+            b = rep.p + rep.q + j + k
+            lt = (lp_pos[j] + lp_neg[k] + (rep.p + j) * math.log(rep.eta)
+                  + (rep.q + k) * math.log(rep.xi) - lg_pos[j] - lg_neg[k]
+                  + (b - 1.0) * math.log(ax))
+            a, rate = (rep.q + k, rep.eta) if x > 0.0 else (rep.p + j, rep.xi)
+            total += math.exp(lt - rate * ax + log_hyperint(
+                a, b, (rep.eta + rep.xi) * ax, spec))
+    return total
 
 
 def stein_apply(model: LinearCombinationModel, f, x: float,

@@ -325,6 +325,22 @@ class TestSimulateCommand:
                      "--paths", "1", "--seed", "3"]) == 2
 
 
+class TestCountArguments:
+    @pytest.mark.parametrize("argv", [
+        ["pdf", "--xmin", "-1", "--xmax", "1", "--points", "-2"],
+        ["pdf", "--xmin", "-1", "--xmax", "1", "--points", "0"],
+        ["cf", "--points", "-1"],
+        ["moments", "--kmax", "0"],
+        ["moments", "--kmax", "-1"],
+        ["simulate", "--tgrid", "0:0.5:1", "--paths", "-3", "--seed", "1"],
+    ])
+    def test_bad_count_exits_2(self, pair_file, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv[:1] + ["--model", pair_file] + argv[1:])
+        assert err.value.code == 2
+        assert "must be >= " in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_quick_suite_passes(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from bilgamma import (
     load_model,
     sample_direct,
 )
-from conftest import block_cumulant_se, single
+from conftest import block_cumulant_se, pdf_series_pairwise, single
 
 GEOMETRIC_PAIR = LinearCombinationModel.from_components(
     [(1.0, 1.0, 3.0, 1.0, 1.0, 1.0), (2.0, 1.0, 4.0, 1.0, 1.0, 1.0)])
@@ -35,6 +36,22 @@ DEEP_MODEL = LinearCombinationModel.from_components(
 # at 48, so a loop that stops at the first small weight returns 0
 INTERIOR_MODE = LinearCombinationModel.from_components(
     [(1.0, 50.0, 10.0, 0.5, 1.0, 1.0), (2.0, 0.5, 10.0, 0.5, 1.0, 1.0)])
+INTERIOR_MIRROR = LinearCombinationModel(
+    INTERIOR_MODE.beta, INTERIOR_MODE.q, INTERIOR_MODE.alpha,
+    INTERIOR_MODE.p, INTERIOR_MODE.w2, INTERIOR_MODE.w1)
+
+# L has 506 terms and M one, so the x > 0 kernels reach log_hyperint at
+# a = 0.5, 1 with b up to ~520
+LARGE_B = LinearCombinationModel.from_components(
+    [(1.0, 15.0, 10.0, 0.5, 1.0, 1.0), (10.0, 0.5, 10.0, 0.5, 1.0, 1.0)])
+
+
+def two_deep_sides(ratio):
+    """Rates 4/ratio, 4/sqrt(ratio), 4 on both sides: both pmfs run to
+    hundreds of terms (454 each at ratio 20 and tail_tol 1e-10)."""
+    rates = (4.0 / ratio, 4.0 / math.sqrt(ratio), 4.0)
+    return LinearCombinationModel.from_components(
+        [(r, s, r, s, 1.0, 1.0) for r, s in zip(rates, DEEP_SHAPES)])
 
 
 class TestModelValidation:
@@ -252,10 +269,7 @@ class TestDensityRoutes:
 
     def test_series_interior_pmf_mode(self):
         # both loops of the double series: the deep side is L, then M
-        mirror = LinearCombinationModel(
-            INTERIOR_MODE.beta, INTERIOR_MODE.q, INTERIOR_MODE.alpha,
-            INTERIOR_MODE.p, INTERIOR_MODE.w2, INTERIOR_MODE.w1)
-        for model, sign in ((INTERIOR_MODE, 1.0), (mirror, -1.0)):
+        for model, sign in ((INTERIOR_MODE, 1.0), (INTERIOR_MIRROR, -1.0)):
             rep = build_mixture(model, tail_tol=1e-10)
             for x in (42.0, 50.0, 58.0):
                 ref = model.pdf_fourier(sign * x)
@@ -263,16 +277,44 @@ class TestDensityRoutes:
                 assert abs(rep.pdf_series(sign * x) - ref) <= 1e-6
 
     def test_series_small_shape_large_b_kernels(self):
-        # L has 506 terms and M one, so the x > 0 kernels reach
-        # log_hyperint at a = 0.5, 1 with b up to ~520
-        model = LinearCombinationModel.from_components(
-            [(1.0, 15.0, 10.0, 0.5, 1.0, 1.0), (10.0, 0.5, 10.0, 0.5, 1.0, 1.0)])
+        model = LARGE_B
         rep = build_mixture(model, tail_tol=1e-10)
         assert (len(rep.pmf_pos), len(rep.pmf_neg)) == (506, 1)
         ref = model.pdf_fourier(1.0)
         got = rep.pdf_series(1.0)
         assert abs(got - ref) <= 1e-6
         assert got == pytest.approx(ref, rel=1e-3)
+
+    def test_series_matches_pairwise_oracle(self, mixture_grid):
+        # the row recurrences against one quadrature per kept pair
+        cases = [(rep, x) for rep in mixture_grid.values()
+                 for x in (-2.5, -0.05, 0.05, 2.5)]
+        for model in (INTERIOR_MODE, INTERIOR_MIRROR):
+            rep = build_mixture(model, tail_tol=1e-10)
+            cases += [(rep, s * x) for s in (1.0, -1.0) for x in (42.0, 50.0, 58.0)]
+        rep = build_mixture(LARGE_B, tail_tol=1e-10)
+        cases += [(rep, x) for x in (-1.0, 0.2, 1.0, 5.0)]
+        for rep, x in cases:
+            assert rep.pdf_series(x) == pytest.approx(
+                pdf_series_pairwise(rep, x), rel=1e-12, abs=0.0), x
+
+    def test_series_two_deep_sides(self):
+        # 124k kept pairs at ratio 20: one quadrature per pair takes about
+        # 45 s a point, the row kernel about 0.15 s
+        model = two_deep_sides(20.0)
+        rep = build_mixture(model, tail_tol=1e-10)
+        assert (len(rep.pmf_pos), len(rep.pmf_neg)) == (454, 454)
+        t0 = time.perf_counter()
+        for x in (-20.0, -1.0, 0.2, 5.0):
+            assert abs(rep.pdf_series(x) - model.pdf_fourier(x)) <= 1e-6, x
+        assert time.perf_counter() - t0 < 10.0
+
+    def test_series_deep_seeds_find_their_peak(self):
+        # at ratio 40 the row seeds at x = 0.2 need log_hyperint's split at
+        # the peak: without it the series was 2.8e-5 low here
+        model = two_deep_sides(40.0)
+        rep = build_mixture(model, tail_tol=1e-10)
+        assert abs(rep.pdf_series(0.2) - model.pdf_fourier(0.2)) <= 1e-6
 
     def test_series_singular_origin(self, mixture_grid):
         with pytest.raises(SingularPointError):

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import hyperu
 
 from bilgamma import (
@@ -11,7 +12,7 @@ from bilgamma import (
     QuadratureSpec,
     integrate_zero_to_inf,
 )
-from bilgamma.quadrature import log_hyperint
+from bilgamma.quadrature import log_hyperint, log_hyperint_rows
 
 
 def hyperint_F(a, b, x):
@@ -118,9 +119,59 @@ class TestLogHyperint:
         (1.0, 365.5, 20.0), (0.5, 400.0, 20.0), (0.3, 500.0, 10.0),
         # a = 1 with the [0, 1] peak at t = 0, and two small-value cases
         (1.0, 2.0, 800.0), (0.5, 1.6, 800.0), (0.2, 0.5, 0.01),
+        # the [1, inf) peak t_star lies far out (about 160 to 900): a rule
+        # over all of it sees a narrow spike and returned values e^28 and
+        # more too small
+        (0.5, 400.0, 1.0), (2.0, 400.0, 1.0), (3.0, 800.0, 1.0),
+        (600.0, 650.0, 4.0), (300.0, 303.0, 0.8), (600.0, 900.0, 1.6),
+        (900.0, 903.0, 1.6),
     ])
     def test_small_shape_matches_mpmath(self, a, b, x):
         # log Gamma(a) U(a, b, x) at 30 digits
         with mpmath.workdps(30):
             ref = float(mpmath.log(mpmath.gamma(a) * mpmath.hyperu(a, b, x)))
         assert log_hyperint(a, b, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(a=st.floats(0.05, 600.0), d=st.floats(-0.9, 300.0),
+           x=st.floats(0.05, 30.0))
+    def test_contiguous_relations(self, a, d, x):
+        # (A) I(a, b+1) = I(a, b) + I(a+1, b+1)           (DLMF 13.3.10)
+        # (B) x I(a, b+1) + (b-a-1) I(a, b-1) = (b-1+x) I(a, b)  (13.3.8)
+        b = a + d
+        l0, l_up = log_hyperint(a, b, x), log_hyperint(a, b + 1.0, x)
+        l_down = log_hyperint(a, b - 1.0, x)
+        l_diag = log_hyperint(a + 1.0, b + 1.0, x)
+        assert abs(l_up - np.logaddexp(l0, l_diag)) <= 1e-10
+        terms = (x * math.exp(l_up - l0), (b - a - 1.0) * math.exp(l_down - l0),
+                 -(b - 1.0 + x))
+        assert abs(math.fsum(terms)) <= 1e-10 * sum(map(abs, terms))
+
+
+class TestLogHyperintRows:
+    @pytest.mark.parametrize("a0,b0,x", [(0.7, 1.2, 0.3), (40.0, 45.5, 2.0),
+                                         (2.5, 300.0, 1.0)])
+    def test_matches_pointwise_with_one_seed_per_row(self, a0, b0, x):
+        seeds = []
+
+        def seed(a, b, x, spec):
+            seeds.append((a, b))
+            return log_hyperint(a, b, x, spec)
+
+        rows, cols = 5, 7
+        got = {i: row.copy() for i, row in
+               log_hyperint_rows(a0, b0, x, rows, cols, seed=seed)}
+        assert sorted(got) == list(range(rows))
+        assert len(seeds) == rows + 1
+        for i, row in got.items():
+            ref = [log_hyperint(a0 + i, b0 + i + j, x) for j in range(cols)]
+            np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0.0)
+
+    def test_single_column_and_row(self):
+        (i, row), = log_hyperint_rows(1.5, 2.0, 0.8, 1, 1)
+        assert i == 0 and row.tolist() == [log_hyperint(1.5, 2.0, 0.8)]
+
+    @pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0)])
+    def test_empty_grid_rejected(self, rows, cols):
+        with pytest.raises(DomainError):
+            next(log_hyperint_rows(1.0, 2.0, 1.0, rows, cols))
