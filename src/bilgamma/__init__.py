@@ -24,7 +24,6 @@ from .errors import (
 )
 from .pricing import (
     PricingInputs,
-    martingale_diagnostics,
     martingale_gap,
     price_call_atm,
     price_call_gamma_series,
@@ -44,7 +43,6 @@ from .sampling import (
     sample_path,
 )
 from .stein import (
-    BoundConstants,
     KappaInputs,
     TestFunction,
     bound_compound_poisson_k,
@@ -73,7 +71,6 @@ __all__ = [
     "sample_mixture",
     "sample_compound_poisson",
     "sample_path",
-    "BoundConstants",
     "KappaInputs",
     "TestFunction",
     "stein_identity_check",
@@ -87,7 +84,6 @@ __all__ = [
     "bound_d3_normal",
     "PricingInputs",
     "martingale_gap",
-    "martingale_diagnostics",
     "price_call_integral",
     "price_call_gamma_series",
     "price_call_atm",

@@ -41,7 +41,6 @@ from .pricing import (
 from .quadrature import QuadratureSpec
 from .sampling import RandomStream, sample_compound_poisson, sample_direct, sample_path
 from .stein import (
-    DEFAULT_CONSTANTS,
     bound_compound_poisson_k,
     bound_d3_bg,
     bound_d3_normal,
@@ -202,7 +201,9 @@ def cmd_sample(args) -> int:
 
 def cmd_bounds(args) -> int:
     model = _load_model(args.model)
-    payload: dict = {"constants_default": DEFAULT_CONSTANTS.defaults_used}
+    # the two-sums and compound-Poisson bounds set their universal constants
+    # to 1.0, so those values are bound shapes
+    payload: dict = {"constants_default": True}
     try:
         kap = kappa_inputs(model)
         payload["kappa"] = {"log_g_n": kap.log_g_n, "log_h_n": kap.log_h_n,
@@ -271,26 +272,21 @@ def cmd_price(args) -> int:
     inputs = PricingInputs(**fields)
     spec = _spec_from_args(args)
     method = args.method
-    if method in ("series", "atm"):
-        rep = build_mixture(model, tail_tol=args.tail_tol)
-    elif method == "auto":
+    if method == "auto":
         # the closed form only where its own guards accept the model
         method = "integral"
         if inputs.spot_at_t == inputs.strike:
-            rep = build_mixture(model, tail_tol=args.tail_tol)
             try:
-                gamma_route_growth(rep, inputs)
+                gamma_route_growth(model, inputs)
                 method = "atm"
             except (DomainError, SeriesDivergenceError):
                 pass
-    diagnostics: dict = {}
     if method == "integral":
         price = price_call_integral(model, inputs, spec)
         tolerance = 1e-8
     elif method in ("series", "atm"):
         route = price_call_gamma_series if method == "series" else price_call_atm
-        price = route(rep, inputs, diagnostics=diagnostics)
-        tolerance = diagnostics["series_tail_bound"]
+        price, tolerance = route(model, inputs, args.tail_tol)
     else:  # monte-carlo
         if args.seed is None:
             raise ConfigError("--seed is required for the monte-carlo method")
@@ -413,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pricing", required=True)
     p.add_argument("--method", default="auto",
                    choices=["auto", "integral", "series", "atm", "monte-carlo"])
-    p.add_argument("--n", type=int, default=1000000)
+    p.add_argument("--n", type=_count(2), default=1000000)
     p.add_argument("--seed", type=int)
     p.add_argument("--tail-tol", type=float, default=1e-12, dest="tail_tol")
     p.add_argument("--out")

@@ -25,8 +25,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from scipy import special as sp
 
-from .combo import (LinearCombinationModel, MixtureRepresentation,
-                    _completed_series, _power_mean, build_mixture)
+from .combo import (LinearCombinationModel, _completed_series, _power_mean,
+                    build_mixture)
 from .errors import DomainError, SeriesDivergenceError
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, _quad, oscillatory_integral
 from .sampling import sample_direct
@@ -34,7 +34,6 @@ from .sampling import sample_direct
 __all__ = [
     "PricingInputs",
     "martingale_gap",
-    "martingale_diagnostics",
     "negative_part_bound",
     "gamma_route_growth",
     "price_call_integral",
@@ -93,38 +92,6 @@ def martingale_gap(model: LinearCombinationModel, rate: float,
     return model.mgf(1.0) - math.exp(rate - dividend)
 
 
-def martingale_diagnostics(model: LinearCombinationModel, rate: float,
-                           dividend: float) -> dict:
-    """Gap plus the two sides of the displayed mixture-form condition,
-    evaluated on the model's mixture at tail_tol 1e-10.
-
-    The displayed condition multiplies E[(xi/(xi-1))^M] although the mgf
-    at 1 produces (xi/(xi+1))^(q+M); both values are reported so the
-    discrepancy is visible.  Divergent mixture expectations are reported
-    as inf.
-    """
-    rep = build_mixture(model, tail_tol=1e-10)
-
-    def mix_expect(pmf, base, theta_max):
-        if base <= 1.0 or theta_max * base / (base - 1.0) >= 1.0:
-            return math.inf
-        return float(_power_mean(pmf, 0.0, base / (base - 1.0), theta_max)[0])
-
-    lhs = (mix_expect(rep.pmf_pos, rep.eta, rep.theta_pos_max)
-           * mix_expect(rep.pmf_neg, rep.xi, rep.theta_neg_max))
-    rhs = math.inf
-    if rep.eta > 1.0 and rep.xi > 1.0:
-        rhs = ((1.0 - 1.0 / rep.eta) ** rep.p * (1.0 - 1.0 / rep.xi) ** rep.q
-               * math.exp(rate - dividend))
-    return {
-        "gap": martingale_gap(model, rate, dividend),
-        "exp_moment": model.mgf(1.0),
-        "target": math.exp(rate - dividend),
-        "displayed_condition_lhs": lhs,
-        "displayed_condition_rhs": rhs,
-    }
-
-
 def _tail_probability(model: LinearCombinationModel, level: float,
                       spec: QuadratureSpec) -> float:
     """P(X > level) = 1/2 + (1/pi) int_0^inf Im(e^(-iz level) phi(z)) / z dz
@@ -141,11 +108,9 @@ def _tail_probability(model: LinearCombinationModel, level: float,
 
 
 def price_call_integral(model: LinearCombinationModel, inputs: PricingInputs,
-                        spec: QuadratureSpec = DEFAULT_QUAD,
-                        discount_time: float | None = None) -> float:
+                        spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Call price e^(-rT) int_L^inf (s e^x - K) h(x) dx against the time-t'
-    law, as two Gil-Pelaez tails in tilted form (see module docstring).
-    The discount uses the full maturity T unless overridden."""
+    law, as two Gil-Pelaez tails in tilted form (see module docstring)."""
     t_prime = inputs.t_remaining
     scaled = model.scaled(t_prime)
     m1 = scaled.mgf(1.0)
@@ -157,8 +122,7 @@ def price_call_integral(model: LinearCombinationModel, inputs: PricingInputs,
     level = inputs.log_moneyness
     p_plain = _tail_probability(scaled, level, spec)
     p_tilted = _tail_probability(tilted, level, spec)
-    horizon = inputs.maturity if discount_time is None else discount_time
-    price = math.exp(-inputs.rate * horizon) * (
+    price = math.exp(-inputs.rate * inputs.maturity) * (
         s * m1 * p_tilted - inputs.strike * p_plain)
     return max(price, 0.0)
 
@@ -176,29 +140,31 @@ def negative_part_bound(model: LinearCombinationModel,
     return inputs.spot_at_t * model.scaled(t).mgf(1.0) * math.expm1(-log_neg)
 
 
-def gamma_route_growth(rep: MixtureRepresentation,
+def gamma_route_growth(model: LinearCombinationModel,
                        inputs: PricingInputs) -> float:
     """Growth eta/(eta-1) per unit of shape of the gamma-only routes; raises
-    unless eta > 1, the mixture expectation converges (at every t', since
-    the pmf tail ratio does not depend on t') and the negative part is
+    unless eta > 1, the mixture expectation converges (its pmf tail ratio
+    1 - lam_min/eta does not depend on t') and the negative part is
     negligible."""
-    if rep.eta <= 1.0:
-        raise DomainError(f"gamma-only pricing requires eta > 1, got {rep.eta}")
-    growth = rep.eta / (rep.eta - 1.0)
-    if rep.theta_pos_max * growth >= 1.0 - 1e-12:
+    eta = model.eta
+    if eta <= 1.0:
+        raise DomainError(f"gamma-only pricing requires eta > 1, got {eta}")
+    growth = eta / (eta - 1.0)
+    theta = 1.0 - model.lam_min / eta
+    if theta * growth >= 1.0 - 1e-12:
         raise SeriesDivergenceError(
             "mixture expectation diverges: pmf tail ratio "
-            f"{rep.theta_pos_max:.6g} times growth {growth:.6g} >= 1")
-    bound = negative_part_bound(rep.model, inputs)
+            f"{theta:.6g} times growth {growth:.6g} >= 1")
+    bound = negative_part_bound(model, inputs)
     if bound > NEGATIVE_PART_TOL * inputs.strike:
         raise DomainError(
             f"gamma-only pricing ignores a negative part worth up to {bound:.3g}")
     return growth
 
 
-def price_call_gamma_series(rep: MixtureRepresentation, inputs: PricingInputs,
-                            discount_time: float | None = None,
-                            diagnostics: dict | None = None) -> float:
+def price_call_gamma_series(model: LinearCombinationModel,
+                            inputs: PricingInputs,
+                            tail_tol: float = 1e-12) -> tuple[float, float]:
     """Call price for the gamma-driven (positive-part) model by the
     incomplete-gamma series over the time-t' mixture (L, p of that law):
 
@@ -207,13 +173,13 @@ def price_call_gamma_series(rep: MixtureRepresentation, inputs: PricingInputs,
 
     Q the regularised upper incomplete gamma.  Requires K >= s and a model
     :func:`gamma_route_growth` accepts; the s and K sums are each completed
-    by their geometric tail, whose size is reported via ``diagnostics``.
+    by their geometric tail.  Returns the price and the size of that
+    completion.
     """
     if inputs.strike < inputs.spot_at_t:
         raise DomainError("gamma-driven series requires strike >= spot")
-    growth = gamma_route_growth(rep, inputs)
-    if inputs.t_remaining != 1.0:
-        rep = build_mixture(rep.model.scaled(inputs.t_remaining), rep.tail_tol)
+    growth = gamma_route_growth(model, inputs)
+    rep = build_mixture(model.scaled(inputs.t_remaining), tail_tol)
     eta, level = rep.eta, inputs.log_moneyness
     s, strike = inputs.spot_at_t, inputs.strike
     a = rep.p + np.arange(len(rep.pmf_pos))
@@ -225,18 +191,13 @@ def price_call_gamma_series(rep: MixtureRepresentation, inputs: PricingInputs,
             rep.theta_pos_max * growth)
         sum_k, tail_k = _completed_series(
             log_w + np.log(sp.gammaincc(a, eta * level)), rep.theta_pos_max)
-    horizon = inputs.maturity if discount_time is None else discount_time
-    discount = math.exp(-inputs.rate * horizon)
-    if diagnostics is not None:
-        diagnostics["series_tail_bound"] = discount * float(abs(
-            s * tail_s - strike * tail_k))
-        diagnostics["terms"] = len(a)
-    return discount * float(s * sum_s - strike * sum_k)
+    discount = math.exp(-inputs.rate * inputs.maturity)
+    return (discount * float(s * sum_s - strike * sum_k),
+            discount * float(abs(s * tail_s - strike * tail_k)))
 
 
-def price_call_atm(rep: MixtureRepresentation, inputs: PricingInputs,
-                   discount_time: float | None = None,
-                   diagnostics: dict | None = None) -> float:
+def price_call_atm(model: LinearCombinationModel, inputs: PricingInputs,
+                   tail_tol: float = 1e-12) -> tuple[float, float]:
     """At-the-money closed form for the gamma-driven model,
 
         K e^(-rT) ( E[(eta/(eta-1))^(p+L)] - 1 )
@@ -244,29 +205,23 @@ def price_call_atm(rep: MixtureRepresentation, inputs: PricingInputs,
     over the time-t' mixture (L, p of that law), requiring s = K and a
     model :func:`gamma_route_growth` accepts; it detects a divergent
     expectation (pmf tail ratio times eta/(eta-1) reaching 1) before
-    summation, so that is raised, never summed past.  The geometric tail
-    completion's size is reported via ``diagnostics``."""
+    summation, so that is raised, never summed past.  Returns the price
+    and the size of its geometric tail completion."""
     if inputs.spot_at_t != inputs.strike:
         raise DomainError("at-the-money formula requires spot == strike")
-    growth = gamma_route_growth(rep, inputs)
-    if inputs.t_remaining != 1.0:
-        rep = build_mixture(rep.model.scaled(inputs.t_remaining), rep.tail_tol)
+    growth = gamma_route_growth(model, inputs)
+    rep = build_mixture(model.scaled(inputs.t_remaining), tail_tol)
     expect, tail = _power_mean(rep.pmf_pos, rep.p, growth, rep.theta_pos_max)
-    horizon = inputs.maturity if discount_time is None else discount_time
-    scale = inputs.strike * math.exp(-inputs.rate * horizon)
-    if diagnostics is not None:
-        diagnostics["series_tail_bound"] = scale * float(tail)
-    return scale * (float(expect) - 1.0)
+    scale = inputs.strike * math.exp(-inputs.rate * inputs.maturity)
+    return scale * (float(expect) - 1.0), scale * float(tail)
 
 
 def price_call_monte_carlo(model: LinearCombinationModel,
-                           inputs: PricingInputs, n: int, rng,
-                           discount_time: float | None = None
+                           inputs: PricingInputs, n: int, rng
                            ) -> tuple[float, float]:
     """Monte Carlo price and its standard error from n exact draws of the
     time-t' law."""
     draws = sample_direct(model.scaled(inputs.t_remaining), n, rng)
-    horizon = inputs.maturity if discount_time is None else discount_time
-    payoff = math.exp(-inputs.rate * horizon) * np.maximum(
+    payoff = math.exp(-inputs.rate * inputs.maturity) * np.maximum(
         inputs.spot_at_t * np.exp(draws) - inputs.strike, 0.0)
     return float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(n))

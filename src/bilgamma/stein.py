@@ -18,9 +18,10 @@ and a parity (f(-y) = parity f(y)) is applied in closed form,
 
 at O(n) cost per point; any other function takes a fixed Gauss-Laguerre
 rule on both integrals.  The bound evaluators below are deterministic
-functions of model parameters; their unspecified universal constants
-default to 1.0 and are configuration, not truth, so outputs carry a
-"bound shape" flag when defaults are used.
+functions of model parameters.  The two-sums and compound-Poisson results
+only assert that their universal constants exist; those constants are set
+to 1.0, a reporting convention rather than an estimate, so the values are
+bound shapes and the CLI report says so ("constants_default").
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from .errors import (
 from .sampling import sample_direct
 
 __all__ = [
-    "BoundConstants",
-    "DEFAULT_CONSTANTS",
     "KappaInputs",
     "TestFunction",
     "SIN_W3",
@@ -63,30 +62,6 @@ __all__ = [
     "d3_bg_terms",
     "d3_normal_terms",
 ]
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Universal constants of the two-sums and compound-Poisson bounds.
-
-    The underlying results only assert existence; 1.0 is a reporting
-    convention, not an estimate.
-    """
-
-    c: float = 1.0
-    c1: float = 1.0
-    c2: float = 1.0
-
-    def __post_init__(self):
-        if min(self.c, self.c1, self.c2) <= 0.0:
-            raise DomainError("bound constants must be positive")
-
-    @property
-    def defaults_used(self) -> bool:
-        return self.c == 1.0 and self.c1 == 1.0 and self.c2 == 1.0
-
-
-DEFAULT_CONSTANTS = BoundConstants()
 
 
 @dataclass(frozen=True)
@@ -259,13 +234,14 @@ def kappa_inputs(model: LinearCombinationModel) -> KappaInputs:
 
 
 def bound_two_sums(model_w: LinearCombinationModel,
-                   model_pi: LinearCombinationModel,
-                   constants: BoundConstants = DEFAULT_CONSTANTS) -> float:
+                   model_pi: LinearCombinationModel) -> float:
     """Wasserstein bound between two combinations sharing all shape/rate
     parameters and differing only in weights:
 
         c1 sum_j p_j/sqrt(2 alpha_j) |w1_j - pi1_j| / sqrt(w1_j + pi1_j)
       + c2 sum_j q_j/sqrt(2 beta_j)  |w2_j - pi2_j| / sqrt(w2_j + pi2_j)
+
+    with c1 = c2 = 1.
     """
     same = (np.array_equal(model_w.alpha, model_pi.alpha)
             and np.array_equal(model_w.p, model_pi.p)
@@ -281,17 +257,16 @@ def bound_two_sums(model_w: LinearCombinationModel,
     neg = np.sum(model_w.q / np.sqrt(2.0 * model_w.beta)
                  * np.abs(model_w.w2 - model_pi.w2)
                  / np.sqrt(model_w.w2 + model_pi.w2))
-    return float(constants.c1 * pos + constants.c2 * neg)
+    return float(pos + neg)
 
 
-def bound_compound_poisson_k(model: LinearCombinationModel, m: int,
-                             constants: BoundConstants = DEFAULT_CONSTANTS) -> float:
-    """Kolmogorov bound c (|C1| + |C2|)^(2/5) m^(-1/5) for the order-m
-    compound-Poisson approximation."""
+def bound_compound_poisson_k(model: LinearCombinationModel, m: int) -> float:
+    """Kolmogorov bound c (|C1| + |C2|)^(2/5) m^(-1/5), c = 1, for the
+    order-m compound-Poisson approximation."""
     if m < 1:
         raise DomainError("compound-Poisson order m must be >= 1")
     c1c2 = abs(model.cumulant(1)) + abs(model.cumulant(2))
-    return constants.c * c1c2 ** 0.4 * m ** -0.2
+    return c1c2 ** 0.4 * m ** -0.2
 
 
 def _d3_common_terms(model, kappa, target_inv_ab, target_mean_diff_rate,

@@ -269,6 +269,44 @@ class TestPriceCommand:
         assert payload["method"] == "integral"
         assert payload["price"] == pytest.approx(0.2250160845, rel=1e-8)
 
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """Count mixture builds made by the CLI and the pricing routes."""
+        from bilgamma import pricing
+        calls = []
+        for module in (cli, pricing):
+            def counted(*args, _orig=module.build_mixture, **kwargs):
+                calls.append(args)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(module, "build_mixture", counted)
+        return calls
+
+    def test_auto_builds_one_mixture(self, gamma_file, tmp_path, builds):
+        # only the time-t' mixture is built, not the time-1 one as well
+        pricing = tmp_path / "p.json"
+        pricing.write_text(json.dumps(
+            {"s0": 1.0, "strike": 1.0, "rate": 0.05, "maturity": 2.0}))
+        out = tmp_path / "price.json"
+        assert main(["price", "--model", gamma_file, "--pricing", str(pricing),
+                     "--method", "auto", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["method"] == "atm"
+        assert len(builds) == 1
+
+    def test_auto_bilateral_builds_no_mixture(self, tmp_path, builds):
+        # the guard rejects MARTINGALE from the model alone
+        model = tmp_path / "mg.json"
+        model.write_text(json.dumps(MARTINGALE.to_json_obj()))
+        pricing = tmp_path / "p.json"
+        pricing.write_text(json.dumps(
+            {"s0": 1.0, "strike": 1.0, "rate": 0.05, "maturity": 1.0}))
+        out = tmp_path / "price.json"
+        assert main(["price", "--model", str(model), "--pricing", str(pricing),
+                     "--method", "auto", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["method"] == "integral"
+        assert payload["price"] == pytest.approx(0.2250160845, rel=1e-8)
+        assert builds == []
+
     def test_non_numeric_field_exits_2(self, gamma_file, tmp_path, capsys):
         pricing = tmp_path / "p.json"
         pricing.write_text(json.dumps(
@@ -333,6 +371,10 @@ class TestCountArguments:
         ["moments", "--kmax", "0"],
         ["moments", "--kmax", "-1"],
         ["simulate", "--tgrid", "0:0.5:1", "--paths", "-3", "--seed", "1"],
+        ["price", "--pricing", "p.json", "--method", "monte-carlo",
+         "--seed", "1", "--n", "1"],
+        ["price", "--pricing", "p.json", "--method", "monte-carlo",
+         "--seed", "1", "--n", "0"],
     ])
     def test_bad_count_exits_2(self, pair_file, argv, capsys):
         with pytest.raises(SystemExit) as err:

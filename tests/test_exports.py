@@ -1,14 +1,22 @@
 """Every exported name resolves, so ``from bilgamma import *`` and
-``from bilgamma.<module> import *`` cannot break on a stale export."""
+``from bilgamma.<module> import *`` cannot break on a stale export; and
+every function the benchmark tracer wraps is still where it looks."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import bilgamma
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(bilgamma.__path__))
+
+_SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS_PATH)
+spans = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(spans)
 
 
 def test_package_exports_resolve():
@@ -22,3 +30,11 @@ def test_submodule_exports_resolve(module):
     mod = importlib.import_module(f"bilgamma.{module}")
     exported = getattr(mod, "__all__", [])
     assert not [name for name in exported if not hasattr(mod, name)]
+
+
+@pytest.mark.parametrize("path, attr", [t[:2] for t in spans.TARGETS],
+                         ids=[f"{t[0]}.{t[1]}" for t in spans.TARGETS])
+def test_trace_targets_resolve(path, attr):
+    # perfbench/run.py --trace 1 wraps each (object path, attribute) here;
+    # a deleted or renamed function would break the traced run
+    assert callable(getattr(spans._resolve(path), attr, None))

@@ -11,8 +11,6 @@ from bilgamma import (
     PricingInputs,
     RandomStream,
     SeriesDivergenceError,
-    build_mixture,
-    martingale_diagnostics,
     martingale_gap,
     price_call_atm,
     price_call_gamma_series,
@@ -88,8 +86,7 @@ class TestMartingaleCondition:
         assert martingale_gap(model, 0.0, 0.0) == pytest.approx(0.5)
 
     def test_calibrated_gap_vanishes(self, martingale_model):
-        diag = martingale_diagnostics(martingale_model, 0.0, 0.0)
-        r = math.log(diag["exp_moment"])
+        r = math.log(martingale_model.mgf(1.0))
         assert martingale_gap(martingale_model, r, 0.0) == pytest.approx(
             0.0, abs=1e-14)
 
@@ -97,11 +94,6 @@ class TestMartingaleCondition:
         model = single(1.0, 1.0, 3.0, 1.0)  # alpha/w1 = 1
         with pytest.raises(OutOfStripError):
             martingale_gap(model, 0.0, 0.0)
-
-    def test_diagnostics_reports_both_sides(self, martingale_model):
-        diag = martingale_diagnostics(martingale_model, 0.05, 0.01)
-        assert {"gap", "exp_moment", "target", "displayed_condition_lhs",
-                "displayed_condition_rhs"} <= set(diag)
 
 
 class TestIntegralPrice:
@@ -151,44 +143,37 @@ class TestGammaSeriesPrice:
         # one gamma component: the j = 0 term alone prices the call
         from scipy.special import gammaincc
         model = single(2.0, 1.5, 1e8, 1e-8)
-        rep = build_mixture(model)
         inputs = base_inputs(strike=1.3, rate=0.02)
         level = math.log(1.3)
         expected = math.exp(-0.02) * (
             1.0 * (2.0 / 1.0) ** 1.5 * gammaincc(1.5, 1.0 * level)
             - 1.3 * gammaincc(1.5, 2.0 * level))
-        got = price_call_gamma_series(rep, inputs)
+        got, _ = price_call_gamma_series(model, inputs)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_agrees_with_integral(self, pricing_gamma):
-        rep = build_mixture(pricing_gamma, tail_tol=1e-12)
         inputs = base_inputs()
-        series = price_call_gamma_series(rep, inputs)
+        series, _ = price_call_gamma_series(pricing_gamma, inputs)
         integral = price_call_integral(pricing_gamma, inputs)
         assert abs(series - integral) / integral < 1e-6
 
     def test_strike_at_spot_matches_atm(self, pricing_gamma):
-        rep = build_mixture(pricing_gamma, tail_tol=1e-12)
         inputs = base_inputs(strike=1.0)
-        series = price_call_gamma_series(rep, inputs)
-        atm = price_call_atm(rep, inputs)
+        series, _ = price_call_gamma_series(pricing_gamma, inputs)
+        atm, _ = price_call_atm(pricing_gamma, inputs)
         assert series == pytest.approx(atm, rel=1e-9)
 
     def test_requires_eta_above_one(self):
-        rep = build_mixture(single(0.8, 1.0, 1e6, 1e-6))
         with pytest.raises(DomainError):
-            price_call_gamma_series(rep, base_inputs())
+            price_call_gamma_series(single(0.8, 1.0, 1e6, 1e-6), base_inputs())
 
     def test_requires_strike_at_or_above_spot(self, pricing_gamma):
-        rep = build_mixture(pricing_gamma)
         with pytest.raises(DomainError):
-            price_call_gamma_series(rep, base_inputs(strike=0.9))
+            price_call_gamma_series(pricing_gamma, base_inputs(strike=0.9))
 
     def test_tail_bound_reported(self, pricing_gamma):
-        rep = build_mixture(pricing_gamma, tail_tol=1e-12)
-        diag = {}
-        price_call_gamma_series(rep, base_inputs(), diagnostics=diag)
-        assert diag["series_tail_bound"] < 1e-9
+        _, completion = price_call_gamma_series(pricing_gamma, base_inputs())
+        assert completion < 1e-9
 
 
 class TestTimeScaledGammaRoutes:
@@ -201,11 +186,11 @@ class TestTimeScaledGammaRoutes:
         ids=["series", "atm"])
     def test_agrees_with_integral(self, pricing_gamma, route, strike,
                                   maturity, t_now):
-        rep = build_mixture(pricing_gamma, tail_tol=1e-12)
         inputs = base_inputs(strike=strike, maturity=maturity, t_now=t_now,
                              spot_at_t=1.0)
         integral = price_call_integral(pricing_gamma, inputs)
-        assert abs(route(rep, inputs) - integral) / integral < 1e-6
+        price, _ = route(pricing_gamma, inputs)
+        assert abs(price - integral) / integral < 1e-6
 
 
 class TestGeometricCompletion:
@@ -214,11 +199,10 @@ class TestGeometricCompletion:
         # geometric completion of a shallow pmf recovers the full sum
         model = LinearCombinationModel.from_components(
             [(3.0, 1.0, 1e8, 1e-8, 1.0, 1.0), (6.0, 1.0, 1e8, 1e-8, 1.0, 1.0)])
-        rep = build_mixture(model, tail_tol=1e-3)
         inputs = base_inputs(strike=1.0)
         expected = math.exp(-0.05) * ((3.0 / 2.0) * (6.0 / 5.0) - 1.0)
-        assert price_call_atm(rep, inputs) == pytest.approx(expected,
-                                                            rel=1e-12)
+        price, _ = price_call_atm(model, inputs, tail_tol=1e-3)
+        assert price == pytest.approx(expected, rel=1e-12)
 
 
 class TestNegativePartGuard:
@@ -240,47 +224,44 @@ class TestNegativePartGuard:
     @pytest.mark.parametrize("route", [price_call_atm,
                                        price_call_gamma_series])
     def test_bilateral_model_rejected(self, martingale_model, route):
-        rep = build_mixture(martingale_model, tail_tol=1e-12)
         with pytest.raises(DomainError, match="negative part"):
-            route(rep, base_inputs(strike=1.0))
+            route(martingale_model, base_inputs(strike=1.0))
 
 
 class TestAtmPrice:
     def test_degenerate_closed_form(self):
         # eta = 2, p = 1, t' = 1, K = 1, r = 0: price is 2/(2-1) - 1 = 1
         model = single(2.0, 1.0, 1e8, 1e-8)
-        rep = build_mixture(model)
         inputs = PricingInputs(s0=1.0, strike=1.0, rate=0.0, maturity=1.0)
-        assert price_call_atm(rep, inputs) == pytest.approx(1.0, rel=1e-9)
+        price, _ = price_call_atm(model, inputs)
+        assert price == pytest.approx(1.0, rel=1e-9)
 
     def test_divergence_detected(self, pair_integer):
         # geometric mixture with ratio 1/2 against growth eta/(eta-1) = 2:
         # the expectation is infinite and must raise, not truncate
-        rep = build_mixture(pair_integer, tail_tol=1e-10)
         inputs = PricingInputs(s0=1.0, strike=1.0, rate=0.0, maturity=1.0)
         with pytest.raises(SeriesDivergenceError):
-            price_call_atm(rep, inputs)
+            price_call_atm(pair_integer, inputs, tail_tol=1e-10)
 
     def test_monte_carlo_agreement(self, pricing_gamma):
-        rep = build_mixture(pricing_gamma, tail_tol=1e-12)
         inputs = base_inputs(strike=1.0)
-        atm = price_call_atm(rep, inputs)
+        atm, _ = price_call_atm(pricing_gamma, inputs)
         mc, se = price_call_monte_carlo(pricing_gamma, inputs, 1_000_000,
                                         RandomStream(43))
         assert abs(atm - mc) <= 4.0 * se
 
     def test_requires_spot_equal_strike(self, pricing_gamma):
-        rep = build_mixture(pricing_gamma)
         with pytest.raises(DomainError):
-            price_call_atm(rep, base_inputs(strike=1.1))
+            price_call_atm(pricing_gamma, base_inputs(strike=1.1))
 
 
-class TestDiscountOverride:
-    def test_discount_exponent_configurable(self, pricing_gamma):
-        inputs = PricingInputs(s0=1.0, strike=1.2, rate=0.05, maturity=2.0,
-                               t_now=1.0, spot_at_t=1.0)
-        full = price_call_integral(pricing_gamma, inputs)
-        overridden = price_call_integral(pricing_gamma, inputs,
-                                         discount_time=1.0)
-        # discounting over T vs over t' = T - t differs by e^(-r (T - t'))
-        assert full == pytest.approx(overridden * math.exp(-0.05), rel=1e-9)
+class TestDiscount:
+    def test_discounts_over_full_maturity(self, pricing_gamma):
+        later = PricingInputs(s0=1.0, strike=1.2, rate=0.05, maturity=2.0,
+                              t_now=1.0, spot_at_t=1.0)
+        now = base_inputs(strike=1.2, rate=0.05, maturity=1.0)
+        # both price against the same t' = 1 law; discounting over T vs
+        # over t' differs by e^(-r (T - t'))
+        assert price_call_integral(pricing_gamma, later) == pytest.approx(
+            price_call_integral(pricing_gamma, now) * math.exp(-0.05),
+            rel=1e-9)

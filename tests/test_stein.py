@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bilgamma import (
-    BoundConstants,
     DomainError,
     EmptySampleError,
     KappaUndefinedError,
@@ -253,14 +252,6 @@ class TestTwoSumsBound:
         b = single(2.0, 1.0, 3.0, 1.0, w1=1.0, w2=1.0)
         # (p/sqrt(2 alpha)) |w - pi| / sqrt(w + pi) = (1/2) / sqrt(3)
         assert bound_two_sums(a, b) == pytest.approx(0.5 / math.sqrt(3.0))
-
-    def test_positive_part_only_when_negative_weights_match(self):
-        a = single(2.0, 1.0, 3.0, 1.0, w1=2.0, w2=1.0)
-        b = single(2.0, 1.0, 3.0, 1.0, w1=1.0, w2=1.0)
-        # c2 must not enter when the negative weights coincide
-        v1 = bound_two_sums(a, b, BoundConstants(c1=1.0, c2=1.0))
-        v2 = bound_two_sums(a, b, BoundConstants(c1=1.0, c2=100.0))
-        assert v1 == v2
 
     def test_model_mismatch(self, pair_nonint, pair_integer):
         with pytest.raises(ModelMismatchError):
