@@ -48,10 +48,8 @@ from .stein import (
     bound_compound_poisson_k,
     bound_d3_bg,
     bound_d3_normal,
-    bound_d3_vg,
     bound_two_sums,
     empirical_kolmogorov,
-    empirical_wasserstein1,
     kappa_inputs,
     stein_identity_check,
 )
@@ -75,12 +73,10 @@ __all__ = [
     "TestFunction",
     "stein_identity_check",
     "empirical_kolmogorov",
-    "empirical_wasserstein1",
     "kappa_inputs",
     "bound_two_sums",
     "bound_compound_poisson_k",
     "bound_d3_bg",
-    "bound_d3_vg",
     "bound_d3_normal",
     "PricingInputs",
     "martingale_gap",

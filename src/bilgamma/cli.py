@@ -189,7 +189,7 @@ def cmd_moments(args) -> int:
 
 def cmd_sample(args) -> int:
     model = _load_model(args.model)
-    streams = max(1, min(args.streams, args.n))
+    streams = min(args.streams, args.n)
     counts = [args.n // streams + (1 if i < args.n % streams else 0)
               for i in range(streams)]
     chunks = _fan_out(lambda i: sample_direct(model, counts[i],
@@ -381,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="i.i.d. draws of the combination")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count(1), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--streams", type=int, default=1)
+    p.add_argument("--streams", type=_count(1), default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compound-Poisson Kolmogorov-distance sweep")
     p.add_argument("--model", required=True)
     p.add_argument("--m", default="1,2,4,8,16,32,64")
-    p.add_argument("--n", type=int, default=100000)
+    p.add_argument("--n", type=_count(1), default=100000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_cp_sweep)
@@ -443,9 +443,6 @@ def main(argv=None) -> int:
     except (ConfigError, ModelFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except KappaUndefinedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except BilgammaError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

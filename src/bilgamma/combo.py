@@ -314,14 +314,6 @@ def _completed_series(log_terms, r):
     return terms.sum(axis=-1) + tail, tail
 
 
-def _power_mean(pmf, shape0: float, base: float, theta_max: float):
-    """E[base^(shape0 + L)] over the truncated pmf of L with tail ratio
-    theta_max, completed as in :func:`_completed_series`."""
-    with np.errstate(divide="ignore"):
-        log_terms = np.log(pmf) + (shape0 + np.arange(len(pmf))) * math.log(base)
-    return _completed_series(log_terms, theta_max * base)
-
-
 @dataclass(frozen=True, eq=False)
 class MixtureRepresentation:
     """Randomised-shape mixture of one linear combination.
@@ -368,23 +360,6 @@ class MixtureRepresentation:
             val[start:start + rows] = s_pos * s_neg
         val = val.reshape(z.shape)
         return complex(val) if val.ndim == 0 else val
-
-    def mgf(self, z: float) -> float:
-        """E[(eta/(eta-z))^(p+L)] E[(xi/(xi+z))^(q+M)] on the exact strip
-        (-mu_min, lam_min); outside it the mixture series diverges.
-
-        The pmf tails are asymptotically geometric with the known ratios,
-        so the truncated series is completed by the geometric estimate of
-        the remainder (exact when one component rate dominates)."""
-        lam_min, mu_min = self.model.lam_min, self.model.mu_min
-        if not (-mu_min < z < lam_min):
-            raise OutOfStripError(
-                f"mgf argument {z} outside exact strip ({-mu_min}, {lam_min})")
-        s_pos = _power_mean(self.pmf_pos, self.p, self.eta / (self.eta - z),
-                            self.theta_pos_max)[0]
-        s_neg = _power_mean(self.pmf_neg, self.q, self.xi / (self.xi + z),
-                            self.theta_neg_max)[0]
-        return float(s_pos * s_neg)
 
     # -- moments -------------------------------------------------------------
 

@@ -25,8 +25,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from scipy import special as sp
 
-from .combo import (LinearCombinationModel, _completed_series, _power_mean,
-                    build_mixture)
+from .combo import LinearCombinationModel, _completed_series, build_mixture
 from .errors import DomainError, SeriesDivergenceError
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, _quad, oscillatory_integral
 from .sampling import sample_direct
@@ -211,7 +210,10 @@ def price_call_atm(model: LinearCombinationModel, inputs: PricingInputs,
         raise DomainError("at-the-money formula requires spot == strike")
     growth = gamma_route_growth(model, inputs)
     rep = build_mixture(model.scaled(inputs.t_remaining), tail_tol)
-    expect, tail = _power_mean(rep.pmf_pos, rep.p, growth, rep.theta_pos_max)
+    with np.errstate(divide="ignore"):
+        log_terms = (np.log(rep.pmf_pos)
+                     + (rep.p + np.arange(len(rep.pmf_pos))) * math.log(growth))
+    expect, tail = _completed_series(log_terms, rep.theta_pos_max * growth)
     scale = inputs.strike * math.exp(-inputs.rate * inputs.maturity)
     return scale * (float(expect) - 1.0), scale * float(tail)
 

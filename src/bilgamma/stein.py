@@ -1,4 +1,4 @@
-"""Stein operator, empirical distances, and approximation-bound evaluators.
+"""Stein operator, Kolmogorov distance, and approximation-bound evaluators.
 
 The combination's law is characterised by E[A f(T)] = 0 over smooth f,
 with the operator
@@ -16,12 +16,13 @@ and a parity (f(-y) = parity f(y)) is applied in closed form,
 
     A f(x) = -x f(x) + sum_j p_j K_f(x, lam_j) - parity sum_j q_j K_f(-x, mu_j),
 
-at O(n) cost per point; any other function takes a fixed Gauss-Laguerre
-rule on both integrals.  The bound evaluators below are deterministic
-functions of model parameters.  The two-sums and compound-Poisson results
-only assert that their universal constants exist; those constants are set
-to 1.0, a reporting convention rather than an estimate, so the values are
-bound shapes and the CLI report says so ("constants_default").
+at O(n) cost per point; every ``TestFunction`` carries both.  The bound
+evaluators below are deterministic functions of model parameters (a
+variance-gamma target is the bilateral-gamma target with q = p).  The
+two-sums and compound-Poisson results only assert that their universal
+constants exist; those constants are set to 1.0, a reporting convention
+rather than an estimate, so the values are bound shapes and the CLI report
+says so ("constants_default").
 """
 
 from __future__ import annotations
@@ -52,12 +53,10 @@ __all__ = [
     "stein_apply_batch",
     "stein_identity_check",
     "empirical_kolmogorov",
-    "empirical_wasserstein1",
     "kappa_inputs",
     "bound_two_sums",
     "bound_compound_poisson_k",
     "bound_d3_bg",
-    "bound_d3_vg",
     "bound_d3_normal",
     "d3_bg_terms",
     "d3_normal_terms",
@@ -80,24 +79,18 @@ class KappaInputs:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A test function with a certified derivative-bound order r:
-    sup|h^(k)| <= 1 for k = 0..r.
-
-    ``kernel(x, lam)``, when given, is the exponential-kernel transform
-    int_0^inf f(x+u) e^(-lam u) du, and ``parity`` (+1 or -1) the symmetry
-    f(-y) = parity f(y); together they let ``stein_apply_batch`` use the
-    closed form instead of quadrature.
-    """
+    """A test function f with its exponential-kernel transform
+    ``kernel(x, lam)`` = int_0^inf f(x+u) e^(-lam u) du and its ``parity``
+    (+1 or -1, f(-y) = parity f(y)): all the Stein operator needs."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    derivative_bound_order: int
-    name: str = ""
-    kernel: Callable[[np.ndarray, float], np.ndarray] | None = None
-    parity: int | None = None
+    name: str
+    kernel: Callable[[np.ndarray, float], np.ndarray]
+    parity: int
 
     def __post_init__(self):
-        if self.kernel is not None and self.parity not in (1, -1):
-            raise DomainError("a test function with a kernel needs parity +1 or -1")
+        if self.parity not in (1, -1):
+            raise DomainError("a test function needs parity +1 or -1")
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -130,52 +123,40 @@ def _x_gauss_kernel(x, lam):
 # sin and all its derivatives are bounded by 1 (order 3 certified, and any
 # higher order too); e^(-x^2/2) has |h|, |h'|, |h''| <= 1 but |h'''| peaks
 # near 1.38; x e^(-x^2/2) has |h|, |h'| <= 1 but |h''| peaks near 1.38.
-SIN_W3 = TestFunction(np.sin, 3, "sin", _sin_kernel, -1)
-GAUSSIAN_W2 = TestFunction(lambda x: np.exp(-0.5 * np.square(x)), 2, "gauss",
+SIN_W3 = TestFunction(np.sin, "sin", _sin_kernel, -1)
+GAUSSIAN_W2 = TestFunction(lambda x: np.exp(-0.5 * np.square(x)), "gauss",
                            _gauss_kernel, 1)
-X_GAUSSIAN_W1 = TestFunction(lambda x: x * np.exp(-0.5 * np.square(x)), 1,
+X_GAUSSIAN_W1 = TestFunction(lambda x: x * np.exp(-0.5 * np.square(x)),
                              "x*gauss", _x_gauss_kernel, -1)
 STEIN_TEST_FUNCTIONS = (SIN_W3, X_GAUSSIAN_W1, GAUSSIAN_W2)
 
 
-_LAGUERRE_NODES = 96     # the Gauss-Laguerre rule for f without a kernel
 _STEIN_CHUNK = 50_000    # points per stein_apply_batch call in the check
 
 
-def stein_apply_batch(model: LinearCombinationModel, f,
-                      xs: np.ndarray) -> np.ndarray:
-    """Vectorised A f over many points.
+def _require_test_function(f) -> None:
+    if not isinstance(f, TestFunction):
+        raise DomainError("the Stein operator needs a TestFunction (with "
+                          f"its kernel and parity), got {type(f).__name__}")
 
-    A ``TestFunction`` with a ``kernel`` is applied in closed form,
-    -x f(x) + sum_j p_j K(x, lam_j) - parity sum_j q_j K(-x, mu_j), at
-    O(n) cost per point.  Any other f takes the _LAGUERRE_NODES-node
-    Gauss-Laguerre rule: each exponential kernel integral becomes
-    (1/lam_j) E[f(x + V/lam_j)] with V standard exponential.  For the
-    shipped functions on the model grid the 96-node rule is within 1e-11
-    of the closed forms for |x| <= 8 (32 nodes: 4e-6), as the test suite
-    checks together with an adaptive-quadrature oracle.
-    """
+
+def stein_apply_batch(model: LinearCombinationModel, f: TestFunction,
+                      xs: np.ndarray) -> np.ndarray:
+    """Vectorised A f over many points, from the ``TestFunction``'s kernel
+    K and parity: -x f(x) + sum_j p_j K(x, lam_j) - parity sum_j q_j
+    K(-x, mu_j), at O(n) cost per point.  Any other f is a DomainError."""
+    _require_test_function(f)
     xs = np.asarray(xs, dtype=float)
     out = -xs * f(xs)
-    kernel = f.kernel if isinstance(f, TestFunction) else None
-    if kernel is not None:
-        for j in range(model.n):
-            out += model.p[j] * kernel(xs, model.lam[j])
-        for j in range(model.n):
-            out -= (f.parity * model.q[j]) * kernel(-xs, model.mu[j])
-        return out
-    v, w = np.polynomial.laguerre.laggauss(_LAGUERRE_NODES)
     for j in range(model.n):
-        lam_j = model.lam[j]
-        out += (model.p[j] / lam_j) * (f(xs[:, None] + v[None, :] / lam_j) @ w)
+        out += model.p[j] * f.kernel(xs, model.lam[j])
     for j in range(model.n):
-        mu_j = model.mu[j]
-        out -= (model.q[j] / mu_j) * (f(xs[:, None] - v[None, :] / mu_j) @ w)
+        out -= (f.parity * model.q[j]) * f.kernel(-xs, model.mu[j])
     return out
 
 
-def stein_identity_check(model: LinearCombinationModel, f, n_samples: int,
-                         rng) -> tuple[float, float]:
+def stein_identity_check(model: LinearCombinationModel, f: TestFunction,
+                         n_samples: int, rng) -> tuple[float, float]:
     """Monte Carlo estimate of E[A f(T)] with its standard error, A f
     applied in chunks of _STEIN_CHUNK draws.
 
@@ -184,6 +165,7 @@ def stein_identity_check(model: LinearCombinationModel, f, n_samples: int,
     """
     if n_samples < 10_000:
         raise DomainError("identity check needs n_samples >= 10000")
+    _require_test_function(f)
     draws = sample_direct(model, n_samples, rng)
     parts = [stein_apply_batch(model, f, draws[i:i + _STEIN_CHUNK])
              for i in range(0, n_samples, _STEIN_CHUNK)]
@@ -202,23 +184,6 @@ def empirical_kolmogorov(sample_a, sample_b) -> float:
     fa = np.searchsorted(a, pooled, side="right") / a.size
     fb = np.searchsorted(b, pooled, side="right") / b.size
     return float(np.abs(fa - fb).max())
-
-
-def empirical_wasserstein1(sample_a, sample_b) -> float:
-    """Empirical 1-Wasserstein distance, the L1 distance of the quantile
-    functions.  Equal sizes reduce to the mean absolute difference of the
-    sorted samples; otherwise integrate |F_a - F_b| over the merged
-    support, which is the same quantity."""
-    a = np.sort(np.asarray(sample_a, dtype=float))
-    b = np.sort(np.asarray(sample_b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise EmptySampleError("both samples must be non-empty")
-    if a.size == b.size:
-        return float(np.abs(a - b).mean())
-    grid = np.sort(np.concatenate([a, b]))
-    fa = np.searchsorted(a, grid[:-1], side="right") / a.size
-    fb = np.searchsorted(b, grid[:-1], side="right") / b.size
-    return float(np.sum(np.abs(fa - fb) * np.diff(grid)))
 
 
 def kappa_inputs(model: LinearCombinationModel) -> KappaInputs:
@@ -317,13 +282,6 @@ def bound_d3_bg(model: LinearCombinationModel,
     for Z ~ BG(a, p, b, q), the one-component ``target`` (a, b its
     effective rates); exact constants, no configuration."""
     return float(sum(d3_bg_terms(model, target).values()))
-
-
-def bound_d3_vg(model: LinearCombinationModel, target_alpha: float,
-                target_beta: float, target_p: float) -> float:
-    """Variance-gamma target: the bilateral-gamma bound at q = p."""
-    return bound_d3_bg(model, LinearCombinationModel.from_components(
-        [(target_alpha, target_p, target_beta, target_p, 1.0, 1.0)]))
 
 
 def d3_normal_terms(model: LinearCombinationModel, sigma: float) -> dict:

@@ -150,10 +150,6 @@ class TestSampleCommand:
                          "5", "--streams", streams, "--out", str(out)]) == 0
         assert out4.read_bytes() == out2.read_bytes()
 
-    def test_empty_sample_exits_3(self, pair_file, tmp_path):
-        assert main(["sample", "--model", pair_file, "--n", "0", "--seed", "5",
-                     "--streams", "4", "--out", str(tmp_path / "a.csv")]) == 3
-
 
 class TestBoundsCommand:
     def test_self_target_zeros(self, kappa_file, tmp_path):
@@ -375,6 +371,10 @@ class TestCountArguments:
          "--seed", "1", "--n", "1"],
         ["price", "--pricing", "p.json", "--method", "monte-carlo",
          "--seed", "1", "--n", "0"],
+        ["sample", "--n", "0", "--seed", "5", "--streams", "4"],
+        ["sample", "--n", "10", "--seed", "5", "--streams", "0"],
+        ["sample", "--n", "10", "--seed", "5", "--streams", "-2"],
+        ["cp-sweep", "--n", "0", "--seed", "5"],
     ])
     def test_bad_count_exits_2(self, pair_file, argv, capsys):
         with pytest.raises(SystemExit) as err:

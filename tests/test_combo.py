@@ -328,36 +328,21 @@ class TestDensityRoutes:
 
 
 class TestMomentTransform:
-    def test_mgf_at_zero(self, mixture_grid):
-        for rep in mixture_grid.values():
-            assert abs(rep.mgf(0.0) - 1.0) <= 2.0 * rep.tail_tol + 1e-13
-
     def test_mgf_single_closed_form(self):
-        rep = build_mixture(single(2.0, 1.0, 3.0, 1.0))
-        assert rep.mgf(1.0) == pytest.approx(1.5)
-
-    def test_mgf_matches_product_form(self, pair_integer):
-        rep = build_mixture(pair_integer, tail_tol=1e-13)
-        for z in (-1.5, -0.4, 0.2, 0.5, 0.9):
-            assert rep.mgf(z) == pytest.approx(pair_integer.mgf(z), abs=1e-8)
+        assert single(2.0, 1.0, 3.0, 1.0).mgf(1.0) == pytest.approx(1.5)
 
     def test_mgf_strip(self, pair_integer):
-        rep = build_mixture(pair_integer, tail_tol=1e-10)
-        # exact strip is (-min mu_j, min lam_j) = (-3, 1)
-        with pytest.raises(OutOfStripError):
-            rep.mgf(1.0)
-        with pytest.raises(OutOfStripError):
-            rep.mgf(-3.0)
-        # past the mixture's own rates (eta, xi) = (2, 4) as well
-        with pytest.raises(OutOfStripError):
-            rep.mgf(2.5)
-        with pytest.raises(OutOfStripError):
-            rep.mgf(-5.0)
+        # exact strip is (-min mu_j, min lam_j) = (-3, 1), both edges open
+        for z in (1.0, -3.0, 2.5, -5.0):
+            with pytest.raises(OutOfStripError):
+                pair_integer.mgf(z)
+        assert math.isfinite(pair_integer.mgf(0.999))
+        assert math.isfinite(pair_integer.mgf(-2.999))
 
     def test_log_convexity(self, pair_nonint):
-        rep = build_mixture(pair_nonint, tail_tol=1e-12)
-        zs = np.linspace(-0.9, 0.9, 13) * min(rep.model.lam_min, rep.model.mu_min)
-        logm = np.log([rep.mgf(float(z)) for z in zs])
+        zs = np.linspace(-0.9, 0.9, 13) * min(pair_nonint.lam_min,
+                                             pair_nonint.mu_min)
+        logm = np.log([pair_nonint.mgf(float(z)) for z in zs])
         second = np.diff(logm, 2)
         assert np.all(second > -1e-9)
 

@@ -1,7 +1,9 @@
 """Every exported name resolves, so ``from bilgamma import *`` and
-``from bilgamma.<module> import *`` cannot break on a stale export; and
-every function the benchmark tracer wraps is still where it looks."""
+``from bilgamma.<module> import *`` cannot break on a stale export; no
+module keeps an import it does not use; and every function the benchmark
+tracer wraps is still where it looks."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -30,6 +32,26 @@ def test_submodule_exports_resolve(module):
     mod = importlib.import_module(f"bilgamma.{module}")
     exported = getattr(mod, "__all__", [])
     assert not [name for name in exported if not hasattr(mod, name)]
+
+
+def _imported_and_read(tree: ast.Module) -> tuple[set, set]:
+    """The names a module's imports bind, and the names it reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    return imported, {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_no_unused_imports(module):
+    # no linter is installed; this stops a deletion leaving imports behind
+    mod = importlib.import_module(f"bilgamma.{module}")
+    imported, read = _imported_and_read(
+        ast.parse(Path(mod.__file__).read_text(encoding="utf-8")))
+    assert sorted(imported - read - set(getattr(mod, "__all__", ()))) == []
 
 
 @pytest.mark.parametrize("path, attr", [t[:2] for t in spans.TARGETS],
