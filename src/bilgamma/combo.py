@@ -17,6 +17,7 @@ the randomised shapes), and the two must agree to quadrature accuracy.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 _FIELDS = ("alpha", "p", "beta", "q", "w1", "w2")
+
+# arguments that ``LinearCombinationModel.cf`` evaluates by its cmath loop
+_REAL_SCALARS = (float, int, np.floating, np.integer)
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,13 @@ class LinearCombinationModel:
                 raise DomainError(
                     f"component {bad[0]}: field '{name}' must be finite and > 0, "
                     f"got {float(arr[bad[0]])!r}")
+        # the product cf's coefficients, as arrays over the components and
+        # as one tuple of Python floats per component
+        columns = (self.p, self.w1, 1.0 / self.alpha,
+                   self.q, self.w2, 1.0 / self.beta)
+        object.__setattr__(self, "_cf_columns", columns)
+        object.__setattr__(self, "_cf_rows",
+                           tuple(zip(*(c.tolist() for c in columns))))
 
     # -- construction ------------------------------------------------------
 
@@ -195,12 +206,23 @@ class LinearCombinationModel:
         """Characteristic function, product form over components:
 
         prod_j (alpha_j/(alpha_j - iz w1_j))^p_j (beta_j/(beta_j + iz w2_j))^q_j
+
+        A real scalar z (one QUADPACK node) sums the log factors in a cmath
+        loop over the components and returns a complex; any other z
+        broadcasts the same expression over a trailing component axis.
         """
-        z = np.asarray(z, dtype=complex)
-        zz = z[..., None]
-        expo = (-self.p * np.log(1.0 - 1j * zz * self.w1 / self.alpha)
-                - self.q * np.log(1.0 + 1j * zz * self.w2 / self.beta)).sum(axis=-1)
-        val = np.exp(expo)
+        if isinstance(z, _REAL_SCALARS):
+            lib, iz, rows = cmath, 1j * float(z), self._cf_rows
+        else:
+            lib, rows = np, (self._cf_columns,)
+            iz = 1j * np.asarray(z, dtype=complex)[..., None]
+        expo = -0j  # -0.0 + t == t for every t, signed zeros included
+        for p, w1, inv_alpha, q, w2, inv_beta in rows:
+            expo += (-p * lib.log(1.0 - iz * w1 * inv_alpha)
+                     - q * lib.log(1.0 + iz * w2 * inv_beta))
+        if lib is cmath:
+            return cmath.exp(expo)
+        val = np.exp(expo.sum(axis=-1))
         return complex(val) if val.ndim == 0 else val
 
     def mgf(self, z: float) -> float:

@@ -81,13 +81,23 @@ def integrate_zero_to_inf(f: Callable[[float], float],
 def oscillatory_integral(g: Callable[[float], complex], x: float,
                          lower: float, spec: QuadratureSpec) -> float:
     """int_lower^inf Re(e^{-ixz} g(z)) dz: its cos and sin parts by QUADPACK's
-    Fourier rule, or the plain compactified rule when x = 0."""
+    Fourier rule, or the plain compactified rule when x = 0.  The two parts
+    run the same rule over the same nodes, so ``g`` is evaluated once per
+    distinct node and its value shared."""
     if x == 0.0:
         return integrate_zero_to_inf(lambda t: g(lower + t).real, spec)
 
+    values: dict[float, complex] = {}
+
+    def at(z: float) -> complex:
+        val = values.get(z)
+        if val is None:
+            val = values[z] = g(z)
+        return val
+
     total = 0.0
-    for part, weight in ((lambda z: g(z).real, "cos"),
-                         (lambda z: g(z).imag, "sin")):
+    for part, weight in ((lambda z: at(z).real, "cos"),
+                         (lambda z: at(z).imag, "sin")):
         out = quad(part, lower, np.inf, weight=weight, wvar=x,
                    epsabs=spec.abs_tol, limlst=150,
                    limit=spec.max_subdivisions, full_output=1)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from bilgamma import (
@@ -44,6 +45,10 @@ INTERIOR_MIRROR = LinearCombinationModel(
 # a = 0.5, 1 with b up to ~520
 LARGE_B = LinearCombinationModel.from_components(
     [(1.0, 15.0, 10.0, 0.5, 1.0, 1.0), (10.0, 0.5, 10.0, 0.5, 1.0, 1.0)])
+
+# the fuzzing ranges for rates (weights included) and shapes
+RATES = st.floats(1e-2, 1e2)
+SHAPES = st.floats(1e-2, 50.0)
 
 
 def two_deep_sides(ratio):
@@ -181,6 +186,19 @@ class TestCharacteristicFunction:
         zs = np.linspace(-10, 10, 41)
         law_cf = (1.0 - 1j * zs / 2.0) ** -3.0 * (1.0 + 1j * zs / 5.0) ** -0.5
         np.testing.assert_allclose(model.cf(zs), law_cf, atol=1e-15)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(comps=st.lists(st.tuples(RATES, SHAPES, RATES, SHAPES, RATES, RATES),
+                          min_size=1, max_size=20),
+           z=st.floats(-1e3, 1e3), k=st.integers(-1000, 1000))
+    def test_scalar_path_matches_array_path(self, comps, z, k):
+        # a real scalar runs the cmath loop, an array the numpy broadcast
+        model = LinearCombinationModel.from_components(comps)
+        ref_z, ref_k = model.cf(np.array([z, float(k)]))
+        for arg, ref in ((z, ref_z), (np.float64(z), ref_z), (k, ref_k)):
+            val = model.cf(arg)
+            assert type(val) is complex
+            assert abs(val - ref) <= 1e-14
 
     def test_mixture_identity(self, model_grid, mixture_grid):
         # the executable form of the randomised-shape representation

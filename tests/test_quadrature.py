@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import hyperu
 
 from bilgamma import (
@@ -12,7 +13,14 @@ from bilgamma import (
     QuadratureSpec,
     integrate_zero_to_inf,
 )
-from bilgamma.quadrature import log_hyperint, log_hyperint_rows
+from bilgamma.models import MODEL_GRID
+from bilgamma.quadrature import (
+    DEFAULT_QUAD,
+    fourier_density,
+    log_hyperint,
+    log_hyperint_rows,
+    oscillatory_integral,
+)
 
 
 def hyperint_F(a, b, x):
@@ -175,3 +183,43 @@ class TestLogHyperintRows:
     def test_empty_grid_rejected(self, rows, cols):
         with pytest.raises(DomainError):
             next(log_hyperint_rows(1.0, 2.0, 1.0, rows, cols))
+
+
+def two_pass_integral(g, x, lower, spec=DEFAULT_QUAD, nodes=None):
+    """int_lower^inf Re(e^(-ixz) g(z)) dz as two QAWF passes that each call
+    ``g`` at every node they visit, recording the nodes in ``nodes``."""
+    def at(z):
+        if nodes is not None:
+            nodes.append(z)
+        return g(z)
+
+    return sum(quad(part, lower, np.inf, weight=weight, wvar=x,
+                    epsabs=spec.abs_tol, limlst=150,
+                    limit=spec.max_subdivisions)[0]
+               for part, weight in ((lambda z: at(z).real, "cos"),
+                                    (lambda z: at(z).imag, "sin")))
+
+
+class TestOscillatoryIntegral:
+    @pytest.mark.parametrize("x,lower", [(-4.3, 0.0), (1.7, 0.0), (0.6, 1.0)])
+    def test_one_call_per_distinct_node(self, x, lower):
+        g = MODEL_GRID["five_mixed"].cf
+        calls, visited = [], []
+
+        def counted(z):
+            calls.append(z)
+            return g(z)
+
+        got = oscillatory_integral(counted, x, lower, DEFAULT_QUAD)
+        ref = two_pass_integral(g, x, lower, nodes=visited)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(visited)
+        # the cos and sin passes share nodes, so each node once is fewer calls
+        assert len(calls) < len(visited)
+        assert got == ref
+
+    @pytest.mark.parametrize("name", ["single_asym", "five_mixed"])
+    def test_fourier_density_matches_two_pass_reference(self, name):
+        cf = MODEL_GRID[name].cf
+        for x in (-4.3, -0.9, 0.4, 2.6):
+            assert fourier_density(cf, x) == two_pass_integral(cf, x, 0.0) / math.pi
