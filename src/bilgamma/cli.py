@@ -338,6 +338,18 @@ def _count(least: int):
     return parse
 
 
+def _finite(text: str) -> float:
+    """argparse type for a finite float: nan or inf is a usage error (exit 2),
+    not a crash inside QUADPACK or rows of NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _add_quad_args(p):
     p.add_argument("--abs-tol", type=float, default=1e-10, dest="abs_tol")
     p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
@@ -354,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pdf", help="density grid (Fourier and series routes)")
     p.add_argument("--model", required=True)
-    p.add_argument("--xmin", type=float, required=True)
-    p.add_argument("--xmax", type=float, required=True)
+    p.add_argument("--xmin", type=_finite, required=True)
+    p.add_argument("--xmax", type=_finite, required=True)
     p.add_argument("--points", type=_count(1), default=401)
     p.add_argument("--tail-tol", type=float, default=1e-10, dest="tail_tol")
     p.add_argument("--out")
@@ -364,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cf", help="characteristic-function grid (both routes)")
     p.add_argument("--model", required=True)
-    p.add_argument("--zmax", type=float, default=20.0)
+    p.add_argument("--zmax", type=_finite, default=20.0)
     p.add_argument("--points", type=_count(1), default=401)
     p.add_argument("--tail-tol", type=float, default=1e-12, dest="tail_tol")
     p.add_argument("--out")

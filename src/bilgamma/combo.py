@@ -437,11 +437,16 @@ class MixtureRepresentation:
 
         The kernels of the kept pairs' bounding box form a grid whose rows
         step a and b together (k for x > 0, j for x < 0) and whose columns
-        step b alone.  ``log_hyperint_rows`` integrates one kernel per row,
-        plus one, and gets the rest from the contiguous relations
+        step b alone.  ``log_hyperint_rows`` integrates at most two kernels
+        per point, on the diagonal a, b -> a+1, b+1 that holds the first
+        entry of every row, and gets the rest from exact relations run in
+        the direction that adds positive terms only: the diagonal relation
+        (a+k) d_k + (b+k-X) d_(k+1) = X d_(k+2) for d_k = I(a+k, b+k),
         I(a, b+1) = I(a, b) + I(a+1, b+1) (DLMF 13.3.10) and
         X I(a, b+1) = (b-1+X) I(a, b) - (b-a-1) I(a, b-1) (DLMF 13.3.8).
         """
+        if not math.isfinite(x):
+            raise DomainError(f"series density needs a finite x, got x={x}")
         if x == 0.0:
             raise SingularPointError("series density not evaluated at x = 0")
         ax = abs(x)

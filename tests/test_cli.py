@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bilgamma
 from bilgamma import LinearCombinationModel, RandomStream, cli, sample_direct
 from bilgamma.cli import main
 from bilgamma.models import KAPPA_SINGLE, MARTINGALE, MODEL_GRID, PRICING_GAMMA
@@ -381,6 +386,31 @@ class TestCountArguments:
             main(argv[:1] + ["--model", pair_file] + argv[1:])
         assert err.value.code == 2
         assert "must be >= " in capsys.readouterr().err
+
+
+class TestFiniteArguments:
+    @pytest.mark.parametrize("argv", [
+        ["pdf", "--xmin", "nan", "--xmax", "1", "--points", "3"],
+        ["pdf", "--xmin", "-1", "--xmax", "inf", "--points", "3"],
+        ["pdf", "--xmin=-inf", "--xmax", "1", "--points", "3"],
+        ["cf", "--zmax", "nan", "--points", "3"],
+    ])
+    def test_non_finite_bound_exits_2(self, model_file, tmp_path, argv):
+        # in a child interpreter: a non-finite x that reached QUADPACK's
+        # Fourier rule would crash the process, and pytest with it
+        out = tmp_path / "out.csv"
+        src = str(Path(bilgamma.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from bilgamma.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             *argv[:1], "--model", model_file, "--out", str(out), *argv[1:]],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert "must be finite" in done.stderr
+        assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import bilgamma.combo
 from bilgamma import (
     DomainError,
     LinearCombinationModel,
@@ -21,6 +22,7 @@ from bilgamma import (
     load_model,
     sample_direct,
 )
+from bilgamma.quadrature import log_hyperint
 from conftest import block_cumulant_se, pdf_series_pairwise, single
 
 GEOMETRIC_PAIR = LinearCombinationModel.from_components(
@@ -334,9 +336,35 @@ class TestDensityRoutes:
         rep = build_mixture(model, tail_tol=1e-10)
         assert abs(rep.pdf_series(0.2) - model.pdf_fourier(0.2)) <= 1e-6
 
+    def test_series_seeds_per_point(self, monkeypatch):
+        # the kernel grid is seeded on its diagonal, so a point costs at
+        # most 3 log_hyperint quadratures however deep the row side runs
+        # (one per row made 506 at LARGE_B's x = -1)
+        calls = []
+
+        def counted(a, b, x, spec):
+            calls.append((a, b))
+            return log_hyperint(a, b, x, spec)
+
+        monkeypatch.setattr(bilgamma.combo, "log_hyperint", counted)
+        for model, xs in ((LARGE_B, (-1.0,)), (two_deep_sides(20.0), (-1.0, 0.2))):
+            rep = build_mixture(model, tail_tol=1e-10)
+            for x in xs:
+                calls.clear()
+                assert rep.pdf_series(x) > 0.0
+                assert 1 <= len(calls) <= 3, (x, calls)
+
     def test_series_singular_origin(self, mixture_grid):
         with pytest.raises(SingularPointError):
             mixture_grid["laplace"].pdf_series(0.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_rejected(self, mixture_grid, x):
+        rep = mixture_grid["five_mixed"]
+        with pytest.raises(DomainError):
+            rep.pdf_series(x)
+        with pytest.raises(DomainError):
+            rep.model.pdf_fourier(x)
 
     def test_inversion_precondition(self):
         from bilgamma import InversionNotIntegrableError

@@ -155,34 +155,68 @@ class TestLogHyperint:
                  -(b - 1.0 + x))
         assert abs(math.fsum(terms)) <= 1e-10 * sum(map(abs, terms))
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(a=st.floats(0.05, 600.0), d=st.floats(-0.9, 300.0),
+           x=st.floats(0.05, 400.0))
+    def test_diagonal_relation(self, a, d, x):
+        # (D) a I(a, b) + (b - x) I(a+1, b+1) = x I(a+2, b+2), by parts on
+        # d/dt [t^a (1+t)^(b-a) e^(-xt)]
+        b = a + d
+        l0 = log_hyperint(a, b, x)
+        l1 = log_hyperint(a + 1.0, b + 1.0, x)
+        l2 = log_hyperint(a + 2.0, b + 2.0, x)
+        terms = (a, (b - x) * math.exp(l1 - l0), -x * math.exp(l2 - l0))
+        assert abs(math.fsum(terms)) <= 1e-10 * sum(map(abs, terms))
+
 
 class TestLogHyperintRows:
-    @pytest.mark.parametrize("a0,b0,x", [(0.7, 1.2, 0.3), (40.0, 45.5, 2.0),
-                                         (2.5, 300.0, 1.0)])
-    def test_matches_pointwise_with_one_seed_per_row(self, a0, b0, x):
+    @pytest.mark.parametrize("a0,b0,x,rows,cols", [
+        (0.7, 1.2, 0.3, 5, 7), (40.0, 45.5, 2.0, 5, 7), (2.5, 300.0, 1.0, 5, 7),
+        # k0 = ceil(x - b0) = 400 is interior: 400 steps of the diagonal
+        # relation backward and 200 forward
+        (0.05, 0.3, 400.0, 600, 3),
+        # k0 clipped at 0 (x < b0): forward only
+        (0.5, 30.0, 2.0, 60, 4),
+        # k0 clipped at the top (x - b0 past the grid): backward only
+        (1.5, 2.0, 90.0, 40, 5),
+    ])
+    def test_matches_pointwise_by_diagonal(self, a0, b0, x, rows, cols):
         seeds = []
 
         def seed(a, b, x, spec):
             seeds.append((a, b))
             return log_hyperint(a, b, x, spec)
 
-        rows, cols = 5, 7
         got = {i: row.copy() for i, row in
                log_hyperint_rows(a0, b0, x, rows, cols, seed=seed)}
         assert sorted(got) == list(range(rows))
-        assert len(seeds) == rows + 1
+        assert len(seeds) <= 3
+        # every seed lies on the diagonal b - a = b0 - a0
+        assert all(b - a == pytest.approx(b0 - a0) for a, b in seeds)
         for i, row in got.items():
             ref = [log_hyperint(a0 + i, b0 + i + j, x) for j in range(cols)]
             np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0.0)
 
     def test_single_column_and_row(self):
-        (i, row), = log_hyperint_rows(1.5, 2.0, 0.8, 1, 1)
+        seeds = []
+
+        def seed(a, b, x, spec):
+            seeds.append((a, b))
+            return log_hyperint(a, b, x, spec)
+
+        (i, row), = log_hyperint_rows(1.5, 2.0, 0.8, 1, 1, seed=seed)
         assert i == 0 and row.tolist() == [log_hyperint(1.5, 2.0, 0.8)]
+        assert seeds == [(1.5, 2.0)]
 
     @pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0)])
     def test_empty_grid_rejected(self, rows, cols):
         with pytest.raises(DomainError):
             next(log_hyperint_rows(1.0, 2.0, 1.0, rows, cols))
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_x_rejected(self, x):
+        with pytest.raises(DomainError):
+            next(log_hyperint_rows(1.0, 2.0, x, 3, 3))
 
 
 def two_pass_integral(g, x, lower, spec=DEFAULT_QUAD, nodes=None):
@@ -217,6 +251,15 @@ class TestOscillatoryIntegral:
         # the cos and sin passes share nodes, so each node once is fewer calls
         assert len(calls) < len(visited)
         assert got == ref
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_rejected(self, x):
+        # QUADPACK's Fourier rule does not return from a non-finite wvar
+        g = MODEL_GRID["five_mixed"].cf
+        with pytest.raises(DomainError):
+            oscillatory_integral(g, x, 0.0, DEFAULT_QUAD)
+        with pytest.raises(DomainError):
+            fourier_density(g, x)
 
     @pytest.mark.parametrize("name", ["single_asym", "five_mixed"])
     def test_fourier_density_matches_two_pass_reference(self, name):
