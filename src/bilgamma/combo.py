@@ -301,9 +301,14 @@ def _mixture_pmf(theta: np.ndarray, shapes: np.ndarray, log_mass0: float,
     grown until the retained mass reaches 1 - tail_tol.  Returns the
     truncated pmf.  Each step is one dot product over the filled prefixes
     of ``s`` and ``g``, which grow by doubling, so K terms cost O(K^2)
-    flops and O(K) memory whatever ``k_max`` is.
+    flops and O(K) memory whatever ``k_max`` is.  A P(0) so small that the
+    g_k overflow before the mass is reached (or P(0) underflowing to 0) is
+    an error, never a pmf with inf or NaN entries.
     """
     mass0 = math.exp(log_mass0)
+    if mass0 == 0.0:
+        raise TruncationFailureError(
+            f"pmf mass at 0 underflows: log P(0) = {log_mass0:.6g}")
     g = np.empty(64)
     s = np.empty(64)    # s[i - 1] = s_i
     g[0] = 1.0
@@ -323,6 +328,9 @@ def _mixture_pmf(theta: np.ndarray, shapes: np.ndarray, log_mass0: float,
         g_k = float(np.dot(s[:k], g[k - 1::-1])) / k
         g[k] = g_k
         acc += mass0 * g_k
+    if not math.isfinite(acc):
+        raise TruncationFailureError(
+            f"pmf recursion overflowed after {k} terms: log P(0) = {log_mass0:.6g}")
     return mass0 * g[:k + 1]
 
 
@@ -334,6 +342,23 @@ def _completed_series(log_terms, r):
     terms = np.exp(log_terms)
     tail = terms[..., -1] * r / (1.0 - r)
     return terms.sum(axis=-1) + tail, tail
+
+
+def _power_sum(pmf, shape, log_r):
+    """sum_j pmf[j] r^(shape + j) for a column of log r values, one per
+    row, by the baby-step/giant-step split described in
+    ``MixtureRepresentation.cf``."""
+    step = math.isqrt(len(pmf))
+    giants = -(-len(pmf) // step)
+    blocks = np.zeros(giants * step)
+    blocks[:len(pmf)] = pmf
+    blocks = blocks.reshape(giants, step)
+    baby = np.exp(np.arange(step) * log_r)[:, None, :]
+    inner = np.empty((len(log_r), giants), dtype=complex)
+    inner.real = (blocks * baby.real).sum(axis=-1)
+    inner.imag = (blocks * baby.imag).sum(axis=-1)
+    giant = np.exp((shape + step * np.arange(giants)) * log_r)
+    return (inner * giant).sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,22 +389,30 @@ class MixtureRepresentation:
 
         which factorises into two single series.  Truncation error is
         bounded by the dropped pmf mass since every term has modulus <= 1.
-        The points are taken in blocks of about 2**16 / K, so the
-        (points x K) temporaries stay near a megabyte for any grid.
+
+        Each series is a power sum in one ratio r per point, still summed
+        term by term, with its index split as j = B m + i, B = isqrt(K)
+        (baby-step/giant-step, Paterson & Stockmeyer 1973): the baby steps
+        r^i, i < B, and the giant steps r^(p + B m) take B + K/B complex
+        exps per point instead of K.  The inner sums
+        sum_i P(L = B m + i) r^i are an elementwise product and a sum over
+        the last axis, on the real and imaginary parts.  They are not a
+        BLAS matmul: its blocking makes a point's rounding depend on the
+        other points of the call, while this reduction sums each point in
+        the same order however many points there are.  So a point's value
+        does not depend on the grid or the blocking.  The points are taken
+        in blocks of about 2**16 / K, so the (points x K) temporaries stay
+        near a megabyte for any grid.
         """
         z = np.asarray(z, dtype=complex)
         flat = z.reshape(-1)
-        jj = np.arange(len(self.pmf_pos))
-        kk = np.arange(len(self.pmf_neg))
-        rows = max(1, 2 ** 16 // max(len(jj), len(kk)))
+        rows = max(1, 2 ** 16 // max(len(self.pmf_pos), len(self.pmf_neg)))
         val = np.empty(flat.shape, dtype=complex)
         for start in range(0, len(flat), rows):
             zz = flat[start:start + rows, None]
-            log_a = -np.log(1.0 - 1j * zz / self.eta)
-            log_b = -np.log(1.0 + 1j * zz / self.xi)
-            s_pos = (self.pmf_pos * np.exp((self.p + jj) * log_a)).sum(axis=-1)
-            s_neg = (self.pmf_neg * np.exp((self.q + kk) * log_b)).sum(axis=-1)
-            val[start:start + rows] = s_pos * s_neg
+            val[start:start + rows] = (
+                _power_sum(self.pmf_pos, self.p, -np.log(1.0 - 1j * zz / self.eta))
+                * _power_sum(self.pmf_neg, self.q, -np.log(1.0 + 1j * zz / self.xi)))
         val = val.reshape(z.shape)
         return complex(val) if val.ndim == 0 else val
 

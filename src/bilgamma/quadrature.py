@@ -117,6 +117,14 @@ def fourier_density(cf: Callable[[float], complex], x: float,
     return oscillatory_integral(cf, x, 0.0, spec) / math.pi
 
 
+def _log_sum(pieces) -> float:
+    """log sum_k e^(scale_k) I_k over (scale_k, I_k) pairs; NaN when the
+    sum underflows to 0 or is not finite."""
+    top = max(scale for scale, _ in pieces)
+    total = sum(val * math.exp(scale - top) for scale, val in pieces)
+    return top + math.log(total) if 0.0 < total < math.inf else math.nan
+
+
 def log_hyperint(a: float, b: float, x: float,
                  spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     """log of I(a,b,x) = int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt.
@@ -131,6 +139,15 @@ def log_hyperint(a: float, b: float, x: float,
     of width about t_star / sqrt(b), stays a fixed share of each interval
     however far out it lies.  Each piece is integrated relative to the
     peak of its exponent and the pieces are combined in log space.
+
+    For a large x the mass of [0, 1] is a spike near 0, at t_star or
+    within 1/x of 0, that a rule over all of [0, 1] misses (the pieces sum
+    to 0), and past x of about 1e154 t_star overflows (NaN).  Only then is
+    the integral taken again with t_star in a form that neither overflows
+    nor cancels and [0, 1] split at the spike's scale
+    t1 = max(t_star, 1/x): [0, t1] in t / t1 (or its power a) and
+    [t1, 1] by t = t1 / (1 - v), with the scale t1 moved into the log so
+    that each piece is of order one.
     """
     if not (a > 0.0 and x > 0.0):
         raise DomainError(f"require a > 0 and x > 0, got a={a}, x={x}")
@@ -139,51 +156,81 @@ def log_hyperint(a: float, b: float, x: float,
     def g(t: float) -> float:
         return -x * t + (a - 1.0) * math.log(t) + c * math.log1p(t)
 
+    def below(t1: float, t_star: float):
+        # [0, t1] in t / t1, relative to the peak of its exponent: for
+        # a > 1 the peak of g; for a <= 1 that of -x t + c log1p(t) (t^(a-1)
+        # is integrated away or is 1), at c/x - 1 clipped to [0, t1]
+        if a > 1.0:
+            shift = g(t_star) if t_star > 0.0 else 0.0
+        else:
+            t01 = min(max(c / x - 1.0, 0.0), t1)
+            shift = -x * t01 + c * math.log1p(t01)
+        if a < 1.0:
+            inv_a = 1.0 / a
+
+            def piece(s: float) -> float:
+                t = t1 * s ** inv_a
+                return inv_a * math.exp(-x * t + c * math.log1p(t) - shift)
+
+            return a * math.log(t1) + shift, _quad(piece, 0.0, 1.0, spec)
+
+        def piece(u: float) -> float:
+            t = t1 * u
+            return math.exp(g(t) - shift) if t > 0.0 else (
+                math.exp(-shift) if a == 1.0 else 0.0)
+
+        return math.log(t1) + shift, _quad(piece, 0.0, 1.0, spec)
+
+    def above(t_star: float):
+        # [1, inf), relative to the peak of g for a > 1, and for a <= 1 to
+        # the larger of g(1) and g(t0): g falls except between its local
+        # minimum and t_star
+        t0 = max(t_star, 1.0)
+        if a > 1.0:
+            shift = g(t_star) if t_star > 0.0 else 0.0
+        else:
+            shift = max(g(1.0), g(t0))
+
+        def piece_tail(u: float) -> float:
+            # t = t0 / (1 - u) maps [0, 1) onto [t0, inf)
+            v = 1.0 - u
+            return t0 * math.exp(g(t0 / v) - shift) / (v * v)
+
+        val = _quad(piece_tail, 0.0, 1.0, spec)
+        if t0 > 1.0:
+            val += _quad(lambda t: math.exp(g(t) - shift), 1.0, t0, spec)
+        return shift, val
+
     # the larger root of the quadratic g'(t) t (1 + t) = 0: the interior
     # maximum of g for a > 1, a local maximum (if real) for a <= 1
     bq = x - (a - 1.0) - c
     disc = bq * bq + 4.0 * x * (a - 1.0)
     t_star = (-bq + math.sqrt(max(disc, 0.0))) / (2.0 * x)
-    t0 = max(t_star, 1.0)
-    if a > 1.0:
-        # one shift, the peak of g, scales both pieces
-        shift01 = shift1 = g(t_star) if t_star > 0.0 else 0.0
-    else:
-        # each piece is scaled by the peak of its own exponent: on [0, 1]
-        # -x t + c log1p(t) (t^(a-1) is integrated away or is 1), which
-        # peaks at c/x - 1 clipped to [0, 1]; on [1, inf) g, which falls
-        # except between its local minimum and t_star
-        t01 = min(max(c / x - 1.0, 0.0), 1.0)
-        shift01 = -x * t01 + c * math.log1p(t01)
-        shift1 = max(g(1.0), g(t0))
+    val = _log_sum([below(1.0, t_star), above(t_star)])
+    if math.isfinite(val):
+        return val
 
-    if a < 1.0:
-        inv_a = 1.0 / a
+    # the same root of the quadratic divided by x, which does not
+    # overflow, in the form that does not cancel
+    lin, const = bq / x, (a - 1.0) / x
+    root = math.sqrt(max(lin * lin + 4.0 * const, 0.0))
+    t_star = 2.0 * const / (lin + root) if lin > 0.0 else (root - lin) / 2.0
+    t1 = max(t_star, 1.0 / x)
+    if t1 < 1.0:
+        shift = max(g(t1), g(min(max(t_star, t1), 1.0)))
 
-        def piece01(s: float) -> float:
-            t = s ** inv_a
-            return inv_a * math.exp(-x * t + c * math.log1p(t) - shift01)
-    else:
+        def past_spike(v: float) -> float:
+            # t = t1 / (1 - v) maps [0, 1 - t1] onto [t1, 1]
+            w = 1.0 - v
+            return math.exp(g(t1 / w) - shift) / (w * w)
 
-        def piece01(t: float) -> float:
-            return math.exp(g(t) - shift01) if t > 0.0 else (
-                math.exp(-shift01) if a == 1.0 else 0.0)
-
-    def piece_tail(u: float) -> float:
-        # t = t0 / (1 - u) maps [0, 1) onto [t0, inf)
-        v = 1.0 - u
-        return t0 * math.exp(g(t0 / v) - shift1) / (v * v)
-
-    i1 = _quad(piece01, 0.0, 1.0, spec)
-    i2 = _quad(piece_tail, 0.0, 1.0, spec)
-    if t0 > 1.0:
-        i2 += _quad(lambda t: math.exp(g(t) - shift1), 1.0, t0, spec)
-    shift = max(shift01, shift1)
-    total = i1 * math.exp(shift01 - shift) + i2 * math.exp(shift1 - shift)
-    if total <= 0.0:
-        raise NonConvergenceError(
-            f"hypergeometric integral underflowed for a={a}, b={b}, x={x}")
-    return shift + math.log(total)
+        val = _log_sum([below(t1, t_star),
+                        (math.log(t1) + shift, _quad(past_spike, 0.0, 1.0 - t1, spec)),
+                        above(t_star)])
+        if math.isfinite(val):
+            return val
+    raise NonConvergenceError(
+        f"hypergeometric integral underflowed for a={a}, b={b}, x={x}")
 
 
 def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int,

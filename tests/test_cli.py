@@ -95,6 +95,27 @@ class TestCfAndMoments:
         _, rows = read_csv(out)
         assert max(float(r[5]) for r in rows) < 1e-9
 
+    def test_cf_rows_independent_of_grid(self, tmp_path):
+        # positive rates spanning a ratio of 200 (a pmf of about 5.5k
+        # terms): a z shared by two grids prints the same mixture cf
+        deep = LinearCombinationModel.from_components(
+            [(0.02, 1.0, 2.0, 1.0, 1.0, 1.0),
+             (4.0 / math.sqrt(200.0), 1.05, 3.0, 1.0, 1.0, 1.0),
+             (4.0, 0.95, 4.0, 1.0, 1.0, 1.0)])
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(deep.to_json_obj()))
+        tables = []
+        for points in ("401", "201"):
+            out = tmp_path / f"cf_{points}.csv"
+            assert main(["cf", "--model", str(path), "--zmax", "20",
+                         "--points", points, "--out", str(out)]) == 0
+            _, rows = read_csv(out)
+            tables.append({r[0]: r[3:5] for r in rows})
+        fine, coarse = tables
+        assert len(coarse) == 201 and set(coarse) <= set(fine)
+        for z, mixture in coarse.items():
+            assert fine[z] == mixture, z
+
     def test_moments_report(self, pair_file, tmp_path):
         out = tmp_path / "moments.json"
         code = main(["moments", "--model", pair_file, "--kmax", "3",

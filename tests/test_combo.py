@@ -3,13 +3,15 @@ import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import bilgamma.combo
 from bilgamma import (
+    BilgammaError,
     DomainError,
     LinearCombinationModel,
     ModelFileError,
@@ -142,6 +144,20 @@ class TestMixtureConstruction:
         with pytest.raises(TruncationFailureError):
             build_mixture(pair_nonint, tail_tol=1e-12, k_max=3)
 
+    @pytest.mark.parametrize("neg", [
+        # log P(M=0) = -902.9: P(0) underflows to 0
+        [(1.0, 1.0), (0.5, 135.0), (384.0, 0.01)],
+        # log P(M=0) = -719.0: P(0) is subnormal and g_k = P(k)/P(0)
+        # overflows after 3284 terms
+        [(1.0, 240.0), (20.0, 0.01)],
+    ])
+    def test_pmf_overflow_is_an_error(self, neg):
+        # both returned a pmf ending in NaN
+        model = LinearCombinationModel.from_components(
+            [(1.0, 1.0, beta, q, 1.0, 1.0) for beta, q in neg])
+        with np.errstate(over="ignore"), pytest.raises(TruncationFailureError):
+            build_mixture(model)
+
     def test_k_max_is_not_preallocated(self, pair_nonint):
         # k_max only bounds the recursion: a cap of 1e9 terms allocates as
         # little and gives the same pmfs as the default cap
@@ -214,30 +230,56 @@ class TestCharacteristicFunction:
         for rep in mixture_grid.values():
             assert abs(rep.cf(0.0) - 1.0) <= 2.0 * rep.tail_tol + 1e-13
 
-    def test_blocked_mixture_cf_matches_one_shot(self):
-        # the mixture cf is evaluated in blocks of points; the blocks must
-        # not change a single bit against the one-shot sums
+    def test_mixture_cf_matches_mpmath(self):
+        # the power sums of the same truncated pmfs at 40 digits, each
+        # power of r = 1/(1 -+ iz/rate) built by exact-enough multiplication
         rep = build_mixture(DEEP_MODEL, tail_tol=1e-12)
 
-        def one_shot(z):
-            zz = np.asarray(z, dtype=complex)[..., None]
-            jj = np.arange(len(rep.pmf_pos))
-            kk = np.arange(len(rep.pmf_neg))
-            log_a = -np.log(1.0 - 1j * zz / rep.eta)
-            log_b = -np.log(1.0 + 1j * zz / rep.xi)
-            s_pos = (rep.pmf_pos * np.exp((rep.p + jj) * log_a)).sum(axis=-1)
-            s_neg = (rep.pmf_neg * np.exp((rep.q + kk) * log_b)).sum(axis=-1)
-            return s_pos * s_neg
+        def power_sum(pmf, shape, r):
+            acc, power = mpmath.mpc(0), r ** shape
+            for w in pmf.tolist():
+                acc += w * power
+                power *= r
+            return acc
 
+        with mpmath.workdps(40):
+            for z in (-17.3, -2.0, 0.0, 0.7, 5.5, 19.9):
+                iz = mpmath.mpc(0, z)
+                ref = (power_sum(rep.pmf_pos, rep.p, 1 / (1 - iz / rep.eta))
+                       * power_sum(rep.pmf_neg, rep.q, 1 / (1 + iz / rep.xi)))
+                assert abs(rep.cf(z) - complex(ref)) <= 1e-15, z
+
+    def test_mixture_cf_grid_independent(self):
+        # a point's value does not depend on the other points of the call
+        # or on how the points are blocked
+        rep = build_mixture(DEEP_MODEL, tail_tol=1e-12)
         zs = np.linspace(-20.0, 20.0, 401)
-        np.testing.assert_array_equal(rep.cf(zs), one_shot(zs))
+        vals = rep.cf(zs)
+        singles = np.array([rep.cf(float(z)) for z in zs])
+        np.testing.assert_array_equal(vals, singles)
+        chunks = np.concatenate([rep.cf(zs[i:i + 7]) for i in range(0, len(zs), 7)])
+        np.testing.assert_array_equal(vals, chunks)
         grid = zs[150:171].reshape(3, 7)
         out = rep.cf(grid)
         assert out.shape == (3, 7)
-        np.testing.assert_array_equal(out, one_shot(grid))
+        np.testing.assert_array_equal(out, vals[150:171].reshape(3, 7))
         val = rep.cf(0.7)
         assert type(val) is complex
         assert val == rep.cf(np.array([0.7]))[0]
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(comps=st.lists(st.tuples(RATES, SHAPES, RATES, SHAPES, RATES, RATES),
+                          min_size=1, max_size=6))
+    def test_mixture_identity_random_models(self, comps):
+        # C1 on random models: product and mixture cf on 401 points
+        model = LinearCombinationModel.from_components(comps)
+        try:
+            rep = build_mixture(model)
+        except TruncationFailureError:
+            assume(False)
+        zs = np.linspace(-20.0, 20.0, 401)
+        err = np.abs(model.cf(zs) - rep.cf(zs)).max()
+        assert err <= 1e-8 + 2.0 * rep.tail_tol
 
     def test_degenerate_mixture_cf(self):
         # closed-form BG(2, 1, 3, 1) cf: 1 / ((1 - iz/2)(1 + iz/3))
@@ -357,6 +399,17 @@ class TestDensityRoutes:
     def test_series_singular_origin(self, mixture_grid):
         with pytest.raises(SingularPointError):
             mixture_grid["laplace"].pdf_series(0.0)
+
+    @pytest.mark.parametrize("x", [1e6, -1e6, 1e300, -1e300])
+    def test_series_far_tail(self, mixture_grid, x):
+        # the kernels at (eta + xi)|x| up to 1e301 sit in a spike near t = 0
+        # of log_hyperint's [0, 1] piece: it raised at 1e6 and gave NaN at
+        # 1e300; the density there underflows to 0
+        try:
+            val = mixture_grid["five_mixed"].pdf_series(x)
+        except BilgammaError:
+            return
+        assert val == 0.0
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_x_rejected(self, mixture_grid, x):

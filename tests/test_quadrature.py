@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import hyperu
 
+import bilgamma.quadrature
 from bilgamma import (
     DomainError,
     NonConvergenceError,
     QuadratureSpec,
+    build_mixture,
     integrate_zero_to_inf,
 )
 from bilgamma.models import MODEL_GRID
@@ -139,6 +141,38 @@ class TestLogHyperint:
         with mpmath.workdps(30):
             ref = float(mpmath.log(mpmath.gamma(a) * mpmath.hyperu(a, b, x)))
         assert log_hyperint(a, b, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("a,b,x", [
+        # the [0, 1] piece is a spike at t_star = (a-1)/x or within 1/x of
+        # 0: it summed to 0 ("underflowed"), and t_star overflowed to NaN
+        # past x = 1e154
+        (28.0, 32.3, 8.3e6), (28.0, 32.3, 8.3e300), (0.5, 4.8, 1e10),
+        (1.0, 51.0, 1e6), (0.05, 0.05, 1e100), (300.0, 350.0, 1.7e308),
+    ])
+    def test_spike_near_zero_matches_mpmath(self, a, b, x):
+        with mpmath.workdps(40):
+            ref = float(mpmath.log(mpmath.gamma(a) * mpmath.hyperu(a, b, x)))
+        assert abs(log_hyperint(a, b, x) - ref) <= 1e-10
+
+    def test_spike_retry_only_where_unsplit_fails(self, monkeypatch):
+        # arguments the unsplit pieces converge on never reach the retry
+        # (the only log-sum of three pieces), so their values are those of
+        # the unsplit rule bit for bit
+        sizes = []
+        log_sum = bilgamma.quadrature._log_sum
+
+        def counted(pieces):
+            sizes.append(len(pieces))
+            return log_sum(pieces)
+
+        monkeypatch.setattr(bilgamma.quadrature, "_log_sum", counted)
+        rep = build_mixture(MODEL_GRID["five_mixed"], tail_tol=1e-12)
+        for x in (-4.3, -1.2, -0.4, 0.6, 1.9, 4.4):
+            assert rep.pdf_series(x) > 0.0
+        assert log_hyperint(28.0, 32.3, 830.0) < 0.0
+        assert sizes and set(sizes) == {2}
+        log_hyperint(28.0, 32.3, 8.3e6)
+        assert sizes[-2:] == [2, 3]
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(a=st.floats(0.05, 600.0), d=st.floats(-0.9, 300.0),
