@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import (
     DomainError,
@@ -478,11 +477,17 @@ class MixtureRepresentation:
         I(a, b+1) = I(a, b) + I(a+1, b+1) (DLMF 13.3.10) and
         X I(a, b+1) = (b-1+X) I(a, b) - (b-a-1) I(a, b-1) (DLMF 13.3.8).
         """
+        from scipy import special as sp
+
         if not math.isfinite(x):
             raise DomainError(f"series density needs a finite x, got x={x}")
         if x == 0.0:
             raise SingularPointError("series density not evaluated at x = 0")
         ax = abs(x)
+        if not math.isfinite((self.eta + self.xi) * ax):
+            # the kernel argument overflows only far past where e^(-rate |x|)
+            # has underflowed: the density is 0 there, as it is at 1e300
+            return 0.0
         log_ax = math.log(ax)
 
         def side(pmf, shape, rate):
@@ -528,8 +533,11 @@ class MixtureRepresentation:
 
         sum_j P(L=j) eta^(p+j) x^(p+j-1) e^(-eta x) / Gamma(p+j),  x > 0.
         """
-        if x <= 0.0:
-            raise DomainError("gamma-mixture density defined for x > 0 only")
+        from scipy import special as sp
+
+        if not (math.isfinite(x) and x > 0.0):
+            raise DomainError(
+                f"gamma-mixture density needs a finite x > 0, got x={x}")
         jj = np.arange(len(self.pmf_pos))
         with np.errstate(divide="ignore"):
             lt = (np.log(self.pmf_pos) + (self.p + jj) * math.log(self.eta)
@@ -546,6 +554,8 @@ def _factorial_sums(pmf: np.ndarray, shape0: float, k: int, theta_max: float):
     theta_max * (l+shape0+r)/(l+shape0), so the remainder past the last
     retained index is completed geometrically from the last term.
     """
+    from scipy import special as sp
+
     ll = np.arange(len(pmf))
     last = len(pmf) - 1
     rr = np.arange(k + 1)

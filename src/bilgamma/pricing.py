@@ -23,7 +23,6 @@ import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .combo import LinearCombinationModel, _completed_series, build_mixture
 from .errors import DomainError, SeriesDivergenceError
@@ -175,6 +174,8 @@ def price_call_gamma_series(model: LinearCombinationModel,
     by their geometric tail.  Returns the price and the size of that
     completion.
     """
+    from scipy import special as sp
+
     if inputs.strike < inputs.spot_at_t:
         raise DomainError("gamma-driven series requires strike >= spot")
     growth = gamma_route_growth(model, inputs)

@@ -6,6 +6,9 @@ that tolerances and domain transformations are applied uniformly:
 * infinite upper limits are compactified with ``t = u / (1 - u)``,
 * Fourier-type integrals (densities, Gil-Pelaez tails) go through
   ``oscillatory_integral`` and QUADPACK's dedicated oscillatory rule.
+
+scipy is imported inside the functions that call it, here and in the other
+modules, so that a command that never integrates does not pay to load it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NonConvergenceError
 
@@ -55,6 +57,8 @@ DEFAULT_QUAD = QuadratureSpec()
 def _quad(f: Callable[[float], float], a: float, b: float,
           spec: QuadratureSpec) -> float:
     """scipy.integrate.quad with the spec's budget; raises on failure."""
+    from scipy.integrate import quad
+
     out = quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
                limit=spec.max_subdivisions, full_output=1)
     if len(out) > 3:
@@ -85,6 +89,8 @@ def oscillatory_integral(g: Callable[[float], complex], x: float,
     run the same rule over the same nodes, so ``g`` is evaluated once per
     distinct node and its value shared.  A non-finite ``x`` is rejected:
     QUADPACK's Fourier rule does not return from it."""
+    from scipy.integrate import quad
+
     if not math.isfinite(x):
         raise DomainError(f"require a finite x, got x={x}")
     if x == 0.0:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as sp
 
 from .combo import LinearCombinationModel
 from .errors import (
@@ -108,6 +107,8 @@ def _gauss_kernel(x, lam):
     reflection erfcx(-z) = 2 e^(z^2) - erfcx(z) turns it into
     sqrt(pi/2) (2 e^(lam x + lam^2/2) - e^(-x^2/2) erfcx(|x+lam|/sqrt 2)),
     so neither branch overflows or forms inf * 0."""
+    from scipy import special as sp
+
     s = x + lam
     tail = np.exp(-0.5 * x * x) * sp.erfcx(np.abs(s) * math.sqrt(0.5))
     # lam x + lam^2/2 < 0 wherever s < 0; the clip only spares the other branch

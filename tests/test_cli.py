@@ -49,6 +49,16 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def run_child(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    bilgamma, with ``args`` as its sys.argv[1:]."""
+    src = str(Path(bilgamma.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestPdfCommand:
     def test_laplace_grid(self, model_file, tmp_path):
         out = tmp_path / "pdf.csv"
@@ -420,15 +430,10 @@ class TestFiniteArguments:
         # in a child interpreter: a non-finite x that reached QUADPACK's
         # Fourier rule would crash the process, and pytest with it
         out = tmp_path / "out.csv"
-        src = str(Path(bilgamma.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from bilgamma.cli import main; "
-             "sys.exit(main(sys.argv[1:]))",
-             *argv[:1], "--model", model_file, "--out", str(out), *argv[1:]],
-            capture_output=True, text=True, env=env, timeout=60)
+        done = run_child(
+            "import sys; from bilgamma.cli import main; "
+            "sys.exit(main(sys.argv[1:]))",
+            *argv[:1], "--model", model_file, "--out", str(out), *argv[1:])
         assert done.returncode == 2, done.stderr
         assert "must be finite" in done.stderr
         assert not out.exists()
@@ -458,3 +463,95 @@ class TestVerifyCommand:
         main(["verify", "--suite", "quick", "--seed", "5", "--out", str(a)])
         main(["verify", "--suite", "quick", "--seed", "5", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+# The child reads a JSON list of argv lists, runs each command and prints
+# the scipy modules loaded after the import and, per command, those loaded
+# before it, its exit code and those loaded after it.
+_COLD_RUN = """\
+import json, sys
+import bilgamma, bilgamma.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+report = {"import": scipy_modules(), "commands": []}
+for argv in json.loads(sys.argv[1]):
+    before = scipy_modules()
+    code = bilgamma.cli.main(argv)
+    report["commands"].append([argv[0], before, code, scipy_modules()])
+print(json.dumps(report))
+"""
+
+
+class TestColdStart:
+    @pytest.fixture()
+    def files(self, tmp_path):
+        paths = {}
+        for name, obj in (("five", MODEL_GRID["five_mixed"].to_json_obj()),
+                          ("pair", MODEL_GRID["pair_integer"].to_json_obj()),
+                          ("kappa", MODEL_GRID["pair_kappa"].to_json_obj()),
+                          ("gamma", PRICING_GAMMA.to_json_obj()),
+                          ("target", {"alpha": 2.0, "p": 1.3, "beta": 2.0,
+                                      "q": 0.7}),
+                          ("otm", {"s0": 1.0, "strike": 1.2, "rate": 0.05,
+                                   "maturity": 1.0}),
+                          ("atm", {"s0": 1.0, "strike": 1.0, "rate": 0.05,
+                                   "maturity": 1.0})):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(obj))
+        return {k: str(v) for k, v in paths.items()}
+
+    def run_cold(self, argvs):
+        done = run_child(_COLD_RUN, json.dumps(argvs))
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_closed_form_commands_load_no_scipy(self, files, tmp_path):
+        out = str(tmp_path / "out")
+        argvs = [
+            ["cf", "--model", files["five"], "--points", "41", "--out", out],
+            ["sample", "--model", files["five"], "--n", "1000", "--seed", "3",
+             "--streams", "2", "--out", out],
+            ["bounds", "--model", files["kappa"], "--target", files["target"],
+             "--sigma", "1.0", "--other", files["kappa"], "--out", out],
+            ["simulate", "--model", files["pair"], "--tgrid", "0:0.25:1",
+             "--paths", "2", "--seed", "3", "--out", out],
+            ["cp-sweep", "--model", files["pair"], "--m", "1,4", "--n", "2000",
+             "--seed", "7", "--out", out],
+            ["price", "--model", files["gamma"], "--pricing", files["otm"],
+             "--method", "monte-carlo", "--n", "1000", "--seed", "1",
+             "--out", out],
+            ["price", "--model", files["gamma"], "--pricing", files["atm"],
+             "--method", "atm", "--out", out],
+        ]
+        report = self.run_cold(argvs)
+        assert report["import"] == []
+        assert len(report["commands"]) == len(argvs)
+        for name, before, code, after in report["commands"]:
+            assert (before, code, after) == ([], 0, []), name
+
+    def test_integrating_commands_cold_match_warm(self, files, tmp_path):
+        # each command runs in its own child, which starts without scipy and
+        # so takes the deferred imports; its file must equal this process's
+        def argv(name, out):
+            return {
+                "pdf.csv": ["pdf", "--model", files["five"], "--xmin", "-3",
+                            "--xmax", "3", "--points", "7"],
+                "price.json": ["price", "--model", files["gamma"], "--pricing",
+                               files["otm"], "--method", "series"],
+                "moments.json": ["moments", "--model", files["pair"],
+                                 "--kmax", "3"],
+            }[name] + ["--out", str(out / name)]
+
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        cold.mkdir()
+        warm.mkdir()
+        for name in ("pdf.csv", "price.json", "moments.json"):
+            report = self.run_cold([argv(name, cold)])
+            [(_, before, code, after)] = report["commands"]
+            assert (report["import"], before, code) == ([], [], 0), name
+            assert after, name
+            assert main(argv(name, warm)) == 0
+            data = (cold / name).read_bytes()
+            assert data and data == (warm / name).read_bytes(), name

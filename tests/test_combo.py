@@ -411,6 +411,16 @@ class TestDensityRoutes:
             return
         assert val == 0.0
 
+    @pytest.mark.parametrize("x", [1.7e308, -1.7e308])
+    def test_series_kernel_argument_overflow(self, mixture_grid, x):
+        # (eta + xi)|x| overflows to inf at a finite x; the density has
+        # underflowed long before, so it is 0, not an error about x = inf
+        for name, rep in mixture_grid.items():
+            assert rep.pdf_series(x) == 0.0, name
+        rep = build_mixture(LARGE_B, tail_tol=1e-10)
+        assert math.isinf((rep.eta + rep.xi) * 1e307)
+        assert rep.pdf_series(math.copysign(1e307, x)) == 0.0
+
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_x_rejected(self, mixture_grid, x):
         rep = mixture_grid["five_mixed"]
@@ -568,6 +578,12 @@ class TestGammaMixtureLimit:
     def test_domain(self, mixture_grid):
         with pytest.raises(DomainError):
             mixture_grid["laplace"].gamma_mixture_pdf(-1.0)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, -math.inf])
+    def test_non_finite_x_rejected(self, mixture_grid, x):
+        # inf and nan passed the x <= 0 guard and returned NaN
+        with pytest.raises(DomainError):
+            mixture_grid["laplace"].gamma_mixture_pdf(x)
 
 
 class TestScaling:
