@@ -60,18 +60,14 @@ class ConfigError(Exception):
     pass
 
 
-def _load_model(path: str):
-    if not Path(path).is_file():
-        raise ConfigError(f"model file not found: {path}")
-    return load_model(path)
-
-
 def _load_json(path: str, what: str) -> dict:
     if not Path(path).is_file():
         raise ConfigError(f"{what} file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {what} file {path}: {exc}") from exc
 
@@ -143,7 +139,7 @@ def _parse_tgrid(text: str) -> np.ndarray:
 
 
 def cmd_pdf(args) -> int:
-    model = _load_model(args.model)
+    model = load_model(args.model)
     spec = _spec_from_args(args)
     rep = build_mixture(model, tail_tol=args.tail_tol)
     xs = np.linspace(args.xmin, args.xmax, args.points)
@@ -159,7 +155,7 @@ def cmd_pdf(args) -> int:
 
 
 def cmd_cf(args) -> int:
-    model = _load_model(args.model)
+    model = load_model(args.model)
     rep = build_mixture(model, tail_tol=args.tail_tol)
     zs = np.linspace(-args.zmax, args.zmax, args.points)
     prod = model.cf(zs)
@@ -173,7 +169,7 @@ def cmd_cf(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    model = _load_model(args.model)
+    model = load_model(args.model)
     rep = build_mixture(model, tail_tol=args.tail_tol)
     payload = {
         "moments": {str(k): rep.moment(k) for k in range(1, args.kmax + 1)},
@@ -186,7 +182,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    model = _load_model(args.model)
+    model = load_model(args.model)
     streams = min(args.streams, args.n)
     counts = [args.n // streams + (1 if i < args.n % streams else 0)
               for i in range(streams)]
@@ -198,7 +194,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    model = _load_model(args.model)
+    model = load_model(args.model)
     # the two-sums and compound-Poisson bounds set their universal constants
     # to 1.0, so those values are bound shapes
     payload: dict = {"constants_default": True}
@@ -226,14 +222,14 @@ def cmd_bounds(args) -> int:
         terms = d3_normal_terms(model, args.sigma)
         payload["d3_normal"] = {"value": float(sum(terms.values())), "terms": terms}
     if args.other:
-        other = _load_model(args.other)
+        other = load_model(args.other)
         payload["two_sums"] = {"value": bound_two_sums(model, other)}
     _write_json(args.out, payload)
     return EXIT_OK
 
 
 def cmd_cp_sweep(args) -> int:
-    model = _load_model(args.model)
+    model = load_model(args.model)
     try:
         orders = [int(v) for v in args.m.split(",")]
     except ValueError:
@@ -255,7 +251,7 @@ def cmd_cp_sweep(args) -> int:
 
 
 def cmd_price(args) -> int:
-    model = _load_model(args.model)
+    model = load_model(args.model)
     obj = _load_json(args.pricing, "pricing")
     try:
         fields = {name: float(obj[name])
@@ -302,7 +298,7 @@ def cmd_price(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = _load_model(args.model)
+    model = load_model(args.model)
     grid = _parse_tgrid(args.tgrid)
     paths = _fan_out(lambda i: sample_path(model, grid,
                                            RandomStream(args.seed, i)),

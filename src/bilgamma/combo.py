@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,8 @@ _FIELDS = ("alpha", "p", "beta", "q", "w1", "w2")
 
 # arguments that ``LinearCombinationModel.cf`` evaluates by its cmath loop
 _REAL_SCALARS = (float, int, np.floating, np.integer)
+
+_MOMENT_TAIL_TOL = 1e-6  # largest share of a moment its tail completion may give
 
 
 @dataclass(frozen=True)
@@ -280,15 +283,23 @@ class LinearCombinationModel:
 
 
 def load_model(path) -> LinearCombinationModel:
-    """Load a model JSON document from disk."""
+    """Load a model JSON document from disk.  A missing, unreadable,
+    non-UTF-8 or malformed file raises ModelFileError."""
+    if not os.path.isfile(path):
+        raise ModelFileError(f"model file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"invalid JSON in {path}: {exc}") from exc
     return LinearCombinationModel.from_json_obj(obj)
 
 
+# an overflowing g_k makes the mass inf or NaN, which ends the recursion and
+# is reported as an error, so numpy's overflow warning would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def _mixture_pmf(theta: np.ndarray, shapes: np.ndarray, log_mass0: float,
                  tail_tol: float, k_max: int) -> np.ndarray:
     """Shape-mixing pmf for one side of the combination.
@@ -417,7 +428,7 @@ class MixtureRepresentation:
 
     # -- moments -------------------------------------------------------------
 
-    def moment(self, k: int, tol: float = 1e-6) -> float:
+    def moment(self, k: int) -> float:
         """E[T^k] by the binomial expansion over the two gamma mixtures:
 
         sum_{j=0}^{k} C(k,j) (-1)^j eta^-(k-j) xi^-j
@@ -425,9 +436,9 @@ class MixtureRepresentation:
 
         with (y)_r the ascending factorial.  Each inner series is the
         truncated sum plus its geometric tail completion; when the
-        completed share exceeds ``tol`` relative to the result the pmf is
-        too shallow for this order and the call fails rather than report a
-        value dominated by extrapolation.
+        completed share exceeds _MOMENT_TAIL_TOL relative to the result the
+        pmf is too shallow for this order and the call fails rather than
+        report a value dominated by extrapolation.
         """
         if k < 1:
             raise DomainError("moment order must be >= 1")
@@ -445,10 +456,11 @@ class MixtureRepresentation:
             scale = max(scale, abs(term))
             extrapolated += w * (pos_ext[k - j] * neg_vals[j]
                                  + pos_vals[k - j] * neg_ext[j])
-        if extrapolated > tol * max(1.0, scale):
+        if extrapolated > _MOMENT_TAIL_TOL * max(1.0, scale):
             raise TruncationFailureError(
                 f"moment({k}) extrapolated tail {extrapolated:.3g} exceeds "
-                f"tolerance {tol:g}; rebuild the mixture with a smaller tail_tol")
+                f"tolerance {_MOMENT_TAIL_TOL:g}; rebuild the mixture with a "
+                f"smaller tail_tol")
         return float(total)
 
     # -- densities -----------------------------------------------------------

@@ -123,120 +123,87 @@ def fourier_density(cf: Callable[[float], complex], x: float,
     return oscillatory_integral(cf, x, 0.0, spec) / math.pi
 
 
-def _log_sum(pieces) -> float:
-    """log sum_k e^(scale_k) I_k over (scale_k, I_k) pairs; NaN when the
-    sum underflows to 0 or is not finite."""
-    top = max(scale for scale, _ in pieces)
-    total = sum(val * math.exp(scale - top) for scale, val in pieces)
-    return top + math.log(total) if 0.0 < total < math.inf else math.nan
-
-
 def log_hyperint(a: float, b: float, x: float,
                  spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     """log of I(a,b,x) = int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt.
 
     This is Gamma(a) times the second-kind confluent hypergeometric
-    integral; working in log space keeps large-shape evaluations (a or b
-    of the order of hundreds) inside float range.  The domain is split at
-    t = 1; on [0, 1] the substitution t = s^(1/a) removes the t^(a-1)
-    endpoint singularity when a < 1.  [1, inf) is split again at the peak
-    t_star of the exponent when t_star > 1: [1, t_star] is integrated in t
-    and [t_star, inf) is compactified by t = t_star / (1 - u), so the peak,
-    of width about t_star / sqrt(b), stays a fixed share of each interval
-    however far out it lies.  Each piece is integrated relative to the
-    peak of its exponent and the pieces are combined in log space.
+    function U(a, b, x) (DLMF 13.4.4); working in log space keeps
+    large-shape evaluations (a or b of the order of hundreds) inside
+    float range.  The substitution t = e^s gives int exp(h(s)) ds with
 
-    For a large x the mass of [0, 1] is a spike near 0, at t_star or
-    within 1/x of 0, that a rule over all of [0, 1] misses (the pieces sum
-    to 0), and past x of about 1e154 t_star overflows (NaN).  Only then is
-    the integral taken again with t_star in a form that neither overflows
-    nor cancels and [0, 1] split at the spike's scale
-    t1 = max(t_star, 1/x): [0, t1] in t / t1 (or its power a) and
-    [t1, 1] by t = t1 / (1 - v), with the scale t1 moved into the log so
-    that each piece is of order one.
+        h(s) = -x e^s + a s + c log(1 + e^s),   c = b - a - 1,
+
+    which has no endpoint singularity and one maximum, at s0 = log t0 for
+    t0 the positive root of x t^2 + (x - b + 1) t = a.  The integrand is
+    h(s0 + d) - h(s0) written in d alone, so no two values of h cancel.
+    The peak is about w = 2 / sqrt(-h''(s0)) wide.  Each side of it is
+    one rule over a finite reach in log(1 + |d| / w), which gives the
+    peak and every feature out to the reach a fair share of the nodes.
+    Past either reach the integrand is below e^-50, except that past the
+    left one it may instead be e^(A + a d) to within e^-40: that tail,
+    about 1/a long, is added in closed form.
     """
     if not (a > 0.0 and x > 0.0):
         raise DomainError(f"require a > 0 and x > 0, got a={a}, x={x}")
     c = b - a - 1.0
+    # t0 = a / (beta + root) = (root - beta) / x, root^2 = beta^2 + a x,
+    # each in the form that neither cancels nor overflows, taken as a log
+    beta = 0.5 * (x - b + 1.0)
+    root = math.hypot(beta, math.sqrt(a) * math.sqrt(x))
+    s0 = (math.log(a) - math.log(beta + root) if beta >= 0.0
+          else math.log(root - beta) - math.log(x))
+    log1p_t0 = max(s0, 0.0) + math.log1p(math.exp(-abs(s0)))
+    # tau = t0 / (1 + t0) and the logs of tau and of 1 - tau
+    log_tau, log_tau_c = s0 - log1p_t0, -log1p_t0
+    tau = math.exp(log_tau)
+    log_xt0 = s0 + math.log(x)
+    xt0 = math.exp(log_xt0)
+    # -h''(s0) = a + c tau^2 = x t0 - c tau (1 - tau), a sum of positives
+    w = 2.0 / math.sqrt(a + c * tau * tau if c >= 0.0
+                        else xt0 - c * tau * math.exp(log_tau_c))
+    # Below d = -left, h(s0 + d) - h(s0) is A + a d to within e^-40, with
+    # A = x t0 - c log(1 + t0), or it is below -50, as it is at most
+    # x t0 + a d + max(-c, 0) log(1 + t0) for d < 0.  Past d = right,
+    # x t0 e^d exceeds 2 (a + max(c, 0)) + 1 by e^5 and it is below -70.
+    left = min(max(s0 + math.log(x + abs(c)) + 40.0, 0.0),
+               (xt0 + max(-c, 0.0) * log1p_t0 + 50.0) / a)
+    right = math.log(2.0 * (a + max(c, 0.0)) + 1.0) - log_xt0 + 5.0
 
-    def g(t: float) -> float:
-        return -x * t + (a - 1.0) * math.log(t) + c * math.log1p(t)
+    # local names: a kernel evaluates the integrand about 170 times
+    expm1, exp, log1p = math.expm1, math.exp, math.log1p
 
-    def below(t1: float, t_star: float):
-        # [0, t1] in t / t1, relative to the peak of its exponent: for
-        # a > 1 the peak of g; for a <= 1 that of -x t + c log1p(t) (t^(a-1)
-        # is integrated away or is 1), at c/x - 1 clipped to [0, t1]
-        if a > 1.0:
-            shift = g(t_star) if t_star > 0.0 else 0.0
-        else:
-            t01 = min(max(c / x - 1.0, 0.0), t1)
-            shift = -x * t01 + c * math.log1p(t01)
-        if a < 1.0:
-            inv_a = 1.0 / a
-
-            def piece(s: float) -> float:
-                t = t1 * s ** inv_a
-                return inv_a * math.exp(-x * t + c * math.log1p(t) - shift)
-
-            return a * math.log(t1) + shift, _quad(piece, 0.0, 1.0, spec)
+    def side(reach: float) -> float:
+        # int of exp(h(s0 + d) - h(s0)) from 0 to reach by
+        # d = +-w (e^(span u) - 1), with h(s0 + d) - h(s0) =
+        # a d + c log(1 - tau + tau e^d) - x t0 (e^d - 1), each term in a
+        # form that neither overflows nor loses a small d
+        span = math.log1p(abs(reach) / w)
+        scale = math.copysign(w, reach)
 
         def piece(u: float) -> float:
-            t = t1 * u
-            return math.exp(g(t) - shift) if t > 0.0 else (
-                math.exp(-shift) if a == 1.0 else 0.0)
+            stretch = expm1(span * u)
+            d = scale * stretch
+            if d < 1.0:
+                e = expm1(d)
+                grow = xt0 * e
+            else:
+                grow = -exp(log_xt0 + d) * expm1(-d)
+            if -1.0 < d < 1.0:
+                mix = log1p(tau * e)
+            else:
+                hi, lo = max(log_tau_c, log_tau + d), min(log_tau_c, log_tau + d)
+                mix = hi + log1p(exp(lo - hi))
+            return exp(a * d + c * mix - grow) * (1.0 + stretch)
 
-        return math.log(t1) + shift, _quad(piece, 0.0, 1.0, spec)
+        return w * span * _quad(piece, 0.0, 1.0, spec)
 
-    def above(t_star: float):
-        # [1, inf), relative to the peak of g for a > 1, and for a <= 1 to
-        # the larger of g(1) and g(t0): g falls except between its local
-        # minimum and t_star
-        t0 = max(t_star, 1.0)
-        if a > 1.0:
-            shift = g(t_star) if t_star > 0.0 else 0.0
-        else:
-            shift = max(g(1.0), g(t0))
-
-        def piece_tail(u: float) -> float:
-            # t = t0 / (1 - u) maps [0, 1) onto [t0, inf)
-            v = 1.0 - u
-            return t0 * math.exp(g(t0 / v) - shift) / (v * v)
-
-        val = _quad(piece_tail, 0.0, 1.0, spec)
-        if t0 > 1.0:
-            val += _quad(lambda t: math.exp(g(t) - shift), 1.0, t0, spec)
-        return shift, val
-
-    # the larger root of the quadratic g'(t) t (1 + t) = 0: the interior
-    # maximum of g for a > 1, a local maximum (if real) for a <= 1
-    bq = x - (a - 1.0) - c
-    disc = bq * bq + 4.0 * x * (a - 1.0)
-    t_star = (-bq + math.sqrt(max(disc, 0.0))) / (2.0 * x)
-    val = _log_sum([below(1.0, t_star), above(t_star)])
-    if math.isfinite(val):
-        return val
-
-    # the same root of the quadratic divided by x, which does not
-    # overflow, in the form that does not cancel
-    lin, const = bq / x, (a - 1.0) / x
-    root = math.sqrt(max(lin * lin + 4.0 * const, 0.0))
-    t_star = 2.0 * const / (lin + root) if lin > 0.0 else (root - lin) / 2.0
-    t1 = max(t_star, 1.0 / x)
-    if t1 < 1.0:
-        shift = max(g(t1), g(min(max(t_star, t1), 1.0)))
-
-        def past_spike(v: float) -> float:
-            # t = t1 / (1 - v) maps [0, 1 - t1] onto [t1, 1]
-            w = 1.0 - v
-            return math.exp(g(t1 / w) - shift) / (w * w)
-
-        val = _log_sum([below(t1, t_star),
-                        (math.log(t1) + shift, _quad(past_spike, 0.0, 1.0 - t1, spec)),
-                        above(t_star)])
-        if math.isfinite(val):
-            return val
-    raise NonConvergenceError(
-        f"hypergeometric integral underflowed for a={a}, b={b}, x={x}")
+    # the rules' part and the closed-form tail, added as logs because the
+    # tail, 1/a long, overflows for a subnormal a
+    body = math.log(side(-left) + side(right))
+    tail = xt0 - c * log1p_t0 - a * left - math.log(a)
+    return (-xt0 + a * s0 + c * log1p_t0 + max(body, tail)
+            + math.log1p(math.exp(-abs(body - tail))))
 
 
 def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int,

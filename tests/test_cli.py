@@ -90,10 +90,20 @@ class TestPdfCommand:
         assert code == 2
         assert "'w1'" in capsys.readouterr().err
 
-    def test_missing_model_exits_2(self, tmp_path):
-        code = main(["pdf", "--model", str(tmp_path / "none.json"),
-                     "--xmin", "0", "--xmax", "1"])
+    def test_missing_model_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "none.json"
+        code = main(["pdf", "--model", str(missing), "--xmin", "0",
+                     "--xmax", "1"])
         assert code == 2
+        assert capsys.readouterr().err == f"error: model file not found: {missing}\n"
+
+    def test_non_utf8_model_exits_2(self, tmp_path, capsys):
+        # a UnicodeDecodeError escaped as a traceback with exit 1, the code
+        # that means a failed verification
+        bad = tmp_path / "model.json"
+        bad.write_bytes(b'{"components": "\xff"}')
+        assert main(["cf", "--model", str(bad), "--points", "3"]) == 2
+        assert "cannot read model file" in capsys.readouterr().err
 
 
 class TestCfAndMoments:
@@ -208,6 +218,13 @@ class TestBoundsCommand:
         code = main(["bounds", "--model", kappa_file, "--target", str(target)])
         assert code == 2
         assert "non-numeric" in capsys.readouterr().err
+
+    def test_non_utf8_target_exits_2(self, kappa_file, tmp_path, capsys):
+        target = tmp_path / "target.json"
+        target.write_bytes(b'{"alpha": "\xff"}')
+        code = main(["bounds", "--model", kappa_file, "--target", str(target)])
+        assert code == 2
+        assert "cannot read target file" in capsys.readouterr().err
 
     def test_zero_target_field_exits_3(self, kappa_file, tmp_path, capsys):
         target = tmp_path / "target.json"
@@ -338,6 +355,14 @@ class TestPriceCommand:
         assert payload["method"] == "integral"
         assert payload["price"] == pytest.approx(0.2250160845, rel=1e-8)
         assert builds == []
+
+    def test_non_utf8_pricing_exits_2(self, gamma_file, tmp_path, capsys):
+        pricing = tmp_path / "p.json"
+        pricing.write_bytes(b'{"s0": "\xff"}')
+        code = main(["price", "--model", gamma_file, "--pricing", str(pricing),
+                     "--method", "atm"])
+        assert code == 2
+        assert "cannot read pricing file" in capsys.readouterr().err
 
     def test_non_numeric_field_exits_2(self, gamma_file, tmp_path, capsys):
         pricing = tmp_path / "p.json"

@@ -24,6 +24,7 @@ from bilgamma import (
     load_model,
     sample_direct,
 )
+from bilgamma.models import PRICING_GAMMA
 from bilgamma.quadrature import log_hyperint
 from conftest import block_cumulant_se, pdf_series_pairwise, single
 
@@ -107,6 +108,16 @@ class TestModelValidation:
         with pytest.raises(ModelFileError, match="component 0.*missing"):
             load_model(path)
 
+    def test_loader_unreadable_files(self, tmp_path):
+        with pytest.raises(ModelFileError, match="model file not found"):
+            load_model(tmp_path / "none.json")
+        with pytest.raises(ModelFileError, match="model file not found"):
+            load_model(tmp_path)
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"components": "é"}'.encode("latin-1"))
+        with pytest.raises(ModelFileError, match="cannot read model file"):
+            load_model(path)
+
 
 class TestMixtureConstruction:
     def test_single_component_collapses(self):
@@ -152,10 +163,11 @@ class TestMixtureConstruction:
         [(1.0, 240.0), (20.0, 0.01)],
     ])
     def test_pmf_overflow_is_an_error(self, neg):
-        # both returned a pmf ending in NaN
+        # both returned a pmf ending in NaN; the overflow is reported by
+        # the error alone, with no numpy warning
         model = LinearCombinationModel.from_components(
             [(1.0, 1.0, beta, q, 1.0, 1.0) for beta, q in neg])
-        with np.errstate(over="ignore"), pytest.raises(TruncationFailureError):
+        with pytest.raises(TruncationFailureError):
             build_mixture(model)
 
     def test_k_max_is_not_preallocated(self, pair_nonint):
@@ -294,6 +306,21 @@ class TestDensityRoutes:
         assert laplace_model.pdf_fourier(1.0) == pytest.approx(
             0.5 * math.exp(-1.0), abs=1e-9)
 
+    def test_series_near_one_sided(self, monkeypatch):
+        # PRICING_GAMMA's negative side has shape 2e-8, so every x > 0
+        # kernel has a = 2e-8 + k: the series was 3.5e-7 to 4.1e-7 high
+        # against the same series seeded by mpmath
+        def mp_seed(a, b, x, spec):
+            with mpmath.workdps(60):
+                return float(mpmath.log(mpmath.gamma(a) * mpmath.hyperu(a, b, x)))
+
+        rep = build_mixture(PRICING_GAMMA, tail_tol=1e-10)
+        xs = (0.25, 1.0, 2.5, 5.0)
+        got = [rep.pdf_series(x) for x in xs]
+        monkeypatch.setattr(bilgamma.combo, "log_hyperint", mp_seed)
+        ref = [rep.pdf_series(x) for x in xs]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
     def test_series_laplace_closed_form(self, mixture_grid):
         rep = mixture_grid["laplace"]
         assert rep.pdf_series(0.5) == pytest.approx(0.5 * math.exp(-0.5),
@@ -372,8 +399,9 @@ class TestDensityRoutes:
         assert time.perf_counter() - t0 < 10.0
 
     def test_series_deep_seeds_find_their_peak(self):
-        # at ratio 40 the row seeds at x = 0.2 need log_hyperint's split at
-        # the peak: without it the series was 2.8e-5 low here
+        # at ratio 40 the row seeds at x = 0.2 are kernels whose peak lies
+        # far out in t: a rule over all of [1, inf) in t missed it and left
+        # the series 2.8e-5 low here
         model = two_deep_sides(40.0)
         rep = build_mixture(model, tail_tol=1e-10)
         assert abs(rep.pdf_series(0.2) - model.pdf_fourier(0.2)) <= 1e-6
@@ -402,9 +430,9 @@ class TestDensityRoutes:
 
     @pytest.mark.parametrize("x", [1e6, -1e6, 1e300, -1e300])
     def test_series_far_tail(self, mixture_grid, x):
-        # the kernels at (eta + xi)|x| up to 1e301 sit in a spike near t = 0
-        # of log_hyperint's [0, 1] piece: it raised at 1e6 and gave NaN at
-        # 1e300; the density there underflows to 0
+        # the kernels at (eta + xi)|x| up to 1e301 are a spike near t = 0,
+        # which a rule over [0, 1] in t missed: it raised at 1e6 and gave
+        # NaN at 1e300; the density there underflows to 0
         try:
             val = mixture_grid["five_mixed"].pdf_series(x)
         except BilgammaError:
@@ -468,6 +496,13 @@ class TestMomentTransform:
 
     def test_laplace_variance(self, mixture_grid):
         assert mixture_grid["laplace"].moment(2) == pytest.approx(2.0)
+
+    def test_shallow_pmf_moment_fails(self, pair_nonint):
+        rep = build_mixture(pair_nonint, tail_tol=1e-4)
+        with pytest.raises(TruncationFailureError,
+                           match=r"moment\(2\) extrapolated tail .* exceeds "
+                                 r"tolerance 1e-06; rebuild"):
+            rep.moment(2)
 
     def test_third_moment_against_samples(self, pair_integer):
         rep = build_mixture(pair_integer, tail_tol=1e-13)

@@ -3,16 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import hyperu
 
-import bilgamma.quadrature
 from bilgamma import (
     DomainError,
     NonConvergenceError,
     QuadratureSpec,
-    build_mixture,
     integrate_zero_to_inf,
 )
 from bilgamma.models import MODEL_GRID
@@ -135,6 +133,12 @@ class TestLogHyperint:
         (0.5, 400.0, 1.0), (2.0, 400.0, 1.0), (3.0, 800.0, 1.0),
         (600.0, 650.0, 4.0), (300.0, 303.0, 0.8), (600.0, 900.0, 1.6),
         (900.0, 903.0, 1.6),
+        # a tiny a, as in PRICING_GAMMA's x > 0 kernels (a = 2e-8 + k),
+        # where the split rule was up to 3.8e-7 off: right of the peak x e^s
+        # ends the integrand at d of about 18, far inside the peak's
+        # curvature width of 2e4, and left of it e^(a d) runs for 1/a
+        (1e-8, 1.1, 2.5e7), (2e-8, 2.1, 1e8), (1e-8, 0.5, 3.0),
+        (7.915e-7, 4.708, 0.01298), (4.074e-9, 3.257, 2.017),
     ])
     def test_small_shape_matches_mpmath(self, a, b, x):
         # log Gamma(a) U(a, b, x) at 30 digits
@@ -143,36 +147,50 @@ class TestLogHyperint:
         assert log_hyperint(a, b, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("a,b,x", [
-        # the [0, 1] piece is a spike at t_star = (a-1)/x or within 1/x of
-        # 0: it summed to 0 ("underflowed"), and t_star overflowed to NaN
-        # past x = 1e154
+        # the mass is a spike near t = 0, at (a-1)/x or within 1/x of 0: a
+        # rule over [0, 1] in t summed it to 0 ("underflowed"), and the
+        # peak overflowed to NaN past x = 1e154
         (28.0, 32.3, 8.3e6), (28.0, 32.3, 8.3e300), (0.5, 4.8, 1e10),
         (1.0, 51.0, 1e6), (0.05, 0.05, 1e100), (300.0, 350.0, 1.7e308),
+        # a split rule missed the spike with no error, and returned -467.46,
+        # -78.27 and -6257.85 for -152.73, -34.86 and -6006.31
+        (13.68, 42.73, 3.455e5), (3.30, 134.01, 5.239e4),
+        (864.46, 1015.78, 3.303e5),
     ])
     def test_spike_near_zero_matches_mpmath(self, a, b, x):
         with mpmath.workdps(40):
             ref = float(mpmath.log(mpmath.gamma(a) * mpmath.hyperu(a, b, x)))
         assert abs(log_hyperint(a, b, x) - ref) <= 1e-10
 
-    def test_spike_retry_only_where_unsplit_fails(self, monkeypatch):
-        # arguments the unsplit pieces converge on never reach the retry
-        # (the only log-sum of three pieces), so their values are those of
-        # the unsplit rule bit for bit
-        sizes = []
-        log_sum = bilgamma.quadrature._log_sum
+    @pytest.mark.parametrize("a", [1e-30, 1e-100, 1e-300])
+    def test_vanishing_shape_is_one_over_a(self, a):
+        # I(a, b, x) = 1/a + O(log x) as a -> 0 when b stays small, almost
+        # all of it from the e^(a d) tail left of the peak, up to 1e300
+        # long
+        for b in (a - 0.5, a, a + 1.0, a + 2.5):
+            for x in (0.3, 1e5, 1e300):
+                assert log_hyperint(a, b, x) == pytest.approx(
+                    -math.log(a), rel=1e-14, abs=0.0), (b, x)
 
-        def counted(pieces):
-            sizes.append(len(pieces))
-            return log_sum(pieces)
-
-        monkeypatch.setattr(bilgamma.quadrature, "_log_sum", counted)
-        rep = build_mixture(MODEL_GRID["five_mixed"], tail_tol=1e-12)
-        for x in (-4.3, -1.2, -0.4, 0.6, 1.9, 4.4):
-            assert rep.pdf_series(x) > 0.0
-        assert log_hyperint(28.0, 32.3, 830.0) < 0.0
-        assert sizes and set(sizes) == {2}
-        log_hyperint(28.0, 32.3, 8.3e6)
-        assert sizes[-2:] == [2, 3]
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(log_a=st.floats(-10.0, 3.0), d=st.floats(-0.99, 1000.0),
+           log_x=st.floats(-3.0, 308.0))
+    def test_random_arguments_match_mpmath(self, log_a, d, log_x):
+        # a from 1e-10 to 1000, b - a from -0.99 to 1000, x from 1e-3 to
+        # 1e308.  mpmath's hyperu is itself wrong at some of these (at
+        # (425.34, 768.33, 560.47) it gives -177.32 up to 100 digits and
+        # -324.31 at 200), so a reference counts only where 50 and 200
+        # digits agree
+        a, x = 10.0 ** log_a, 10.0 ** log_x
+        b = a + d
+        refs = []
+        for dps in (50, 200):
+            with mpmath.workdps(dps):
+                refs.append(float(mpmath.log(mpmath.gamma(a)
+                                             * mpmath.hyperu(a, b, x))))
+        ref = refs[1]
+        assume(abs(refs[0] - ref) <= 1e-13 * max(1.0, abs(ref)))
+        assert abs(log_hyperint(a, b, x) - ref) <= 1e-12 * max(1.0, abs(ref))
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(a=st.floats(0.05, 600.0), d=st.floats(-0.9, 300.0),
