@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 import tracemalloc
 
@@ -62,6 +63,37 @@ def two_deep_sides(ratio):
     rates = (4.0 / ratio, 4.0 / math.sqrt(ratio), 4.0)
     return LinearCombinationModel.from_components(
         [(r, s, r, s, 1.0, 1.0) for r, s in zip(rates, DEEP_SHAPES)])
+
+
+def positive_side(model):
+    """The inputs ``build_mixture`` passes ``_mixture_pmf`` for L:
+    theta_j, the shapes and log P(L = 0)."""
+    ratio = model.lam / model.eta
+    return 1.0 - ratio, model.p, float(np.sum(model.p * np.log(ratio)))
+
+
+def pmf_mpmath(theta, shapes, log_mass0, terms):
+    """The first ``terms`` pmf entries by the classical recursion
+    g_k = (1/k) sum_{i<=k} s_i g_(k-i), s_i = sum_j shapes_j theta_j^i,
+    at 40 digits from the same float inputs as ``_mixture_pmf``."""
+    with mpmath.workdps(40):
+        th = [mpmath.mpf(t) for t in theta.tolist()]
+        sh = [mpmath.mpf(v) for v in shapes.tolist()]
+        powers = [mpmath.mpf(1)] * len(th)
+        s, g = [], [mpmath.mpf(1)]
+        for k in range(1, terms):
+            powers = [a * b for a, b in zip(powers, th)]
+            s.append(mpmath.fdot(sh, powers))
+            g.append(mpmath.fdot(s, g[::-1]) / k)
+        mass0 = mpmath.exp(log_mass0)
+        return np.array([float(mass0 * v) for v in g])
+
+
+def raw_moments(cumulant):
+    """E[T^k], k = 1..4, from the cumulants c_k = cumulant(k)."""
+    c1, c2, c3, c4 = (cumulant(k) for k in range(1, 5))
+    return [c1, c2 + c1 ** 2, c3 + 3 * c2 * c1 + c1 ** 3,
+            c4 + 4 * c3 * c1 + 3 * c2 ** 2 + 6 * c2 * c1 ** 2 + c1 ** 4]
 
 
 class TestModelValidation:
@@ -158,17 +190,78 @@ class TestMixtureConstruction:
     @pytest.mark.parametrize("neg", [
         # log P(M=0) = -902.9: P(0) underflows to 0
         [(1.0, 1.0), (0.5, 135.0), (384.0, 0.01)],
-        # log P(M=0) = -719.0: P(0) is subnormal and g_k = P(k)/P(0)
-        # overflows after 3284 terms
-        [(1.0, 240.0), (20.0, 0.01)],
     ])
     def test_pmf_overflow_is_an_error(self, neg):
-        # both returned a pmf ending in NaN; the overflow is reported by
+        # this returned a pmf ending in NaN; the underflow is reported by
         # the error alone, with no numpy warning
         model = LinearCombinationModel.from_components(
             [(1.0, 1.0, beta, q, 1.0, 1.0) for beta, q in neg])
         with pytest.raises(TruncationFailureError):
             build_mixture(model)
+
+    def test_subnormal_mass0_is_negative_binomial(self):
+        # log P(M=0) = -719.0, a subnormal P(0); the second component has
+        # theta = 0, so M ~ NB(240, 1/20) exactly.  g_k = P(k)/P(0) passes
+        # 2**512 at k = 307 and overflowed at 3284 before the rescale
+        model = LinearCombinationModel.from_components(
+            [(1.0, 1.0, 1.0, 240.0, 1.0, 1.0), (1.0, 1.0, 20.0, 0.01, 1.0, 1.0)])
+        pmf = build_mixture(model).pmf_neg
+        theta = 1.0 - 1.0 / 20.0
+        with mpmath.workdps(40):
+            ref = [mpmath.exp(float(np.sum(model.q * np.log(model.mu / model.xi))))]
+            for k in range(1, len(pmf)):
+                ref.append(ref[-1] * theta * (239 + k) / k)
+            ref = np.array([float(v) for v in ref])
+        assert math.fsum(pmf) >= 1.0 - 1e-12 - len(pmf) * np.finfo(float).eps
+        # subnormal entries carry fewer digits: compare them absolutely
+        normal = ref >= sys.float_info.min
+        np.testing.assert_allclose(pmf[normal], ref[normal], rtol=1e-13)
+        np.testing.assert_allclose(pmf[~normal], ref[~normal], rtol=0,
+                                   atol=sys.float_info.min * 1e-15)
+
+    def test_pmf_past_former_overflow(self):
+        # P(L=0) = e^-713.5 is subnormal, so g_k = P(k)/P(0) outgrows the
+        # float range: this overflowed after 9936 terms, where the pmf
+        # needs about 23.1k
+        model = LinearCombinationModel.from_components(
+            [(1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 0.25, 1), (1, 15, 1, 1, 10, 1),
+             (1, 50, 1, 1, 15, 1), (1, 50, 1, 1, 16, 1), (1, 50, 1, 1, 33, 1)])
+        with pytest.raises(TruncationFailureError,
+                           match=r"pmf mass 0\.000\d+ below 1 - 1e-12 after "
+                                 r"10000 terms"):
+            build_mixture(model)
+        pmf = build_mixture(model, k_max=30000).pmf_pos
+        assert 23000 < len(pmf) < 23200
+        slack = len(pmf) * np.finfo(float).eps
+        assert 1.0 - 1e-12 - slack <= pmf.sum() <= 1.0 + slack
+        # the first rescale is at k = 477
+        ref = pmf_mpmath(*positive_side(model), 600)
+        np.testing.assert_allclose(pmf[1:600], ref[1:], rtol=1e-13)
+
+    @pytest.mark.parametrize("model,terms", [(LARGE_B, None), (DEEP_MODEL, 1000)],
+                             ids=["LARGE_B", "DEEP_MODEL"])
+    def test_pmf_matches_mpmath_recursion(self, model, terms):
+        # every entry of LARGE_B's L, the first 1000 of DEEP_MODEL's
+        pmf = build_mixture(model).pmf_pos
+        inputs = positive_side(model)
+        np.testing.assert_array_equal(
+            pmf, bilgamma.combo._mixture_pmf(*inputs, 1e-12, 10000))
+        terms = terms or len(pmf)
+        np.testing.assert_allclose(pmf[:terms], pmf_mpmath(*inputs, terms),
+                                   rtol=1e-13)
+
+    def test_pmf_depths(self, model_grid):
+        # (len(pmf_pos), len(pmf_neg)) at tail_tol 1e-12, as the O(K^2)
+        # recursion over the power sums s_i truncated them
+        depths = {"laplace": (1, 1), "single_asym": (1, 1),
+                  "pair_integer": (40, 20), "pair_nonint": (75, 15),
+                  "pair_kappa": (20, 21), "five_mixed": (93, 25)}
+        models = dict(model_grid, DEEP_MODEL=DEEP_MODEL, LARGE_B=LARGE_B)
+        depths.update(DEEP_MODEL=(5528, 41), LARGE_B=(563, 1))
+        assert set(depths) == set(models)
+        for name, model in models.items():
+            rep = build_mixture(model, tail_tol=1e-12)
+            assert (len(rep.pmf_pos), len(rep.pmf_neg)) == depths[name], name
 
     def test_k_max_is_not_preallocated(self, pair_nonint):
         # k_max only bounds the recursion: a cap of 1e9 terms allocates as
@@ -515,18 +608,38 @@ class TestMomentTransform:
         # m1=c1, m2=c2+c1^2, m3=c3+3c2c1+c1^3, m4=c4+4c3c1+3c2^2+6c2c1^2+c1^4
         for name, model in model_grid.items():
             rep = mixture_grid_deep[name]
-            c = [model.cumulant(k) for k in range(1, 5)]
-            m_expected = [
-                c[0],
-                c[1] + c[0] ** 2,
-                c[2] + 3 * c[1] * c[0] + c[0] ** 3,
-                c[3] + 4 * c[2] * c[0] + 3 * c[1] ** 2
-                + 6 * c[1] * c[0] ** 2 + c[0] ** 4,
-            ]
+            m_expected = raw_moments(model.cumulant)
             for k in range(1, 5):
                 got = rep.moment(k)
                 assert got == pytest.approx(m_expected[k - 1], rel=1e-6,
                                             abs=1e-9), (name, k)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(comps=st.lists(st.tuples(RATES, SHAPES, RATES, SHAPES, RATES, RATES),
+                          min_size=1, max_size=6))
+    def test_pmf_mass_and_moments_random_models(self, comps):
+        # the tail_tol 1e-14 of mixture_grid_deep, for the same reason; a
+        # pmf or moment out of reach is a typed error, never a NaN
+        model = LinearCombinationModel.from_components(comps)
+        try:
+            rep = build_mixture(model, tail_tol=1e-14)
+        except TruncationFailureError:
+            return
+        for pmf in (rep.pmf_pos, rep.pmf_neg):
+            slack = len(pmf) * np.finfo(float).eps
+            assert 1.0 - 1e-14 - slack <= pmf.sum() <= 1.0 + slack
+        try:
+            got = [rep.moment(k) for k in range(1, 5)]
+        except TruncationFailureError:
+            return
+        # C4's relative 1e-8, taken against E[(X + Y)^k] >= |E[T^k]| (both
+        # sides counted positive), the size of the terms the alternating
+        # binomial sum in moment() cancels
+        expected = raw_moments(model.cumulant)
+        scale = raw_moments(lambda k: math.factorial(k - 1) * float(
+            np.sum(model.p / model.lam ** k) + np.sum(model.q / model.mu ** k)))
+        for k in range(4):
+            assert abs(got[k] - expected[k]) <= 1e-8 * scale[k], k + 1
 
 
 class TestLevyAndCumulants:
