@@ -6,6 +6,7 @@ from .combo import (
     MixtureRepresentation,
     build_mixture,
     load_model,
+    read_json,
 )
 from .errors import (
     BilgammaError,
@@ -17,6 +18,7 @@ from .errors import (
     ModelFileError,
     ModelMismatchError,
     NonConvergenceError,
+    NonFiniteResultError,
     OutOfStripError,
     SeriesDivergenceError,
     SingularPointError,
@@ -61,6 +63,7 @@ __all__ = [
     "MixtureRepresentation",
     "build_mixture",
     "load_model",
+    "read_json",
     "QuadratureSpec",
     "DEFAULT_QUAD",
     "integrate_zero_to_inf",
@@ -90,6 +93,7 @@ __all__ = [
     "OutOfStripError",
     "InversionNotIntegrableError",
     "NonConvergenceError",
+    "NonFiniteResultError",
     "TruncationFailureError",
     "SeriesDivergenceError",
     "ModelMismatchError",

@@ -21,12 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .combo import LinearCombinationModel, build_mixture, load_model
+from .combo import LinearCombinationModel, build_mixture, load_model, read_json
 from .errors import (
     BilgammaError,
     DomainError,
     KappaUndefinedError,
     ModelFileError,
+    NonFiniteResultError,
     SeriesDivergenceError,
 )
 from .pricing import (
@@ -60,43 +61,48 @@ class ConfigError(Exception):
     pass
 
 
-def _load_json(path: str, what: str) -> dict:
-    if not Path(path).is_file():
-        raise ConfigError(f"{what} file not found: {path}")
+def _fields(obj, what: str, required, optional=()) -> dict:
+    """The named fields of a JSON document as floats: every ``required``
+    name, and each ``optional`` name that is present."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {what} file {path}: {exc}") from exc
+        fields = {name: float(obj[name]) for name in required}
+        fields.update({name: float(obj[name]) for name in optional
+                       if name in obj})
+    except KeyError as exc:
+        raise ConfigError(f"{what} file missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} file has a non-numeric field: {exc}") from exc
+    return fields
 
 
 _CSV_BLOCK_ROWS = 65_536
 
 
-def _write_csv(path: str | None, header, rows=(), column=None):
-    """Write ``header`` and ``rows`` as CSV.  ``column``, a float array,
-    follows as one %.17g value per row (exact on read-back), formatted as
-    text in blocks of _CSV_BLOCK_ROWS rows so that neither a per-value
-    f-string nor the whole text is ever materialised."""
+def _write_csv(path: str | None, header, formats, columns):
+    """Write ``header``, then row i of the equal-length float arrays
+    ``columns`` with each value %-formatted by its entry of ``formats``
+    (%.17g reads back exactly).  Rows are formatted as text in blocks of
+    _CSV_BLOCK_ROWS, so that neither a per-value f-string nor the whole
+    text is ever materialised."""
     out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(header)
-        writer.writerows(rows)
-        if column is not None:
-            line = "%.17g" + writer.dialect.lineterminator
-            for i in range(0, len(column), _CSV_BLOCK_ROWS):
-                block = column[i:i + _CSV_BLOCK_ROWS].tolist()
-                out.write(line * len(block) % tuple(block))
+        line = ",".join(formats) + writer.dialect.lineterminator
+        for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in columns])
+            out.write(line * len(block) % tuple(block.ravel().tolist()))
     finally:
         if path:
             out.close()
 
 
 def _write_json(path: str | None, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NonFiniteResultError(
+            "the report holds NaN or an infinity, which JSON does not allow") from None
     if path:
         Path(path).write_text(text + "\n", encoding="utf-8")
     else:
@@ -129,10 +135,14 @@ def _parse_tgrid(text: str) -> np.ndarray:
         start, step, stop = (float(v) for v in text.split(":"))
     except ValueError:
         raise ConfigError(f"--tgrid must be start:step:stop, got {text!r}")
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise ConfigError(f"--tgrid needs finite values, got {text!r}")
     if step <= 0 or stop <= start:
         raise ConfigError("--tgrid needs step > 0 and stop > start")
-    n = int(round((stop - start) / step))
-    return start + step * np.arange(n + 1)
+    steps = (stop - start) / step
+    if steps > 1e7:
+        raise ConfigError(f"--tgrid has {steps:.6g} steps, more than 1e7")
+    return start + step * np.arange(int(round(steps)) + 1)
 
 
 # -- commands ----------------------------------------------------------------
@@ -143,14 +153,13 @@ def cmd_pdf(args) -> int:
     spec = _spec_from_args(args)
     rep = build_mixture(model, tail_tol=args.tail_tol)
     xs = np.linspace(args.xmin, args.xmax, args.points)
-    rows = []
-    for x in xs:
-        fourier = model.pdf_fourier(float(x), spec)
-        series = rep.pdf_series(float(x), spec) if x != 0.0 else math.nan
-        diff = abs(series - fourier) if x != 0.0 else math.nan
-        rows.append([f"{x:.12g}", f"{fourier:.12e}", f"{series:.12e}",
-                     f"{diff:.3e}"])
-    _write_csv(args.out, ["x", "pdf_fourier", "pdf_series", "abs_diff"], rows)
+    fourier, series = np.array(
+        [(model.pdf_fourier(float(x), spec),
+          rep.pdf_series(float(x), spec) if x != 0.0 else math.nan)
+         for x in xs]).T
+    _write_csv(args.out, ["x", "pdf_fourier", "pdf_series", "abs_diff"],
+               ["%.12g", "%.12e", "%.12e", "%.3e"],
+               [xs, fourier, series, np.abs(series - fourier)])
     return EXIT_OK
 
 
@@ -160,11 +169,10 @@ def cmd_cf(args) -> int:
     zs = np.linspace(-args.zmax, args.zmax, args.points)
     prod = model.cf(zs)
     mix = rep.cf(zs)
-    rows = [[f"{z:.12g}", f"{p.real:.12e}", f"{p.imag:.12e}",
-             f"{m.real:.12e}", f"{m.imag:.12e}", f"{abs(p - m):.3e}"]
-            for z, p, m in zip(zs, prod, mix)]
     _write_csv(args.out, ["z", "cf_product_re", "cf_product_im",
-                          "cf_mixture_re", "cf_mixture_im", "abs_diff"], rows)
+                          "cf_mixture_re", "cf_mixture_im", "abs_diff"],
+               ["%.12g"] + ["%.12e"] * 4 + ["%.3e"],
+               [zs, prod.real, prod.imag, mix.real, mix.imag, np.abs(prod - mix)])
     return EXIT_OK
 
 
@@ -189,7 +197,7 @@ def cmd_sample(args) -> int:
     chunks = _fan_out(lambda i: sample_direct(model, counts[i],
                                               RandomStream(args.seed, i)),
                       streams)
-    _write_csv(args.out, ["value"], column=np.concatenate(chunks))
+    _write_csv(args.out, ["value"], ["%.17g"], [np.concatenate(chunks)])
     return EXIT_OK
 
 
@@ -208,14 +216,10 @@ def cmd_bounds(args) -> int:
                                "log_h_n": exc.log_h_n})
         return EXIT_NUMERICAL
     if args.target:
-        obj = _load_json(args.target, "target")
-        try:
-            fields = [float(obj[name]) for name in ("alpha", "p", "beta", "q")]
-        except KeyError as exc:
-            raise ConfigError(f"target file missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"target file has a non-numeric field: {exc}") from exc
-        target = LinearCombinationModel.from_components([fields + [1.0, 1.0]])
+        fields = _fields(read_json(args.target, "target"), "target",
+                         ("alpha", "p", "beta", "q"))
+        target = LinearCombinationModel.from_components(
+            [[*fields.values(), 1.0, 1.0]])
         terms = d3_bg_terms(model, target)
         payload["d3_bg"] = {"value": float(sum(terms.values())), "terms": terms}
     if args.sigma is not None:
@@ -237,33 +241,22 @@ def cmd_cp_sweep(args) -> int:
     if not orders or min(orders) < 1:
         raise ConfigError("compound-Poisson orders must be >= 1")
     reference = sample_direct(model, args.n, RandomStream(args.seed, 0))
-    rows = []
     dks = []
     for i, m in enumerate(orders):
         z = sample_compound_poisson(model, m, args.n, RandomStream(args.seed, i + 1))
         dks.append(empirical_kolmogorov(z, reference))
     c_fit = dks[0] / bound_compound_poisson_k(model, orders[0])
-    for m, dk in zip(orders, dks):
-        bound = c_fit * bound_compound_poisson_k(model, m)
-        rows.append([m, f"{dk:.6f}", f"{bound:.6f}"])
-    _write_csv(args.out, ["m", "d_k", "bound_fitted"], rows)
+    bounds = [c_fit * bound_compound_poisson_k(model, m) for m in orders]
+    _write_csv(args.out, ["m", "d_k", "bound_fitted"], ["%d", "%.6f", "%.6f"],
+               [np.array(orders, dtype=float), np.array(dks), np.array(bounds)])
     return EXIT_OK
 
 
 def cmd_price(args) -> int:
     model = load_model(args.model)
-    obj = _load_json(args.pricing, "pricing")
-    try:
-        fields = {name: float(obj[name])
-                  for name in ("s0", "strike", "rate", "maturity")}
-        fields.update({name: float(obj[name])
-                       for name in ("dividend", "t_now", "spot_at_t")
-                       if name in obj})
-    except KeyError as exc:
-        raise ConfigError(f"pricing file missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"pricing file has a non-numeric field: {exc}") from exc
-    inputs = PricingInputs(**fields)
+    inputs = PricingInputs(**_fields(
+        read_json(args.pricing, "pricing"), "pricing",
+        ("s0", "strike", "rate", "maturity"), ("dividend", "t_now", "spot_at_t")))
     spec = _spec_from_args(args)
     method = args.method
     if method == "auto":
@@ -304,9 +297,7 @@ def cmd_simulate(args) -> int:
                                            RandomStream(args.seed, i)),
                      args.paths)
     header = ["t"] + [f"path_{i}" for i in range(args.paths)]
-    rows = [[f"{t:.12g}"] + [f"{p[k]:.12g}" for p in paths]
-            for k, t in enumerate(grid)]
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, ["%.12g"] * len(header), [grid] + paths)
     return EXIT_OK
 
 
@@ -396,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="approximation-bound report")
     p.add_argument("--model", required=True)
     p.add_argument("--target", help="bilateral-gamma target JSON")
-    p.add_argument("--sigma", type=float, help="normal target std dev")
+    p.add_argument("--sigma", type=_finite, help="normal target std dev")
     p.add_argument("--other", help="second model (weights-only difference)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)

@@ -30,6 +30,7 @@ from .errors import (
     InversionNotIntegrableError,
     ModelFileError,
     NonConvergenceError,
+    NonFiniteResultError,
     OutOfStripError,
     SingularPointError,
     TruncationFailureError,
@@ -47,6 +48,7 @@ __all__ = [
     "MixtureRepresentation",
     "build_mixture",
     "load_model",
+    "read_json",
 ]
 
 _FIELDS = ("alpha", "p", "beta", "q", "w1", "w2")
@@ -55,6 +57,8 @@ _FIELDS = ("alpha", "p", "beta", "q", "w1", "w2")
 _REAL_SCALARS = (float, int, np.floating, np.integer)
 
 _MOMENT_TAIL_TOL = 1e-6  # largest share of a moment its tail completion may give
+
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,8 @@ class LinearCombinationModel:
         """Parse the model document {"components": [{"alpha": ..., ...}]}.
 
         Rejects malformed input naming the offending component index and
-        field.
+        field; a value the constructor rejects (not finite and > 0) is
+        re-raised as ModelFileError with the constructor's message.
         """
         if not isinstance(obj, dict) or "components" not in obj:
             raise ModelFileError("model document must contain a 'components' list")
@@ -142,12 +147,12 @@ class LinearCombinationModel:
                     raise ModelFileError(
                         f"component {i}: field '{name}' is not a number: "
                         f"{entry[name]!r}") from None
-                if not (math.isfinite(v) and v > 0.0):
-                    raise ModelFileError(
-                        f"component {i}: field '{name}' must be finite and > 0, got {v}")
                 row.append(v)
             rows.append(row)
-        return cls.from_components(rows)
+        try:
+            return cls.from_components(rows)
+        except DomainError as exc:
+            raise ModelFileError(str(exc)) from None
 
     def to_json_obj(self) -> dict:
         return {"components": [
@@ -228,13 +233,17 @@ class LinearCombinationModel:
         return complex(val) if val.ndim == 0 else val
 
     def mgf(self, z: float) -> float:
-        """Moment generating function on the strip (-mu_min, lam_min)."""
+        """Moment generating function on the strip (-mu_min, lam_min);
+        a value past the largest double raises NonFiniteResultError."""
         if not (-self.mu_min < z < self.lam_min):
             raise OutOfStripError(
                 f"mgf argument {z} outside strip ({-self.mu_min}, {self.lam_min})")
-        return float(np.exp(
-            np.sum(self.p * np.log(self.lam / (self.lam - z)))
-            + np.sum(self.q * np.log(self.mu / (self.mu + z)))))
+        log_mgf = (np.sum(self.p * np.log(self.lam / (self.lam - z)))
+                   + np.sum(self.q * np.log(self.mu / (self.mu + z))))
+        if log_mgf > _LOG_FLOAT_MAX:
+            raise NonFiniteResultError(
+                f"mgf({z}) overflows a double: log mgf = {log_mgf:.6g}")
+        return float(np.exp(log_mgf))
 
     def levy_density(self, u: float) -> float:
         """Density of the Levy measure
@@ -251,11 +260,16 @@ class LinearCombinationModel:
 
     def cumulant(self, k: int) -> float:
         """k-th cumulant (k-1)! sum_j [p_j/lam_j^k + (-1)^k q_j/mu_j^k],
-        which equals int u^k against the Levy measure."""
+        which equals int u^k against the Levy measure; raises
+        NonFiniteResultError where (k-1)! overflows a double."""
         if k < 1:
             raise DomainError("cumulant order must be >= 1")
-        return math.factorial(k - 1) * float(
-            np.sum(self.p / self.lam ** k) + (-1) ** k * np.sum(self.q / self.mu ** k))
+        try:
+            return math.factorial(k - 1) * float(
+                np.sum(self.p / self.lam ** k) + (-1) ** k * np.sum(self.q / self.mu ** k))
+        except OverflowError:
+            raise NonFiniteResultError(
+                f"cumulant({k}): (k-1)! overflows a double") from None
 
     @property
     def mean(self) -> float:
@@ -282,19 +296,24 @@ class LinearCombinationModel:
         return max(raw, 0.0)
 
 
-def load_model(path) -> LinearCombinationModel:
-    """Load a model JSON document from disk.  A missing, unreadable,
-    non-UTF-8 or malformed file raises ModelFileError."""
+def read_json(path, what: str = "model"):
+    """Parse the JSON document at ``path``, the ``what`` file of a command
+    (a model, pricing or target file).  A missing, unreadable, non-UTF-8
+    or malformed file raises ModelFileError naming ``what`` and ``path``."""
     if not os.path.isfile(path):
-        raise ModelFileError(f"model file not found: {path}")
+        raise ModelFileError(f"{what} file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
+        raise ModelFileError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ModelFileError(f"invalid JSON in {path}: {exc}") from exc
-    return LinearCombinationModel.from_json_obj(obj)
+        raise ModelFileError(f"invalid JSON in {what} file {path}: {exc}") from exc
+
+
+def load_model(path) -> LinearCombinationModel:
+    """Load a model JSON document from disk; see :func:`read_json`."""
+    return LinearCombinationModel.from_json_obj(read_json(path))
 
 
 def _mixture_pmf(theta: np.ndarray, shapes: np.ndarray, log_mass0: float,
@@ -439,6 +458,7 @@ class MixtureRepresentation:
 
     # -- moments -------------------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")
     def moment(self, k: int) -> float:
         """E[T^k] by the binomial expansion over the two gamma mixtures:
 
@@ -449,7 +469,8 @@ class MixtureRepresentation:
         truncated sum plus its geometric tail completion; when the
         completed share exceeds _MOMENT_TAIL_TOL relative to the result the
         pmf is too shallow for this order and the call fails rather than
-        report a value dominated by extrapolation.
+        report a value dominated by extrapolation.  A sum that overflows
+        a double raises NonFiniteResultError.
         """
         if k < 1:
             raise DomainError("moment order must be >= 1")
@@ -461,12 +482,17 @@ class MixtureRepresentation:
         extrapolated = 0.0
         scale = 0.0
         for j in range(k + 1):
-            w = math.comb(k, j) * self.eta ** -(k - j) * self.xi ** -j
+            try:
+                w = math.comb(k, j) * self.eta ** -(k - j) * self.xi ** -j
+            except OverflowError:
+                w = math.inf
             term = w * pos_vals[k - j] * neg_vals[j]
             total += (-1) ** j * term
             scale = max(scale, abs(term))
             extrapolated += w * (pos_ext[k - j] * neg_vals[j]
                                  + pos_vals[k - j] * neg_ext[j])
+        if not math.isfinite(total):
+            raise NonFiniteResultError(f"moment({k}) overflows a double")
         if extrapolated > _MOMENT_TAIL_TOL * max(1.0, scale):
             raise TruncationFailureError(
                 f"moment({k}) extrapolated tail {extrapolated:.3g} exceeds "

@@ -35,6 +35,10 @@ class SeriesDivergenceError(BilgammaError, ArithmeticError):
     the pmf tail ratio before summation)."""
 
 
+class NonFiniteResultError(BilgammaError, ArithmeticError):
+    """A result overflows a double or is not a finite number."""
+
+
 class ModelMismatchError(BilgammaError, ValueError):
     """Two models that must share shape/rate parameters do not."""
 
@@ -48,7 +52,8 @@ class GridError(BilgammaError, ValueError):
 
 
 class ModelFileError(BilgammaError, ValueError):
-    """A model document is malformed; the message names the offending entry."""
+    """An input document (a model, pricing or target file) is missing,
+    unreadable or malformed; the message names the offending entry."""
 
 
 class KappaUndefinedError(BilgammaError, ValueError):

@@ -1,7 +1,7 @@
 """Random-variate generation with reproducible stream semantics.
 
-Every sampler takes a RandomStream; identical (seed, stream_id) pairs
-reproduce identical draws.  The direct, path and compound-Poisson samplers
+Every sampler takes a RandomStream (anything else raises DomainError);
+identical (seed, stream_id) pairs reproduce identical draws.  The direct, path and compound-Poisson samplers
 share one kernel, ``_gamma_sums``, which draws the combination's Levy
 process at time t: by gamma additivity that is the combination with every
 shape scaled by t.  Gamma variates come from numpy's exact rejection
@@ -44,9 +44,7 @@ class RandomStream:
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RandomStream):
         return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise DomainError(f"expected RandomStream or numpy Generator, got {type(rng)!r}")
+    raise DomainError(f"expected a RandomStream, got {type(rng)!r}")
 
 
 def _gamma_sums(model: LinearCombinationModel, time, n: int,
@@ -96,10 +94,10 @@ def sample_compound_poisson(model: LinearCombinationModel, m: int, n: int,
     Given N jumps their sum is exactly the combination's Levy process at
     time N/m, so each draw takes 2 gamma variates per component whatever
     m is.  The cf is exp(m (phi^(1/m)(z) - 1)); N = 0 yields an exact atom
-    at 0.
+    at 0.  m runs from 1 to 2**53, the integers a double holds exactly.
     """
-    if m < 1:
-        raise DomainError("compound-Poisson order m must be >= 1")
+    if not 1 <= m <= 2 ** 53:
+        raise DomainError(f"compound-Poisson order m must be in [1, 2**53], got {m}")
     if n < 1:
         raise DomainError("sample size must be >= 1")
     gen = _as_generator(rng)

@@ -289,8 +289,8 @@ def d3_normal_terms(model: LinearCombinationModel, sigma: float) -> dict:
     """Terms of the normal-target bound (the large-shape limit of the
     bilateral-gamma bound): the rate-difference target vanishes and the
     shape term compares against sigma^2."""
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
     kappa = kappa_inputs(model).kappa_n
     return _d3_common_terms(
         model, kappa,

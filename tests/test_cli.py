@@ -7,10 +7,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bilgamma
-from bilgamma import LinearCombinationModel, RandomStream, cli, sample_direct
+from bilgamma import (
+    LinearCombinationModel,
+    RandomStream,
+    cli,
+    sample_direct,
+    sample_path,
+)
 from bilgamma.cli import main
 from bilgamma.models import KAPPA_SINGLE, MARTINGALE, MODEL_GRID, PRICING_GAMMA
 
@@ -419,6 +426,23 @@ class TestSimulateCommand:
         assert main(["simulate", "--model", pair_file, "--tgrid", "1:0:0",
                      "--paths", "1", "--seed", "3"]) == 2
 
+    def test_columns_exact_across_blocks(self, pair_file, tmp_path,
+                                         monkeypatch):
+        # a block size of 3 puts block boundaries inside 11 rows of 3 columns
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+        out = tmp_path / "paths.csv"
+        assert main(["simulate", "--model", pair_file, "--tgrid", "0:0.1:1",
+                     "--paths", "2", "--seed", "4", "--out", str(out)]) == 0
+        grid = 0.1 * np.arange(11)
+        paths = [sample_path(MODEL_GRID["pair_integer"], grid, RandomStream(4, i))
+                 for i in range(2)]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["t", "path_0", "path_1"])
+        writer.writerows([f"{t:.12g}"] + [f"{p[k]:.12g}" for p in paths]
+                         for k, t in enumerate(grid))
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
 
 class TestCountArguments:
     @pytest.mark.parametrize("argv", [
@@ -462,6 +486,90 @@ class TestFiniteArguments:
         assert done.returncode == 2, done.stderr
         assert "must be finite" in done.stderr
         assert not out.exists()
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("flaw", ["missing", "non_utf8", "invalid_json"])
+    def test_one_reader_for_every_input_file(self, gamma_file, kappa_file,
+                                             tmp_path, capsys, flaw):
+        bad = tmp_path / "bad.json"
+        if flaw == "non_utf8":
+            bad.write_bytes(b'{"s0": "\xff"}')
+        elif flaw == "invalid_json":
+            bad.write_text("{not json")
+        errors = {}
+        for what, argv in (
+                ("model", ["cf", "--model", str(bad), "--points", "3"]),
+                ("pricing", ["price", "--model", gamma_file,
+                             "--pricing", str(bad)]),
+                ("target", ["bounds", "--model", kappa_file,
+                            "--target", str(bad)])):
+            assert main(argv) == 2, what
+            errors[what] = capsys.readouterr().err
+        opening = {"missing": "error: model file not found: ",
+                   "non_utf8": "error: cannot read model file ",
+                   "invalid_json": "error: invalid JSON in model file "}[flaw]
+        assert errors["model"].startswith(opening + str(bad))
+        for what in ("pricing", "target"):
+            assert errors[what] == errors["model"].replace(
+                "model file", f"{what} file")
+
+
+class TestNonFiniteAndOverflow:
+    """Each case used to exit 0 with NaN or Infinity in its JSON, or exit 1
+    (the failed-verification code) with a traceback."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        docs = {
+            "gamma": PRICING_GAMMA.to_json_obj(),
+            "kappa": KAPPA_SINGLE.to_json_obj(),
+            "laplace": MODEL_GRID["laplace"].to_json_obj(),
+            "pair": MODEL_GRID["pair_integer"].to_json_obj(),
+            "slow": LinearCombinationModel.from_components(
+                [(0.1, 1, 0.2, 1, 1, 1)]).to_json_obj(),
+            "long": {"s0": 1, "strike": 1.1, "rate": 0.05, "maturity": 2000},
+        }
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        return lambda name: str(tmp_path / f"{name}.json")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["price", "--model", "gamma", "--pricing", "long",
+          "--method", "integral"], 3),
+        (["price", "--model", "gamma", "--pricing", "long",
+          "--method", "monte-carlo", "--n", "1000", "--seed", "1"], 3),
+        (["price", "--model", "gamma", "--pricing", "long",
+          "--method", "series"], 3),
+        (["bounds", "--model", "kappa", "--sigma", "nan"], 2),
+        (["bounds", "--model", "kappa", "--sigma", "inf"], 2),
+        (["moments", "--model", "laplace", "--kmax", "171"], 3),
+        (["moments", "--model", "laplace", "--kmax", "172"], 3),
+        (["moments", "--model", "slow", "--kmax", "400"], 3),
+        # 1e300 steps: rejected before any grid is allocated
+        (["simulate", "--model", "pair", "--tgrid", "0:1e-300:1",
+          "--seed", "1"], 2),
+        (["simulate", "--model", "pair", "--tgrid", "0:nan:1",
+          "--seed", "1"], 2),
+        (["cp-sweep", "--model", "pair", "--m", "1,99999999999999999999",
+          "--n", "100", "--seed", "1"], 3),
+    ], ids=["integral", "monte_carlo", "series", "sigma_nan", "sigma_inf",
+            "kmax_171", "kmax_172", "kmax_400", "tgrid_size", "tgrid_nan",
+            "cp_order"])
+    def test_typed_exit(self, files, tmp_path, argv, code):
+        out = tmp_path / "out"
+        argv = [files(v) if prev in ("--model", "--pricing") else v
+                for prev, v in zip([None] + argv, argv)]
+        done = run_child("import sys; from bilgamma.cli import main; "
+                         "sys.exit(main(sys.argv[1:]))",
+                         *argv, "--out", str(out))
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines()[-1].startswith(
+            ("error: ", "bilgamma "))
+        if out.exists():
+            text = out.read_text()
+            assert "NaN" not in text and "Infinity" not in text
 
 
 class TestVerifyCommand:

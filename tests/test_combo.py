@@ -16,6 +16,7 @@ from bilgamma import (
     DomainError,
     LinearCombinationModel,
     ModelFileError,
+    NonFiniteResultError,
     OutOfStripError,
     RandomStream,
     SingularPointError,
@@ -568,6 +569,22 @@ class TestMomentTransform:
                 pair_integer.mgf(z)
         assert math.isfinite(pair_integer.mgf(0.999))
         assert math.isfinite(pair_integer.mgf(-2.999))
+
+    def test_overflow_is_typed(self, laplace_model):
+        # log mgf(1) = 1409.85 at time 2000: past the largest double, where
+        # the plain exp returned inf with a RuntimeWarning
+        with pytest.raises(NonFiniteResultError, match=r"mgf\(1.0\) overflows"):
+            PRICING_GAMMA.scaled(2000.0).mgf(1.0)
+        with pytest.raises(NonFiniteResultError, match=r"cumulant\(172\)"):
+            laplace_model.cumulant(172)
+        # E[T^171] is 0 by symmetry, but its binomial sum is inf - inf; at
+        # rates 0.1 and 0.2 the weight eta^-400 overflows a Python float
+        with pytest.raises(NonFiniteResultError, match=r"moment\(171\) overflows"):
+            build_mixture(laplace_model).moment(171)
+        slow = build_mixture(single(0.1, 1.0, 0.2, 1.0))
+        assert math.isfinite(slow.moment(116))
+        with pytest.raises(NonFiniteResultError, match=r"moment\(400\) overflows"):
+            slow.moment(400)
 
     def test_log_convexity(self, pair_nonint):
         zs = np.linspace(-0.9, 0.9, 13) * min(pair_nonint.lam_min,

@@ -30,6 +30,10 @@ class TestRandomStream:
         b = sample_direct(pair_nonint, 1000, RandomStream(5, 1))
         assert not np.array_equal(a, b)
 
+    def test_only_streams_accepted(self, pair_nonint):
+        with pytest.raises(DomainError, match="expected a RandomStream"):
+            sample_direct(pair_nonint, 10, np.random.default_rng(5))
+
 
 class TestDirectSampler:
     def test_mean_and_variance(self, pair_nonint):
@@ -69,6 +73,12 @@ class TestMixtureSampler:
 
 
 class TestCompoundPoisson:
+    @pytest.mark.parametrize("m", [0, 2 ** 53 + 1, 10 ** 20])
+    def test_order_out_of_range(self, pair_integer, m):
+        # numpy's Poisson sampler rejected 1e20 with a bare ValueError
+        with pytest.raises(DomainError, match=r"order m must be in \[1, 2\*\*53\]"):
+            sample_compound_poisson(pair_integer, m, 10, RandomStream(6))
+
     def test_atom_at_zero(self, pair_integer):
         # P(Z = 0) >= P(N = 0) = e^(-m)
         n = 20_000

@@ -308,6 +308,12 @@ class TestD3Bounds:
         with pytest.raises(DomainError):
             bound_d3_normal(kappa_single, 0.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_normal_non_finite_sigma(self, kappa_single, sigma):
+        # both used to reach the bounds report as NaN or Infinity
+        with pytest.raises(DomainError, match="sigma must be finite and > 0"):
+            bound_d3_normal(kappa_single, sigma)
+
     def test_bound_dominates_single_test_function(self, kappa_single):
         # metric ordering: the order-3 bound dominates |E sin(T) - E sin(Z)|
         target = single(2.5, 1.0, 2.0, 0.8)
