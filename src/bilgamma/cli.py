@@ -40,7 +40,13 @@ from .pricing import (
     price_call_monte_carlo,
 )
 from .quadrature import QuadratureSpec
-from .sampling import RandomStream, sample_compound_poisson, sample_direct, sample_path
+from .sampling import (
+    RandomStream,
+    _check_cp_order,
+    sample_compound_poisson,
+    sample_direct,
+    sample_path,
+)
 from .stein import (
     bound_compound_poisson_k,
     bound_two_sums,
@@ -240,6 +246,8 @@ def cmd_cp_sweep(args) -> int:
         raise ConfigError(f"--m must be a comma-separated integer list, got {args.m!r}")
     if not orders or min(orders) < 1:
         raise ConfigError("compound-Poisson orders must be >= 1")
+    for m in orders:
+        _check_cp_order(m)
     reference = sample_direct(model, args.n, RandomStream(args.seed, 0))
     dks = []
     for i, m in enumerate(orders):

@@ -25,7 +25,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .combo import LinearCombinationModel, _completed_series, build_mixture
-from .errors import DomainError, SeriesDivergenceError
+from .errors import DomainError, NonFiniteResultError, SeriesDivergenceError
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, _quad, oscillatory_integral
 from .sampling import sample_direct
 
@@ -222,9 +222,30 @@ def price_call_atm(model: LinearCombinationModel, inputs: PricingInputs,
 def price_call_monte_carlo(model: LinearCombinationModel,
                            inputs: PricingInputs, n: int, rng
                            ) -> tuple[float, float]:
-    """Monte Carlo price and its standard error from n exact draws of the
-    time-t' law."""
-    draws = sample_direct(model.scaled(inputs.t_remaining), n, rng)
-    payoff = math.exp(-inputs.rate * inputs.maturity) * np.maximum(
-        inputs.spot_at_t * np.exp(draws) - inputs.strike, 0.0)
-    return float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(n))
+    """Monte Carlo price and its standard error from n >= 2 exact draws of
+    the time-t' law; raises NonFiniteResultError if the payoff's mean or
+    variance overflows.
+
+    The payoff and the variance are computed in place on the draws, by the
+    same steps and roundings as ``payoff.mean()`` and ``payoff.std(ddof=1)``,
+    so memory is the draws plus the sampler's fixed buffer."""
+    if n < 2:
+        raise DomainError("a Monte Carlo standard error needs n >= 2 draws")
+    payoff = sample_direct(model.scaled(inputs.t_remaining), n, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(payoff, out=payoff)
+        payoff *= inputs.spot_at_t
+        payoff -= inputs.strike
+        np.maximum(payoff, 0.0, out=payoff)
+        payoff *= math.exp(-inputs.rate * inputs.maturity)
+        price = float(payoff.mean())
+        if not math.isfinite(price):
+            raise NonFiniteResultError(
+                f"Monte Carlo payoff mean is {price} (spot * e^X overflows)")
+        payoff -= price
+        np.square(payoff, out=payoff)
+        variance = float(payoff.sum()) / (n - 1)
+    if not math.isfinite(variance):
+        raise NonFiniteResultError(
+            f"Monte Carlo payoff variance is {variance} (its squares overflow)")
+    return price, math.sqrt(variance) / math.sqrt(n)

@@ -5,9 +5,13 @@ identical (seed, stream_id) pairs reproduce identical draws.  The direct, path a
 share one kernel, ``_gamma_sums``, which draws the combination's Levy
 process at time t: by gamma additivity that is the combination with every
 shape scaled by t.  Gamma variates come from numpy's exact rejection
-samplers (valid for shapes below 1 as well).  Parallel Monte Carlo splits
-work by stream_id, so results depend on the stream layout but never on the
-worker count.
+samplers (valid for shapes below 1 as well).  Besides the n-array it
+returns, the kernel holds one buffer of at most _CHUNK variates, scaled and
+summed in place.  Chunking keeps the component-major draw order (each
+side's n variates one after another), so the generator consumes its bits
+as an unchunked draw would and a seed reproduces earlier releases' draws
+bit for bit.  Parallel Monte Carlo splits work by stream_id, so results
+depend on the stream layout but never on the worker count.
 """
 
 from __future__ import annotations
@@ -47,15 +51,33 @@ def _as_generator(rng) -> np.random.Generator:
     raise DomainError(f"expected a RandomStream, got {type(rng)!r}")
 
 
+_CHUNK = 2 ** 16  # gamma variates held in _gamma_sums' buffer at a time
+
+
 def _gamma_sums(model: LinearCombinationModel, time, n: int,
                 gen: np.random.Generator) -> np.ndarray:
     """n draws of the combination's Levy process at ``time`` (a scalar or
     n values): sum_j (w1_j Ga(p_j t, alpha_j) - w2_j Ga(q_j t, beta_j)),
-    2 gamma variates per component and draw; t = 0 gives exactly 0."""
+    2 gamma variates per component and draw; t = 0 gives exactly 0.
+
+    Each side's variates are drawn in chunks into one buffer and scaled in
+    place by 1/rate, then by the weight: the same variates, in the same
+    order and with the same roundings as ``w * gen.gamma(shape * time,
+    1/rate, n)``."""
     out = np.zeros(n)
+    buf = np.empty(min(n, _CHUNK))
+    sides = [(model.p, model.alpha, model.w1, np.add),
+             (model.q, model.beta, model.w2, np.subtract)]
     for j in range(model.n):
-        out += model.w1[j] * gen.gamma(model.p[j] * time, 1.0 / model.alpha[j], n)
-        out -= model.w2[j] * gen.gamma(model.q[j] * time, 1.0 / model.beta[j], n)
+        for shape, rate, weight, combine in sides:
+            for lo in range(0, n, _CHUNK):
+                part = out[lo:lo + _CHUNK]
+                chunk = buf[:len(part)]
+                t = time if np.ndim(time) == 0 else time[lo:lo + _CHUNK]
+                gen.standard_gamma(shape[j] * t, out=chunk)
+                chunk *= 1.0 / rate[j]
+                chunk *= weight[j]
+                combine(part, chunk, out=part)
     return out
 
 
@@ -82,8 +104,16 @@ def sample_mixture(rep: MixtureRepresentation, n: int, rng) -> np.ndarray:
     pmf_neg[-1] += max(0.0, 1.0 - pmf_neg.sum())
     ell = gen.choice(len(pmf_pos), p=pmf_pos / pmf_pos.sum(), size=n)
     em = gen.choice(len(pmf_neg), p=pmf_neg / pmf_neg.sum(), size=n)
-    return (gen.gamma(rep.p + ell, 1.0 / rep.eta)
-            - gen.gamma(rep.q + em, 1.0 / rep.xi))
+    draws = gen.gamma(rep.p + ell, 1.0 / rep.eta)
+    draws -= gen.gamma(rep.q + em, 1.0 / rep.xi)
+    return draws
+
+
+def _check_cp_order(m: int) -> None:
+    """Raise DomainError unless 1 <= m <= 2**53, the integers a double
+    holds exactly (numpy's Poisson sampler rejects larger means)."""
+    if not 1 <= m <= 2 ** 53:
+        raise DomainError(f"compound-Poisson order m must be in [1, 2**53], got {m}")
 
 
 def sample_compound_poisson(model: LinearCombinationModel, m: int, n: int,
@@ -96,8 +126,7 @@ def sample_compound_poisson(model: LinearCombinationModel, m: int, n: int,
     m is.  The cf is exp(m (phi^(1/m)(z) - 1)); N = 0 yields an exact atom
     at 0.  m runs from 1 to 2**53, the integers a double holds exactly.
     """
-    if not 1 <= m <= 2 ** 53:
-        raise DomainError(f"compound-Poisson order m must be in [1, 2**53], got {m}")
+    _check_cp_order(m)
     if n < 1:
         raise DomainError("sample size must be >= 1")
     gen = _as_generator(rng)

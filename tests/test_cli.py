@@ -281,6 +281,21 @@ class TestCpSweepCommand:
         # the fit pins the first point to the bound
         assert float(rows[0][1]) == pytest.approx(bounds[0], rel=1e-9)
 
+    def test_orders_checked_before_any_draw(self, pair_file, tmp_path,
+                                            monkeypatch, capsys):
+        def no_draws(*args):
+            raise AssertionError("sampled before the orders were checked")
+
+        monkeypatch.setattr(cli, "sample_direct", no_draws)
+        monkeypatch.setattr(cli, "sample_compound_poisson", no_draws)
+        code = main(["cp-sweep", "--model", pair_file,
+                     "--m", "1,99999999999999999999", "--seed", "1",
+                     "--out", str(tmp_path / "sweep.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: DomainError: compound-Poisson order m must be in "
+            "[1, 2**53], got 99999999999999999999\n")
+
 
 class TestPriceCommand:
     def test_atm_uses_closed_form(self, gamma_file, tmp_path):
@@ -567,6 +582,9 @@ class TestNonFiniteAndOverflow:
         assert "Traceback" not in done.stderr
         assert done.stderr.splitlines()[-1].startswith(
             ("error: ", "bilgamma "))
+        if code == 3:
+            # the typed error alone, no numpy warning ahead of it
+            assert len(done.stderr.splitlines()) == 1, done.stderr
         if out.exists():
             text = out.read_text()
             assert "NaN" not in text and "Infinity" not in text

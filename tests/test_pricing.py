@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from bilgamma import (
     DomainError,
     InversionNotIntegrableError,
     LinearCombinationModel,
+    NonFiniteResultError,
     OutOfStripError,
     PricingInputs,
     RandomStream,
@@ -17,7 +20,7 @@ from bilgamma import (
     price_call_integral,
     price_call_monte_carlo,
 )
-from bilgamma.models import MARTINGALE
+from bilgamma.models import MARTINGALE, PRICING_GAMMA
 from bilgamma.pricing import _tail_probability, negative_part_bound
 from bilgamma.quadrature import DEFAULT_QUAD
 from conftest import single
@@ -136,6 +139,52 @@ class TestIntegralPrice:
         model = single(1.0, 1.0, 3.0, 1.0)
         with pytest.raises(OutOfStripError):
             price_call_integral(model, base_inputs())
+
+
+class TestMonteCarloPrice:
+    @pytest.mark.parametrize("strike, pinned", [
+        (0.9, "(0.2724973186750486, 0.013701287163892179)"),
+        (1.0, "(0.21601043379559315, 0.013001172372724926)"),
+        (1.2, "(0.1365011269725839, 0.011455538954416908)"),
+    ])
+    def test_pinned(self, strike, pinned):
+        # (price, SE) of releases that took payoff.mean() and
+        # payoff.std(ddof=1) on a separate payoff array, to the last bit
+        result = price_call_monte_carlo(MARTINGALE, base_inputs(strike=strike),
+                                        1000, RandomStream(19, 6))
+        assert repr(result) == pinned
+
+    def test_memory_is_one_array(self):
+        # the draws (8n bytes) plus the sampler's fixed buffer
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            price_call_monte_carlo(MARTINGALE, base_inputs(), n, RandomStream(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + 2_000_000
+
+    def test_overflow_is_typed(self):
+        # spot * e^X overflows at maturity 2000
+        inputs = base_inputs(strike=1.1, maturity=2000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match="mean"):
+                price_call_monte_carlo(PRICING_GAMMA, inputs, 1000,
+                                       RandomStream(1))
+
+    def test_variance_overflow_is_typed(self):
+        # payoffs near 1e155 have a finite mean but squares past a double
+        inputs = base_inputs(s0=1e155, strike=1e155)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match="variance"):
+                price_call_monte_carlo(MARTINGALE, inputs, 1000, RandomStream(1))
+
+    def test_needs_two_draws(self):
+        with pytest.raises(DomainError, match="n >= 2"):
+            price_call_monte_carlo(MARTINGALE, base_inputs(), 1, RandomStream(1))
 
 
 class TestGammaSeriesPrice:

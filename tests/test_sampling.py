@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from bilgamma import (
     sample_mixture,
     sample_path,
 )
+from bilgamma import sampling
 from bilgamma.models import MODEL_GRID
 from conftest import KS_CRIT_001, block_cumulant_se, single
 
@@ -170,3 +172,64 @@ class TestProcessPath:
         a = sample_path(pair_integer, g, RandomStream(12, 3))
         b = sample_path(pair_integer, g, RandomStream(12, 3))
         np.testing.assert_array_equal(a, b)
+
+
+def _digest(draws: np.ndarray) -> str:
+    return hashlib.sha256(draws.tobytes()).hexdigest()
+
+
+# a 65 537-step grid with unequal steps: more than one kernel chunk
+_LONG_GRID = np.cumsum(np.r_[0.0, np.linspace(0.5, 1.5, 2 ** 16 + 1)]) / 2 ** 16
+
+
+class TestPinnedDraws:
+    """SHA-256 of the draws of releases that drew each side in one
+    ``gen.gamma`` call: the chunked kernel must reproduce them bit for bit.
+    Sizes sit on either side of the kernel's 2**16-variate chunk."""
+
+    @pytest.mark.parametrize("n, digest", [
+        (1, "d010defbc9f64f7c51e00c22ae4ad825a059cb4518964971a7fb5a8d8d2180a0"),
+        (2 ** 16 - 1,
+         "758f5bd02393e3535836fa39e08f74e1182b71ae2dc2d076f16a9e812daf6293"),
+        (2 ** 16 + 1,
+         "678c2380a2a03025557047a30d643aad9456173f6391d71fde77f7abf5336c0c"),
+        (200_001,
+         "8d266ab9400cacb22e4a7ace7e2c0f07585194c725743902bca58d62b25f64f2"),
+    ])
+    def test_direct(self, n, digest):
+        draws = sample_direct(MODEL_GRID["five_mixed"], n, RandomStream(19, 2))
+        assert _digest(draws) == digest
+
+    @pytest.mark.parametrize("m, digest", [
+        (1, "9d7688bae2d01c3442460efb8a9b58bd68b6c2f72c2fbc7d5929585013abce17"),
+        (3, "5c4d5f4a9c6b8f1bd0bad339aecbdb3f0ef7be276fb2817e4402cc4dd20d8199"),
+    ])
+    def test_compound_poisson(self, m, digest):
+        draws = sample_compound_poisson(MODEL_GRID["five_mixed"], m, 2 ** 16 + 1,
+                                        RandomStream(19, 3))
+        assert _digest(draws) == digest
+
+    def test_path(self):
+        path = sample_path(MODEL_GRID["five_mixed"], _LONG_GRID, RandomStream(19, 4))
+        assert _digest(path) == (
+            "723ec9da7e0b321efcf1e429c6978f261683d931434bc35c71696a7516fa5500")
+
+    def test_mixture(self):
+        rep = build_mixture(MODEL_GRID["pair_nonint"], tail_tol=1e-12)
+        draws = sample_mixture(rep, 2 ** 16 + 1, RandomStream(19, 5))
+        assert _digest(draws) == (
+            "e9b61967868287f02a436be4e2b3c5443d3d922f96e4a114a53916f39d4dd4ec")
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_chunk_size_does_not_change_draws(self, monkeypatch, chunk):
+        model = MODEL_GRID["five_mixed"]
+        grid = _LONG_GRID[:2001]
+        before = (sample_direct(model, 2001, RandomStream(2)),
+                  sample_compound_poisson(model, 3, 2001, RandomStream(2)),
+                  sample_path(model, grid, RandomStream(2)))
+        monkeypatch.setattr(sampling, "_CHUNK", chunk)
+        after = (sample_direct(model, 2001, RandomStream(2)),
+                 sample_compound_poisson(model, 3, 2001, RandomStream(2)),
+                 sample_path(model, grid, RandomStream(2)))
+        for a, b in zip(before, after):
+            assert a.tobytes() == b.tobytes()
