@@ -21,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .combo import LinearCombinationModel, build_mixture, load_model, read_json
+from .combo import (
+    LinearCombinationModel,
+    build_mixture,
+    load_model,
+    read_fields,
+    read_json,
+)
 from .errors import (
     BilgammaError,
     DomainError,
@@ -39,7 +45,7 @@ from .pricing import (
     price_call_integral,
     price_call_monte_carlo,
 )
-from .quadrature import QuadratureSpec
+from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .sampling import (
     RandomStream,
     _check_cp_order,
@@ -65,20 +71,6 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(Exception):
     pass
-
-
-def _fields(obj, what: str, required, optional=()) -> dict:
-    """The named fields of a JSON document as floats: every ``required``
-    name, and each ``optional`` name that is present."""
-    try:
-        fields = {name: float(obj[name]) for name in required}
-        fields.update({name: float(obj[name]) for name in optional
-                       if name in obj})
-    except KeyError as exc:
-        raise ConfigError(f"{what} file missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} file has a non-numeric field: {exc}") from exc
-    return fields
 
 
 _CSV_BLOCK_ROWS = 65_536
@@ -148,7 +140,8 @@ def _parse_tgrid(text: str) -> np.ndarray:
     steps = (stop - start) / step
     if steps > 1e7:
         raise ConfigError(f"--tgrid has {steps:.6g} steps, more than 1e7")
-    return start + step * np.arange(int(round(steps)) + 1)
+    # the last point passes stop by rounding only
+    return start + step * np.arange(math.floor(steps * (1.0 + 1e-12)) + 1)
 
 
 # -- commands ----------------------------------------------------------------
@@ -222,8 +215,8 @@ def cmd_bounds(args) -> int:
                                "log_h_n": exc.log_h_n})
         return EXIT_NUMERICAL
     if args.target:
-        fields = _fields(read_json(args.target, "target"), "target",
-                         ("alpha", "p", "beta", "q"))
+        fields = read_fields(read_json(args.target, "target"), "target file",
+                             ("alpha", "p", "beta", "q"))
         target = LinearCombinationModel.from_components(
             [[*fields.values(), 1.0, 1.0]])
         terms = d3_bg_terms(model, target)
@@ -262,8 +255,8 @@ def cmd_cp_sweep(args) -> int:
 
 def cmd_price(args) -> int:
     model = load_model(args.model)
-    inputs = PricingInputs(**_fields(
-        read_json(args.pricing, "pricing"), "pricing",
+    inputs = PricingInputs(**read_fields(
+        read_json(args.pricing, "pricing"), "pricing file",
         ("s0", "strike", "rate", "maturity"), ("dividend", "t_now", "spot_at_t")))
     spec = _spec_from_args(args)
     method = args.method
@@ -346,10 +339,10 @@ def _finite(text: str) -> float:
 
 
 def _add_quad_args(p):
-    p.add_argument("--abs-tol", type=float, default=1e-10, dest="abs_tol")
-    p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
-    p.add_argument("--max-subdivisions", type=int, default=2000,
-                   dest="max_subdivisions")
+    p.add_argument("--abs-tol", type=_finite, default=DEFAULT_QUAD.abs_tol)
+    p.add_argument("--rel-tol", type=_finite, default=DEFAULT_QUAD.rel_tol)
+    p.add_argument("--max-subdivisions", type=_count(1),
+                   default=DEFAULT_QUAD.max_subdivisions)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ integer variables whose pmfs come from the convolution recursion below
 identity is the backbone of everything in this module: both the cf and the
 density admit a product form (over components) and a mixture form (over
 the randomised shapes), and the two must agree to quadrature accuracy.
+The module also reads every input document (``read_json``, ``read_fields``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .quadrature import (
     QuadratureSpec,
     fourier_density,
     log_hyperint,
-    log_hyperint_rows,
 )
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "MixtureRepresentation",
     "build_mixture",
     "load_model",
+    "read_fields",
     "read_json",
 ]
 
@@ -133,22 +134,8 @@ class LinearCombinationModel:
         comps = obj["components"]
         if not isinstance(comps, list) or not comps:
             raise ModelFileError("'components' must be a non-empty list")
-        rows = []
-        for i, entry in enumerate(comps):
-            if not isinstance(entry, dict):
-                raise ModelFileError(f"component {i}: expected an object")
-            row = []
-            for name in _FIELDS:
-                if name not in entry:
-                    raise ModelFileError(f"component {i}: missing field '{name}'")
-                try:
-                    v = float(entry[name])
-                except (TypeError, ValueError):
-                    raise ModelFileError(
-                        f"component {i}: field '{name}' is not a number: "
-                        f"{entry[name]!r}") from None
-                row.append(v)
-            rows.append(row)
+        rows = [read_fields(entry, f"component {i}", _FIELDS).values()
+                for i, entry in enumerate(comps)]
         try:
             return cls.from_components(rows)
         except DomainError as exc:
@@ -311,6 +298,28 @@ def read_json(path, what: str = "model"):
         raise ModelFileError(f"invalid JSON in {what} file {path}: {exc}") from exc
 
 
+def read_fields(obj, what: str, required, optional=()) -> dict:
+    """The named fields of the JSON object ``obj`` as floats: every
+    ``required`` name, and each ``optional`` name that is present.  A
+    document that is not an object, a missing field or a value that is not
+    a number raises ModelFileError naming ``what``, the field and the value."""
+    if not isinstance(obj, dict):
+        raise ModelFileError(f"{what}: expected an object")
+    fields = {}
+    for name in (*required, *(n for n in optional if n in obj)):
+        if name not in obj:
+            raise ModelFileError(f"{what}: missing field '{name}'")
+        try:
+            fields[name] = float(obj[name])
+        except (TypeError, ValueError):
+            raise ModelFileError(f"{what}: field '{name}' is not a number: "
+                                 f"{obj[name]!r}") from None
+        except OverflowError:
+            raise ModelFileError(
+                f"{what}: field '{name}' overflows a double") from None
+    return fields
+
+
 def load_model(path) -> LinearCombinationModel:
     """Load a model JSON document from disk; see :func:`read_json`."""
     return LinearCombinationModel.from_json_obj(read_json(path))
@@ -401,6 +410,75 @@ def _power_sum(pmf, shape, log_r):
     return (inner * giant).sum(axis=-1)
 
 
+def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int,
+                      spec: QuadratureSpec = DEFAULT_QUAD):
+    """Yield (i, L_i) for i = rows - 1 down to 0, where
+
+        L_i[j] = log I(a0 + i, b0 + i + j, x),  j = 0 .. cols - 1,
+
+    with I the integral of ``log_hyperint``.  At most two entries are
+    integrated, by ``log_hyperint``; the rest follow from three exact
+    relations, each applied in the direction in which it adds positive
+    terms only:
+
+    * (D) (a0 + k) d_k + (b0 + k - x) d_(k+1) = x d_(k+2) for the diagonal
+      d_k = I(a0 + k, b0 + k) (by parts on
+      d/dt [t^(a0+k) (1+t)^(b0-a0) e^(-xt)]) gives the first entry of
+      every row.  It is seeded at k0 = ceil(x - b0), clipped to the
+      diagonal, and run forward above k0, where b0 + k - x >= 0, and
+      backward below it as (a0 + k) d_k = x d_(k+2) + (x - b0 - k) d_(k+1);
+    * (B) x I(a, b+1) = (b - 1 + x) I(a, b) - (b - a - 1) I(a, b-1)
+      (DLMF 13.3.8) fills the last row forward in b, the direction in
+      which U is the dominant solution, so the recurrence is stable;
+    * (A) I(a, b+1) = I(a, b) + I(a+1, b+1) (13.3.10; the integrand
+      identity (1 + t) = 1 + t) builds each earlier row as a running sum
+      of the row below it, and gives the last row's second entry from the
+      diagonal run one step past it.
+
+    At most two rows and the diagonal are held at a time.
+    """
+    if rows < 1 or cols < 1:
+        raise DomainError(f"require rows >= 1 and cols >= 1, got {rows}, {cols}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"require a finite x > 0, got x={x}")
+    # the diagonal runs one step past the last row when that row has a
+    # second entry to build from it
+    n = rows + (cols > 1)
+    diag = np.empty(n)
+    k0 = min(max(math.ceil(x - b0), 0), max(n - 2, 0))
+    diag[k0] = log_hyperint(a0 + k0, b0 + k0, x, spec)
+    if n > 1:
+        diag[k0 + 1] = log_hyperint(a0 + k0 + 1.0, b0 + k0 + 1.0, x, spec)
+        # (D) forward as a recurrence for the ratio d_(k+2) / d_(k+1)
+        ratio = math.exp(diag[k0 + 1] - diag[k0])
+        for k in range(k0, n - 2):
+            ratio = ((a0 + k) / ratio + (b0 + k - x)) / x
+            diag[k + 2] = diag[k + 1] + math.log(ratio)
+        # (D) backward as a recurrence for the ratio d_k / d_(k+1)
+        ratio = math.exp(diag[k0] - diag[k0 + 1])
+        for k in range(k0 - 1, -1, -1):
+            ratio = (x / ratio + (x - b0 - k)) / (a0 + k)
+            diag[k] = diag[k + 1] + math.log(ratio)
+    a, b = a0 + rows - 1, b0 + rows - 1
+    row = np.empty(cols)
+    row[0] = diag[rows - 1]
+    if cols > 1:
+        row[1] = np.logaddexp(diag[rows - 1], diag[rows])
+        # (B) as a recurrence for the ratio I(a, b+j+1) / I(a, b+j)
+        ratio = math.exp(row[1] - row[0])
+        for j in range(1, cols - 1):
+            bj = b + j
+            ratio = (bj - 1.0 + x - (bj - a - 1.0) / ratio) / x
+            row[j + 1] = row[j] + math.log(ratio)
+    yield rows - 1, row
+    for i in range(rows - 2, -1, -1):
+        below = row
+        row = np.empty(cols)
+        row[0] = diag[i]
+        row[1:] = below[:-1]
+        yield i, np.logaddexp.accumulate(row, out=row)
+
+
 @dataclass(frozen=True, eq=False)
 class MixtureRepresentation:
     """Randomised-shape mixture of one linear combination.
@@ -409,7 +487,6 @@ class MixtureRepresentation:
     method is a pure function of the stored arrays.
     """
 
-    model: LinearCombinationModel
     tail_tol: float
     eta: float
     xi: float
@@ -565,12 +642,10 @@ class MixtureRepresentation:
         lp_col, f_col = lp_col[c_lo:c_hi], f_col[c_lo:c_hi]
         const = (self.p + self.q - 1.0) * log_ax - rate * ax
         total = 0.0
-        # the seeds are looked up by this module's name, where a tracer
-        # (perfbench/spans.py) counts them as log_hyperint calls
         for i, log_kernel in log_hyperint_rows(
                 shape + r_lo, self.p + self.q + r_lo + c_lo,
                 (self.eta + self.xi) * ax, int(rows[-1]) + 1 - r_lo,
-                c_hi - c_lo, spec, seed=log_hyperint):
+                c_hi - c_lo, spec):
             r = r_lo + i
             keep = lp_row[r] + lp_col >= cut
             total += float(np.exp(const + f_row[r] + f_col[keep]
@@ -645,7 +720,6 @@ def build_mixture(model: LinearCombinationModel, tail_tol: float = 1e-12,
     pmf_pos.flags.writeable = False
     pmf_neg.flags.writeable = False
     return MixtureRepresentation(
-        model=model,
         tail_tol=tail_tol,
         eta=eta,
         xi=xi,

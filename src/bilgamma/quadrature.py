@@ -7,6 +7,8 @@ that tolerances and domain transformations are applied uniformly:
 * Fourier-type integrals (densities, Gil-Pelaez tails) go through
   ``oscillatory_integral`` and QUADPACK's dedicated oscillatory rule.
 
+``DEFAULT_QUAD`` is the one default budget, the CLI's included.
+
 scipy is imported inside the functions that call it, here and in the other
 modules, so that a command that never integrates does not pay to load it.
 """
@@ -28,7 +30,6 @@ __all__ = [
     "oscillatory_integral",
     "fourier_density",
     "log_hyperint",
-    "log_hyperint_rows",
 ]
 
 
@@ -45,8 +46,8 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("abs_tol and rel_tol must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise DomainError("abs_tol and rel_tol must be finite and positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
 
@@ -205,72 +206,3 @@ def log_hyperint(a: float, b: float, x: float,
     return (-xt0 + a * s0 + c * log1p_t0 + max(body, tail)
             + math.log1p(math.exp(-abs(body - tail))))
 
-
-def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int,
-                      spec: QuadratureSpec = DEFAULT_QUAD,
-                      seed: Callable[..., float] = log_hyperint):
-    """Yield (i, L_i) for i = rows - 1 down to 0, where
-
-        L_i[j] = log I(a0 + i, b0 + i + j, x),  j = 0 .. cols - 1,
-
-    with I the integral of ``log_hyperint``.  At most two entries are
-    integrated (by ``seed``, which takes log_hyperint's arguments); the
-    rest follow from three exact relations, each applied in the direction
-    in which it adds positive terms only:
-
-    * (D) (a0 + k) d_k + (b0 + k - x) d_(k+1) = x d_(k+2) for the diagonal
-      d_k = I(a0 + k, b0 + k) (by parts on
-      d/dt [t^(a0+k) (1+t)^(b0-a0) e^(-xt)]) gives the first entry of
-      every row.  It is seeded at k0 = ceil(x - b0), clipped to the
-      diagonal, and run forward above k0, where b0 + k - x >= 0, and
-      backward below it as (a0 + k) d_k = x d_(k+2) + (x - b0 - k) d_(k+1);
-    * (B) x I(a, b+1) = (b - 1 + x) I(a, b) - (b - a - 1) I(a, b-1)
-      (DLMF 13.3.8) fills the last row forward in b, the direction in
-      which U is the dominant solution, so the recurrence is stable;
-    * (A) I(a, b+1) = I(a, b) + I(a+1, b+1) (13.3.10; the integrand
-      identity (1 + t) = 1 + t) builds each earlier row as a running sum
-      of the row below it, and gives the last row's second entry from the
-      diagonal run one step past it.
-
-    At most two rows and the diagonal are held at a time.
-    """
-    if rows < 1 or cols < 1:
-        raise DomainError(f"require rows >= 1 and cols >= 1, got {rows}, {cols}")
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"require a finite x > 0, got x={x}")
-    # the diagonal runs one step past the last row when that row has a
-    # second entry to build from it
-    n = rows + (cols > 1)
-    diag = np.empty(n)
-    k0 = min(max(math.ceil(x - b0), 0), max(n - 2, 0))
-    diag[k0] = seed(a0 + k0, b0 + k0, x, spec)
-    if n > 1:
-        diag[k0 + 1] = seed(a0 + k0 + 1.0, b0 + k0 + 1.0, x, spec)
-        # (D) forward as a recurrence for the ratio d_(k+2) / d_(k+1)
-        ratio = math.exp(diag[k0 + 1] - diag[k0])
-        for k in range(k0, n - 2):
-            ratio = ((a0 + k) / ratio + (b0 + k - x)) / x
-            diag[k + 2] = diag[k + 1] + math.log(ratio)
-        # (D) backward as a recurrence for the ratio d_k / d_(k+1)
-        ratio = math.exp(diag[k0] - diag[k0 + 1])
-        for k in range(k0 - 1, -1, -1):
-            ratio = (x / ratio + (x - b0 - k)) / (a0 + k)
-            diag[k] = diag[k + 1] + math.log(ratio)
-    a, b = a0 + rows - 1, b0 + rows - 1
-    row = np.empty(cols)
-    row[0] = diag[rows - 1]
-    if cols > 1:
-        row[1] = np.logaddexp(diag[rows - 1], diag[rows])
-        # (B) as a recurrence for the ratio I(a, b+j+1) / I(a, b+j)
-        ratio = math.exp(row[1] - row[0])
-        for j in range(1, cols - 1):
-            bj = b + j
-            ratio = (bj - 1.0 + x - (bj - a - 1.0) / ratio) / x
-            row[j + 1] = row[j] + math.log(ratio)
-    yield rows - 1, row
-    for i in range(rows - 2, -1, -1):
-        below = row
-        row = np.empty(cols)
-        row[0] = diag[i]
-        row[1:] = below[:-1]
-        yield i, np.logaddexp.accumulate(row, out=row)

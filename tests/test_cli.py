@@ -224,7 +224,8 @@ class TestBoundsCommand:
             {"alpha": "abc", "p": 1.3, "beta": 2.0, "q": 0.7}))
         code = main(["bounds", "--model", kappa_file, "--target", str(target)])
         assert code == 2
-        assert "non-numeric" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: target file: field 'alpha' is not a number: 'abc'\n")
 
     def test_non_utf8_target_exits_2(self, kappa_file, tmp_path, capsys):
         target = tmp_path / "target.json"
@@ -393,7 +394,8 @@ class TestPriceCommand:
         code = main(["price", "--model", gamma_file, "--pricing", str(pricing),
                      "--method", "integral"])
         assert code == 2
-        assert "non-numeric" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: pricing file: field 's0' is not a number: 'abc'\n")
 
     def test_deep_out_of_the_money(self, gamma_file, tmp_path):
         pricing = tmp_path / "p.json"
@@ -437,6 +439,17 @@ class TestSimulateCommand:
         header, rows = read_csv(out)
         assert header == ["t"] and rows == [["0"], ["0.5"], ["1"]]
 
+    @pytest.mark.parametrize("text, grid", [
+        ("0:0.1:1", 0.1 * np.arange(11)),
+        ("1:0.1:2", 1.0 + 0.1 * np.arange(11)),
+        # 1/0.6 steps: rounding to 2 ran the grid out to 1.2
+        ("0:0.6:1", [0.0, 0.6]),
+    ])
+    def test_grid_ends_at_stop(self, text, grid):
+        got = cli._parse_tgrid(text)
+        assert got.tolist() == list(grid)
+        assert got[-1] <= float(text.split(":")[2])
+
     def test_bad_grid_exits_2(self, pair_file):
         assert main(["simulate", "--model", pair_file, "--tgrid", "1:0:0",
                      "--paths", "1", "--seed", "3"]) == 2
@@ -475,6 +488,8 @@ class TestCountArguments:
         ["sample", "--n", "10", "--seed", "5", "--streams", "0"],
         ["sample", "--n", "10", "--seed", "5", "--streams", "-2"],
         ["cp-sweep", "--n", "0", "--seed", "5"],
+        ["pdf", "--xmin", "-1", "--xmax", "1", "--max-subdivisions", "0"],
+        ["price", "--pricing", "p.json", "--max-subdivisions", "0"],
     ])
     def test_bad_count_exits_2(self, pair_file, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -489,6 +504,9 @@ class TestFiniteArguments:
         ["pdf", "--xmin", "-1", "--xmax", "inf", "--points", "3"],
         ["pdf", "--xmin=-inf", "--xmax", "1", "--points", "3"],
         ["cf", "--zmax", "nan", "--points", "3"],
+        # an infinite tolerance let QUADPACK stop at once: pdf_series read 0.0
+        ["pdf", "--xmin", "1", "--xmax", "1", "--points", "1", "--abs-tol", "inf"],
+        ["price", "--pricing", "p.json", "--rel-tol", "nan"],
     ])
     def test_non_finite_bound_exits_2(self, model_file, tmp_path, argv):
         # in a child interpreter: a non-finite x that reached QUADPACK's
@@ -528,6 +546,20 @@ class TestInputFiles:
         for what in ("pricing", "target"):
             assert errors[what] == errors["model"].replace(
                 "model file", f"{what} file")
+
+    @pytest.mark.parametrize("doc", [[1, 2], None])
+    def test_document_not_an_object(self, gamma_file, kappa_file, tmp_path,
+                                    capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for what, argv in (
+                ("pricing", ["price", "--model", gamma_file,
+                             "--pricing", str(bad)]),
+                ("target", ["bounds", "--model", kappa_file,
+                            "--target", str(bad)])):
+            assert main(argv) == 2, what
+            assert capsys.readouterr().err == (
+                f"error: {what} file: expected an object\n")
 
 
 class TestNonFiniteAndOverflow:

@@ -26,7 +26,8 @@ from bilgamma import (
     load_model,
     sample_direct,
 )
-from bilgamma.models import PRICING_GAMMA
+from bilgamma.combo import read_fields
+from bilgamma.models import MODEL_GRID, PRICING_GAMMA
 from bilgamma.quadrature import log_hyperint
 from conftest import block_cumulant_se, pdf_series_pairwise, single
 
@@ -140,6 +141,18 @@ class TestModelValidation:
         path.write_text(json.dumps({"components": [{"alpha": 1}]}))
         with pytest.raises(ModelFileError, match="component 0.*missing"):
             load_model(path)
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"a": 1}, "doc: missing field 'b'"),
+        ({"a": 1, "b": 2, "c": [3]}, "doc: field 'c' is not a number: [3]"),
+        # a JSON integer literal past the largest double used to escape as
+        # an OverflowError traceback (exit 1)
+        ({"a": 10 ** 400, "b": 1}, "doc: field 'a' overflows a double"),
+    ])
+    def test_read_fields_names_document_and_field(self, obj, message):
+        with pytest.raises(ModelFileError) as err:
+            read_fields(obj, "doc", ("a", "b"), ("c",))
+        assert str(err.value) == message
 
     def test_loader_unreadable_files(self, tmp_path):
         with pytest.raises(ModelFileError, match="model file not found"):
@@ -549,7 +562,7 @@ class TestDensityRoutes:
         with pytest.raises(DomainError):
             rep.pdf_series(x)
         with pytest.raises(DomainError):
-            rep.model.pdf_fourier(x)
+            MODEL_GRID["five_mixed"].pdf_fourier(x)
 
     def test_inversion_precondition(self):
         from bilgamma import InversionNotIntegrableError

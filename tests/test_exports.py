@@ -1,17 +1,20 @@
 """Every exported name resolves, so ``from bilgamma import *`` and
 ``from bilgamma.<module> import *`` cannot break on a stale export; no
 module keeps an import it does not use; and every function the benchmark
-tracer wraps is still where it looks."""
+tracer wraps is still where it looks, and still called there."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import bilgamma
+import bilgamma.cli
+from bilgamma.models import MODEL_GRID
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(bilgamma.__path__))
 
@@ -60,3 +63,23 @@ def test_trace_targets_resolve(path, attr):
     # perfbench/run.py --trace 1 wraps each (object path, attribute) here;
     # a deleted or renamed function would break the traced run
     assert callable(getattr(spans._resolve(path), attr, None))
+
+
+def test_trace_counts_density_path(tmp_path):
+    # a call moved to a module where the tracer does not wrap it would read
+    # 0 here: every layer of one pdf point must be counted
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(MODEL_GRID["five_mixed"].to_json_obj()))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert bilgamma.cli.main(
+            ["pdf", "--model", str(model), "--xmin", "1", "--xmax", "1",
+             "--points", "1", "--out", str(tmp_path / "pdf.csv")]) == 0
+    finally:
+        tracer.restore()
+    summary = tracer.summary()
+    for name in ("cli.main", "combo.build_mixture", "combo.pdf_series",
+                 "combo.pdf_fourier", "quadrature.fourier_density",
+                 "quadrature.log_hyperint"):
+        assert summary.get(name, {"calls": 0})["calls"] >= 1, name

@@ -7,18 +7,19 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import hyperu
 
+import bilgamma.combo
 from bilgamma import (
     DomainError,
     NonConvergenceError,
     QuadratureSpec,
     integrate_zero_to_inf,
 )
+from bilgamma.combo import log_hyperint_rows
 from bilgamma.models import MODEL_GRID
 from bilgamma.quadrature import (
     DEFAULT_QUAD,
     fourier_density,
     log_hyperint,
-    log_hyperint_rows,
     oscillatory_integral,
 )
 
@@ -38,7 +39,7 @@ class TestQuadratureSpec:
 
     @pytest.mark.parametrize("kwargs", [
         {"abs_tol": 0.0}, {"abs_tol": -1e-3}, {"rel_tol": 0.0},
-        {"max_subdivisions": 0},
+        {"max_subdivisions": 0}, {"abs_tol": math.inf}, {"rel_tol": math.nan},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
@@ -232,15 +233,17 @@ class TestLogHyperintRows:
         # k0 clipped at the top (x - b0 past the grid): backward only
         (1.5, 2.0, 90.0, 40, 5),
     ])
-    def test_matches_pointwise_by_diagonal(self, a0, b0, x, rows, cols):
+    def test_matches_pointwise_by_diagonal(self, a0, b0, x, rows, cols,
+                                           monkeypatch):
         seeds = []
 
         def seed(a, b, x, spec):
             seeds.append((a, b))
             return log_hyperint(a, b, x, spec)
 
+        monkeypatch.setattr(bilgamma.combo, "log_hyperint", seed)
         got = {i: row.copy() for i, row in
-               log_hyperint_rows(a0, b0, x, rows, cols, seed=seed)}
+               log_hyperint_rows(a0, b0, x, rows, cols)}
         assert sorted(got) == list(range(rows))
         assert len(seeds) <= 3
         # every seed lies on the diagonal b - a = b0 - a0
@@ -249,14 +252,15 @@ class TestLogHyperintRows:
             ref = [log_hyperint(a0 + i, b0 + i + j, x) for j in range(cols)]
             np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0.0)
 
-    def test_single_column_and_row(self):
+    def test_single_column_and_row(self, monkeypatch):
         seeds = []
 
         def seed(a, b, x, spec):
             seeds.append((a, b))
             return log_hyperint(a, b, x, spec)
 
-        (i, row), = log_hyperint_rows(1.5, 2.0, 0.8, 1, 1, seed=seed)
+        monkeypatch.setattr(bilgamma.combo, "log_hyperint", seed)
+        (i, row), = log_hyperint_rows(1.5, 2.0, 0.8, 1, 1)
         assert i == 0 and row.tolist() == [log_hyperint(1.5, 2.0, 0.8)]
         assert seeds == [(1.5, 2.0)]
 
