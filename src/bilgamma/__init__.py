@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     EmptySampleError,
     GridError,
-    InversionNotIntegrableError,
     KappaUndefinedError,
     ModelFileError,
     ModelMismatchError,
@@ -91,7 +90,6 @@ __all__ = [
     "DomainError",
     "SingularPointError",
     "OutOfStripError",
-    "InversionNotIntegrableError",
     "NonConvergenceError",
     "NonFiniteResultError",
     "TruncationFailureError",

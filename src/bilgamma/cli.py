@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmin", type=_finite, required=True)
     p.add_argument("--xmax", type=_finite, required=True)
     p.add_argument("--points", type=_count(1), default=401)
-    p.add_argument("--tail-tol", type=float, default=1e-10, dest="tail_tol")
+    p.add_argument("--tail-tol", type=_finite, default=1e-10, dest="tail_tol")
     p.add_argument("--out")
     _add_quad_args(p)
     p.set_defaults(func=cmd_pdf)
@@ -366,14 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--zmax", type=_finite, default=20.0)
     p.add_argument("--points", type=_count(1), default=401)
-    p.add_argument("--tail-tol", type=float, default=1e-12, dest="tail_tol")
+    p.add_argument("--tail-tol", type=_finite, default=1e-12, dest="tail_tol")
     p.add_argument("--out")
     p.set_defaults(func=cmd_cf)
 
     p = sub.add_parser("moments", help="moments and cumulants up to kmax")
     p.add_argument("--model", required=True)
     p.add_argument("--kmax", type=_count(1), default=4)
-    p.add_argument("--tail-tol", type=float, default=1e-12, dest="tail_tol")
+    p.add_argument("--tail-tol", type=_finite, default=1e-12, dest="tail_tol")
     p.add_argument("--out")
     p.set_defaults(func=cmd_moments)
 
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "integral", "series", "atm", "monte-carlo"])
     p.add_argument("--n", type=_count(2), default=1000000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--tail-tol", type=float, default=1e-12, dest="tail_tol")
+    p.add_argument("--tail-tol", type=_finite, default=1e-12, dest="tail_tol")
     p.add_argument("--out")
     _add_quad_args(p)
     p.set_defaults(func=cmd_price)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    InversionNotIntegrableError,
     ModelFileError,
     NonConvergenceError,
     NonFiniteResultError,
@@ -60,6 +59,8 @@ _REAL_SCALARS = (float, int, np.floating, np.integer)
 _MOMENT_TAIL_TOL = 1e-6  # largest share of a moment its tail completion may give
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+_PMF_MAX_TERMS = 10_000  # terms a pmf side may take to reach 1 - tail_tol
 
 
 @dataclass(frozen=True)
@@ -237,10 +238,10 @@ class LinearCombinationModel:
 
         (1/u) sum_j [ p_j e^(-lam_j u) 1(u>0) - q_j e^(-mu_j |u|) 1(u<0) ],
 
-        positive on both half-lines.
+        positive on both half-lines and 0 at u = +-inf.
         """
-        if u == 0.0:
-            raise DomainError("Levy density undefined at u = 0")
+        if u == 0.0 or math.isnan(u):
+            raise DomainError(f"Levy density undefined at u = {u}")
         if u > 0.0:
             return float(np.sum(self.p * np.exp(-self.lam * u)) / u)
         return float(np.sum(self.q * np.exp(-self.mu * (-u))) / (-u))
@@ -267,15 +268,16 @@ class LinearCombinationModel:
         return self.cumulant(2)
 
     def pdf_fourier(self, x: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-        """Density by Fourier inversion of the product-form cf.
-
-        Requires sum_j (p_j + q_j) > 1 so the cf is absolutely integrable;
-        small negative quadrature values (above -1e-8) are clamped to zero.
+        """Density by Fourier inversion of the product-form cf at any x != 0,
+        and at x = 0 when the total shape s = sum_j (p_j + q_j) exceeds 1.
+        For s <= 1 the cf, ~|z|^-s, is not absolutely integrable, but the
+        inversion converges at x != 0 by Dirichlet's test; the density is
+        infinite at 0, which raises SingularPointError.  Small negative
+        quadrature values (above -1e-8) are clamped to zero.
         """
-        if self.p_total + self.q_total <= 1.0:
-            raise InversionNotIntegrableError(
-                "cf decays like |z|^-(sum shapes) <= |z|^-1; pointwise "
-                "inversion is not guaranteed")
+        if x == 0.0 and self.p_total + self.q_total <= 1.0:
+            raise SingularPointError(
+                "density is infinite at x = 0 when the total shape is <= 1")
         raw = fourier_density(self.cf, float(x), spec)
         if raw < -1e-8:
             raise NonConvergenceError(
@@ -326,15 +328,16 @@ def load_model(path) -> LinearCombinationModel:
 
 
 def _mixture_pmf(theta: np.ndarray, shapes: np.ndarray, log_mass0: float,
-                 tail_tol: float, k_max: int) -> np.ndarray:
+                 tail_tol: float) -> np.ndarray:
     """Shape-mixing pmf for one side of the combination.
 
     P(0) = exp(log_mass0), P(k) = P(0) * g_k with g_0 = 1 and
 
         g_k = (1/k) sum_{i=1}^{k} s_i g_{k-i},   s_i = sum_j shapes_j theta_j^i,
 
-    grown until the retained mass reaches 1 - tail_tol.  Returns the
-    truncated pmf.  Swapping the two sums gives the recursion that runs:
+    grown until the retained mass, a compensated sum (Neumaier 1974),
+    reaches 1 - tail_tol: at the first K where ``math.fsum`` does.  Returns
+    the truncated pmf.  Swapping the two sums gives the recursion that runs:
 
         g_k = (1/k) sum_j shapes_j h_j(k),
         h_j(k) = theta_j (h_j(k-1) + g_{k-1}),   h_j(0) = 0,
@@ -346,8 +349,8 @@ def _mixture_pmf(theta: np.ndarray, shapes: np.ndarray, log_mass0: float,
     passes 2**512, so P(k) = g * scale never overflows however small P(0)
     is.  A subnormal P(0) starts the recursion at g_0 = e^-64 against a
     normal scale, so the later entries keep full precision.  P(0)
-    underflowing to 0, or the mass short of 1 - tail_tol after ``k_max``
-    terms, is an error.
+    underflowing to 0, or the mass short of 1 - tail_tol after
+    ``_PMF_MAX_TERMS`` terms, is an error.
     """
     mass0 = math.exp(log_mass0)
     if mass0 == 0.0:
@@ -361,12 +364,13 @@ def _mixture_pmf(theta: np.ndarray, shapes: np.ndarray, log_mass0: float,
     idx = range(len(th))
     rescale_at = 2.0 ** 512
     pmf = [mass0]
-    acc, k = mass0, 0
-    while acc < 1.0 - tail_tol:
+    acc, lost, k = mass0, 0.0, 0   # the mass is acc + lost
+    while acc + lost < 1.0 - tail_tol:
         k += 1
-        if k > k_max:
+        if k > _PMF_MAX_TERMS:
             raise TruncationFailureError(
-                f"pmf mass {acc:.17g} below 1 - {tail_tol:g} after {k_max} terms")
+                f"pmf mass {acc + lost:.17g} below 1 - {tail_tol:g} after "
+                f"{_PMF_MAX_TERMS} terms")
         total = 0.0
         for j in idx:
             v = th[j] * (h[j] + g)
@@ -379,7 +383,9 @@ def _mixture_pmf(theta: np.ndarray, shapes: np.ndarray, log_mass0: float,
             scale = math.ldexp(scale, 512)
         pk = g * scale
         pmf.append(pk)
-        acc += pk
+        t = acc + pk
+        lost += (acc - t) + pk if acc >= pk else (pk - t) + acc
+        acc = t
     return np.array(pmf)
 
 
@@ -697,26 +703,24 @@ def _factorial_sums(pmf: np.ndarray, shape0: float, k: int, theta_max: float):
     return _completed_series(log_terms, rho)
 
 
-def build_mixture(model: LinearCombinationModel, tail_tol: float = 1e-12,
-                  k_max: int = 10000) -> MixtureRepresentation:
+def build_mixture(model: LinearCombinationModel,
+                  tail_tol: float = 1e-12) -> MixtureRepresentation:
     """Construct the randomised-shape mixture of ``model``.
 
-    Both pmfs are truncated at the first index where the retained mass
-    reaches 1 - tail_tol; failing to get there within ``k_max`` terms is an
-    error, never silent.
+    Both pmfs are truncated at the first index where the exact retained
+    mass reaches 1 - tail_tol; failing to get there within
+    ``_PMF_MAX_TERMS`` terms is an error, never silent.
     """
     if not (0.0 < tail_tol < 1.0):
         raise DomainError("tail_tol must be in (0, 1)")
-    if k_max < 1:
-        raise DomainError("k_max must be >= 1")
     lam, mu = model.lam, model.mu
     eta, xi = model.eta, model.xi
     theta_pos = 1.0 - lam / eta
     theta_neg = 1.0 - mu / xi
     log_c = float(np.sum(model.p * np.log(lam / eta)))
     log_d = float(np.sum(model.q * np.log(mu / xi)))
-    pmf_pos = _mixture_pmf(theta_pos, model.p, log_c, tail_tol, k_max)
-    pmf_neg = _mixture_pmf(theta_neg, model.q, log_d, tail_tol, k_max)
+    pmf_pos = _mixture_pmf(theta_pos, model.p, log_c, tail_tol)
+    pmf_neg = _mixture_pmf(theta_neg, model.q, log_d, tail_tol)
     pmf_pos.flags.writeable = False
     pmf_neg.flags.writeable = False
     return MixtureRepresentation(

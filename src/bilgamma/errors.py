@@ -17,11 +17,6 @@ class OutOfStripError(DomainError):
     """Argument outside the convergence strip of a transform."""
 
 
-class InversionNotIntegrableError(DomainError):
-    """Characteristic function is not absolutely integrable; pointwise
-    Fourier inversion is not guaranteed."""
-
-
 class NonConvergenceError(BilgammaError, RuntimeError):
     """Adaptive quadrature failed to meet the requested tolerance."""
 

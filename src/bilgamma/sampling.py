@@ -136,15 +136,15 @@ def sample_compound_poisson(model: LinearCombinationModel, m: int, n: int,
 def sample_path(model: LinearCombinationModel, t_grid, rng) -> np.ndarray:
     """One path of the associated Levy process on ``t_grid``.
 
-    The grid must start at 0 and be strictly increasing; the path starts
-    at 0 and each increment over (s, t] is drawn exactly from the
-    combination with shapes scaled by t - s (no Euler discretisation).
+    The grid must start at 0 and be finite and strictly increasing; the
+    path starts at 0 and each increment over (s, t] is drawn exactly from
+    the combination with shapes scaled by t - s (no Euler discretisation).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) < 1 or t[0] != 0.0:
         raise GridError("time grid must be one-dimensional and start at 0")
     dt = np.diff(t)
-    if np.any(dt <= 0.0):
-        raise GridError("time grid must be strictly increasing")
+    if not np.all((0.0 < dt) & (dt < np.inf)):
+        raise GridError("time grid must be finite and strictly increasing")
     inc = _gamma_sums(model, dt, len(dt), _as_generator(rng))
     return np.concatenate([[0.0], np.cumsum(inc)])

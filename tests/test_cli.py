@@ -89,6 +89,23 @@ class TestPdfCommand:
         vals = {float(r[0]): float(r[1]) for r in rows}
         assert vals[-2.0] == pytest.approx(vals[2.0], abs=1e-10)
 
+    def test_total_shape_below_one(self, tmp_path, capsys):
+        # total shape 0.7: every grid exited 3 while the Fourier route
+        # refused such models; now only a grid holding x = 0 does
+        model = tmp_path / "thin.json"
+        model.write_text(json.dumps(LinearCombinationModel.from_components(
+            [(3.0, 0.4, 4.0, 0.3, 1.0, 1.0)]).to_json_obj()))
+        out = tmp_path / "pdf.csv"
+        argv = ["pdf", "--model", str(model), "--xmin", "-1", "--xmax", "1",
+                "--out", str(out), "--points"]
+        assert main([*argv, "4"]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 4 and all(float(r[3]) < 1e-10 for r in rows)
+        out.unlink()
+        assert main([*argv, "3"]) == 3
+        assert "SingularPointError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_model_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"components": [
@@ -507,6 +524,11 @@ class TestFiniteArguments:
         # an infinite tolerance let QUADPACK stop at once: pdf_series read 0.0
         ["pdf", "--xmin", "1", "--xmax", "1", "--points", "1", "--abs-tol", "inf"],
         ["price", "--pricing", "p.json", "--rel-tol", "nan"],
+        # a non-finite --tail-tol exited 3 with DomainError
+        ["pdf", "--xmin", "1", "--xmax", "1", "--points", "1", "--tail-tol", "nan"],
+        ["cf", "--points", "3", "--tail-tol", "inf"],
+        ["moments", "--tail-tol", "nan"],
+        ["price", "--pricing", "p.json", "--tail-tol=-inf"],
     ])
     def test_non_finite_bound_exits_2(self, model_file, tmp_path, argv):
         # in a child interpreter: a non-finite x that reached QUADPACK's

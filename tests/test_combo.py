@@ -197,9 +197,10 @@ class TestMixtureConstruction:
         with pytest.raises(ValueError):
             rep.pmf_neg[0] = 0.0
 
-    def test_truncation_failure(self, pair_nonint):
-        with pytest.raises(TruncationFailureError):
-            build_mixture(pair_nonint, tail_tol=1e-12, k_max=3)
+    def test_truncation_failure(self, pair_nonint, monkeypatch):
+        monkeypatch.setattr(bilgamma.combo, "_PMF_MAX_TERMS", 3)
+        with pytest.raises(TruncationFailureError, match="after 3 terms"):
+            build_mixture(pair_nonint, tail_tol=1e-12)
 
     @pytest.mark.parametrize("neg", [
         # log P(M=0) = -902.9: P(0) underflows to 0
@@ -233,7 +234,7 @@ class TestMixtureConstruction:
         np.testing.assert_allclose(pmf[~normal], ref[~normal], rtol=0,
                                    atol=sys.float_info.min * 1e-15)
 
-    def test_pmf_past_former_overflow(self):
+    def test_pmf_past_former_overflow(self, monkeypatch):
         # P(L=0) = e^-713.5 is subnormal, so g_k = P(k)/P(0) outgrows the
         # float range: this overflowed after 9936 terms, where the pmf
         # needs about 23.1k
@@ -244,7 +245,8 @@ class TestMixtureConstruction:
                            match=r"pmf mass 0\.000\d+ below 1 - 1e-12 after "
                                  r"10000 terms"):
             build_mixture(model)
-        pmf = build_mixture(model, k_max=30000).pmf_pos
+        monkeypatch.setattr(bilgamma.combo, "_PMF_MAX_TERMS", 30000)
+        pmf = build_mixture(model).pmf_pos
         assert 23000 < len(pmf) < 23200
         slack = len(pmf) * np.finfo(float).eps
         assert 1.0 - 1e-12 - slack <= pmf.sum() <= 1.0 + slack
@@ -259,31 +261,53 @@ class TestMixtureConstruction:
         pmf = build_mixture(model).pmf_pos
         inputs = positive_side(model)
         np.testing.assert_array_equal(
-            pmf, bilgamma.combo._mixture_pmf(*inputs, 1e-12, 10000))
+            pmf, bilgamma.combo._mixture_pmf(*inputs, 1e-12))
         terms = terms or len(pmf)
         np.testing.assert_allclose(pmf[:terms], pmf_mpmath(*inputs, terms),
                                    rtol=1e-13)
 
     def test_pmf_depths(self, model_grid):
-        # (len(pmf_pos), len(pmf_neg)) at tail_tol 1e-12, as the O(K^2)
-        # recursion over the power sums s_i truncated them
+        # (len(pmf_pos), len(pmf_neg)) at tail_tol 1e-12; DEEP_MODEL's
+        # 5527 is exact, where a plain float sum of the pmf stopped at 5528
         depths = {"laplace": (1, 1), "single_asym": (1, 1),
                   "pair_integer": (40, 20), "pair_nonint": (75, 15),
                   "pair_kappa": (20, 21), "five_mixed": (93, 25)}
         models = dict(model_grid, DEEP_MODEL=DEEP_MODEL, LARGE_B=LARGE_B)
-        depths.update(DEEP_MODEL=(5528, 41), LARGE_B=(563, 1))
+        depths.update(DEEP_MODEL=(5527, 41), LARGE_B=(563, 1))
         assert set(depths) == set(models)
         for name, model in models.items():
             rep = build_mixture(model, tail_tol=1e-12)
             assert (len(rep.pmf_pos), len(rep.pmf_neg)) == depths[name], name
 
-    def test_k_max_is_not_preallocated(self, pair_nonint):
-        # k_max only bounds the recursion: a cap of 1e9 terms allocates as
-        # little and gives the same pmfs as the default cap
+    @pytest.mark.parametrize("tail_tol", [1e-12, 1e-14])
+    def test_pmf_stops_at_exact_mass(self, tail_tol):
+        # each pmf ends at the first K whose exact mass (math.fsum) reaches
+        # 1 - tail_tol.  A plain float running sum stopped DEEP_MODEL at
+        # 5528 for 1e-12, and at 1e-14 stalled at 1 - 1.07e-14 and raised
+        rng = np.random.default_rng(11)
+        models = [*MODEL_GRID.values(), DEEP_MODEL, LARGE_B]
+        for _ in range(6):
+            ratio = rng.uniform(150.0, 250.0)
+            rates = (4.0 / ratio, 4.0 / math.sqrt(ratio), 4.0)
+            models.append(LinearCombinationModel.from_components(
+                [(r, s, rng.uniform(1.5, 2.5), rng.uniform(0.9, 1.1), 1.0, 1.0)
+                 for r, s in zip(rates, rng.uniform(0.9, 1.1, 3))]))
+        target = 1.0 - tail_tol
+        for i, model in enumerate(models):
+            rep = build_mixture(model, tail_tol=tail_tol)
+            for pmf in (rep.pmf_pos, rep.pmf_neg):
+                assert math.fsum(pmf) >= target, i
+                assert len(pmf) == 1 or math.fsum(pmf[:-1]) < target, i
+        assert len(build_mixture(DEEP_MODEL, tail_tol=1e-14).pmf_pos) == 6461
+
+    def test_pmf_cap_is_not_preallocated(self, pair_nonint, monkeypatch):
+        # the term cap only bounds the recursion: a cap of 1e9 terms
+        # allocates as little and gives the same pmfs as the default cap
         ref = build_mixture(pair_nonint, tail_tol=1e-12)
+        monkeypatch.setattr(bilgamma.combo, "_PMF_MAX_TERMS", 10 ** 9)
         tracemalloc.start()
         try:
-            rep = build_mixture(pair_nonint, tail_tol=1e-12, k_max=10 ** 9)
+            rep = build_mixture(pair_nonint, tail_tol=1e-12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -450,6 +474,42 @@ class TestDensityRoutes:
             s = rep.pdf_series(x)
             assert abs(f - s) < 1e-6
 
+    def test_routes_agree_random_models(self):
+        # series against Fourier density at one x != 0 within 3 sd of the
+        # mean, on seeded models whose effective rates (alpha/w1, beta/w2)
+        # and weights are log-uniform in [0.1, 10]; every other model has
+        # total shape <= 1, where the cf is not absolutely integrable.
+        # Seeded numpy draws, not hypothesis: derandomized hypothesis
+        # draws change with the constants in src and with the test order
+        rng = np.random.default_rng(2026)
+
+        def log_uniform(size):
+            return np.exp(rng.uniform(math.log(0.1), math.log(10.0), size))
+
+        evaluated = thin = skipped = 0
+        for i in range(200):
+            n = int(rng.integers(1, 5))
+            rate, weight = log_uniform((2, n)), log_uniform((2, n))
+            if i % 2:
+                shapes = rng.dirichlet(np.ones(2 * n)) * rng.uniform(0.05, 1.0)
+            else:
+                shapes = log_uniform(2 * n) / 2.0
+            model = LinearCombinationModel(
+                rate[0] * weight[0], shapes[:n], rate[1] * weight[1],
+                shapes[n:], weight[0], weight[1])
+            x = model.mean + math.sqrt(model.variance) * rng.uniform(-3.0, 3.0)
+            try:
+                rep = build_mixture(model)
+            except TruncationFailureError as exc:
+                assert "terms" in str(exc), i   # the pmf cap, and only it
+                skipped += 1
+                continue
+            series = rep.pdf_series(x)
+            assert abs(model.pdf_fourier(x) - series) <= 1e-6 * series + 1e-9, i
+            evaluated += 1
+            thin += model.p_total + model.q_total <= 1.0
+        assert evaluated >= 150 and thin >= 50, (evaluated, thin, skipped)
+
     def test_histogram_against_monte_carlo(self, pair_integer):
         # binned counts of exact draws vs quadrature of the density
         n = 1_000_000
@@ -565,10 +625,21 @@ class TestDensityRoutes:
             MODEL_GRID["five_mixed"].pdf_fourier(x)
 
     def test_inversion_precondition(self):
-        from bilgamma import InversionNotIntegrableError
+        # total shape 0.6: the cf is not absolutely integrable, but the
+        # inversion converges at every x != 0; the density is infinite at 0
         thin = single(1.0, 0.3, 1.0, 0.3)
-        with pytest.raises(InversionNotIntegrableError):
-            thin.pdf_fourier(1.0)
+        rep = build_mixture(thin)
+        for x in (-2.0, -1e-3, 1e-3, 0.5, 1.0, 3.0):
+            assert thin.pdf_fourier(x) == pytest.approx(
+                rep.pdf_series(x), rel=1e-12, abs=1e-12), x
+        with pytest.raises(SingularPointError):
+            thin.pdf_fourier(0.0)
+        # total shape 0.05, where the density near 0 is steepest
+        steep = single(2.0, 0.02, 0.5, 0.03)
+        rep = build_mixture(steep)
+        for x in (-1e-3, 1e-3):
+            assert steep.pdf_fourier(x) == pytest.approx(
+                rep.pdf_series(x), rel=1e-11), x
 
 
 class TestMomentTransform:

@@ -7,13 +7,13 @@ import pytest
 
 from bilgamma import (
     DomainError,
-    InversionNotIntegrableError,
     LinearCombinationModel,
     NonFiniteResultError,
     OutOfStripError,
     PricingInputs,
     RandomStream,
     SeriesDivergenceError,
+    build_mixture,
     martingale_gap,
     price_call_atm,
     price_call_gamma_series,
@@ -130,10 +130,13 @@ class TestIntegralPrice:
                                         RandomStream(41))
         assert abs(price - mc) <= 4.0 * se
 
-    def test_shapes_below_one_have_no_fourier_density(self):
-        # the integral route no longer needs the density LOW_SHAPE lacks
-        with pytest.raises(InversionNotIntegrableError):
-            LOW_SHAPE.pdf_fourier(0.5)
+    def test_shapes_below_one_have_fourier_density(self):
+        # total shape 0.7: the cf is not absolutely integrable, but the
+        # Fourier inversion converges at x != 0 and meets the series
+        rep = build_mixture(LOW_SHAPE)
+        for x in (-2.0, -1e-3, 1e-3, 0.5, 1.0, 3.0):
+            assert LOW_SHAPE.pdf_fourier(x) == pytest.approx(
+                rep.pdf_series(x), rel=1e-8, abs=1e-12), x
 
     def test_out_of_strip(self):
         model = single(1.0, 1.0, 3.0, 1.0)

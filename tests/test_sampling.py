@@ -140,6 +140,10 @@ class TestProcessPath:
             sample_path(pair_integer, [0.5, 1.0], RandomStream(2))
         with pytest.raises(GridError):
             sample_path(pair_integer, [0.0, 0.5, 0.5], RandomStream(2))
+        # a NaN or infinite time returned NaN, with a RuntimeWarning
+        for grid in ([0.0, math.nan], [0.0, 1.0, math.inf], [0.0, math.inf]):
+            with pytest.raises(GridError):
+                sample_path(pair_integer, grid, RandomStream(2))
 
     def test_starts_at_zero(self, pair_integer):
         path = sample_path(pair_integer, [0.0, 0.5, 1.0], RandomStream(3))
