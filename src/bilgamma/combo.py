@@ -368,9 +368,15 @@ def _mixture_pmf(theta: np.ndarray, shapes: np.ndarray, log_mass0: float,
     while acc + lost < 1.0 - tail_tol:
         k += 1
         if k > _PMF_MAX_TERMS:
-            raise TruncationFailureError(
-                f"pmf mass {acc + lost:.17g} below 1 - {tail_tol:g} after "
-                f"{_PMF_MAX_TERMS} terms")
+            # the terms left add at most p_k rho / (1 - rho); if 10 times
+            # that cannot close the gap, no cap can: tail_tol is too small
+            rho = max(pmf[-1] / pmf[-2] if pmf[-1] else 0.0, max(th))
+            left = pmf[-1] * rho / (1.0 - rho) if rho < 1.0 else math.inf
+            why = (f"tail_tol {tail_tol:g} is below the computed pmf's "
+                   f"precision floor: pmf mass {acc + lost:.17g}"
+                   if acc + lost + 10.0 * left < 1.0 - tail_tol else
+                   f"pmf mass {acc + lost:.17g} below 1 - {tail_tol:g}")
+            raise TruncationFailureError(f"{why} after {_PMF_MAX_TERMS} terms")
         total = 0.0
         for j in idx:
             v = th[j] * (h[j] + g)
@@ -424,8 +430,9 @@ def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int,
 
     with I the integral of ``log_hyperint``.  At most two entries are
     integrated, by ``log_hyperint``; the rest follow from three exact
-    relations, each applied in the direction in which it adds positive
-    terms only:
+    relations, each run in a stable direction.  (D) and (A) add positive
+    terms only; (B) subtracts whenever b - a - 1 > 0, and is safe because
+    it runs forward in b, where U is the dominant solution:
 
     * (D) (a0 + k) d_k + (b0 + k - x) d_(k+1) = x d_(k+2) for the diagonal
       d_k = I(a0 + k, b0 + k) (by parts on
@@ -434,8 +441,7 @@ def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int,
       diagonal, and run forward above k0, where b0 + k - x >= 0, and
       backward below it as (a0 + k) d_k = x d_(k+2) + (x - b0 - k) d_(k+1);
     * (B) x I(a, b+1) = (b - 1 + x) I(a, b) - (b - a - 1) I(a, b-1)
-      (DLMF 13.3.8) fills the last row forward in b, the direction in
-      which U is the dominant solution, so the recurrence is stable;
+      (DLMF 13.3.8) fills the last row forward in b;
     * (A) I(a, b+1) = I(a, b) + I(a+1, b+1) (13.3.10; the integrand
       identity (1 + t) = 1 + t) builds each earlier row as a running sum
       of the row below it, and gives the last row's second entry from the
@@ -596,21 +602,11 @@ class MixtureRepresentation:
         with I(a, b, X) = int_0^inf e^(-Xt) t^(a-1) (1+t)^(b-a-1) dt =
         Gamma(a) U(a, b, X); for x < 0 the mirrored kernel swaps the roles
         of the two sides: e^(xi x) (-x)^(...) I(p+j, p+q+j+k, -(eta+xi)x).
-        Pairs whose pmf weight cannot reach the tolerance are skipped
-        wherever they sit, since a pmf can peak far from index 0.
-
-        The kernels of the kept pairs' bounding box form a grid whose rows
-        step a and b together (k for x > 0, j for x < 0) and whose columns
-        step b alone.  ``log_hyperint_rows`` integrates at most two kernels
-        per point, on the diagonal a, b -> a+1, b+1 that holds the first
-        entry of every row, and gets the rest from exact relations run in
-        the direction that adds positive terms only: the diagonal relation
-        (a+k) d_k + (b+k-X) d_(k+1) = X d_(k+2) for d_k = I(a+k, b+k),
-        I(a, b+1) = I(a, b) + I(a+1, b+1) (DLMF 13.3.10) and
-        X I(a, b+1) = (b-1+X) I(a, b) - (b-a-1) I(a, b-1) (DLMF 13.3.8).
+        Every (j, k) pair of the pmfs is summed, so their truncation at
+        ``tail_tol`` is the series' only one.  The kernels form a grid whose
+        rows step a and b together (k for x > 0, j for x < 0) and whose
+        columns step b alone, which ``log_hyperint_rows`` fills.
         """
-        from scipy import special as sp
-
         if not math.isfinite(x):
             raise DomainError(f"series density needs a finite x, got x={x}")
         if x == 0.0:
@@ -621,41 +617,18 @@ class MixtureRepresentation:
             # has underflowed: the density is 0 there, as it is at 1e300
             return 0.0
         log_ax = math.log(ax)
-
-        def side(pmf, shape, rate):
-            # log weight and the factors of a term that depend on one index
-            n = np.arange(len(pmf))
-            with np.errstate(divide="ignore"):
-                lp = np.log(pmf)
-            return lp, (lp + (shape + n) * math.log(rate)
-                        - sp.gammaln(shape + n) + n * log_ax)
-
-        pos = side(self.pmf_pos, self.p, self.eta)
-        neg = side(self.pmf_neg, self.q, self.xi)
+        pos = _gamma_term_logs(self.pmf_pos, self.p, self.eta, log_ax)
+        neg = _gamma_term_logs(self.pmf_neg, self.q, self.xi, log_ax)
         if x > 0.0:
-            (lp_row, f_row), (lp_col, f_col) = neg, pos
-            shape, rate = self.q, self.eta
+            f_row, f_col, shape, rate = neg, pos, self.q, self.eta
         else:
-            (lp_row, f_row), (lp_col, f_col) = pos, neg
-            shape, rate = self.p, self.xi
-        # dropping a pair costs at most pmf weight times a density bound
-        cut = math.log(spec.abs_tol * 1e-3 / max(self.eta, self.xi))
-        rows = np.flatnonzero(lp_row + lp_col.max() >= cut)
-        cols = np.flatnonzero(lp_col + lp_row.max() >= cut)
-        if rows.size == 0:
-            return 0.0
-        r_lo, c_lo, c_hi = int(rows[0]), int(cols[0]), int(cols[-1]) + 1
-        lp_col, f_col = lp_col[c_lo:c_hi], f_col[c_lo:c_hi]
+            f_row, f_col, shape, rate = pos, neg, self.p, self.xi
         const = (self.p + self.q - 1.0) * log_ax - rate * ax
         total = 0.0
         for i, log_kernel in log_hyperint_rows(
-                shape + r_lo, self.p + self.q + r_lo + c_lo,
-                (self.eta + self.xi) * ax, int(rows[-1]) + 1 - r_lo,
-                c_hi - c_lo, spec):
-            r = r_lo + i
-            keep = lp_row[r] + lp_col >= cut
-            total += float(np.exp(const + f_row[r] + f_col[keep]
-                                  + log_kernel[keep]).sum())
+                shape, self.p + self.q, (self.eta + self.xi) * ax,
+                len(f_row), len(f_col), spec):
+            total += float(np.exp(const + f_row[i] + f_col + log_kernel).sum())
         return total
 
     def gamma_mixture_pdf(self, x: float) -> float:
@@ -663,17 +636,26 @@ class MixtureRepresentation:
 
         sum_j P(L=j) eta^(p+j) x^(p+j-1) e^(-eta x) / Gamma(p+j),  x > 0.
         """
-        from scipy import special as sp
-
         if not (math.isfinite(x) and x > 0.0):
             raise DomainError(
                 f"gamma-mixture density needs a finite x > 0, got x={x}")
-        jj = np.arange(len(self.pmf_pos))
-        with np.errstate(divide="ignore"):
-            lt = (np.log(self.pmf_pos) + (self.p + jj) * math.log(self.eta)
-                  + (self.p + jj - 1.0) * math.log(x) - self.eta * x
-                  - sp.gammaln(self.p + jj))
-        return float(np.exp(lt).sum())
+        log_x = math.log(x)
+        return float(np.exp((self.p - 1.0) * log_x - self.eta * x
+                            + _gamma_term_logs(self.pmf_pos, self.p, self.eta,
+                                               log_x)).sum())
+
+
+def _gamma_term_logs(pmf: np.ndarray, shape: float, rate: float,
+                     log_x: float) -> np.ndarray:
+    """log(P(N=n) rate^(shape+n) x^n / Gamma(shape+n)) for every n of
+    ``pmf``: the factors of the n-th term of the gamma mixture
+    sum_n P(N=n) Ga(rate, shape+n)(x) that depend on n."""
+    from scipy import special as sp
+
+    n = np.arange(len(pmf))
+    with np.errstate(divide="ignore"):
+        return (np.log(pmf) + (shape + n) * math.log(rate)
+                - sp.gammaln(shape + n) + n * log_x)
 
 
 def _factorial_sums(pmf: np.ndarray, shape0: float, k: int, theta_max: float):

@@ -3,9 +3,10 @@
 All adaptive integration in the package funnels through the helpers here so
 that tolerances and domain transformations are applied uniformly:
 
-* infinite upper limits are compactified with ``t = u / (1 - u)``,
+* ``integrate_zero_to_inf`` compactifies (0, inf) with ``t = u / (1 - u)``,
 * Fourier-type integrals (densities, Gil-Pelaez tails) go through
-  ``oscillatory_integral`` and QUADPACK's dedicated oscillatory rule.
+  ``oscillatory_integral`` and QUADPACK's dedicated oscillatory rule
+  over [lower, inf), or the compactified rule at x = 0.
 
 ``DEFAULT_QUAD`` is the one default budget, the CLI's included.
 
@@ -16,6 +17,7 @@ modules, so that a command that never integrates does not pay to load it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,6 +57,11 @@ class QuadratureSpec:
 DEFAULT_QUAD = QuadratureSpec()
 
 
+def _first_sentence(text: str) -> str:
+    """The first sentence of one of scipy's QUADPACK messages, on one line."""
+    return re.match(r".*?(?:\.(?= [A-Z])|$)", " ".join(text.split())).group(0)
+
+
 def _quad(f: Callable[[float], float], a: float, b: float,
           spec: QuadratureSpec) -> float:
     """scipy.integrate.quad with the spec's budget; raises on failure."""
@@ -69,7 +76,8 @@ def _quad(f: Callable[[float], float], a: float, b: float,
         val, err = out[0], out[1]
         if err > max(spec.abs_tol, spec.rel_tol * abs(val)) * 10.0:
             raise NonConvergenceError(
-                f"quadrature failed on [{a}, {b}]: {out[3]}")
+                f"QAGS quadrature failed on [{a}, {b}]: "
+                f"{_first_sentence(out[3])}")
     return out[0]
 
 
@@ -95,6 +103,8 @@ def oscillatory_integral(g: Callable[[float], complex], x: float,
     if not math.isfinite(x):
         raise DomainError(f"require a finite x, got x={x}")
     if x == 0.0:
+        # scipy 1.17's QAWF at wvar = 0 integrates from 0 whatever `lower`:
+        # PRICING_GAMMA's Gil-Pelaez part on [1, inf) gave pi/2, not 1.0117
         return integrate_zero_to_inf(lambda t: g(lower + t).real, spec)
 
     values: dict[float, complex] = {}
@@ -112,8 +122,13 @@ def oscillatory_integral(g: Callable[[float], complex], x: float,
                    epsabs=spec.abs_tol, limlst=150,
                    limit=spec.max_subdivisions, full_output=1)
         if len(out) > 3 and out[1] > spec.abs_tol * 100.0:
+            # QAWF's reason is its first failing cycle's, if one failed
+            bad = np.flatnonzero(out[2]["ierlst"][:out[2]["lst"]])
+            reason = (f"cycle {bad[0] + 1}: {out[4][out[2]['ierlst'][bad[0]]]}"
+                      if bad.size else out[3])
             raise NonConvergenceError(
-                f"oscillatory quadrature failed at x={x}: {out[-1]}")
+                f"oscillatory quadrature (QAWF, {weight} part) failed on "
+                f"[{lower}, inf) at x={x}: {_first_sentence(reason)}")
         total += out[0]
     return total
 

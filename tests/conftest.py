@@ -114,16 +114,15 @@ def bg_pdf(law, x: float) -> float:
 
 
 def pdf_series_pairwise(rep, x: float, spec=DEFAULT_QUAD) -> float:
-    """Oracle series density: every kept (j, k) pair's kernel by its own
-    ``log_hyperint`` quadrature, with ``pdf_series``' weight cut."""
+    """Oracle series density: every (j, k) pair's kernel by its own
+    ``log_hyperint`` quadrature."""
     ax = abs(x)
     lp_pos, lp_neg = np.log(rep.pmf_pos), np.log(rep.pmf_neg)
     lg_pos = sp.gammaln(rep.p + np.arange(len(rep.pmf_pos)))
     lg_neg = sp.gammaln(rep.q + np.arange(len(rep.pmf_neg)))
-    cut = math.log(spec.abs_tol * 1e-3 / max(rep.eta, rep.xi))
     total = 0.0
-    for j in np.flatnonzero(lp_pos + lp_neg.max() >= cut).tolist():
-        for k in np.flatnonzero(lp_pos[j] + lp_neg >= cut).tolist():
+    for j in range(len(lp_pos)):
+        for k in range(len(lp_neg)):
             b = rep.p + rep.q + j + k
             lt = (lp_pos[j] + lp_neg[k] + (rep.p + j) * math.log(rep.eta)
                   + (rep.q + k) * math.log(rep.xi) - lg_pos[j] - lg_neg[k]

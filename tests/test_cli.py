@@ -424,6 +424,22 @@ class TestPriceCommand:
         assert code == 0
         assert json.loads(out.read_text())["price"] < 1e-8
 
+    def test_quadrature_failure_is_one_line(self, gamma_file, tmp_path, capsys):
+        # a QUADPACK failure exits 3 with one stderr line, not scipy's
+        # table of per-cycle explanations
+        pricing = tmp_path / "p.json"
+        pricing.write_text(json.dumps(
+            {"s0": 1.0, "strike": 1.2, "rate": 0.05, "maturity": 1.0}))
+        code = main(["price", "--model", gamma_file, "--pricing", str(pricing),
+                     "--method", "integral", "--max-subdivisions", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: NonConvergenceError: oscillatory "
+                              "quadrature (QAWF, cos part) failed on [1.0, inf)")
+        assert err.endswith("cycle 1: The maximum number of subdivisions "
+                            "(= limit) has been achieved on this cycle.\n")
+
     def test_out_of_strip_exits_3(self, tmp_path, capsys):
         weak = tmp_path / "weak.json"
         weak.write_text(json.dumps({"components": [

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import bilgamma.combo
@@ -41,8 +42,8 @@ DEEP_MODEL = LinearCombinationModel.from_components(
     [(lam, p, 2.0 + j, 1.0, 1.0, 1.0)
      for j, (lam, p) in enumerate(zip(DEEP_LAM, DEEP_SHAPES))])
 
-# pmf_pos[0] = 2^-50 lies below pdf_series' weight cut and the pmf peaks
-# at 48, so a loop that stops at the first small weight returns 0
+# pmf_pos[0] = 2^-50 and the pmf peaks at 48, so a series that stops at
+# its first small weight returns 0
 INTERIOR_MODE = LinearCombinationModel.from_components(
     [(1.0, 50.0, 10.0, 0.5, 1.0, 1.0), (2.0, 0.5, 10.0, 0.5, 1.0, 1.0)])
 INTERIOR_MIRROR = LinearCombinationModel(
@@ -55,8 +56,41 @@ LARGE_B = LinearCombinationModel.from_components(
     [(1.0, 15.0, 10.0, 0.5, 1.0, 1.0), (10.0, 0.5, 10.0, 0.5, 1.0, 1.0)])
 
 # the fuzzing ranges for rates (weights included) and shapes
-RATES = st.floats(1e-2, 1e2)
-SHAPES = st.floats(1e-2, 50.0)
+RATE_RANGE, SHAPE_RANGE = (1e-2, 1e2), (1e-2, 50.0)
+RATES, SHAPES = st.floats(*RATE_RANGE), st.floats(*SHAPE_RANGE)
+
+# the errors that say a pmf is out of reach: the term cap, a tail_tol
+# below the precision of the computed terms, and P(0) underflowing
+PMF_OUT_OF_REACH = (r"pmf mass \S+ below 1 - \S+ after 10000 terms$"
+                    r"|tail_tol \S+ is below the computed pmf's precision floor"
+                    r"|pmf mass at 0 underflows")
+
+
+def random_models(seed, count):
+    """``count`` seeded models of 1 to 6 components, with rates and
+    weights log-uniform over RATE_RANGE and shapes over SHAPE_RANGE.
+    Numpy draws, not hypothesis: hypothesis (6.155) feeds literals from
+    the loaded modules into its draws, so a derandomized test's examples
+    change with the constants in src and with the test order."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(bounds, size):
+        return np.exp(rng.uniform(*np.log(bounds), size))
+
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        rate, shape = log_uniform(RATE_RANGE, (4, n)), log_uniform(SHAPE_RANGE, (2, n))
+        yield LinearCombinationModel(rate[0], shape[0], rate[1], shape[1],
+                                     rate[2], rate[3])
+
+
+def build_in_reach(model, tail_tol):
+    """The mixture of ``model``, or None when its pmf is out of reach."""
+    try:
+        return build_mixture(model, tail_tol=tail_tol)
+    except TruncationFailureError as exc:
+        assert re.match(PMF_OUT_OF_REACH, str(exc)), exc
+        return None
 
 
 def two_deep_sides(ratio):
@@ -199,7 +233,8 @@ class TestMixtureConstruction:
 
     def test_truncation_failure(self, pair_nonint, monkeypatch):
         monkeypatch.setattr(bilgamma.combo, "_PMF_MAX_TERMS", 3)
-        with pytest.raises(TruncationFailureError, match="after 3 terms"):
+        with pytest.raises(TruncationFailureError,
+                           match=r"^pmf mass \S+ below 1 - 1e-12 after 3 terms$"):
             build_mixture(pair_nonint, tail_tol=1e-12)
 
     @pytest.mark.parametrize("neg", [
@@ -299,6 +334,26 @@ class TestMixtureConstruction:
                 assert math.fsum(pmf) >= target, i
                 assert len(pmf) == 1 or math.fsum(pmf[:-1]) < target, i
         assert len(build_mixture(DEEP_MODEL, tail_tol=1e-14).pmf_pos) == 6461
+
+    def test_pmf_precision_floor_is_not_a_cap_hit(self, monkeypatch):
+        # perfbench's first deep_model of seed 10: its computed terms sum to
+        # 1 - 1.08e-14 (rounding in P(0) and the recursion), so no cap
+        # reaches 1 - 1e-14, and the error says so rather than blame the cap
+        model = LinearCombinationModel.from_components([
+            (0.02002633711962672, 1.001132101546885, 2.0187802630994494,
+             1.0134562285187394, 1.0199681643728638, 1.073875344438791),
+            (0.27910213355894675, 0.9764902086318907, 1.6631587202940392,
+             1.018506034403023, 0.9792775727396205, 0.9286589202295776),
+            (3.715049275811318, 1.010833117119748, 2.1446350990944265,
+             1.032126703307554, 0.9504583074465109, 1.0887446317081861)])
+        floor = (r"tail_tol 1e-14 is below the computed pmf's precision floor: "
+                 r"pmf mass 0\.99999999999998923 after {} terms$")
+        with pytest.raises(TruncationFailureError, match=floor.format(10000)):
+            build_mixture(model, tail_tol=1e-14)
+        monkeypatch.setattr(bilgamma.combo, "_PMF_MAX_TERMS", 20000)
+        with pytest.raises(TruncationFailureError, match=floor.format(20000)):
+            build_mixture(model, tail_tol=1e-14)
+        assert len(build_mixture(model, tail_tol=1e-12).pmf_pos) < 10000
 
     def test_pmf_cap_is_not_preallocated(self, pair_nonint, monkeypatch):
         # the term cap only bounds the recursion: a cap of 1e9 terms
@@ -410,19 +465,18 @@ class TestCharacteristicFunction:
         assert type(val) is complex
         assert val == rep.cf(np.array([0.7]))[0]
 
-    @settings(max_examples=50, derandomize=True, deadline=None)
-    @given(comps=st.lists(st.tuples(RATES, SHAPES, RATES, SHAPES, RATES, RATES),
-                          min_size=1, max_size=6))
-    def test_mixture_identity_random_models(self, comps):
+    def test_mixture_identity_random_models(self):
         # C1 on random models: product and mixture cf on 401 points
-        model = LinearCombinationModel.from_components(comps)
-        try:
-            rep = build_mixture(model)
-        except TruncationFailureError:
-            assume(False)
         zs = np.linspace(-20.0, 20.0, 401)
-        err = np.abs(model.cf(zs) - rep.cf(zs)).max()
-        assert err <= 1e-8 + 2.0 * rep.tail_tol
+        evaluated = 0
+        for i, model in enumerate(random_models(7, 200)):
+            rep = build_in_reach(model, 1e-12)
+            if rep is None:
+                continue
+            err = np.abs(model.cf(zs) - rep.cf(zs)).max()
+            assert err <= 1e-8 + 2.0 * rep.tail_tol, i
+            evaluated += 1
+        assert evaluated >= 50, evaluated
 
     def test_degenerate_mixture_cf(self):
         # closed-form BG(2, 1, 3, 1) cf: 1 / ((1 - iz/2)(1 + iz/3))
@@ -501,7 +555,9 @@ class TestDensityRoutes:
             try:
                 rep = build_mixture(model)
             except TruncationFailureError as exc:
-                assert "terms" in str(exc), i   # the pmf cap, and only it
+                # the pmf cap, and only it
+                assert re.match(r"pmf mass \S+ below 1 - \S+ after 10000 terms$",
+                                str(exc)), i
                 skipped += 1
                 continue
             series = rep.pdf_series(x)
@@ -554,9 +610,33 @@ class TestDensityRoutes:
             assert rep.pdf_series(x) == pytest.approx(
                 pdf_series_pairwise(rep, x), rel=1e-12, abs=0.0), x
 
+    def test_series_matches_mpmath_sum(self):
+        # the series against a 30-digit sum over every pair of the same
+        # truncated pmfs, with each kernel Gamma(a) U(a, b, X) by mpmath
+        # (its Gamma(a) cancels a 1/Gamma of the term).  A weight cut that
+        # dropped pairs left these points 1.2e-8, 7.9e-6 and 2.1e-9 off
+        for name, x in (("pair_nonint", 8.0), ("pair_nonint", 15.0),
+                        ("pair_kappa", -6.3)):
+            rep = build_mixture(MODEL_GRID[name], tail_tol=1e-10)
+            near, far = (rep.pmf_pos, rep.p, rep.eta), (rep.pmf_neg, rep.q, rep.xi)
+            if x < 0.0:
+                near, far = far, near
+            with mpmath.workdps(30):
+                ax = mpmath.mpf(abs(x))
+                total = mpmath.mpf(0)
+                for j, pj in enumerate(near[0].tolist()):
+                    wj = pj * near[2] ** (near[1] + j) / mpmath.gamma(near[1] + j)
+                    for k, pk in enumerate(far[0].tolist()):
+                        b = rep.p + rep.q + j + k
+                        total += (wj * pk * far[2] ** (far[1] + k) * ax ** (b - 1)
+                                  * mpmath.hyperu(far[1] + k, b,
+                                                  (rep.eta + rep.xi) * ax))
+                ref = float(total * mpmath.exp(-near[2] * ax))
+            assert rep.pdf_series(x) == pytest.approx(ref, rel=1e-12), (name, x)
+
     def test_series_two_deep_sides(self):
-        # 124k kept pairs at ratio 20: one quadrature per pair takes about
-        # 45 s a point, the row kernel about 0.15 s
+        # 454 x 454 pairs at ratio 20, every one summed, within a time
+        # that one quadrature per pair could not meet
         model = two_deep_sides(20.0)
         rep = build_mixture(model, tail_tol=1e-10)
         assert (len(rep.pmf_pos), len(rep.pmf_neg)) == (454, 454)
@@ -715,32 +795,46 @@ class TestMomentTransform:
                 assert got == pytest.approx(m_expected[k - 1], rel=1e-6,
                                             abs=1e-9), (name, k)
 
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(comps=st.lists(st.tuples(RATES, SHAPES, RATES, SHAPES, RATES, RATES),
-                          min_size=1, max_size=6))
-    def test_pmf_mass_and_moments_random_models(self, comps):
+    def test_pmf_mass_and_moments_random_models(self):
         # the tail_tol 1e-14 of mixture_grid_deep, for the same reason; a
         # pmf or moment out of reach is a typed error, never a NaN
-        model = LinearCombinationModel.from_components(comps)
-        try:
-            rep = build_mixture(model, tail_tol=1e-14)
-        except TruncationFailureError:
-            return
-        for pmf in (rep.pmf_pos, rep.pmf_neg):
-            slack = len(pmf) * np.finfo(float).eps
-            assert 1.0 - 1e-14 - slack <= pmf.sum() <= 1.0 + slack
-        try:
-            got = [rep.moment(k) for k in range(1, 5)]
-        except TruncationFailureError:
-            return
-        # C4's relative 1e-8, taken against E[(X + Y)^k] >= |E[T^k]| (both
-        # sides counted positive), the size of the terms the alternating
-        # binomial sum in moment() cancels
-        expected = raw_moments(model.cumulant)
-        scale = raw_moments(lambda k: math.factorial(k - 1) * float(
-            np.sum(model.p / model.lam ** k) + np.sum(model.q / model.mu ** k)))
-        for k in range(4):
-            assert abs(got[k] - expected[k]) <= 1e-8 * scale[k], k + 1
+        built = checked = refused = 0
+        for i, model in enumerate(random_models(8, 200)):
+            rep = build_in_reach(model, 1e-14)
+            if rep is None:
+                continue
+            built += 1
+            for pmf in (rep.pmf_pos, rep.pmf_neg):
+                slack = len(pmf) * np.finfo(float).eps
+                assert 1.0 - 1e-14 - slack <= pmf.sum() <= 1.0 + slack, i
+            try:
+                got = [rep.moment(k) for k in range(1, 5)]
+            except TruncationFailureError as exc:
+                # the moment's stated domain: a tail that does not contract,
+                # or one whose completion is too large a share
+                assert re.search(r"non-contracting tail|extrapolated tail",
+                                 str(exc)), (i, exc)
+                refused += 1
+                continue
+            # C4's relative 1e-8, taken against E[(X + Y)^k] >= |E[T^k]|
+            # (both sides counted positive), the size of the terms the
+            # alternating binomial sum in moment() cancels
+            expected = raw_moments(model.cumulant)
+            scale = raw_moments(lambda k: math.factorial(k - 1) * float(
+                np.sum(model.p / model.lam ** k) + np.sum(model.q / model.mu ** k)))
+            for k in range(4):
+                assert abs(got[k] - expected[k]) <= 1e-8 * scale[k], (i, k + 1)
+            checked += 1
+        assert built >= 50 and checked >= 50, (built, checked, refused)
+
+    def test_moment_non_contracting_tail(self):
+        # pair_nonint at tail_tol 0.5 keeps 2 positive terms, so the order-2
+        # factorial series' tail ratio is 0.7 * (1 + 2.5 + 2) / (1 + 2.5)
+        rep = build_mixture(MODEL_GRID["pair_nonint"], tail_tol=0.5)
+        with pytest.raises(TruncationFailureError,
+                           match=r"factorial series of order 2 has "
+                                 r"non-contracting tail \(ratio 1\.1\)"):
+            rep.moment(2)
 
 
 class TestLevyAndCumulants:

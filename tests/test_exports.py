@@ -1,7 +1,8 @@
 """Every exported name resolves, so ``from bilgamma import *`` and
 ``from bilgamma.<module> import *`` cannot break on a stale export; no
-module keeps an import it does not use; and every function the benchmark
-tracer wraps is still where it looks, and still called there."""
+module keeps an import it does not use, nor a private name that nothing
+reads; and every function the benchmark tracer wraps is still where it
+looks, and still called there."""
 
 import ast
 import importlib
@@ -55,6 +56,37 @@ def test_no_unused_imports(module):
     imported, read = _imported_and_read(
         ast.parse(Path(mod.__file__).read_text(encoding="utf-8")))
     assert sorted(imported - read - set(getattr(mod, "__all__", ()))) == []
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    """The module-level ``_name``s a module defines: functions, classes
+    and constants (dunder names aside)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_no_dead_private_names():
+    # every private module-level name is read somewhere in the package, so
+    # a deletion cannot leave a helper or a constant behind
+    trees = {module: ast.parse(Path(importlib.import_module(
+        f"bilgamma.{module}").__file__).read_text(encoding="utf-8"))
+        for module in SUBMODULES}
+    read = set()
+    for tree in trees.values():
+        read.update(n.id for n in ast.walk(tree)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+        read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    defined = {(module, name) for module, tree in trees.items()
+               for name in _private_definitions(tree)}
+    assert len(defined) >= 30
+    assert sorted((m, n) for m, n in defined if n not in read) == []
 
 
 @pytest.mark.parametrize("path, attr", [t[:2] for t in spans.TARGETS],

@@ -71,9 +71,25 @@ class TestIntegrateEngine:
         assert integrate_zero_to_inf(f) == integrate_zero_to_inf(f)
 
     def test_nonconvergence_raises(self):
-        # sin is not integrable on (0, inf); the subdivision budget runs out
-        with pytest.raises(NonConvergenceError):
+        # sin is not integrable on (0, inf); the subdivision budget runs out.
+        # The message is one line naming the rule, the interval and the
+        # reason, not scipy's six-line advice
+        with pytest.raises(NonConvergenceError) as err:
             integrate_zero_to_inf(math.sin, QuadratureSpec(max_subdivisions=50))
+        assert str(err.value) == (
+            "QAGS quadrature failed on [0.0, 1.0]: The maximum number of "
+            "subdivisions (50) has been achieved.")
+
+    def test_oscillatory_nonconvergence_names_the_cycle(self):
+        # QAWF's reason is the first failing cycle's explanation, not
+        # scipy's table of all five explanations
+        with pytest.raises(NonConvergenceError) as err:
+            MODEL_GRID["pair_nonint"].pdf_fourier(
+                0.5, QuadratureSpec(max_subdivisions=1))
+        assert str(err.value) == (
+            "oscillatory quadrature (QAWF, cos part) failed on [0.0, inf) at "
+            "x=0.5: cycle 1: The maximum number of subdivisions (= limit) has "
+            "been achieved on this cycle.")
 
 
 class TestConfHypergeomF:
