@@ -104,11 +104,9 @@ class LinearCombinationModel:
                 raise DomainError(
                     f"component {bad[0]}: field '{name}' must be finite and > 0, "
                     f"got {float(arr[bad[0]])!r}")
-        # the product cf's coefficients, as arrays over the components and
-        # as one tuple of Python floats per component
+        # the product cf's coefficients, one tuple of floats per component
         columns = (self.p, self.w1, 1.0 / self.alpha,
                    self.q, self.w2, 1.0 / self.beta)
-        object.__setattr__(self, "_cf_columns", columns)
         object.__setattr__(self, "_cf_rows",
                            tuple(zip(*(c.tolist() for c in columns))))
 
@@ -202,22 +200,21 @@ class LinearCombinationModel:
 
         prod_j (alpha_j/(alpha_j - iz w1_j))^p_j (beta_j/(beta_j + iz w2_j))^q_j
 
-        A real scalar z (one QUADPACK node) sums the log factors in a cmath
-        loop over the components and returns a complex; any other z
-        broadcasts the same expression over a trailing component axis.
+        Both paths add the log factors one component at a time, in order: a
+        real scalar z (one QUADPACK node) by cmath, returning a complex; any
+        other z by numpy over z's own shape (a 0-d z returns a complex).
         """
         if isinstance(z, _REAL_SCALARS):
-            lib, iz, rows = cmath, 1j * float(z), self._cf_rows
+            lib, iz = cmath, 1j * float(z)
         else:
-            lib, rows = np, (self._cf_columns,)
-            iz = 1j * np.asarray(z, dtype=complex)[..., None]
+            lib, iz = np, 1j * np.asarray(z, dtype=complex)
         expo = -0j  # -0.0 + t == t for every t, signed zeros included
-        for p, w1, inv_alpha, q, w2, inv_beta in rows:
+        for p, w1, inv_alpha, q, w2, inv_beta in self._cf_rows:
             expo += (-p * lib.log(1.0 - iz * w1 * inv_alpha)
                      - q * lib.log(1.0 + iz * w2 * inv_beta))
         if lib is cmath:
             return cmath.exp(expo)
-        val = np.exp(expo.sum(axis=-1))
+        val = np.exp(expo)
         return complex(val) if val.ndim == 0 else val
 
     def mgf(self, z: float) -> float:

@@ -46,7 +46,7 @@ class PricingInputs:
     """European-call inputs (S0, K, r, v, t, T) plus the conditioning spot.
 
     Requires finite inputs with r >= v >= 0 and T > t; ``spot_at_t``
-    defaults to S0 when pricing from t = 0.
+    defaults to S0, and must equal it, when pricing from t = 0.
     """
 
     s0: float
@@ -72,6 +72,8 @@ class PricingInputs:
             raise DomainError("spot_at_t must be positive")
         if not all(map(math.isfinite, astuple(self))):
             raise DomainError(f"pricing inputs must be finite, got {self}")
+        if self.t_now == 0.0 and self.spot_at_t != self.s0:
+            raise DomainError(f"at t_now = 0 the spot is s0, got {self}")
 
     @property
     def t_remaining(self) -> float:
@@ -90,18 +92,15 @@ def martingale_gap(model: LinearCombinationModel, rate: float,
     return model.mgf(1.0) - math.exp(rate - dividend)
 
 
-def _tail_probability(model: LinearCombinationModel, level: float,
-                      spec: QuadratureSpec) -> float:
-    """P(X > level) = 1/2 + (1/pi) int_0^inf Im(e^(-iz level) phi(z)) / z dz
-    (Gil-Pelaez), on [0, 1] by the adaptive rule, on [1, inf) by QAWF."""
+def _tail_probability(cf, level: float, spec: QuadratureSpec) -> float:
+    """P(X > level) = 1/2 + (1/pi) int_0^inf Im(e^(-iz level) cf(z)) / z dz
+    (Gil-Pelaez), on [0, 1] by the adaptive rule, whose nodes are interior
+    (never z = 0), and on [1, inf) by QAWF."""
     def head(z: float) -> float:
-        if z == 0.0:
-            return model.mean - level
-        return (cmath.exp(-1j * z * level) * model.cf(z)).imag / z
+        return (cmath.exp(-1j * z * level) * cf(z)).imag / z
 
     near = _quad(head, 0.0, 1.0, spec)
-    far = oscillatory_integral(lambda z: -1j * model.cf(z) / z, level, 1.0,
-                               spec)
+    far = oscillatory_integral(lambda z: -1j * cf(z) / z, level, 1.0, spec)
     return 0.5 + (near + far) / math.pi
 
 
@@ -118,8 +117,8 @@ def price_call_integral(model: LinearCombinationModel, inputs: PricingInputs,
         w1=model.w1, w2=model.w2)
     s = inputs.spot_at_t
     level = inputs.log_moneyness
-    p_plain = _tail_probability(scaled, level, spec)
-    p_tilted = _tail_probability(tilted, level, spec)
+    p_plain = _tail_probability(scaled.cf, level, spec)
+    p_tilted = _tail_probability(tilted.cf, level, spec)
     price = math.exp(-inputs.rate * inputs.maturity) * (
         s * m1 * p_tilted - inputs.strike * p_plain)
     return max(price, 0.0)

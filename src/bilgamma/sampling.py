@@ -16,7 +16,7 @@ depend on the stream layout but never on the worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -38,6 +38,12 @@ class RandomStream:
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) and v >= 0
+                   for v in astuple(self)):
+            raise DomainError(
+                f"seed and stream_id must be non-negative integers, got {self}")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed,

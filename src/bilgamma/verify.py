@@ -16,6 +16,7 @@ import numpy as np
 
 from . import models as model_zoo
 from .combo import build_mixture
+from .errors import DomainError
 from .pricing import (
     PricingInputs,
     price_call_atm,
@@ -45,14 +46,14 @@ def run_suite(suite: str = "full", seed: int = 1,
               corrupt_gamma: bool = False) -> dict:
     """Run the invariant suite; returns a JSON-ready report."""
     if suite not in ("full", "quick"):
-        raise ValueError(f"unknown suite {suite!r}")
+        raise DomainError(f"unknown suite {suite!r}")
     full = suite == "full"
     grid = model_zoo.MODEL_GRID
     checks: list[dict] = []
 
-    def record(name, value, threshold, passed, **extra):
+    def record(name, value, threshold, **extra):
         checks.append({"name": name, "value": value, "threshold": threshold,
-                       "passed": bool(passed), **extra})
+                       "passed": bool(value <= threshold), **extra})
 
     # characteristic-function identity: mixture form against product form
     zs = np.linspace(-20.0, 20.0, 401)
@@ -62,8 +63,7 @@ def run_suite(suite: str = "full", seed: int = 1,
         if corrupt_gamma:
             rep = _corrupted(rep)
         err = float(np.abs(model.cf(zs) - rep.cf(zs)).max())
-        record(f"cf_identity[{name}]", err, 1e-8 + 2.0 * tail_tol,
-               err <= 1e-8 + 2.0 * tail_tol)
+        record(f"cf_identity[{name}]", err, 1e-8 + 2.0 * tail_tol)
 
     # Stein identity in Monte Carlo
     stein_models = list(grid.items()) if full else [("pair_nonint",
@@ -72,8 +72,7 @@ def run_suite(suite: str = "full", seed: int = 1,
     for i, (name, model) in enumerate(stein_models):
         est, se = stein_identity_check(model, SIN_W3, n_stein,
                                        RandomStream(seed, 100 + i))
-        record(f"stein_identity[{name}]", abs(est), 4.0 * se,
-               abs(est) <= 4.0 * se, std_error=se)
+        record(f"stein_identity[{name}]", abs(est), 4.0 * se, std_error=se)
 
     # sampling equivalence, two-sample Kolmogorov at level 0.01
     n_ks = 100_000 if full else 20_000
@@ -85,7 +84,7 @@ def run_suite(suite: str = "full", seed: int = 1,
         a = sample_direct(model, n_ks, RandomStream(seed, 200 + i))
         b = sample_mixture(rep, n_ks, RandomStream(seed, 300 + i))
         d = empirical_kolmogorov(a, b)
-        record(f"sampling_equivalence[{name}]", d, crit, d <= crit)
+        record(f"sampling_equivalence[{name}]", d, crit)
 
     # pricing route agreement on the gamma-driven model
     model = model_zoo.PRICING_GAMMA
@@ -93,13 +92,13 @@ def run_suite(suite: str = "full", seed: int = 1,
     pi_integral = price_call_integral(model, inputs)
     pi_series = price_call_gamma_series(model, inputs)[0]
     rel = abs(pi_series - pi_integral) / pi_integral
-    record("pricing_agreement[otm]", rel, 1e-5, rel <= 1e-5,
-           integral=pi_integral, series=pi_series)
+    record("pricing_agreement[otm]", rel, 1e-5, integral=pi_integral,
+           series=pi_series)
     atm_inputs = PricingInputs(s0=1.0, strike=1.0, rate=0.05, maturity=1.0)
     pi_atm = price_call_atm(model, atm_inputs)[0]
     pi_atm_integral = price_call_integral(model, atm_inputs)
     rel_atm = abs(pi_atm - pi_atm_integral) / pi_atm
-    record("pricing_agreement[atm]", rel_atm, 1e-5, rel_atm <= 1e-5,
+    record("pricing_agreement[atm]", rel_atm, 1e-5,
            integral=pi_atm_integral, closed_form=pi_atm)
 
     return {

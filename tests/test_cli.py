@@ -12,6 +12,7 @@ import pytest
 
 import bilgamma
 from bilgamma import (
+    DomainError,
     LinearCombinationModel,
     RandomStream,
     cli,
@@ -523,10 +524,18 @@ class TestCountArguments:
         ["cp-sweep", "--n", "0", "--seed", "5"],
         ["pdf", "--xmin", "-1", "--xmax", "1", "--max-subdivisions", "0"],
         ["price", "--pricing", "p.json", "--max-subdivisions", "0"],
+        # a negative seed exited 1 with numpy's traceback
+        ["sample", "--n", "10", "--seed", "-1"],
+        ["cp-sweep", "--n", "10", "--seed", "-1"],
+        ["simulate", "--tgrid", "0:0.5:1", "--seed", "-1"],
+        ["price", "--pricing", "p.json", "--method", "monte-carlo",
+         "--seed", "-1"],
+        ["verify", "--suite", "quick", "--seed", "-1"],
     ])
     def test_bad_count_exits_2(self, pair_file, argv, capsys):
+        model = [] if argv[0] == "verify" else ["--model", pair_file]
         with pytest.raises(SystemExit) as err:
-            main(argv[:1] + ["--model", pair_file] + argv[1:])
+            main(argv[:1] + model + argv[1:])
         assert err.value.code == 2
         assert "must be >= " in capsys.readouterr().err
 
@@ -614,6 +623,8 @@ class TestNonFiniteAndOverflow:
             "slow": LinearCombinationModel.from_components(
                 [(0.1, 1, 0.2, 1, 1, 1)]).to_json_obj(),
             "long": {"s0": 1, "strike": 1.1, "rate": 0.05, "maturity": 2000},
+            "two_spots": {"s0": 1, "strike": 1, "rate": 0.05, "maturity": 1,
+                          "spot_at_t": 2},
         }
         for name, doc in docs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -638,9 +649,17 @@ class TestNonFiniteAndOverflow:
           "--seed", "1"], 2),
         (["cp-sweep", "--model", "pair", "--m", "1,99999999999999999999",
           "--n", "100", "--seed", "1"], 3),
+        # orders below 1 exited 2; sampling owns the order range
+        (["cp-sweep", "--model", "pair", "--m", "0", "--n", "100",
+          "--seed", "1"], 3),
+        (["cp-sweep", "--model", "pair", "--m", "4,-1", "--n", "100",
+          "--seed", "1"], 3),
+        # a spot other than s0 at t_now = 0 used to be priced
+        (["price", "--model", "gamma", "--pricing", "two_spots",
+          "--method", "integral"], 3),
     ], ids=["integral", "monte_carlo", "series", "sigma_nan", "sigma_inf",
             "kmax_171", "kmax_172", "kmax_400", "tgrid_size", "tgrid_nan",
-            "cp_order"])
+            "cp_order", "cp_order_0", "cp_order_negative", "two_spots"])
     def test_typed_exit(self, files, tmp_path, argv, code):
         out = tmp_path / "out"
         argv = [files(v) if prev in ("--model", "--pricing") else v
@@ -678,6 +697,15 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         failed = [c for c in report["checks"] if not c["passed"]]
         assert failed and all("cf_identity" in c["name"] for c in failed)
+        # one pass rule: a check fails exactly when its value exceeds its
+        # threshold
+        assert len(failed) < len(report["checks"])
+        for c in report["checks"]:
+            assert c["passed"] is (c["value"] <= c["threshold"]), c
+
+    def test_unknown_suite_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="unknown suite 'bogus'"):
+            bilgamma.verify.run_suite("bogus")
 
     def test_report_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -8,7 +9,6 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import bilgamma.combo
@@ -57,7 +57,6 @@ LARGE_B = LinearCombinationModel.from_components(
 
 # the fuzzing ranges for rates (weights included) and shapes
 RATE_RANGE, SHAPE_RANGE = (1e-2, 1e2), (1e-2, 50.0)
-RATES, SHAPES = st.floats(*RATE_RANGE), st.floats(*SHAPE_RANGE)
 
 # the errors that say a pmf is out of reach: the term cap, a tail_tol
 # below the precision of the computed terms, and P(0) underflowing
@@ -66,8 +65,8 @@ PMF_OUT_OF_REACH = (r"pmf mass \S+ below 1 - \S+ after 10000 terms$"
                     r"|pmf mass at 0 underflows")
 
 
-def random_models(seed, count):
-    """``count`` seeded models of 1 to 6 components, with rates and
+def random_models(seed, count, max_n=6):
+    """``count`` seeded models of 1 to ``max_n`` components, with rates and
     weights log-uniform over RATE_RANGE and shapes over SHAPE_RANGE.
     Numpy draws, not hypothesis: hypothesis (6.155) feeds literals from
     the loaded modules into its draws, so a derandomized test's examples
@@ -78,7 +77,7 @@ def random_models(seed, count):
         return np.exp(rng.uniform(*np.log(bounds), size))
 
     for _ in range(count):
-        n = int(rng.integers(1, 7))
+        n = int(rng.integers(1, max_n + 1))
         rate, shape = log_uniform(RATE_RANGE, (4, n)), log_uniform(SHAPE_RANGE, (2, n))
         yield LinearCombinationModel(rate[0], shape[0], rate[1], shape[1],
                                      rate[2], rate[3])
@@ -403,18 +402,24 @@ class TestCharacteristicFunction:
         law_cf = (1.0 - 1j * zs / 2.0) ** -3.0 * (1.0 + 1j * zs / 5.0) ** -0.5
         np.testing.assert_allclose(model.cf(zs), law_cf, atol=1e-15)
 
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(comps=st.lists(st.tuples(RATES, SHAPES, RATES, SHAPES, RATES, RATES),
-                          min_size=1, max_size=20),
-           z=st.floats(-1e3, 1e3), k=st.integers(-1000, 1000))
-    def test_scalar_path_matches_array_path(self, comps, z, k):
-        # a real scalar runs the cmath loop, an array the numpy broadcast
-        model = LinearCombinationModel.from_components(comps)
-        ref_z, ref_k = model.cf(np.array([z, float(k)]))
-        for arg, ref in ((z, ref_z), (np.float64(z), ref_z), (k, ref_k)):
-            val = model.cf(arg)
-            assert type(val) is complex
-            assert abs(val - ref) <= 1e-14
+    def test_scalar_path_matches_array_path(self):
+        # a real scalar runs the cmath loop, an array the numpy loop: 200
+        # seeded models of 1 to 20 components, then the corners of the
+        # ranges (every rate and every shape at an end, z and k at an end)
+        rng = np.random.default_rng(11)
+        cases = [(model, rng.uniform(-1e3, 1e3), int(rng.integers(-1000, 1001)))
+                 for model in random_models(12, 200, max_n=20)]
+        for n, rate, shape, z, k in itertools.product(
+                (1, 20), RATE_RANGE, SHAPE_RANGE, (-1e3, 0.0, 1e3),
+                (-1000, 0, 1000)):
+            comps = [(rate, shape, rate, shape, rate, rate)] * n
+            cases.append((LinearCombinationModel.from_components(comps), z, k))
+        for model, z, k in cases:
+            ref_z, ref_k = model.cf(np.array([z, float(k)]))
+            for arg, ref in ((z, ref_z), (np.float64(z), ref_z), (k, ref_k)):
+                val = model.cf(arg)
+                assert type(val) is complex
+                assert abs(val - ref) <= 1e-14, (model, arg)
 
     def test_mixture_identity(self, model_grid, mixture_grid):
         # the executable form of the randomised-shape representation

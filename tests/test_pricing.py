@@ -20,6 +20,7 @@ from bilgamma import (
     price_call_integral,
     price_call_monte_carlo,
 )
+from bilgamma import pricing
 from bilgamma.models import MARTINGALE, PRICING_GAMMA
 from bilgamma.pricing import _tail_probability, negative_part_bound
 from bilgamma.quadrature import DEFAULT_QUAD
@@ -48,6 +49,15 @@ class TestPricingInputs:
         inp = PricingInputs(s0=2.0, strike=1.0, rate=0.0, maturity=1.0)
         assert inp.spot_at_t == 2.0
 
+    def test_spot_other_than_s0_refused_at_origin(self):
+        # at t = 0 the spot is S0; a second spot used to be priced silently
+        with pytest.raises(DomainError, match="at t_now = 0 the spot is s0"):
+            PricingInputs(s0=1.0, strike=1.0, rate=0.0, maturity=1.0,
+                          spot_at_t=2.0)
+        inp = PricingInputs(s0=1.0, strike=1.0, rate=0.0, maturity=1.0,
+                            spot_at_t=1.0)
+        assert inp.spot_at_t == 1.0
+
     def test_spot_required_later(self):
         with pytest.raises(DomainError):
             PricingInputs(s0=1, strike=1, rate=0.0, maturity=1.0, t_now=0.3)
@@ -67,19 +77,40 @@ class TestTailProbability:
     def test_single_gamma_component(self, level):
         from scipy.special import gammaincc
         model = single(2.0, 1.5, 1e8, 1e-8)
-        got = _tail_probability(model, level, DEFAULT_QUAD)
+        got = _tail_probability(model.cf, level, DEFAULT_QUAD)
         assert got == pytest.approx(gammaincc(1.5, 2.0 * level), abs=1e-10)
 
     def test_symmetric_half_at_origin(self, laplace_model):
-        assert _tail_probability(laplace_model, 0.0, DEFAULT_QUAD) == \
+        assert _tail_probability(laplace_model.cf, 0.0, DEFAULT_QUAD) == \
             pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("level", [0.3, 1.0, 4.0])
     def test_symmetric_tails_complement(self, laplace_model, level):
-        lower = _tail_probability(laplace_model, -level, DEFAULT_QUAD)
-        upper = _tail_probability(laplace_model, level, DEFAULT_QUAD)
+        lower = _tail_probability(laplace_model.cf, -level, DEFAULT_QUAD)
+        upper = _tail_probability(laplace_model.cf, level, DEFAULT_QUAD)
         assert lower + upper == pytest.approx(1.0, abs=1e-12)
         assert upper == pytest.approx(0.5 * math.exp(-level), abs=1e-10)
+
+    def test_cf_never_read_at_origin(self, monkeypatch):
+        # the tail reads only its cf, and the Gil-Pelaez integrand's limit
+        # at z = 0 is never needed: QUADPACK's nodes are interior
+        nodes = []
+
+        def spy(cf, level, spec):
+            def recorded(z):
+                nodes.append(z)
+                return cf(z)
+            return _tail_probability(recorded, level, spec)
+
+        monkeypatch.setattr(pricing, "_tail_probability", spy)
+        for model in (MARTINGALE, PRICING_GAMMA):
+            for strike in (0.5, 0.9, 1.0, 1.2, 3.0):
+                for maturity in (0.1, 1.0, 5.0):
+                    price_call_integral(model, base_inputs(strike=strike,
+                                                           maturity=maturity))
+        head = [z for z in nodes if z < 1.0]
+        assert len(head) >= 30 * 2 * 21
+        assert min(nodes) > 0.0
 
 
 class TestMartingaleCondition:

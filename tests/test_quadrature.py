@@ -1,9 +1,9 @@
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import hyperu
 
@@ -189,53 +189,68 @@ class TestLogHyperint:
                 assert log_hyperint(a, b, x) == pytest.approx(
                     -math.log(a), rel=1e-14, abs=0.0), (b, x)
 
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(log_a=st.floats(-10.0, 3.0), d=st.floats(-0.99, 1000.0),
-           log_x=st.floats(-3.0, 308.0))
-    def test_random_arguments_match_mpmath(self, log_a, d, log_x):
+    def test_random_arguments_match_mpmath(self):
         # a from 1e-10 to 1000, b - a from -0.99 to 1000, x from 1e-3 to
-        # 1e308.  mpmath's hyperu is itself wrong at some of these (at
-        # (425.34, 768.33, 560.47) it gives -177.32 up to 100 digits and
-        # -324.31 at 200), so a reference counts only where 50 and 200
-        # digits agree
-        a, x = 10.0 ** log_a, 10.0 ** log_x
-        b = a + d
-        refs = []
-        for dps in (50, 200):
-            with mpmath.workdps(dps):
-                refs.append(float(mpmath.log(mpmath.gamma(a)
-                                             * mpmath.hyperu(a, b, x))))
-        ref = refs[1]
-        assume(abs(refs[0] - ref) <= 1e-13 * max(1.0, abs(ref)))
-        assert abs(log_hyperint(a, b, x) - ref) <= 1e-12 * max(1.0, abs(ref))
+        # 1e308: 100 seeded uniform draws of (log10 a, b - a, log10 x),
+        # then the corners and the case below.  mpmath's hyperu is itself
+        # wrong at some of these (at (425.34, 768.33, 560.47) it gives
+        # -177.32 up to 100 digits and -324.31 at 200), so a reference
+        # counts only where 50 and 200 digits agree, and at least 90 of
+        # the draws must have one
+        ranges = ((-10.0, 3.0), (-0.99, 1000.0), (-3.0, 308.0))
+        draws = np.random.default_rng(1).uniform(*np.array(ranges).T, (100, 3))
+        fixed = [*itertools.product(*ranges),
+                 (math.log10(425.34), 768.33 - 425.34, math.log10(560.47))]
+        evaluated = 0
+        for i, (log_a, d, log_x) in enumerate([*draws.tolist(), *fixed]):
+            a, x = 10.0 ** log_a, 10.0 ** log_x
+            b = a + d
+            refs = []
+            for dps in (50, 200):
+                with mpmath.workdps(dps):
+                    refs.append(float(mpmath.log(mpmath.gamma(a)
+                                                 * mpmath.hyperu(a, b, x))))
+            ref = refs[1]
+            if abs(refs[0] - ref) > 1e-13 * max(1.0, abs(ref)):
+                continue
+            evaluated += i < len(draws)
+            assert abs(log_hyperint(a, b, x) - ref) <= \
+                1e-12 * max(1.0, abs(ref)), (a, b, x)
+        assert evaluated >= 90
 
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(a=st.floats(0.05, 600.0), d=st.floats(-0.9, 300.0),
-           x=st.floats(0.05, 30.0))
-    def test_contiguous_relations(self, a, d, x):
+    @staticmethod
+    def _relation_arguments(seed, ranges):
+        """(a, b, x) for 100 seeded uniform draws of (a, b - a, x) over
+        ``ranges``, then every corner of them."""
+        draws = np.random.default_rng(seed).uniform(*np.array(ranges).T, (100, 3))
+        for a, d, x in [*draws.tolist(), *itertools.product(*ranges)]:
+            yield a, a + d, x
+
+    def test_contiguous_relations(self):
         # (A) I(a, b+1) = I(a, b) + I(a+1, b+1)           (DLMF 13.3.10)
         # (B) x I(a, b+1) + (b-a-1) I(a, b-1) = (b-1+x) I(a, b)  (13.3.8)
-        b = a + d
-        l0, l_up = log_hyperint(a, b, x), log_hyperint(a, b + 1.0, x)
-        l_down = log_hyperint(a, b - 1.0, x)
-        l_diag = log_hyperint(a + 1.0, b + 1.0, x)
-        assert abs(l_up - np.logaddexp(l0, l_diag)) <= 1e-10
-        terms = (x * math.exp(l_up - l0), (b - a - 1.0) * math.exp(l_down - l0),
-                 -(b - 1.0 + x))
-        assert abs(math.fsum(terms)) <= 1e-10 * sum(map(abs, terms))
+        for a, b, x in self._relation_arguments(
+                2, ((0.05, 600.0), (-0.9, 300.0), (0.05, 30.0))):
+            l0, l_up = log_hyperint(a, b, x), log_hyperint(a, b + 1.0, x)
+            l_down = log_hyperint(a, b - 1.0, x)
+            l_diag = log_hyperint(a + 1.0, b + 1.0, x)
+            assert abs(l_up - np.logaddexp(l0, l_diag)) <= 1e-10, (a, b, x)
+            terms = (x * math.exp(l_up - l0),
+                     (b - a - 1.0) * math.exp(l_down - l0), -(b - 1.0 + x))
+            assert abs(math.fsum(terms)) <= 1e-10 * sum(map(abs, terms)), \
+                (a, b, x)
 
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(a=st.floats(0.05, 600.0), d=st.floats(-0.9, 300.0),
-           x=st.floats(0.05, 400.0))
-    def test_diagonal_relation(self, a, d, x):
+    def test_diagonal_relation(self):
         # (D) a I(a, b) + (b - x) I(a+1, b+1) = x I(a+2, b+2), by parts on
         # d/dt [t^a (1+t)^(b-a) e^(-xt)]
-        b = a + d
-        l0 = log_hyperint(a, b, x)
-        l1 = log_hyperint(a + 1.0, b + 1.0, x)
-        l2 = log_hyperint(a + 2.0, b + 2.0, x)
-        terms = (a, (b - x) * math.exp(l1 - l0), -x * math.exp(l2 - l0))
-        assert abs(math.fsum(terms)) <= 1e-10 * sum(map(abs, terms))
+        for a, b, x in self._relation_arguments(
+                3, ((0.05, 600.0), (-0.9, 300.0), (0.05, 400.0))):
+            l0 = log_hyperint(a, b, x)
+            l1 = log_hyperint(a + 1.0, b + 1.0, x)
+            l2 = log_hyperint(a + 2.0, b + 2.0, x)
+            terms = (a, (b - x) * math.exp(l1 - l0), -x * math.exp(l2 - l0))
+            assert abs(math.fsum(terms)) <= 1e-10 * sum(map(abs, terms)), \
+                (a, b, x)
 
 
 class TestLogHyperintRows:

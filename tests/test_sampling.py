@@ -32,6 +32,18 @@ class TestRandomStream:
         b = sample_direct(pair_nonint, 1000, RandomStream(5, 1))
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed, stream_id", [
+        (-1, 0), (1, -1), (1.5, 0), (1, 2.0), (None, 0)])
+    def test_identity_is_two_non_negative_integers(self, seed, stream_id):
+        with pytest.raises(DomainError, match="must be non-negative integers"):
+            RandomStream(seed, stream_id)
+
+    def test_numpy_integer_identity(self, pair_nonint):
+        stream = RandomStream(np.int64(5), np.uint8(2))
+        np.testing.assert_array_equal(
+            sample_direct(pair_nonint, 10, stream),
+            sample_direct(pair_nonint, 10, RandomStream(5, 2)))
+
     def test_only_streams_accepted(self, pair_nonint):
         with pytest.raises(DomainError, match="expected a RandomStream"):
             sample_direct(pair_nonint, 10, np.random.default_rng(5))
