@@ -144,6 +144,17 @@ def _parse_tgrid(text: str) -> np.ndarray:
     return start + step * np.arange(math.floor(steps * (1.0 + 1e-12)) + 1)
 
 
+def _grid(lo: float, hi: float, points: int, what: str) -> np.ndarray:
+    """``points`` equally spaced values from ``lo`` to ``hi``.  Both are
+    finite, but their difference can still overflow a double, and linspace
+    would then fill the grid with NaN and infinities: that is a ConfigError
+    naming ``what``, the flags that set the bounds."""
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"{what}: the grid's span must be finite, "
+                          f"got {lo!r} to {hi!r}")
+    return np.linspace(lo, hi, points)
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -151,7 +162,7 @@ def cmd_pdf(args) -> int:
     model = load_model(args.model)
     spec = _spec_from_args(args)
     rep = build_mixture(model, tail_tol=args.tail_tol)
-    xs = np.linspace(args.xmin, args.xmax, args.points)
+    xs = _grid(args.xmin, args.xmax, args.points, "--xmin/--xmax")
     fourier, series = np.array(
         [(model.pdf_fourier(float(x), spec),
           rep.pdf_series(float(x), spec) if x != 0.0 else math.nan)
@@ -165,7 +176,7 @@ def cmd_pdf(args) -> int:
 def cmd_cf(args) -> int:
     model = load_model(args.model)
     rep = build_mixture(model, tail_tol=args.tail_tol)
-    zs = np.linspace(-args.zmax, args.zmax, args.points)
+    zs = _grid(-args.zmax, args.zmax, args.points, "--zmax")
     prod = model.cf(zs)
     mix = rep.cf(zs)
     _write_csv(args.out, ["z", "cf_product_re", "cf_product_im",

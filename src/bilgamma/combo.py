@@ -402,19 +402,28 @@ def _completed_series(log_terms, r):
     return terms.sum(axis=-1) + tail, tail
 
 
-def _power_sum(pmf, shape, log_r):
-    """sum_j pmf[j] r^(shape + j) for a column of log r values, one per
-    row, by the baby-step/giant-step split described in
-    ``MixtureRepresentation.cf``."""
+def _pmf_blocks(pmf):
+    """``pmf`` zero-padded to G * B entries and reshaped to the (G x B)
+    block matrix of the baby-step/giant-step split, B = isqrt(K)."""
     step = math.isqrt(len(pmf))
     giants = -(-len(pmf) // step)
     blocks = np.zeros(giants * step)
     blocks[:len(pmf)] = pmf
-    blocks = blocks.reshape(giants, step)
-    baby = np.exp(np.arange(step) * log_r)[:, None, :]
+    return blocks.reshape(giants, step)
+
+
+def _power_sum(blocks, shape, log_r):
+    """sum_j pmf[j] r^(shape + j) for a column of log r values, one per
+    row, with the pmf given as its ``_pmf_blocks``: each row's inner sums
+    are one matrix-vector product of ``blocks`` with that row's baby
+    powers, as described in ``MixtureRepresentation.cf``."""
+    giants, step = blocks.shape
+    baby = np.exp(np.arange(step) * log_r)
+    baby_re = np.ascontiguousarray(baby.real)[:, :, None]
+    baby_im = np.ascontiguousarray(baby.imag)[:, :, None]
     inner = np.empty((len(log_r), giants), dtype=complex)
-    inner.real = (blocks * baby.real).sum(axis=-1)
-    inner.imag = (blocks * baby.imag).sum(axis=-1)
+    inner.real = np.matmul(blocks, baby_re)[..., 0]
+    inner.imag = np.matmul(blocks, baby_im)[..., 0]
     giant = np.exp((shape + step * np.arange(giants)) * log_r)
     return (inner * giant).sum(axis=-1)
 
@@ -516,29 +525,32 @@ class MixtureRepresentation:
         which factorises into two single series.  Truncation error is
         bounded by the dropped pmf mass since every term has modulus <= 1.
 
-        Each series is a power sum in one ratio r per point, still summed
-        term by term, with its index split as j = B m + i, B = isqrt(K)
-        (baby-step/giant-step, Paterson & Stockmeyer 1973): the baby steps
-        r^i, i < B, and the giant steps r^(p + B m) take B + K/B complex
-        exps per point instead of K.  The inner sums
-        sum_i P(L = B m + i) r^i are an elementwise product and a sum over
-        the last axis, on the real and imaginary parts.  They are not a
-        BLAS matmul: its blocking makes a point's rounding depend on the
-        other points of the call, while this reduction sums each point in
-        the same order however many points there are.  So a point's value
-        does not depend on the grid or the blocking.  The points are taken
-        in blocks of about 2**16 / K, so the (points x K) temporaries stay
-        near a megabyte for any grid.
+        Each series is a power sum in one ratio r per point, with its index
+        split as j = B m + i, B = isqrt(K) (baby-step/giant-step, Paterson &
+        Stockmeyer 1973): the baby steps r^i, i < B, and the giant steps
+        r^(p + B m) take B + K/B complex exps per point instead of K.  The
+        pmf is laid out once per call as the zero-padded (G x B) matrix of
+        its blocks P(L = B m + i), so a point's inner sums
+        sum_i P(L = B m + i) r^i are one matrix-vector product of that
+        matrix with the point's B baby powers, on the real and the
+        imaginary part.  Every point's product has the same shape, so its
+        rounding does not depend on the other points of the call or on how
+        the grid is blocked.  One matrix product over the whole grid would
+        be faster, but BLAS blocks such a product by the number of points,
+        and a point's value would then change with the grid.  The points are
+        taken in blocks of 2**12 // B, so the (points x B) temporaries hold
+        about 2**12 entries for any grid.
         """
         z = np.asarray(z, dtype=complex)
         flat = z.reshape(-1)
-        rows = max(1, 2 ** 16 // max(len(self.pmf_pos), len(self.pmf_neg)))
+        pos, neg = _pmf_blocks(self.pmf_pos), _pmf_blocks(self.pmf_neg)
+        rows = max(1, 2 ** 12 // max(pos.shape[1], neg.shape[1]))
         val = np.empty(flat.shape, dtype=complex)
         for start in range(0, len(flat), rows):
             zz = flat[start:start + rows, None]
             val[start:start + rows] = (
-                _power_sum(self.pmf_pos, self.p, -np.log(1.0 - 1j * zz / self.eta))
-                * _power_sum(self.pmf_neg, self.q, -np.log(1.0 + 1j * zz / self.xi)))
+                _power_sum(pos, self.p, -np.log(1.0 - 1j * zz / self.eta))
+                * _power_sum(neg, self.q, -np.log(1.0 + 1j * zz / self.xi)))
         val = val.reshape(z.shape)
         return complex(val) if val.ndim == 0 else val
 

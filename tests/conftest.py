@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special as sp
 from scipy.integrate import quad
 
+import bilgamma
 from bilgamma import LinearCombinationModel, build_mixture
 from bilgamma.quadrature import DEFAULT_QUAD, integrate_zero_to_inf, log_hyperint
 from bilgamma.models import (
@@ -65,6 +70,16 @@ def pricing_gamma():
 @pytest.fixture(scope="session")
 def martingale_model():
     return MARTINGALE
+
+
+def run_child(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    bilgamma, with ``args`` as its sys.argv[1:]."""
+    src = str(Path(bilgamma.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def single(alpha, p, beta, q, w1=1.0, w2=1.0) -> LinearCombinationModel:

@@ -2,10 +2,6 @@ import csv
 import io
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +17,7 @@ from bilgamma import (
 )
 from bilgamma.cli import main
 from bilgamma.models import KAPPA_SINGLE, MARTINGALE, MODEL_GRID, PRICING_GAMMA
+from conftest import run_child
 
 
 @pytest.fixture()
@@ -55,16 +52,6 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
-
-
-def run_child(code, *args):
-    """Run ``code`` in a fresh interpreter that imports this checkout's
-    bilgamma, with ``args`` as its sys.argv[1:]."""
-    src = str(Path(bilgamma.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestPdfCommand:
@@ -554,6 +541,10 @@ class TestFiniteArguments:
         ["cf", "--points", "3", "--tail-tol", "inf"],
         ["moments", "--tail-tol", "nan"],
         ["price", "--pricing", "p.json", "--tail-tol=-inf"],
+        # finite bounds whose span overflows a double: linspace wrote NaN
+        # rows (cf, exit 0) or handed the series a NaN x (pdf, exit 3)
+        ["cf", "--zmax", "1e308", "--points", "4"],
+        ["pdf", "--xmin=-1.7e308", "--xmax", "1.7e308", "--points", "3"],
     ])
     def test_non_finite_bound_exits_2(self, model_file, tmp_path, argv):
         # in a child interpreter: a non-finite x that reached QUADPACK's

@@ -30,7 +30,7 @@ from bilgamma import (
 from bilgamma.combo import read_fields
 from bilgamma.models import MODEL_GRID, PRICING_GAMMA
 from bilgamma.quadrature import log_hyperint
-from conftest import block_cumulant_se, pdf_series_pairwise, single
+from conftest import block_cumulant_se, pdf_series_pairwise, run_child, single
 
 GEOMETRIC_PAIR = LinearCombinationModel.from_components(
     [(1.0, 1.0, 3.0, 1.0, 1.0, 1.0), (2.0, 1.0, 4.0, 1.0, 1.0, 1.0)])
@@ -41,6 +41,11 @@ DEEP_SHAPES = (1.0, 1.05, 0.95)
 DEEP_MODEL = LinearCombinationModel.from_components(
     [(lam, p, 2.0 + j, 1.0, 1.0, 1.0)
      for j, (lam, p) in enumerate(zip(DEEP_LAM, DEEP_SHAPES))])
+
+# positive rates spanning a ratio of 290: a positive pmf of 8017 terms
+WIDE_MODEL = LinearCombinationModel.from_components(
+    [(lam, 1.0, 2.0 + j, 1.0, 1.0, 1.0)
+     for j, lam in enumerate((4.0 / 290.0, 4.0 / 17.0, 4.0))])
 
 # pmf_pos[0] = 2^-50 and the pmf peaks at 48, so a series that stops at
 # its first small weight returns 0
@@ -469,6 +474,53 @@ class TestCharacteristicFunction:
         val = rep.cf(0.7)
         assert type(val) is complex
         assert val == rep.cf(np.array([0.7]))[0]
+
+    @pytest.mark.parametrize("model, tail_tol, lengths", [
+        (single(2.0, 1.0, 3.0, 1.0), 1e-12, (1, 1)),
+        (GEOMETRIC_PAIR, 0.3, (2, 1)),
+        (GEOMETRIC_PAIR, 1e-12, (40, 20)),   # blocks zero-padded to 7 x 6
+        (WIDE_MODEL, 1e-12, (8017, 41)),
+    ], ids=["K1", "K2", "K40", "K8017"])
+    def test_mixture_cf_block_shapes(self, model, tail_tol, lengths):
+        # each point's inner sums are one matrix-vector product with the
+        # (G x B) pmf blocks: at every block shape a grid of more than three
+        # row blocks, not a multiple of one, equals its single points, and
+        # the points agree with a 40-digit Horner sum of the same pmfs
+        rep = build_mixture(model, tail_tol=tail_tol)
+        assert (len(rep.pmf_pos), len(rep.pmf_neg)) == lengths
+        block = 2 ** 12 // max(map(math.isqrt, lengths))
+        zs = np.linspace(-20.0, 20.0, 3 * block + block // 2 + 1)
+        vals = rep.cf(zs)
+        np.testing.assert_array_equal(vals, [rep.cf(float(z)) for z in zs])
+
+        def horner(pmf, shape, r):
+            acc = mpmath.mpc(0)
+            for w in reversed(pmf.tolist()):
+                acc = acc * r + w
+            return acc * r ** shape
+
+        with mpmath.workdps(40):
+            for i in range(0, len(zs), len(zs) // 6):
+                iz = mpmath.mpc(0, zs[i])
+                ref = (horner(rep.pmf_pos, rep.p, 1 / (1 - iz / rep.eta))
+                       * horner(rep.pmf_neg, rep.q, 1 / (1 + iz / rep.xi)))
+                assert abs(vals[i] - complex(ref)) <= 1e-15, zs[i]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_mixture_cf_blas_threads(self, threads):
+        # the BLAS thread count changes no bit of the cf of an 8017-term pmf
+        rep = build_mixture(WIDE_MODEL, tail_tol=1e-12)
+        done = run_child(
+            "import os, sys; os.environ['OPENBLAS_NUM_THREADS'] = sys.argv[1]\n"
+            "import json, numpy as np\n"
+            "from bilgamma import LinearCombinationModel, build_mixture\n"
+            "model = LinearCombinationModel.from_json_obj(json.loads(sys.argv[2]))\n"
+            "rep = build_mixture(model, tail_tol=1e-12)\n"
+            "print(rep.cf(np.linspace(-20.0, 20.0, 401)).tobytes().hex())",
+            threads, json.dumps(WIDE_MODEL.to_json_obj()))
+        assert done.returncode == 0, done.stderr
+        zs = np.linspace(-20.0, 20.0, 401)
+        assert bytes.fromhex(done.stdout.strip()) == rep.cf(zs).tobytes()
 
     def test_mixture_identity_random_models(self):
         # C1 on random models: product and mixture cf on 401 points

@@ -23,7 +23,7 @@ from bilgamma import (
 from bilgamma import pricing
 from bilgamma.models import MARTINGALE, PRICING_GAMMA
 from bilgamma.pricing import _tail_probability, negative_part_bound
-from bilgamma.quadrature import DEFAULT_QUAD
+from bilgamma.quadrature import DEFAULT_QUAD, integrate_zero_to_inf
 from conftest import single
 
 # shapes sum to 0.7 < 1: the cf is not absolutely integrable, so there is no
@@ -90,6 +90,22 @@ class TestTailProbability:
         upper = _tail_probability(laplace_model.cf, level, DEFAULT_QUAD)
         assert lower + upper == pytest.approx(1.0, abs=1e-12)
         assert upper == pytest.approx(0.5 * math.exp(-level), abs=1e-10)
+
+    @pytest.mark.parametrize("name", ["pair_nonint", "five_mixed"])
+    @pytest.mark.parametrize("level", [-1.5, 0.5, 2.0])
+    def test_matches_series_density(self, model_grid, mixture_grid, name,
+                                    level):
+        # the series density shares no code with the cf: integrated over
+        # the half-line beyond a positive level, and below a negative one,
+        # so that the integral never meets x = 0, where the series is singular
+        rep = mixture_grid[name]
+        if level > 0.0:
+            tail = integrate_zero_to_inf(lambda t: rep.pdf_series(level + t))
+        else:
+            tail = 1.0 - integrate_zero_to_inf(
+                lambda t: rep.pdf_series(level - t))
+        got = _tail_probability(model_grid[name].cf, level, DEFAULT_QUAD)
+        assert got == pytest.approx(tail, abs=1e-10)
 
     def test_cf_never_read_at_origin(self, monkeypatch):
         # the tail reads only its cf, and the Gil-Pelaez integrand's limit
