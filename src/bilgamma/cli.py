@@ -165,7 +165,7 @@ def cmd_pdf(args) -> int:
     xs = _grid(args.xmin, args.xmax, args.points, "--xmin/--xmax")
     fourier, series = np.array(
         [(model.pdf_fourier(float(x), spec),
-          rep.pdf_series(float(x), spec) if x != 0.0 else math.nan)
+          rep.pdf_series(float(x)) if x != 0.0 else math.nan)
          for x in xs]).T
     _write_csv(args.out, ["x", "pdf_fourier", "pdf_series", "abs_diff"],
                ["%.12g", "%.12e", "%.12e", "%.3e"],
@@ -447,7 +447,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ModelFileError) as exc:
+    # an OSError is an --out that cannot be written; its text names the path
+    except (ConfigError, ModelFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BilgammaError as exc:

@@ -115,7 +115,10 @@ class LinearCombinationModel:
     @classmethod
     def from_components(cls, components) -> "LinearCombinationModel":
         """Build from an iterable of (alpha, p, beta, q, w1, w2) tuples."""
-        cols = list(zip(*components))
+        try:
+            cols = list(zip(*components, strict=True))
+        except ValueError:
+            cols = ()
         if len(cols) != 6:
             raise DomainError("each component needs exactly 6 entries")
         return cls(*cols)
@@ -308,11 +311,13 @@ def read_fields(obj, what: str, required, optional=()) -> dict:
     for name in (*required, *(n for n in optional if n in obj)):
         if name not in obj:
             raise ModelFileError(f"{what}: missing field '{name}'")
-        try:
-            fields[name] = float(obj[name])
-        except (TypeError, ValueError):
+        value = obj[name]
+        # JSON numbers only: float() would also take "2.5" and true
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ModelFileError(f"{what}: field '{name}' is not a number: "
-                                 f"{obj[name]!r}") from None
+                                 f"{value!r}")
+        try:
+            fields[name] = float(value)
         except OverflowError:
             raise ModelFileError(
                 f"{what}: field '{name}' overflows a double") from None
@@ -428,17 +433,16 @@ def _power_sum(blocks, shape, log_r):
     return (inner * giant).sum(axis=-1)
 
 
-def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int,
-                      spec: QuadratureSpec = DEFAULT_QUAD):
+def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int):
     """Yield (i, L_i) for i = rows - 1 down to 0, where
 
         L_i[j] = log I(a0 + i, b0 + i + j, x),  j = 0 .. cols - 1,
 
     with I the integral of ``log_hyperint``.  At most two entries are
-    integrated, by ``log_hyperint``; the rest follow from three exact
-    relations, each run in a stable direction.  (D) and (A) add positive
-    terms only; (B) subtracts whenever b - a - 1 > 0, and is safe because
-    it runs forward in b, where U is the dominant solution:
+    integrated, by ``log_hyperint`` at ``DEFAULT_QUAD``; the rest follow
+    from three exact relations, each run in a stable direction.  (D) and
+    (A) add positive terms only; (B) subtracts whenever b - a - 1 > 0, and
+    is safe because it runs forward in b, where U is the dominant solution:
 
     * (D) (a0 + k) d_k + (b0 + k - x) d_(k+1) = x d_(k+2) for the diagonal
       d_k = I(a0 + k, b0 + k) (by parts on
@@ -464,9 +468,9 @@ def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int,
     n = rows + (cols > 1)
     diag = np.empty(n)
     k0 = min(max(math.ceil(x - b0), 0), max(n - 2, 0))
-    diag[k0] = log_hyperint(a0 + k0, b0 + k0, x, spec)
+    diag[k0] = log_hyperint(a0 + k0, b0 + k0, x)
     if n > 1:
-        diag[k0 + 1] = log_hyperint(a0 + k0 + 1.0, b0 + k0 + 1.0, x, spec)
+        diag[k0 + 1] = log_hyperint(a0 + k0 + 1.0, b0 + k0 + 1.0, x)
         # (D) forward as a recurrence for the ratio d_(k+2) / d_(k+1)
         ratio = math.exp(diag[k0 + 1] - diag[k0])
         for k in range(k0, n - 2):
@@ -600,7 +604,7 @@ class MixtureRepresentation:
 
     # -- densities -----------------------------------------------------------
 
-    def pdf_series(self, x: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+    def pdf_series(self, x: float) -> float:
         """Density by the mixture double series with hypergeometric kernel.
 
         For x > 0 each (j, k) term is
@@ -614,7 +618,9 @@ class MixtureRepresentation:
         Every (j, k) pair of the pmfs is summed, so their truncation at
         ``tail_tol`` is the series' only one.  The kernels form a grid whose
         rows step a and b together (k for x > 0, j for x < 0) and whose
-        columns step b alone, which ``log_hyperint_rows`` fills.
+        columns step b alone, which ``log_hyperint_rows`` fills.  Its
+        kernels integrate at ``DEFAULT_QUAD``, so no budget of
+        ``pdf_fourier``'s reaches this route.
         """
         if not math.isfinite(x):
             raise DomainError(f"series density needs a finite x, got x={x}")
@@ -636,7 +642,7 @@ class MixtureRepresentation:
         total = 0.0
         for i, log_kernel in log_hyperint_rows(
                 shape, self.p + self.q, (self.eta + self.xi) * ax,
-                len(f_row), len(f_col), spec):
+                len(f_row), len(f_col)):
             total += float(np.exp(const + f_row[i] + f_col + log_kernel).sum())
         return total
 

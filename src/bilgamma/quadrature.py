@@ -139,8 +139,7 @@ def fourier_density(cf: Callable[[float], complex], x: float,
     return oscillatory_integral(cf, x, 0.0, spec) / math.pi
 
 
-def log_hyperint(a: float, b: float, x: float,
-                 spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def log_hyperint(a: float, b: float, x: float) -> float:
     """log of I(a,b,x) = int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt.
 
     This is Gamma(a) times the second-kind confluent hypergeometric
@@ -158,7 +157,8 @@ def log_hyperint(a: float, b: float, x: float,
     peak and every feature out to the reach a fair share of the nodes.
     Past either reach the integrand is below e^-50, except that past the
     left one it may instead be e^(A + a d) to within e^-40: that tail,
-    about 1/a long, is added in closed form.
+    about 1/a long, is added in closed form.  Both rules run at
+    ``DEFAULT_QUAD``: the series density's kernels take no caller's budget.
     """
     if not (a > 0.0 and x > 0.0):
         raise DomainError(f"require a > 0 and x > 0, got a={a}, x={x}")
@@ -212,7 +212,7 @@ def log_hyperint(a: float, b: float, x: float,
                 mix = hi + log1p(exp(lo - hi))
             return exp(a * d + c * mix - grow) * (1.0 + stretch)
 
-        return w * span * _quad(piece, 0.0, 1.0, spec)
+        return w * span * _quad(piece, 0.0, 1.0, DEFAULT_QUAD)
 
     # the rules' part and the closed-form tail, added as logs because the
     # tail, 1/a long, overflows for a subnormal a

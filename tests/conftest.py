@@ -128,7 +128,7 @@ def bg_pdf(law, x: float) -> float:
     return math.exp(log_pref) * (part0 + part1)
 
 
-def pdf_series_pairwise(rep, x: float, spec=DEFAULT_QUAD) -> float:
+def pdf_series_pairwise(rep, x: float) -> float:
     """Oracle series density: every (j, k) pair's kernel by its own
     ``log_hyperint`` quadrature."""
     ax = abs(x)
@@ -144,7 +144,7 @@ def pdf_series_pairwise(rep, x: float, spec=DEFAULT_QUAD) -> float:
                   + (b - 1.0) * math.log(ax))
             a, rate = (rep.q + k, rep.eta) if x > 0.0 else (rep.p + j, rep.xi)
             total += math.exp(lt - rate * ax + log_hyperint(
-                a, b, (rep.eta + rep.xi) * ax, spec))
+                a, b, (rep.eta + rep.xi) * ax))
     return total
 
 

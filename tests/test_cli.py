@@ -94,6 +94,24 @@ class TestPdfCommand:
         assert "SingularPointError" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["five_mixed", "pair_nonint"])
+    def test_budget_flags_reach_fourier_column_only(self, tmp_path, name):
+        # the series kernels integrate at DEFAULT_QUAD: a loose budget used
+        # to move the series column too, by up to 1.2e-7 relative
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(MODEL_GRID[name].to_json_obj()))
+        columns = {}
+        for tag, flags in (("default", []),
+                           ("loose", ["--abs-tol", "1e-3", "--rel-tol", "1e-2"])):
+            out = tmp_path / f"{tag}.csv"
+            assert main(["pdf", "--model", str(model), "--xmin", "-4.3",
+                         "--xmax", "3.7", "--points", "9", "--out", str(out),
+                         *flags]) == 0
+            _, rows = read_csv(out)
+            columns[tag] = [r[1] for r in rows], [r[2] for r in rows]
+        assert columns["loose"][1] == columns["default"][1]
+        assert columns["loose"][0] != columns["default"][0]
+
     def test_malformed_model_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"components": [
@@ -585,6 +603,26 @@ class TestInputFiles:
             assert errors[what] == errors["model"].replace(
                 "model file", f"{what} file")
 
+    @pytest.mark.parametrize("value", ["2.5", " 7 ", True])
+    def test_numeric_string_or_boolean_exits_2(self, gamma_file, kappa_file,
+                                               tmp_path, capsys, value):
+        # float() used to read "2.5" as 2.5 and true as 1.0
+        model = MODEL_GRID["laplace"].to_json_obj()
+        model["components"][0]["alpha"] = value
+        for what, doc, argv in (
+                ("component 0", model, ["cf", "--points", "3", "--model"]),
+                ("pricing file",
+                 {"s0": value, "strike": 1.0, "rate": 0.05, "maturity": 1.0},
+                 ["price", "--model", gamma_file, "--pricing"]),
+                ("target file", {"alpha": value, "p": 1.3, "beta": 2.0, "q": 0.7},
+                 ["bounds", "--model", kappa_file, "--target"])):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            assert main([*argv, str(bad)]) == 2, what
+            field = "s0" if what == "pricing file" else "alpha"
+            assert capsys.readouterr().err == (
+                f"error: {what}: field '{field}' is not a number: {value!r}\n")
+
     @pytest.mark.parametrize("doc", [[1, 2], None])
     def test_document_not_an_object(self, gamma_file, kappa_file, tmp_path,
                                     capsys, doc):
@@ -598,6 +636,34 @@ class TestInputFiles:
             assert main(argv) == 2, what
             assert capsys.readouterr().err == (
                 f"error: {what} file: expected an object\n")
+
+
+class TestOutPath:
+    """An --out the CLI cannot write exited 1, the failed-verification code,
+    with a traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["cf", "--points", "3"], ["moments"]])
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    def test_unwritable_out_exits_2(self, model_file, tmp_path, capsys,
+                                    command, target):
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "out"
+        code = main([*command, "--model", model_file, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+
+    def test_passing_verify_with_unwritable_out_exits_2(self, tmp_path,
+                                                        capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_suite",
+                            lambda **kwargs: {"passed": True, "checks": []})
+        out = tmp_path / "missing" / "report.json"
+        code = main(["verify", "--suite", "quick", "--seed", "1",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out) in err
 
 
 class TestNonFiniteAndOverflow:

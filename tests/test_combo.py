@@ -146,6 +146,12 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             LinearCombinationModel.from_components([])
 
+    def test_ragged_components_rejected(self):
+        # zip truncated to the shortest row and dropped the 9
+        with pytest.raises(DomainError, match="exactly 6 entries"):
+            LinearCombinationModel.from_components(
+                [(1, 1, 1, 1, 1, 1, 9), (2, 1, 1, 1, 1, 1)])
+
     def test_json_round_trip(self, pair_nonint, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(pair_nonint.to_json_obj()))
@@ -552,7 +558,7 @@ class TestDensityRoutes:
         # PRICING_GAMMA's negative side has shape 2e-8, so every x > 0
         # kernel has a = 2e-8 + k: the series was 3.5e-7 to 4.1e-7 high
         # against the same series seeded by mpmath
-        def mp_seed(a, b, x, spec):
+        def mp_seed(a, b, x):
             with mpmath.workdps(60):
                 return float(mpmath.log(mpmath.gamma(a) * mpmath.hyperu(a, b, x)))
 
@@ -716,9 +722,9 @@ class TestDensityRoutes:
         # (one per row made 506 at LARGE_B's x = -1)
         calls = []
 
-        def counted(a, b, x, spec):
+        def counted(a, b, x):
             calls.append((a, b))
-            return log_hyperint(a, b, x, spec)
+            return log_hyperint(a, b, x)
 
         monkeypatch.setattr(bilgamma.combo, "log_hyperint", counted)
         for model, xs in ((LARGE_B, (-1.0,)), (two_deep_sides(20.0), (-1.0, 0.2))):

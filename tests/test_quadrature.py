@@ -268,9 +268,9 @@ class TestLogHyperintRows:
                                            monkeypatch):
         seeds = []
 
-        def seed(a, b, x, spec):
+        def seed(a, b, x):
             seeds.append((a, b))
-            return log_hyperint(a, b, x, spec)
+            return log_hyperint(a, b, x)
 
         monkeypatch.setattr(bilgamma.combo, "log_hyperint", seed)
         got = {i: row.copy() for i, row in
@@ -286,9 +286,9 @@ class TestLogHyperintRows:
     def test_single_column_and_row(self, monkeypatch):
         seeds = []
 
-        def seed(a, b, x, spec):
+        def seed(a, b, x):
             seeds.append((a, b))
-            return log_hyperint(a, b, x, spec)
+            return log_hyperint(a, b, x)
 
         monkeypatch.setattr(bilgamma.combo, "log_hyperint", seed)
         (i, row), = log_hyperint_rows(1.5, 2.0, 0.8, 1, 1)
