@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -354,6 +355,7 @@ def _add_quad_args(p):
                    default=DEFAULT_QUAD.max_subdivisions)
 
 
+@functools.cache  # built once per process: main is called in-process too
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bilgamma",

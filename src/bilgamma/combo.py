@@ -9,10 +9,12 @@ bilateral gamma with randomised shapes:
 
 where p = sum p_j, q = sum q_j and L, M are independent nonnegative
 integer variables whose pmfs come from the convolution recursion below
-(the classical mixture construction for weighted gamma sums).  That
-identity is the backbone of everything in this module: both the cf and the
-density admit a product form (over components) and a mixture form (over
-the randomised shapes), and the two must agree to quadrature accuracy.
+(the classical mixture construction for weighted gamma sums, Moschopoulos
+1985).  Each side is one ``GammaMixture``, sum_n P(N=n) Ga(rate, shape + n),
+and ``MixtureRepresentation`` holds the two.  That identity is the backbone
+of everything in this module: both the cf and the density admit a product
+form (over components) and a mixture form (over the randomised shapes), and
+the two must agree to quadrature accuracy.
 The module also reads every input document (``read_json``, ``read_fields``).
 """
 
@@ -43,6 +45,7 @@ from .quadrature import (
 )
 
 __all__ = [
+    "GammaMixture",
     "LinearCombinationModel",
     "MixtureRepresentation",
     "build_mixture",
@@ -407,32 +410,6 @@ def _completed_series(log_terms, r):
     return terms.sum(axis=-1) + tail, tail
 
 
-def _pmf_blocks(pmf):
-    """``pmf`` zero-padded to G * B entries and reshaped to the (G x B)
-    block matrix of the baby-step/giant-step split, B = isqrt(K)."""
-    step = math.isqrt(len(pmf))
-    giants = -(-len(pmf) // step)
-    blocks = np.zeros(giants * step)
-    blocks[:len(pmf)] = pmf
-    return blocks.reshape(giants, step)
-
-
-def _power_sum(blocks, shape, log_r):
-    """sum_j pmf[j] r^(shape + j) for a column of log r values, one per
-    row, with the pmf given as its ``_pmf_blocks``: each row's inner sums
-    are one matrix-vector product of ``blocks`` with that row's baby
-    powers, as described in ``MixtureRepresentation.cf``."""
-    giants, step = blocks.shape
-    baby = np.exp(np.arange(step) * log_r)
-    baby_re = np.ascontiguousarray(baby.real)[:, :, None]
-    baby_im = np.ascontiguousarray(baby.imag)[:, :, None]
-    inner = np.empty((len(log_r), giants), dtype=complex)
-    inner.real = np.matmul(blocks, baby_re)[..., 0]
-    inner.imag = np.matmul(blocks, baby_im)[..., 0]
-    giant = np.exp((shape + step * np.arange(giants)) * log_r)
-    return (inner * giant).sum(axis=-1)
-
-
 def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int):
     """Yield (i, L_i) for i = rows - 1 down to 0, where
 
@@ -501,41 +478,54 @@ def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int):
         yield i, np.logaddexp.accumulate(row, out=row)
 
 
-@dataclass(frozen=True, eq=False)
-class MixtureRepresentation:
-    """Randomised-shape mixture of one linear combination.
 
-    Truncated pmfs of the two shape-mixing variables.  Immutable; every
-    method is a pure function of the stored arrays.
+
+@dataclass(frozen=True, eq=False)
+class GammaMixture:
+    """One side of the mixture, the law sum_n P(N=n) Ga(rate, shape + n):
+    ``pmf`` is the truncated pmf of N and ``theta_max`` its largest tail
+    ratio max_j (1 - rate_j/rate).  T's sides are (eta, p + L), (xi, q + M).
     """
 
-    tail_tol: float
-    eta: float
-    xi: float
-    p: float                 # total positive shape
-    q: float                 # total negative shape
-    pmf_pos: np.ndarray
-    pmf_neg: np.ndarray
-    theta_pos_max: float     # largest pmf tail ratio, max_j (1 - lam_j/eta)
-    theta_neg_max: float
+    pmf: np.ndarray
+    shape: float
+    rate: float
+    theta_max: float
 
-    # -- transforms ---------------------------------------------------------
+    @classmethod
+    def build(cls, rates: np.ndarray, shapes: np.ndarray,
+              tail_tol: float) -> "GammaMixture":
+        """The mixture law of sum_j Ga(rates_j, shapes_j), per ``_mixture_pmf``."""
+        rate = float(rates.max())
+        theta = 1.0 - rates / rate
+        log_mass0 = float(np.sum(shapes * np.log(rates / rate)))
+        pmf = _mixture_pmf(theta, shapes, log_mass0, tail_tol)
+        pmf.flags.writeable = False
+        return cls(pmf, float(shapes.sum()), rate, float(theta.max()))
 
-    def cf(self, z):
-        """Mixture form of the cf,
+    def log_terms(self, log_x: float) -> np.ndarray:
+        """log(P(N=n) rate^(shape+n) x^n / Gamma(shape+n)) for every n of
+        the pmf: the factors of the n-th term of the density that depend
+        on n."""
+        from scipy import special as sp
 
-        sum_{j,k} P(L=j) P(M=k) (1 - iz/eta)^-(p+j) (1 + iz/xi)^-(q+k),
+        n = np.arange(len(self.pmf))
+        with np.errstate(divide="ignore"):
+            return (np.log(self.pmf) + (self.shape + n) * math.log(self.rate)
+                    - sp.gammaln(self.shape + n) + n * log_x)
 
-        which factorises into two single series.  Truncation error is
-        bounded by the dropped pmf mass since every term has modulus <= 1.
+    def cf(self, z) -> np.ndarray:
+        """sum_n P(N=n) (1 - iz/rate)^-(shape+n) on the array z, in z's
+        shape.  Truncation error is bounded by the dropped pmf mass since
+        every term has modulus <= 1.
 
-        Each series is a power sum in one ratio r per point, with its index
-        split as j = B m + i, B = isqrt(K) (baby-step/giant-step, Paterson &
+        The series is a power sum in one ratio r per point, with its index
+        split as n = B m + i, B = isqrt(K) (baby-step/giant-step, Paterson &
         Stockmeyer 1973): the baby steps r^i, i < B, and the giant steps
-        r^(p + B m) take B + K/B complex exps per point instead of K.  The
-        pmf is laid out once per call as the zero-padded (G x B) matrix of
-        its blocks P(L = B m + i), so a point's inner sums
-        sum_i P(L = B m + i) r^i are one matrix-vector product of that
+        r^(shape + B m) take B + K/B complex exps per point instead of K.
+        The pmf is laid out once per call as the zero-padded (G x B) matrix
+        of its blocks P(N = B m + i), so a point's inner sums
+        sum_i P(N = B m + i) r^i are one matrix-vector product of that
         matrix with the point's B baby powers, on the real and the
         imaginary part.  Every point's product has the same shape, so its
         rounding does not depend on the other points of the call or on how
@@ -547,15 +537,91 @@ class MixtureRepresentation:
         """
         z = np.asarray(z, dtype=complex)
         flat = z.reshape(-1)
-        pos, neg = _pmf_blocks(self.pmf_pos), _pmf_blocks(self.pmf_neg)
-        rows = max(1, 2 ** 12 // max(pos.shape[1], neg.shape[1]))
+        step = math.isqrt(len(self.pmf))
+        giants = -(-len(self.pmf) // step)
+        blocks = np.pad(self.pmf, (0, giants * step - len(self.pmf)))
+        blocks = blocks.reshape(giants, step)
+        rows = max(1, 2 ** 12 // step)
         val = np.empty(flat.shape, dtype=complex)
         for start in range(0, len(flat), rows):
-            zz = flat[start:start + rows, None]
-            val[start:start + rows] = (
-                _power_sum(pos, self.p, -np.log(1.0 - 1j * zz / self.eta))
-                * _power_sum(neg, self.q, -np.log(1.0 + 1j * zz / self.xi)))
-        val = val.reshape(z.shape)
+            log_r = -np.log(1.0 - 1j * flat[start:start + rows, None] / self.rate)
+            baby = np.exp(np.arange(step) * log_r)
+            baby_re = np.ascontiguousarray(baby.real)[:, :, None]
+            baby_im = np.ascontiguousarray(baby.imag)[:, :, None]
+            inner = np.empty((len(log_r), giants), dtype=complex)
+            inner.real = np.matmul(blocks, baby_re)[..., 0]
+            inner.imag = np.matmul(blocks, baby_im)[..., 0]
+            giant = np.exp((self.shape + step * np.arange(giants)) * log_r)
+            val[start:start + rows] = (inner * giant).sum(axis=-1)
+        return val.reshape(z.shape)
+
+    def factorial_sums(self, k: int):
+        """Ascending-factorial sums sum_n P(N=n) (n + shape)_r for r = 0..k.
+
+        Returns the completed sums and the size of each geometric tail
+        completion.  Consecutive tail terms have ratio close to
+        theta_max * (n + shape + r)/(n + shape), so the remainder past the
+        last retained index is completed geometrically from the last term;
+        a one-term pmf has none, so theta_max > 0 and 1 - P(0) above
+        _MOMENT_TAIL_TOL is an error.
+        """
+        from scipy import special as sp
+
+        a = np.arange(len(self.pmf)) + self.shape
+        rr = np.arange(k + 1)
+        with np.errstate(divide="ignore"):
+            log_terms = (np.log(self.pmf) + sp.gammaln(a + rr[:, None])
+                         - sp.gammaln(a))
+        rho = np.zeros(k + 1)
+        if self.theta_max > 0.0 and len(a) > 1:
+            rho = self.theta_max * (a[-1] + rr) / a[-1]
+        elif self.theta_max > 0.0 and 1.0 - self.pmf[0] > _MOMENT_TAIL_TOL:
+            raise TruncationFailureError(
+                f"factorial series of a one-term pmf drops mass {1.0 - self.pmf[0]:.3g}"
+                f"; rebuild the mixture with a smaller tail_tol")
+        if rho.max() >= 1.0:
+            r = int(np.argmax(rho >= 1.0))
+            raise TruncationFailureError(
+                f"factorial series of order {r} has non-contracting tail "
+                f"(ratio {rho[r]:.4g}); rebuild the mixture with a smaller tail_tol")
+        return _completed_series(log_terms, rho)
+
+    def pdf(self, x: float) -> float:
+        """Density of the mixture (the gamma-combination density),
+
+        sum_n P(N=n) rate^(shape+n) x^(shape+n-1) e^(-rate x) / Gamma(shape+n),  x > 0.
+        """
+        if not (math.isfinite(x) and x > 0.0):
+            raise DomainError(
+                f"gamma-mixture density needs a finite x > 0, got x={x}")
+        log_x = math.log(x)
+        return float(np.exp((self.shape - 1.0) * log_x - self.rate * x
+                            + self.log_terms(log_x)).sum())
+
+
+@dataclass(frozen=True, eq=False)
+class MixtureRepresentation:
+    """Randomised-shape mixture of one linear combination, T ~ BG(eta,
+    p + L, xi, q + M): the positive side ``pos`` minus the independent
+    negative side ``neg``.  Immutable; every method is a pure function.
+    """
+
+    tail_tol: float
+    pos: GammaMixture
+    neg: GammaMixture
+
+    # read-only aliases for the benchmark tracer's term counter
+    # (perfbench/spans.py); they go once it reads pos.pmf and neg.pmf
+    pmf_pos = property(lambda self: self.pos.pmf)
+    pmf_neg = property(lambda self: self.neg.pmf)
+
+    # -- transforms ---------------------------------------------------------
+
+    def cf(self, z):
+        """Mixture form of the cf, sum_{j,k} P(L=j) P(M=k) (1 - iz/eta)^-(p+j)
+        (1 + iz/xi)^-(q+k), which factorises as pos.cf(z) * neg.cf(-z)."""
+        z = np.asarray(z, dtype=complex)
+        val = self.pos.cf(z) * self.neg.cf(-z)
         return complex(val) if val.ndim == 0 else val
 
     # -- moments -------------------------------------------------------------
@@ -576,16 +642,15 @@ class MixtureRepresentation:
         """
         if k < 1:
             raise DomainError("moment order must be >= 1")
-        pos_vals, pos_ext = _factorial_sums(self.pmf_pos, self.p, k,
-                                            self.theta_pos_max)
-        neg_vals, neg_ext = _factorial_sums(self.pmf_neg, self.q, k,
-                                            self.theta_neg_max)
+        pos_vals, pos_ext = self.pos.factorial_sums(k)
+        neg_vals, neg_ext = self.neg.factorial_sums(k)
         total = 0.0
         extrapolated = 0.0
         scale = 0.0
         for j in range(k + 1):
             try:
-                w = math.comb(k, j) * self.eta ** -(k - j) * self.xi ** -j
+                w = (math.comb(k, j) * self.pos.rate ** -(k - j)
+                     * self.neg.rate ** -j)
             except OverflowError:
                 w = math.inf
             term = w * pos_vals[k - j] * neg_vals[j]
@@ -627,77 +692,21 @@ class MixtureRepresentation:
         if x == 0.0:
             raise SingularPointError("series density not evaluated at x = 0")
         ax = abs(x)
-        if not math.isfinite((self.eta + self.xi) * ax):
+        arg = (self.pos.rate + self.neg.rate) * ax
+        if not math.isfinite(arg):
             # the kernel argument overflows only far past where e^(-rate |x|)
             # has underflowed: the density is 0 there, as it is at 1e300
             return 0.0
         log_ax = math.log(ax)
-        pos = _gamma_term_logs(self.pmf_pos, self.p, self.eta, log_ax)
-        neg = _gamma_term_logs(self.pmf_neg, self.q, self.xi, log_ax)
-        if x > 0.0:
-            f_row, f_col, shape, rate = neg, pos, self.q, self.eta
-        else:
-            f_row, f_col, shape, rate = pos, neg, self.p, self.xi
-        const = (self.p + self.q - 1.0) * log_ax - rate * ax
+        row, col = (self.neg, self.pos) if x > 0.0 else (self.pos, self.neg)
+        f_row, f_col = row.log_terms(log_ax), col.log_terms(log_ax)
+        b0 = self.pos.shape + self.neg.shape
+        const = (b0 - 1.0) * log_ax - col.rate * ax
         total = 0.0
         for i, log_kernel in log_hyperint_rows(
-                shape, self.p + self.q, (self.eta + self.xi) * ax,
-                len(f_row), len(f_col)):
+                row.shape, b0, arg, len(row.pmf), len(col.pmf)):
             total += float(np.exp(const + f_row[i] + f_col + log_kernel).sum())
         return total
-
-    def gamma_mixture_pdf(self, x: float) -> float:
-        """Density of the positive part alone (the gamma-combination limit):
-
-        sum_j P(L=j) eta^(p+j) x^(p+j-1) e^(-eta x) / Gamma(p+j),  x > 0.
-        """
-        if not (math.isfinite(x) and x > 0.0):
-            raise DomainError(
-                f"gamma-mixture density needs a finite x > 0, got x={x}")
-        log_x = math.log(x)
-        return float(np.exp((self.p - 1.0) * log_x - self.eta * x
-                            + _gamma_term_logs(self.pmf_pos, self.p, self.eta,
-                                               log_x)).sum())
-
-
-def _gamma_term_logs(pmf: np.ndarray, shape: float, rate: float,
-                     log_x: float) -> np.ndarray:
-    """log(P(N=n) rate^(shape+n) x^n / Gamma(shape+n)) for every n of
-    ``pmf``: the factors of the n-th term of the gamma mixture
-    sum_n P(N=n) Ga(rate, shape+n)(x) that depend on n."""
-    from scipy import special as sp
-
-    n = np.arange(len(pmf))
-    with np.errstate(divide="ignore"):
-        return (np.log(pmf) + (shape + n) * math.log(rate)
-                - sp.gammaln(shape + n) + n * log_x)
-
-
-def _factorial_sums(pmf: np.ndarray, shape0: float, k: int, theta_max: float):
-    """Ascending-factorial sums sum_l pmf_l (l+shape0)_r for r = 0..k.
-
-    Returns the completed sums and the size of each geometric tail
-    completion.  Consecutive tail terms have ratio close to
-    theta_max * (l+shape0+r)/(l+shape0), so the remainder past the last
-    retained index is completed geometrically from the last term.
-    """
-    from scipy import special as sp
-
-    ll = np.arange(len(pmf))
-    last = len(pmf) - 1
-    rr = np.arange(k + 1)
-    with np.errstate(divide="ignore"):
-        log_terms = (np.log(pmf) + sp.gammaln(ll + shape0 + rr[:, None])
-                     - sp.gammaln(ll + shape0))
-    rho = np.zeros(k + 1)
-    if theta_max > 0.0 and last > 0:
-        rho = theta_max * (last + shape0 + rr) / (last + shape0)
-    if rho.max() >= 1.0:
-        r = int(np.argmax(rho >= 1.0))
-        raise TruncationFailureError(
-            f"factorial series of order {r} has non-contracting tail "
-            f"(ratio {rho[r]:.4g}); rebuild the mixture with a smaller tail_tol")
-    return _completed_series(log_terms, rho)
 
 
 def build_mixture(model: LinearCombinationModel,
@@ -710,24 +719,8 @@ def build_mixture(model: LinearCombinationModel,
     """
     if not (0.0 < tail_tol < 1.0):
         raise DomainError("tail_tol must be in (0, 1)")
-    lam, mu = model.lam, model.mu
-    eta, xi = model.eta, model.xi
-    theta_pos = 1.0 - lam / eta
-    theta_neg = 1.0 - mu / xi
-    log_c = float(np.sum(model.p * np.log(lam / eta)))
-    log_d = float(np.sum(model.q * np.log(mu / xi)))
-    pmf_pos = _mixture_pmf(theta_pos, model.p, log_c, tail_tol)
-    pmf_neg = _mixture_pmf(theta_neg, model.q, log_d, tail_tol)
-    pmf_pos.flags.writeable = False
-    pmf_neg.flags.writeable = False
     return MixtureRepresentation(
         tail_tol=tail_tol,
-        eta=eta,
-        xi=xi,
-        p=model.p_total,
-        q=model.q_total,
-        pmf_pos=pmf_pos,
-        pmf_neg=pmf_neg,
-        theta_pos_max=float(theta_pos.max()),
-        theta_neg_max=float(theta_neg.max()),
+        pos=GammaMixture.build(model.lam, model.p, tail_tol),
+        neg=GammaMixture.build(model.mu, model.q, tail_tol),
     )

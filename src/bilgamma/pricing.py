@@ -178,18 +178,18 @@ def price_call_gamma_series(model: LinearCombinationModel,
     if inputs.strike < inputs.spot_at_t:
         raise DomainError("gamma-driven series requires strike >= spot")
     growth = gamma_route_growth(model, inputs)
-    rep = build_mixture(model.scaled(inputs.t_remaining), tail_tol)
-    eta, level = rep.eta, inputs.log_moneyness
+    side = build_mixture(model.scaled(inputs.t_remaining), tail_tol).pos
+    eta, level = side.rate, inputs.log_moneyness
     s, strike = inputs.spot_at_t, inputs.strike
-    a = rep.p + np.arange(len(rep.pmf_pos))
+    a = side.shape + np.arange(len(side.pmf))
     with np.errstate(divide="ignore"):
-        log_w = np.log(rep.pmf_pos)
+        log_w = np.log(side.pmf)
         sum_s, tail_s = _completed_series(
             log_w + a * math.log(growth)
             + np.log(sp.gammaincc(a, (eta - 1.0) * level)),
-            rep.theta_pos_max * growth)
+            side.theta_max * growth)
         sum_k, tail_k = _completed_series(
-            log_w + np.log(sp.gammaincc(a, eta * level)), rep.theta_pos_max)
+            log_w + np.log(sp.gammaincc(a, eta * level)), side.theta_max)
     discount = math.exp(-inputs.rate * inputs.maturity)
     return (discount * float(s * sum_s - strike * sum_k),
             discount * float(abs(s * tail_s - strike * tail_k)))
@@ -209,11 +209,11 @@ def price_call_atm(model: LinearCombinationModel, inputs: PricingInputs,
     if inputs.spot_at_t != inputs.strike:
         raise DomainError("at-the-money formula requires spot == strike")
     growth = gamma_route_growth(model, inputs)
-    rep = build_mixture(model.scaled(inputs.t_remaining), tail_tol)
+    side = build_mixture(model.scaled(inputs.t_remaining), tail_tol).pos
     with np.errstate(divide="ignore"):
-        log_terms = (np.log(rep.pmf_pos)
-                     + (rep.p + np.arange(len(rep.pmf_pos))) * math.log(growth))
-    expect, tail = _completed_series(log_terms, rep.theta_pos_max * growth)
+        log_terms = (np.log(side.pmf)
+                     + (side.shape + np.arange(len(side.pmf))) * math.log(growth))
+    expect, tail = _completed_series(log_terms, side.theta_max * growth)
     scale = inputs.strike * math.exp(-inputs.rate * inputs.maturity)
     return scale * (float(expect) - 1.0), scale * float(tail)
 

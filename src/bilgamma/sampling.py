@@ -104,15 +104,16 @@ def sample_mixture(rep: MixtureRepresentation, n: int, rng) -> np.ndarray:
     if n < 1:
         raise DomainError("sample size must be >= 1")
     gen = _as_generator(rng)
-    pmf_pos = rep.pmf_pos.copy()
-    pmf_pos[-1] += max(0.0, 1.0 - pmf_pos.sum())
-    pmf_neg = rep.pmf_neg.copy()
-    pmf_neg[-1] += max(0.0, 1.0 - pmf_neg.sum())
-    ell = gen.choice(len(pmf_pos), p=pmf_pos / pmf_pos.sum(), size=n)
-    em = gen.choice(len(pmf_neg), p=pmf_neg / pmf_neg.sum(), size=n)
-    draws = gen.gamma(rep.p + ell, 1.0 / rep.eta)
-    draws -= gen.gamma(rep.q + em, 1.0 / rep.xi)
-    return draws
+    sides = (rep.pos, rep.neg)
+    indices = []
+    for side in sides:
+        pmf = side.pmf.copy()
+        pmf[-1] += max(0.0, 1.0 - pmf.sum())
+        indices.append(gen.choice(len(pmf), p=pmf / pmf.sum(), size=n))
+    # both index draws precede both gamma draws: seeded streams pin the order
+    pos, neg = [gen.gamma(side.shape + idx, 1.0 / side.rate)
+                for side, idx in zip(sides, indices)]
+    return pos - neg
 
 
 def _check_cp_order(m: int) -> None:

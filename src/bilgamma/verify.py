@@ -34,12 +34,12 @@ _KS_CRIT_001 = 1.628  # asymptotic two-sample critical coefficient at level 0.01
 def _corrupted(rep):
     """Test hook: perturb the first recursion weight so the cf identity
     breaks detectably."""
-    pmf = rep.pmf_pos.copy()
+    pmf = rep.pos.pmf.copy()
     if len(pmf) > 1:
         pmf[1] *= 1.001
     else:
         pmf[0] *= 0.999
-    return dataclasses.replace(rep, pmf_pos=pmf)
+    return dataclasses.replace(rep, pos=dataclasses.replace(rep.pos, pmf=pmf))
 
 
 def run_suite(suite: str = "full", seed: int = 1,

@@ -132,19 +132,21 @@ def pdf_series_pairwise(rep, x: float) -> float:
     """Oracle series density: every (j, k) pair's kernel by its own
     ``log_hyperint`` quadrature."""
     ax = abs(x)
-    lp_pos, lp_neg = np.log(rep.pmf_pos), np.log(rep.pmf_neg)
-    lg_pos = sp.gammaln(rep.p + np.arange(len(rep.pmf_pos)))
-    lg_neg = sp.gammaln(rep.q + np.arange(len(rep.pmf_neg)))
+    pos, neg = rep.pos, rep.neg
+    lp_pos, lp_neg = np.log(pos.pmf), np.log(neg.pmf)
+    lg_pos = sp.gammaln(pos.shape + np.arange(len(pos.pmf)))
+    lg_neg = sp.gammaln(neg.shape + np.arange(len(neg.pmf)))
     total = 0.0
     for j in range(len(lp_pos)):
         for k in range(len(lp_neg)):
-            b = rep.p + rep.q + j + k
-            lt = (lp_pos[j] + lp_neg[k] + (rep.p + j) * math.log(rep.eta)
-                  + (rep.q + k) * math.log(rep.xi) - lg_pos[j] - lg_neg[k]
+            b = pos.shape + neg.shape + j + k
+            lt = (lp_pos[j] + lp_neg[k] + (pos.shape + j) * math.log(pos.rate)
+                  + (neg.shape + k) * math.log(neg.rate) - lg_pos[j] - lg_neg[k]
                   + (b - 1.0) * math.log(ax))
-            a, rate = (rep.q + k, rep.eta) if x > 0.0 else (rep.p + j, rep.xi)
+            a, rate = ((neg.shape + k, pos.rate) if x > 0.0
+                       else (pos.shape + j, neg.rate))
             total += math.exp(lt - rate * ax + log_hyperint(
-                a, b, (rep.eta + rep.xi) * ax))
+                a, b, (pos.rate + neg.rate) * ax))
     return total
 
 

@@ -679,6 +679,8 @@ class TestNonFiniteAndOverflow:
             "pair": MODEL_GRID["pair_integer"].to_json_obj(),
             "slow": LinearCombinationModel.from_components(
                 [(0.1, 1, 0.2, 1, 1, 1)]).to_json_obj(),
+            "shallow": LinearCombinationModel.from_components(
+                [(1, 0.5, 3, 1, 1, 1), (2, 0.5, 3, 1, 1, 1)]).to_json_obj(),
             "long": {"s0": 1, "strike": 1.1, "rate": 0.05, "maturity": 2000},
             "two_spots": {"s0": 1, "strike": 1, "rate": 0.05, "maturity": 1,
                           "spot_at_t": 2},
@@ -699,6 +701,10 @@ class TestNonFiniteAndOverflow:
         (["moments", "--model", "laplace", "--kmax", "171"], 3),
         (["moments", "--model", "laplace", "--kmax", "172"], 3),
         (["moments", "--model", "slow", "--kmax", "400"], 3),
+        # a one-term pmf P(0) = 2^-0.5 with tail ratio 1/2: moment 1 was
+        # written as -0.118 against the mean 0.0833
+        (["moments", "--model", "shallow", "--kmax", "2", "--tail-tol", "0.3"],
+         3),
         # 1e300 steps: rejected before any grid is allocated
         (["simulate", "--model", "pair", "--tgrid", "0:1e-300:1",
           "--seed", "1"], 2),
@@ -715,8 +721,9 @@ class TestNonFiniteAndOverflow:
         (["price", "--model", "gamma", "--pricing", "two_spots",
           "--method", "integral"], 3),
     ], ids=["integral", "monte_carlo", "series", "sigma_nan", "sigma_inf",
-            "kmax_171", "kmax_172", "kmax_400", "tgrid_size", "tgrid_nan",
-            "cp_order", "cp_order_0", "cp_order_negative", "two_spots"])
+            "kmax_171", "kmax_172", "kmax_400", "one_term_pmf", "tgrid_size",
+            "tgrid_nan", "cp_order", "cp_order_0", "cp_order_negative",
+            "two_spots"])
     def test_typed_exit(self, files, tmp_path, argv, code):
         out = tmp_path / "out"
         argv = [files(v) if prev in ("--model", "--pricing") else v

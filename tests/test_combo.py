@@ -47,7 +47,7 @@ WIDE_MODEL = LinearCombinationModel.from_components(
     [(lam, 1.0, 2.0 + j, 1.0, 1.0, 1.0)
      for j, lam in enumerate((4.0 / 290.0, 4.0 / 17.0, 4.0))])
 
-# pmf_pos[0] = 2^-50 and the pmf peaks at 48, so a series that stops at
+# pos.pmf[0] = 2^-50 and the pmf peaks at 48, so a series that stops at
 # its first small weight returns 0
 INTERIOR_MODE = LinearCombinationModel.from_components(
     [(1.0, 50.0, 10.0, 0.5, 1.0, 1.0), (2.0, 0.5, 10.0, 0.5, 1.0, 1.0)])
@@ -213,33 +213,33 @@ class TestMixtureConstruction:
     def test_single_component_collapses(self):
         # one component with unit weights is exactly its bilateral-gamma law
         rep = build_mixture(single(2.0, 1.0, 3.0, 1.0))
-        assert rep.eta == 2.0 and rep.xi == 3.0
-        assert rep.pmf_pos[0] == 1.0 and rep.pmf_neg[0] == 1.0
-        np.testing.assert_array_equal(rep.pmf_pos, [1.0])
-        np.testing.assert_array_equal(rep.pmf_neg, [1.0])
-        assert len(rep.pmf_pos) == 1
+        assert rep.pos.rate == 2.0 and rep.neg.rate == 3.0
+        assert rep.pos.pmf[0] == 1.0 and rep.neg.pmf[0] == 1.0
+        np.testing.assert_array_equal(rep.pos.pmf, [1.0])
+        np.testing.assert_array_equal(rep.neg.pmf, [1.0])
+        assert len(rep.pos.pmf) == 1
 
     def test_geometric_positive_side(self):
         # rates (1, 2), unit shapes: P(L=k) = (1/2)^(k+1)
         rep = build_mixture(GEOMETRIC_PAIR)
-        kk = np.arange(len(rep.pmf_pos))
-        np.testing.assert_allclose(rep.pmf_pos, 0.5 ** (kk + 1), rtol=1e-13)
-        assert rep.pmf_pos[0] == pytest.approx(0.5)
+        kk = np.arange(len(rep.pos.pmf))
+        np.testing.assert_allclose(rep.pos.pmf, 0.5 ** (kk + 1), rtol=1e-13)
+        assert rep.pos.pmf[0] == pytest.approx(0.5)
 
     def test_truncation_contract(self, model_grid):
         for model in model_grid.values():
             rep = build_mixture(model, tail_tol=1e-12)
-            assert rep.pmf_pos.sum() >= 1.0 - 1e-12
-            assert rep.pmf_neg.sum() >= 1.0 - 1e-12
-            assert np.all(rep.pmf_pos >= 0.0)
-            assert np.all(rep.pmf_neg >= 0.0)
+            assert rep.pos.pmf.sum() >= 1.0 - 1e-12
+            assert rep.neg.pmf.sum() >= 1.0 - 1e-12
+            assert np.all(rep.pos.pmf >= 0.0)
+            assert np.all(rep.neg.pmf >= 0.0)
 
     def test_pmfs_read_only(self, pair_integer):
         rep = build_mixture(pair_integer)
         with pytest.raises(ValueError):
-            rep.pmf_pos[1] *= 1.5
+            rep.pos.pmf[1] *= 1.5
         with pytest.raises(ValueError):
-            rep.pmf_neg[0] = 0.0
+            rep.neg.pmf[0] = 0.0
 
     def test_truncation_failure(self, pair_nonint, monkeypatch):
         monkeypatch.setattr(bilgamma.combo, "_PMF_MAX_TERMS", 3)
@@ -265,7 +265,7 @@ class TestMixtureConstruction:
         # 2**512 at k = 307 and overflowed at 3284 before the rescale
         model = LinearCombinationModel.from_components(
             [(1.0, 1.0, 1.0, 240.0, 1.0, 1.0), (1.0, 1.0, 20.0, 0.01, 1.0, 1.0)])
-        pmf = build_mixture(model).pmf_neg
+        pmf = build_mixture(model).neg.pmf
         theta = 1.0 - 1.0 / 20.0
         with mpmath.workdps(40):
             ref = [mpmath.exp(float(np.sum(model.q * np.log(model.mu / model.xi))))]
@@ -291,7 +291,7 @@ class TestMixtureConstruction:
                                  r"10000 terms"):
             build_mixture(model)
         monkeypatch.setattr(bilgamma.combo, "_PMF_MAX_TERMS", 30000)
-        pmf = build_mixture(model).pmf_pos
+        pmf = build_mixture(model).pos.pmf
         assert 23000 < len(pmf) < 23200
         slack = len(pmf) * np.finfo(float).eps
         assert 1.0 - 1e-12 - slack <= pmf.sum() <= 1.0 + slack
@@ -303,7 +303,7 @@ class TestMixtureConstruction:
                              ids=["LARGE_B", "DEEP_MODEL"])
     def test_pmf_matches_mpmath_recursion(self, model, terms):
         # every entry of LARGE_B's L, the first 1000 of DEEP_MODEL's
-        pmf = build_mixture(model).pmf_pos
+        pmf = build_mixture(model).pos.pmf
         inputs = positive_side(model)
         np.testing.assert_array_equal(
             pmf, bilgamma.combo._mixture_pmf(*inputs, 1e-12))
@@ -312,7 +312,7 @@ class TestMixtureConstruction:
                                    rtol=1e-13)
 
     def test_pmf_depths(self, model_grid):
-        # (len(pmf_pos), len(pmf_neg)) at tail_tol 1e-12; DEEP_MODEL's
+        # (len(pos.pmf), len(neg.pmf)) at tail_tol 1e-12; DEEP_MODEL's
         # 5527 is exact, where a plain float sum of the pmf stopped at 5528
         depths = {"laplace": (1, 1), "single_asym": (1, 1),
                   "pair_integer": (40, 20), "pair_nonint": (75, 15),
@@ -322,7 +322,7 @@ class TestMixtureConstruction:
         assert set(depths) == set(models)
         for name, model in models.items():
             rep = build_mixture(model, tail_tol=1e-12)
-            assert (len(rep.pmf_pos), len(rep.pmf_neg)) == depths[name], name
+            assert (len(rep.pos.pmf), len(rep.neg.pmf)) == depths[name], name
 
     @pytest.mark.parametrize("tail_tol", [1e-12, 1e-14])
     def test_pmf_stops_at_exact_mass(self, tail_tol):
@@ -340,10 +340,10 @@ class TestMixtureConstruction:
         target = 1.0 - tail_tol
         for i, model in enumerate(models):
             rep = build_mixture(model, tail_tol=tail_tol)
-            for pmf in (rep.pmf_pos, rep.pmf_neg):
+            for pmf in (rep.pos.pmf, rep.neg.pmf):
                 assert math.fsum(pmf) >= target, i
                 assert len(pmf) == 1 or math.fsum(pmf[:-1]) < target, i
-        assert len(build_mixture(DEEP_MODEL, tail_tol=1e-14).pmf_pos) == 6461
+        assert len(build_mixture(DEEP_MODEL, tail_tol=1e-14).pos.pmf) == 6461
 
     def test_pmf_precision_floor_is_not_a_cap_hit(self, monkeypatch):
         # perfbench's first deep_model of seed 10: its computed terms sum to
@@ -363,7 +363,7 @@ class TestMixtureConstruction:
         monkeypatch.setattr(bilgamma.combo, "_PMF_MAX_TERMS", 20000)
         with pytest.raises(TruncationFailureError, match=floor.format(20000)):
             build_mixture(model, tail_tol=1e-14)
-        assert len(build_mixture(model, tail_tol=1e-12).pmf_pos) < 10000
+        assert len(build_mixture(model, tail_tol=1e-12).pos.pmf) < 10000
 
     def test_pmf_cap_is_not_preallocated(self, pair_nonint, monkeypatch):
         # the term cap only bounds the recursion: a cap of 1e9 terms
@@ -377,28 +377,28 @@ class TestMixtureConstruction:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
-        np.testing.assert_array_equal(rep.pmf_pos, ref.pmf_pos)
-        np.testing.assert_array_equal(rep.pmf_neg, ref.pmf_neg)
+        np.testing.assert_array_equal(rep.pos.pmf, ref.pos.pmf)
+        np.testing.assert_array_equal(rep.neg.pmf, ref.neg.pmf)
 
     def test_deep_pmf_is_negative_binomial_convolution(self):
         # L is the sum of independent NB(p_j, lam_j/eta) counts; the
         # component with lam_j = eta contributes nothing
         rep = build_mixture(DEEP_MODEL, tail_tol=1e-12)
         eta = DEEP_LAM[-1]
-        kk = np.arange(len(rep.pmf_pos))
+        kk = np.arange(len(rep.pos.pmf))
         nb = [stats.nbinom(p, lam / eta).pmf(kk)
               for lam, p in zip(DEEP_LAM[:2], DEEP_SHAPES[:2])]
         expected = np.convolve(nb[0], nb[1])[:len(kk)]
         assert len(kk) > 5000
         keep = expected > 1e-300
-        np.testing.assert_allclose(rep.pmf_pos[keep], expected[keep], rtol=1e-12)
+        np.testing.assert_allclose(rep.pos.pmf[keep], expected[keep], rtol=1e-12)
 
     def test_rate_identity(self, model_grid):
         # eta = max lam_j coincides with a*/(1 - a*) for a* = max a_j/(w_j + a_j)
         for model in model_grid.values():
             rep = build_mixture(model, tail_tol=1e-6)
             a_star = float(np.max(model.alpha / (model.w1 + model.alpha)))
-            assert rep.eta == pytest.approx(a_star / (1.0 - a_star), rel=1e-13)
+            assert rep.pos.rate == pytest.approx(a_star / (1.0 - a_star), rel=1e-13)
 
 
 class TestCharacteristicFunction:
@@ -459,8 +459,10 @@ class TestCharacteristicFunction:
         with mpmath.workdps(40):
             for z in (-17.3, -2.0, 0.0, 0.7, 5.5, 19.9):
                 iz = mpmath.mpc(0, z)
-                ref = (power_sum(rep.pmf_pos, rep.p, 1 / (1 - iz / rep.eta))
-                       * power_sum(rep.pmf_neg, rep.q, 1 / (1 + iz / rep.xi)))
+                ref = (power_sum(rep.pos.pmf, rep.pos.shape,
+                                 1 / (1 - iz / rep.pos.rate))
+                       * power_sum(rep.neg.pmf, rep.neg.shape,
+                                   1 / (1 + iz / rep.neg.rate)))
                 assert abs(rep.cf(z) - complex(ref)) <= 1e-15, z
 
     def test_mixture_cf_grid_independent(self):
@@ -493,7 +495,7 @@ class TestCharacteristicFunction:
         # row blocks, not a multiple of one, equals its single points, and
         # the points agree with a 40-digit Horner sum of the same pmfs
         rep = build_mixture(model, tail_tol=tail_tol)
-        assert (len(rep.pmf_pos), len(rep.pmf_neg)) == lengths
+        assert (len(rep.pos.pmf), len(rep.neg.pmf)) == lengths
         block = 2 ** 12 // max(map(math.isqrt, lengths))
         zs = np.linspace(-20.0, 20.0, 3 * block + block // 2 + 1)
         vals = rep.cf(zs)
@@ -508,8 +510,9 @@ class TestCharacteristicFunction:
         with mpmath.workdps(40):
             for i in range(0, len(zs), len(zs) // 6):
                 iz = mpmath.mpc(0, zs[i])
-                ref = (horner(rep.pmf_pos, rep.p, 1 / (1 - iz / rep.eta))
-                       * horner(rep.pmf_neg, rep.q, 1 / (1 + iz / rep.xi)))
+                ref = (horner(rep.pos.pmf, rep.pos.shape, 1 / (1 - iz / rep.pos.rate))
+                       * horner(rep.neg.pmf, rep.neg.shape,
+                                1 / (1 + iz / rep.neg.rate)))
                 assert abs(vals[i] - complex(ref)) <= 1e-15, zs[i]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -654,7 +657,7 @@ class TestDensityRoutes:
     def test_series_small_shape_large_b_kernels(self):
         model = LARGE_B
         rep = build_mixture(model, tail_tol=1e-10)
-        assert (len(rep.pmf_pos), len(rep.pmf_neg)) == (506, 1)
+        assert (len(rep.pos.pmf), len(rep.neg.pmf)) == (506, 1)
         ref = model.pdf_fourier(1.0)
         got = rep.pdf_series(1.0)
         assert abs(got - ref) <= 1e-6
@@ -681,20 +684,21 @@ class TestDensityRoutes:
         for name, x in (("pair_nonint", 8.0), ("pair_nonint", 15.0),
                         ("pair_kappa", -6.3)):
             rep = build_mixture(MODEL_GRID[name], tail_tol=1e-10)
-            near, far = (rep.pmf_pos, rep.p, rep.eta), (rep.pmf_neg, rep.q, rep.xi)
+            near, far = rep.pos, rep.neg
             if x < 0.0:
                 near, far = far, near
             with mpmath.workdps(30):
                 ax = mpmath.mpf(abs(x))
                 total = mpmath.mpf(0)
-                for j, pj in enumerate(near[0].tolist()):
-                    wj = pj * near[2] ** (near[1] + j) / mpmath.gamma(near[1] + j)
-                    for k, pk in enumerate(far[0].tolist()):
-                        b = rep.p + rep.q + j + k
-                        total += (wj * pk * far[2] ** (far[1] + k) * ax ** (b - 1)
-                                  * mpmath.hyperu(far[1] + k, b,
-                                                  (rep.eta + rep.xi) * ax))
-                ref = float(total * mpmath.exp(-near[2] * ax))
+                for j, pj in enumerate(near.pmf.tolist()):
+                    wj = (pj * near.rate ** (near.shape + j)
+                          / mpmath.gamma(near.shape + j))
+                    for k, pk in enumerate(far.pmf.tolist()):
+                        b = rep.pos.shape + rep.neg.shape + j + k
+                        total += (wj * pk * far.rate ** (far.shape + k) * ax ** (b - 1)
+                                  * mpmath.hyperu(far.shape + k, b,
+                                                  (rep.pos.rate + rep.neg.rate) * ax))
+                ref = float(total * mpmath.exp(-near.rate * ax))
             assert rep.pdf_series(x) == pytest.approx(ref, rel=1e-12), (name, x)
 
     def test_series_two_deep_sides(self):
@@ -702,7 +706,7 @@ class TestDensityRoutes:
         # that one quadrature per pair could not meet
         model = two_deep_sides(20.0)
         rep = build_mixture(model, tail_tol=1e-10)
-        assert (len(rep.pmf_pos), len(rep.pmf_neg)) == (454, 454)
+        assert (len(rep.pos.pmf), len(rep.neg.pmf)) == (454, 454)
         t0 = time.perf_counter()
         for x in (-20.0, -1.0, 0.2, 5.0):
             assert abs(rep.pdf_series(x) - model.pdf_fourier(x)) <= 1e-6, x
@@ -756,7 +760,7 @@ class TestDensityRoutes:
         for name, rep in mixture_grid.items():
             assert rep.pdf_series(x) == 0.0, name
         rep = build_mixture(LARGE_B, tail_tol=1e-10)
-        assert math.isinf((rep.eta + rep.xi) * 1e307)
+        assert math.isinf((rep.pos.rate + rep.neg.rate) * 1e307)
         assert rep.pdf_series(math.copysign(1e307, x)) == 0.0
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
@@ -867,7 +871,7 @@ class TestMomentTransform:
             if rep is None:
                 continue
             built += 1
-            for pmf in (rep.pmf_pos, rep.pmf_neg):
+            for pmf in (rep.pos.pmf, rep.neg.pmf):
                 slack = len(pmf) * np.finfo(float).eps
                 assert 1.0 - 1e-14 - slack <= pmf.sum() <= 1.0 + slack, i
             try:
@@ -954,7 +958,7 @@ class TestGammaMixtureLimit:
         from scipy.stats import gamma as gamma_dist
         rep = build_mixture(single(2.0, 1.7, 3.0, 1.0))
         for x in (0.2, 1.0, 3.5):
-            assert rep.gamma_mixture_pdf(x) == pytest.approx(
+            assert rep.pos.pdf(x) == pytest.approx(
                 gamma_dist.pdf(x, a=1.7, scale=0.5), rel=1e-10)
 
     def test_two_exponential_convolution(self):
@@ -962,14 +966,14 @@ class TestGammaMixtureLimit:
         # density 2 e^(-x) (1 - e^(-x)) gives 2 (e-1) e^(-2) at x = 1
         rep = build_mixture(GEOMETRIC_PAIR, tail_tol=1e-13)
         expected = 2.0 * (math.e - 1.0) * math.exp(-2.0)
-        assert rep.gamma_mixture_pdf(1.0) == pytest.approx(expected, rel=1e-10)
+        assert rep.pos.pdf(1.0) == pytest.approx(expected, rel=1e-10)
         for x in (0.3, 0.9, 2.2):
             closed = 2.0 * math.exp(-x) * (1.0 - math.exp(-x))
-            assert rep.gamma_mixture_pdf(x) == pytest.approx(closed, rel=1e-10)
+            assert rep.pos.pdf(x) == pytest.approx(closed, rel=1e-10)
 
     def test_normalises(self, mixture_grid):
         rep = mixture_grid["pair_nonint"]
-        total = integrate_zero_to_inf(rep.gamma_mixture_pdf)
+        total = integrate_zero_to_inf(rep.pos.pdf)
         assert abs(total - 1.0) <= 1e-6
 
     def test_limit_of_full_density(self):
@@ -979,17 +983,41 @@ class TestGammaMixtureLimit:
             [(1.0, 1.0, 1e6, 1.0, 1.0, 1.0), (2.0, 1.0, 1e6, 1.0, 1.0, 1.0)])
         rep = build_mixture(model, tail_tol=1e-10)
         for x in (0.5, 1.0, 2.0):
-            assert abs(model.pdf_fourier(x) - rep.gamma_mixture_pdf(x)) < 1e-3
+            assert abs(model.pdf_fourier(x) - rep.pos.pdf(x)) < 1e-3
 
     def test_domain(self, mixture_grid):
         with pytest.raises(DomainError):
-            mixture_grid["laplace"].gamma_mixture_pdf(-1.0)
+            mixture_grid["laplace"].pos.pdf(-1.0)
 
     @pytest.mark.parametrize("x", [math.inf, math.nan, -math.inf])
     def test_non_finite_x_rejected(self, mixture_grid, x):
         # inf and nan passed the x <= 0 guard and returned NaN
         with pytest.raises(DomainError):
-            mixture_grid["laplace"].gamma_mixture_pdf(x)
+            mixture_grid["laplace"].pos.pdf(x)
+
+
+
+class TestMirror:
+    """Swapping (alpha, p, w1) with (beta, q, w2) gives the law of -T: the
+    mirror's positive side is the model's negative side, so every route
+    that picks a side by the sign of x or z must agree across the swap."""
+
+    @pytest.mark.parametrize("name", sorted(MODEL_GRID))
+    def test_mirror_is_minus_t(self, name):
+        model = MODEL_GRID[name]
+        mirror = LinearCombinationModel(model.beta, model.q, model.alpha,
+                                        model.p, model.w2, model.w1)
+        rep, rev = build_mixture(model), build_mixture(mirror)
+        np.testing.assert_array_equal(rev.pos.pmf, rep.neg.pmf)
+        np.testing.assert_array_equal(rev.neg.pmf, rep.pos.pmf)
+        for x in (0.05, 0.7, 2.0, 6.5):
+            assert rep.pdf_series(-x) == rev.pdf_series(x), x
+            assert rep.pdf_series(x) == rev.pdf_series(-x), x
+        zs = np.linspace(-20.0, 20.0, 81)
+        np.testing.assert_allclose(rev.cf(zs), rep.cf(-zs), rtol=1e-15)
+        for k in range(1, 7):
+            assert rev.moment(k) == pytest.approx((-1) ** k * rep.moment(k),
+                                                  rel=1e-13), k
 
 
 class TestScaling:

@@ -115,3 +115,8 @@ def test_trace_counts_density_path(tmp_path):
                  "combo.pdf_fourier", "quadrature.fourier_density",
                  "quadrature.log_hyperint"):
         assert summary.get(name, {"calls": 0})["calls"] >= 1, name
+    # the term counter reads the pmf lengths of the one mixture built, at
+    # the pdf command's default tail_tol
+    rep = bilgamma.build_mixture(MODEL_GRID["five_mixed"], tail_tol=1e-10)
+    assert tracer.counts["combo.build_mixture.terms"] == (
+        len(rep.pos.pmf) + len(rep.neg.pmf))
