@@ -75,6 +75,9 @@ class ConfigError(Exception):
 
 
 _CSV_BLOCK_ROWS = 65_536
+# A block of %.<P>g cells holds at most this many cells, so that the
+# formatter's temporaries stay in the CPU cache.
+_G_BLOCK_CELLS = 8_192
 
 
 def _write_csv(path: str | None, header, formats, columns):
@@ -82,18 +85,236 @@ def _write_csv(path: str | None, header, formats, columns):
     ``columns`` with each value %-formatted by its entry of ``formats``
     (%.17g reads back exactly).  Rows are formatted as text in blocks of
     _CSV_BLOCK_ROWS, so that neither a per-value f-string nor the whole
-    text is ever materialised."""
+    text is ever materialised.  When every format is one %.<P>g, the
+    blocks are smaller and _GFormatter writes them, byte for byte as %
+    would."""
     out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(header)
-        line = ",".join(formats) + writer.dialect.lineterminator
-        for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in columns])
-            out.write(line * len(block) % tuple(block.ravel().tolist()))
+        terminator = writer.dialect.lineterminator
+        precision = _g_precision(formats)
+        if precision is None:
+            rows = _CSV_BLOCK_ROWS
+            line = ",".join(formats) + terminator
+
+            def format_block(block):
+                return line * len(block) % tuple(block.ravel().tolist())
+        else:
+            rows = max(1, min(_CSV_BLOCK_ROWS, _G_BLOCK_CELLS // len(columns)))
+            format_block = _GFormatter(precision, rows, len(columns), terminator)
+        for i in range(0, len(columns[0]), rows):
+            out.write(format_block(np.column_stack([c[i:i + rows] for c in columns])))
     finally:
         if path:
             out.close()
+
+
+def _g_precision(formats) -> int | None:
+    """P when every entry of ``formats`` is the same %.<P>g with
+    1 <= P <= 17, else None."""
+    first = formats[0]
+    digits = first[2:-1]
+    if (first[:2] != "%." or first[-1:] != "g" or not digits.isdigit()
+            or not 1 <= int(digits) <= 17 or any(f != first for f in formats)):
+        return None
+    return int(digits)
+
+
+# Byte offsets in the 64-byte row where _GFormatter lays out one cell before
+# a mask picks its text: "  -0.000" (the sign, and the "0." and zeros of
+# 0.000ddd), the digits of D zero-padded to 20 (integer part, or all digits),
+# the same 20 digits with a "." over D's leading digit (fraction part), the
+# exponent "e+XXX", and "," followed by the line terminator.
+_G_SIGN, _G_ZERO, _G_POINT, _G_ZEROS = 2, 3, 4, 5
+_G_INT, _G_FRAC, _G_EXP, _G_SEP, _G_ROW = 8, 28, 48, 56, 64
+# Tables over decimal exponents e10 cover |e10| <= _G_E10, which holds the
+# exponents of every |x| in [1e-280, 1e280] and keeps 10**(P - 1 - e10) and
+# its split finite for P <= 17.
+_G_E10 = 282
+_VELTKAMP = 134_217_729.0  # 2**27 + 1 splits a double into two 26-bit halves
+
+
+@functools.cache  # built on first use: importing the CLI builds nothing
+def _g_tables(precision: int, terminator: str):
+    """Read-only lookup tables of _GFormatter for %.<precision>g rows that
+    end in ``terminator``.  A table over decimal exponents e10 is indexed
+    by e10 + _G_E10."""
+    p = precision
+    e10 = np.arange(-_G_E10, _G_E10 + 1)
+    # 10**(p - 1 - e10) as an unevaluated sum hi + lo of doubles, both
+    # correctly rounded from exact integers; hi comes split in halves.
+    scale = np.empty((2, e10.size))
+    for i, s in enumerate((p - 1 - e10).tolist()):
+        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        scale[:, i] = hi, (num * hi_den - hi_num * den) / (den * hi_den)
+    hi, lo = scale
+    split = _VELTKAMP * hi
+    hi_head = split - (split - hi)
+    # "e+XXX" as one 8-byte word per exponent
+    expo = np.zeros((e10.size, 8), np.uint8)
+    expo[:, :2] = [ord("e"), ord("+")]
+    expo[e10 < 0, 1] = ord("-")
+    size = np.abs(e10)
+    expo[:, 2:5] = np.stack([size // 100, size // 10 % 10, size % 10],
+                            axis=1) + ord("0")
+    # the layout class of each exponent: %g's fixed form for -4 <= e10 < p
+    # (classes 0..p+3), else the exponent form with 2 or 3 exponent digits
+    layout = np.where((e10 >= -4) & (e10 < p), e10 + 4,
+                      np.where(np.abs(e10) < 100, p + 4, p + 5))
+    # the mask row of each (layout, trailing zeros, negative, last column)
+    cls, zeros, neg, last = (a.ravel()[:, None] for a in np.indices((p + 6, p, 2, 2)))
+    j = np.arange(_G_ROW)
+    nd = p - zeros                  # significant digits printed
+    x = cls - 4                     # e10 in the fixed form
+    expform = cls >= p + 4
+    small = ~expform & (x < 0)      # 0.000ddd
+    lead = np.where(expform, 1, x + 1)  # digits before the point otherwise
+    first = _G_INT + 20 - p         # where D's leading digit sits
+    mask = neg.astype(bool) & (j == _G_SIGN)
+    mask |= small & ((j == _G_ZERO) | (j == _G_POINT)
+                     | ((j >= _G_ZEROS) & (j < _G_ZEROS - x - 1)))
+    mask |= (j >= first) & (j < first + np.where(small, nd, lead))
+    point = first + _G_FRAC - _G_INT  # digit k of the copy sits at point + k
+    mask |= ~small & (nd > lead) & ((j == point)
+                                    | ((j >= point + lead) & (j < point + nd)))
+    mask |= expform & ((j == _G_EXP) | (j == _G_EXP + 1) | (j == _G_EXP + 3)
+                       | (j == _G_EXP + 4) | ((j == _G_EXP + 2) & (cls == p + 5)))
+    mask |= np.where(last, (j > _G_SEP) & (j <= _G_SEP + len(terminator)), j == _G_SEP)
+    # the 4 ASCII digits of 0..9999 as one uint32 each, and their trailing zeros
+    k = np.arange(10_000)
+    quads = (np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
+             + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    quad_zeros = np.zeros(10_000, np.intp)
+    quad_zeros[0] = 4
+    for d in (10, 100, 1000):
+        quad_zeros[(k % d == 0) & (k > 0)] += 1
+    tables = (hi, hi_head, hi - hi_head, lo, expo.view(np.uint64).ravel(),
+              layout * (p * 4), mask, quads, quad_zeros)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+class _GFormatter:
+    """Formats blocks of at most ``rows`` rows of ``cols`` %.<P>g cells,
+    P = ``precision``, as the text that % writes, byte for byte.
+
+    For each value x, e10 = floor(log10|x|) and y = |x| * 10**(P - 1 - e10)
+    is formed as a double-double by Dekker's error-free two-product (Numer.
+    Math. 18, 1971), with 10**(P - 1 - e10) held to 2**-106, so the integer
+    part and fraction of y are known to about 1e-14.  The digits are the
+    integer D nearest y.  x is certified only when the fraction is more
+    than 1e-7 from 1/2, the integer part is at least 10**(P - 1) and D is
+    below 10**P: then D is the correctly rounded P-digit significand and
+    e10 the exponent, whatever floor(log10) did near a power of ten.  D's
+    digits come from 4-digit table lookups, and a mask row per layout (%g's
+    fixed or exponent form, the trailing zeros to strip, the sign, the
+    separator) picks the cell's bytes.  Every value that is not certified
+    -- 0, -0, inf, nan, |x| outside [1e-280, 1e280], ties such as
+    1234567890123456.25 at P = 17, and some values next to a power of ten
+    -- is written by % itself."""
+
+    def __init__(self, precision: int, rows: int, cols: int, terminator: str):
+        self.precision = precision
+        self.tables = _g_tables(precision, terminator)
+        cells = rows * cols
+        self.row = np.zeros((cells, _G_ROW), np.uint8)
+        self.row[:, :_G_INT] = np.frombuffer(b"  -0.000", np.uint8)
+        self.row[:, _G_SEP] = ord(",")
+        self.row[:, _G_SEP + 1:_G_SEP + 1 + len(terminator)] = np.frombuffer(
+            terminator.encode("ascii"), np.uint8)
+        self.mask = np.empty((cells, _G_ROW), bool)
+        self.last = (np.arange(cells) % cols == cols - 1).astype(np.intp)
+
+    def __call__(self, block: np.ndarray) -> str:
+        p = self.precision
+        (hi_t, head_t, tail_t, lo_t, expo, layout, masks, quads,
+         quad_zeros) = self.tables
+        x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+        n = x.size
+        a = np.abs(x)
+        ok = (a >= 1e-280) & (a <= 1e280)  # before any arithmetic: no nan, inf
+        a = np.where(ok, a, 1.0)
+        e10 = np.log10(a)
+        e10 = np.floor(e10, out=e10).astype(np.intp)
+        e10 += _G_E10
+        # y + err == a * hi exactly (a = head + tail, hi = h_head + h_tail),
+        # then err takes a * lo
+        h_head, h_tail = head_t[e10], tail_t[e10]
+        y = a * hi_t[e10]
+        head = a * _VELTKAMP
+        tail = head - a
+        head -= tail
+        tail = a - head
+        err = head * h_head
+        err -= y
+        head *= h_tail
+        err += head
+        h_head *= tail
+        err += h_head
+        tail *= h_tail
+        err += tail
+        a *= lo_t[e10]
+        err += a
+        digits = y.astype(np.int64)
+        y -= digits
+        y += err  # the fraction, up to a whole carry
+        carry = np.floor(y)
+        y -= carry
+        digits += carry.astype(np.int64)
+        ok &= digits >= 10 ** (p - 1)
+        y -= 0.5
+        digits += y > 0
+        ok &= np.abs(y, out=y) > 1e-7
+        ok &= digits < 10 ** p
+        # five 4-digit groups of the zero-padded 20-digit D
+        groups = np.empty((n, 5), np.intp)
+        high = digits // 100_000_000
+        digits -= high * 100_000_000
+        groups[:, 0] = high // 100_000_000
+        high -= groups[:, 0] * 100_000_000
+        groups[:, 1] = high // 10_000
+        groups[:, 2] = high - groups[:, 1] * 10_000
+        groups[:, 3] = digits // 10_000
+        groups[:, 4] = digits - groups[:, 3] * 10_000
+        quad_text = quads[groups]
+        row = self.row[:n]
+        words = row.view(np.uint32)
+        words[:, _G_INT // 4:_G_INT // 4 + 5] = quad_text
+        words[:, _G_FRAC // 4:_G_FRAC // 4 + 5] = quad_text
+        row[:, _G_FRAC + 20 - p] = ord(".")
+        row.view(np.uint64)[:, _G_EXP // 8] = expo[e10]
+        # trailing zeros of D, and the mask row of each cell's layout
+        zeros = quad_zeros[groups[:, 4]]
+        more = np.flatnonzero(groups[:, 4] == 0)
+        for k in (3, 2, 1, 0):
+            if not more.size:
+                break
+            zeros[more] += quad_zeros[groups[more, k]]
+            more = more[groups[more, k] == 0]
+        key = np.minimum(zeros, p - 1, out=zeros)
+        key *= 4
+        key += layout[e10]
+        key += 2 * (x < 0)
+        key += self.last[:n]
+        # every key is in range; "clip" lets take write into out unbuffered
+        mask = np.take(masks, key, axis=0, out=self.mask[:n], mode="clip")
+        fallback = np.flatnonzero(~ok)
+        if fallback.size:
+            fmt = f"%.{p}g"
+            texts = [fmt % v for v in x[fallback].tolist()]
+            lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+            offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
+            row[np.repeat(fallback, lengths),
+                _G_INT + np.arange(offsets.size) - offsets] = np.frombuffer(
+                    "".join(texts).encode("ascii"), np.uint8)
+            span = np.arange(_G_SEP)
+            mask[fallback, :_G_SEP] = ((span >= _G_INT)
+                                       & (span < _G_INT + lengths[:, None]))
+        return str(row[mask].data, "ascii")
 
 
 def _write_json(path: str | None, payload: dict):
@@ -208,7 +429,9 @@ def cmd_sample(args) -> int:
     chunks = _fan_out(lambda i: sample_direct(model, counts[i],
                                               RandomStream(args.seed, i)),
                       streams)
-    _write_csv(args.out, ["value"], ["%.17g"], [np.concatenate(chunks)])
+    # one stream, the default, is written as drawn: no second copy of the draws
+    draws = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    _write_csv(args.out, ["value"], ["%.17g"], [draws])
     return EXIT_OK
 
 

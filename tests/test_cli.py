@@ -1,7 +1,10 @@
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +228,128 @@ class TestSampleCommand:
             assert main(["sample", "--model", pair_file, "--n", "2", "--seed",
                          "5", "--streams", streams, "--out", str(out)]) == 0
         assert out4.read_bytes() == out2.read_bytes()
+
+    def test_stdout_matches_out(self, model_file, tmp_path, monkeypatch):
+        # without --out the CSV goes through the text stream sys.stdout
+        out = tmp_path / "a.csv"
+        argv = ["sample", "--model", model_file, "--n", "300", "--seed", "4"]
+        assert main([*argv, "--out", str(out)]) == 0
+        stdout = io.StringIO()
+        monkeypatch.setattr("sys.stdout", stdout)
+        assert main(argv) == 0
+        assert stdout.getvalue().encode("utf-8") == out.read_bytes()
+
+    def test_peak_memory_one_copy_of_draws(self, model_file):
+        # 2**22 draws take 32 MiB: a second copy of them (np.concatenate
+        # with one stream) or a writer that holds a large block breaks the bound
+        tracemalloc.start()
+        try:
+            assert main(["sample", "--model", model_file, "--n", str(2 ** 22),
+                         "--seed", "1", "--out", os.devnull]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * 2 ** 22
+
+
+class TestPinnedCsvOutput:
+    """SHA-256 of the CSV each CSV command writes for five_mixed at the
+    README settings: the writer must not change a byte.  The sample size
+    crosses the 65 536-row block boundary."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        pytest.param(["sample", "--n", "65537", "--seed", "19"],
+                     "6ca53dc549e235b9a8c709713e05a3aec1ea58d074cc28ed57d69bae938ec9b6",
+                     id="sample"),
+        pytest.param(["simulate", "--tgrid", "0:0.001:1", "--paths", "3",
+                      "--seed", "3"],
+                     "4ed89ae7bd9b8697d38ef9b2f4b3d0898d3895118d5b93bb69efa3ea68482d92",
+                     id="simulate"),
+        pytest.param(["pdf", "--xmin", "-5", "--xmax", "5", "--points", "401"],
+                     "a6ce69b77d08265d7ffb97df0c102435b1c6407ae5ac1505329d5b1b379cce62",
+                     id="pdf"),
+        pytest.param(["cf", "--zmax", "20", "--points", "401"],
+                     "c4f1ca7352e77d6f45437877ca2025bc5c3495e097befe826edeb1d87ff5a7a2",
+                     id="cf"),
+        pytest.param(["cp-sweep", "--m", "1,2,4,8,16,32,64", "--n", "100000",
+                      "--seed", "7"],
+                     "f0dd6d1a8e443ba29e0ae1e951f166f6d54f388d82ac6a88b3373c35eebe2e2a",
+                     id="cp-sweep"),
+    ])
+    def test_csv_digest(self, tmp_path, argv, digest):
+        model = tmp_path / "five_mixed.json"
+        model.write_text(json.dumps(MODEL_GRID["five_mixed"].to_json_obj()))
+        out = tmp_path / "out.csv"
+        assert main([argv[0], "--model", str(model), *argv[1:],
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+_POWERS = np.array([float(f"1e{k}") for k in range(-310, 309)])
+# values % writes in every way: zeros, infinities, nan, the least subnormal,
+# exact 18th-digit ties, trailing zeros, and every power of ten from 1e-310
+# to 1e308 with its two float neighbours
+_SPECIAL = np.concatenate([
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+     1234567890123456.25, 1234567890123456.75, -1234567890123456.25,
+     1.5, 100.0, 1e16, 1e17, -1.5, 0.1, 1e-5, 123456789012.5],
+    _POWERS, -_POWERS, np.nextafter(_POWERS, 0.0), np.nextafter(_POWERS, math.inf)])
+
+
+def _random_bits(n, seed):
+    """n doubles with uniformly random bit patterns: NaNs, infinities and
+    subnormals included."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+
+
+class TestWriteCsvOracle:
+    """_write_csv against csv.writer fed Python's % of each value, for every
+    format the CLI passes it: the vectorised %.<P>g path must write the
+    same bytes."""
+
+    FORMATS = ["%.17g", "%.12g", "%.12e", "%.3e", "%.6f", "%d"]
+
+    @staticmethod
+    def check(tmp_path, formats, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows([f % v for f, v in zip(formats, row)]
+                         for row in zip(*(c.tolist() for c in columns)))
+        out = tmp_path / "oracle.csv"
+        cli._write_csv(str(out), header, formats, columns)
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
+    @staticmethod
+    def finite_for(fmt, values):
+        # %d of nan or an infinity raises in % itself
+        return values[np.isfinite(values)] if fmt == "%d" else values
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_random_bit_patterns(self, tmp_path, fmt):
+        self.check(tmp_path, [fmt], [self.finite_for(fmt, _random_bits(100_000, 23))])
+
+    @pytest.mark.parametrize("block_rows", [1, 7, cli._CSV_BLOCK_ROWS])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_special_values(self, tmp_path, monkeypatch, fmt, block_rows):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        self.check(tmp_path, [fmt], [self.finite_for(fmt, _SPECIAL)])
+
+    @pytest.mark.parametrize("block_rows", [1, 7, cli._CSV_BLOCK_ROWS])
+    @pytest.mark.parametrize("formats", [
+        ["%.17g"] * 3, ["%.12g"] * 3, ["%.17g", "%.12g", "%.17g"],
+        ["%.12g", "%.12e", "%.3e"]])
+    def test_rows_mixing_certified_and_fallback_cells(self, tmp_path,
+                                                      monkeypatch, formats,
+                                                      block_rows):
+        # each row pairs a special value with draws that certify
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(29)
+        n = _SPECIAL.size
+        self.check(tmp_path, formats, [rng.gamma(0.3, size=n), _SPECIAL,
+                                       rng.standard_normal(n) * 1e3])
 
 
 class TestBoundsCommand:
