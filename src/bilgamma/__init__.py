@@ -31,11 +31,7 @@ from .pricing import (
     price_call_integral,
     price_call_monte_carlo,
 )
-from .quadrature import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    integrate_zero_to_inf,
-)
+from .quadrature import integrate_zero_to_inf
 from .sampling import (
     RandomStream,
     sample_compound_poisson,
@@ -63,8 +59,6 @@ __all__ = [
     "build_mixture",
     "load_model",
     "read_json",
-    "QuadratureSpec",
-    "DEFAULT_QUAD",
     "integrate_zero_to_inf",
     "RandomStream",
     "sample_direct",

@@ -46,7 +46,6 @@ from .pricing import (
     price_call_integral,
     price_call_monte_carlo,
 )
-from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .sampling import (
     RandomStream,
     _check_cp_order,
@@ -80,14 +79,14 @@ _CSV_BLOCK_ROWS = 65_536
 _G_BLOCK_CELLS = 8_192
 
 
-def _write_csv(path: str | None, header, formats, columns):
-    """Write ``header``, then row i of the equal-length float arrays
-    ``columns`` with each value %-formatted by its entry of ``formats``
-    (%.17g reads back exactly).  Rows are formatted as text in blocks of
-    _CSV_BLOCK_ROWS, so that neither a per-value f-string nor the whole
-    text is ever materialised.  When every format is one %.<P>g, the
-    blocks are smaller and _GFormatter writes them, byte for byte as %
-    would."""
+def _write_csv(path: str | None, header, formats, *tables):
+    """Write ``header``, then the rows of each of ``tables`` in turn.  A
+    table is a list of equal-length float arrays, its columns; each value
+    of a row is %-formatted by its entry of ``formats`` (%.17g reads back
+    exactly).  Rows are formatted as text in blocks of _CSV_BLOCK_ROWS, so
+    that neither a per-value f-string nor the whole text is ever
+    materialised.  When every format is one %.<P>g, the blocks are smaller
+    and _GFormatter writes them, byte for byte as % would."""
     out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         writer = csv.writer(out)
@@ -101,10 +100,12 @@ def _write_csv(path: str | None, header, formats, columns):
             def format_block(block):
                 return line * len(block) % tuple(block.ravel().tolist())
         else:
-            rows = max(1, min(_CSV_BLOCK_ROWS, _G_BLOCK_CELLS // len(columns)))
-            format_block = _GFormatter(precision, rows, len(columns), terminator)
-        for i in range(0, len(columns[0]), rows):
-            out.write(format_block(np.column_stack([c[i:i + rows] for c in columns])))
+            rows = max(1, min(_CSV_BLOCK_ROWS, _G_BLOCK_CELLS // len(formats)))
+            format_block = _GFormatter(precision, rows, len(formats), terminator)
+        for columns in tables:
+            for i in range(0, len(columns[0]), rows):
+                out.write(format_block(
+                    np.column_stack([c[i:i + rows] for c in columns])))
     finally:
         if path:
             out.close()
@@ -329,11 +330,6 @@ def _write_json(path: str | None, payload: dict):
         print(text)
 
 
-def _spec_from_args(args) -> QuadratureSpec:
-    return QuadratureSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-                          max_subdivisions=args.max_subdivisions)
-
-
 def _thread_cap() -> int:
     raw = os.environ.get("BILGAMMA_THREADS", "1")
     try:
@@ -382,11 +378,10 @@ def _grid(lo: float, hi: float, points: int, what: str) -> np.ndarray:
 
 def cmd_pdf(args) -> int:
     model = load_model(args.model)
-    spec = _spec_from_args(args)
     rep = build_mixture(model, tail_tol=args.tail_tol)
     xs = _grid(args.xmin, args.xmax, args.points, "--xmin/--xmax")
     fourier, series = np.array(
-        [(model.pdf_fourier(float(x), spec),
+        [(model.pdf_fourier(float(x)),
           rep.pdf_series(float(x)) if x != 0.0 else math.nan)
          for x in xs]).T
     _write_csv(args.out, ["x", "pdf_fourier", "pdf_series", "abs_diff"],
@@ -429,9 +424,8 @@ def cmd_sample(args) -> int:
     chunks = _fan_out(lambda i: sample_direct(model, counts[i],
                                               RandomStream(args.seed, i)),
                       streams)
-    # one stream, the default, is written as drawn: no second copy of the draws
-    draws = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    _write_csv(args.out, ["value"], ["%.17g"], [draws])
+    # each stream is written as drawn, in turn: no second copy of the draws
+    _write_csv(args.out, ["value"], ["%.17g"], *([c] for c in chunks))
     return EXIT_OK
 
 
@@ -491,7 +485,6 @@ def cmd_price(args) -> int:
     inputs = PricingInputs(**read_fields(
         read_json(args.pricing, "pricing"), "pricing file",
         ("s0", "strike", "rate", "maturity"), ("dividend", "t_now", "spot_at_t")))
-    spec = _spec_from_args(args)
     method = args.method
     if method == "auto":
         # the closed form only where its own guards accept the model
@@ -503,7 +496,7 @@ def cmd_price(args) -> int:
             except (DomainError, SeriesDivergenceError):
                 pass
     if method == "integral":
-        price = price_call_integral(model, inputs, spec)
+        price = price_call_integral(model, inputs)
         tolerance = 1e-8
     elif method in ("series", "atm"):
         route = price_call_gamma_series if method == "series" else price_call_atm
@@ -571,13 +564,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _add_quad_args(p):
-    p.add_argument("--abs-tol", type=_finite, default=DEFAULT_QUAD.abs_tol)
-    p.add_argument("--rel-tol", type=_finite, default=DEFAULT_QUAD.rel_tol)
-    p.add_argument("--max-subdivisions", type=_count(1),
-                   default=DEFAULT_QUAD.max_subdivisions)
-
-
 @functools.cache  # built once per process: main is called in-process too
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -593,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_count(1), default=401)
     p.add_argument("--tail-tol", type=_finite, default=1e-10, dest="tail_tol")
     p.add_argument("--out")
-    _add_quad_args(p)
     p.set_defaults(func=cmd_pdf)
 
     p = sub.add_parser("cf", help="characteristic-function grid (both routes)")
@@ -645,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_count(0))
     p.add_argument("--tail-tol", type=_finite, default=1e-12, dest="tail_tol")
     p.add_argument("--out")
-    _add_quad_args(p)
     p.set_defaults(func=cmd_price)
 
     p = sub.add_parser("simulate", help="process paths on a time grid")

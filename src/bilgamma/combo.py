@@ -37,12 +37,7 @@ from .errors import (
     SingularPointError,
     TruncationFailureError,
 )
-from .quadrature import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    fourier_density,
-    log_hyperint,
-)
+from .quadrature import fourier_density, log_hyperint
 
 __all__ = [
     "GammaMixture",
@@ -270,7 +265,7 @@ class LinearCombinationModel:
     def variance(self) -> float:
         return self.cumulant(2)
 
-    def pdf_fourier(self, x: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+    def pdf_fourier(self, x: float) -> float:
         """Density by Fourier inversion of the product-form cf at any x != 0,
         and at x = 0 when the total shape s = sum_j (p_j + q_j) exceeds 1.
         For s <= 1 the cf, ~|z|^-s, is not absolutely integrable, but the
@@ -281,7 +276,7 @@ class LinearCombinationModel:
         if x == 0.0 and self.p_total + self.q_total <= 1.0:
             raise SingularPointError(
                 "density is infinite at x = 0 when the total shape is <= 1")
-        raw = fourier_density(self.cf, float(x), spec)
+        raw = fourier_density(self.cf, float(x))
         if raw < -1e-8:
             raise NonConvergenceError(
                 f"inverted density materially negative at x={x}: {raw}")
@@ -416,10 +411,10 @@ def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int):
         L_i[j] = log I(a0 + i, b0 + i + j, x),  j = 0 .. cols - 1,
 
     with I the integral of ``log_hyperint``.  At most two entries are
-    integrated, by ``log_hyperint`` at ``DEFAULT_QUAD``; the rest follow
-    from three exact relations, each run in a stable direction.  (D) and
-    (A) add positive terms only; (B) subtracts whenever b - a - 1 > 0, and
-    is safe because it runs forward in b, where U is the dominant solution:
+    integrated, by ``log_hyperint``; the rest follow from three exact
+    relations, each run in a stable direction.  (D) and (A) add positive
+    terms only; (B) subtracts whenever b - a - 1 > 0, and is safe because
+    it runs forward in b, where U is the dominant solution:
 
     * (D) (a0 + k) d_k + (b0 + k - x) d_(k+1) = x d_(k+2) for the diagonal
       d_k = I(a0 + k, b0 + k) (by parts on
@@ -683,9 +678,7 @@ class MixtureRepresentation:
         Every (j, k) pair of the pmfs is summed, so their truncation at
         ``tail_tol`` is the series' only one.  The kernels form a grid whose
         rows step a and b together (k for x > 0, j for x < 0) and whose
-        columns step b alone, which ``log_hyperint_rows`` fills.  Its
-        kernels integrate at ``DEFAULT_QUAD``, so no budget of
-        ``pdf_fourier``'s reaches this route.
+        columns step b alone, which ``log_hyperint_rows`` fills.
         """
         if not math.isfinite(x):
             raise DomainError(f"series density needs a finite x, got x={x}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .combo import LinearCombinationModel, _completed_series, build_mixture
 from .errors import DomainError, NonFiniteResultError, SeriesDivergenceError
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, _quad, oscillatory_integral
+from .quadrature import _quad, oscillatory_integral
 from .sampling import sample_direct
 
 __all__ = [
@@ -92,20 +92,20 @@ def martingale_gap(model: LinearCombinationModel, rate: float,
     return model.mgf(1.0) - math.exp(rate - dividend)
 
 
-def _tail_probability(cf, level: float, spec: QuadratureSpec) -> float:
+def _tail_probability(cf, level: float) -> float:
     """P(X > level) = 1/2 + (1/pi) int_0^inf Im(e^(-iz level) cf(z)) / z dz
     (Gil-Pelaez), on [0, 1] by the adaptive rule, whose nodes are interior
     (never z = 0), and on [1, inf) by QAWF."""
     def head(z: float) -> float:
         return (cmath.exp(-1j * z * level) * cf(z)).imag / z
 
-    near = _quad(head, 0.0, 1.0, spec)
-    far = oscillatory_integral(lambda z: -1j * cf(z) / z, level, 1.0, spec)
+    near = _quad(head, 0.0, 1.0)
+    far = oscillatory_integral(lambda z: -1j * cf(z) / z, level, 1.0)
     return 0.5 + (near + far) / math.pi
 
 
-def price_call_integral(model: LinearCombinationModel, inputs: PricingInputs,
-                        spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def price_call_integral(model: LinearCombinationModel,
+                        inputs: PricingInputs) -> float:
     """Call price e^(-rT) int_L^inf (s e^x - K) h(x) dx against the time-t'
     law, as two Gil-Pelaez tails in tilted form (see module docstring)."""
     t_prime = inputs.t_remaining
@@ -117,8 +117,8 @@ def price_call_integral(model: LinearCombinationModel, inputs: PricingInputs,
         w1=model.w1, w2=model.w2)
     s = inputs.spot_at_t
     level = inputs.log_moneyness
-    p_plain = _tail_probability(scaled.cf, level, spec)
-    p_tilted = _tail_probability(tilted.cf, level, spec)
+    p_plain = _tail_probability(scaled.cf, level)
+    p_tilted = _tail_probability(tilted.cf, level)
     price = math.exp(-inputs.rate * inputs.maturity) * (
         s * m1 * p_tilted - inputs.strike * p_plain)
     return max(price, 0.0)
@@ -138,11 +138,11 @@ def negative_part_bound(model: LinearCombinationModel,
 
 
 def gamma_route_growth(model: LinearCombinationModel,
-                       inputs: PricingInputs) -> float:
-    """Growth eta/(eta-1) per unit of shape of the gamma-only routes; raises
-    unless eta > 1, the mixture expectation converges (its pmf tail ratio
-    1 - lam_min/eta does not depend on t') and the negative part is
-    negligible."""
+                       inputs: PricingInputs) -> tuple[float, float]:
+    """Growth eta/(eta-1) per unit of shape of the gamma-only routes, and
+    the :func:`negative_part_bound` they drop; raises unless eta > 1, the
+    mixture expectation converges (its pmf tail ratio 1 - lam_min/eta does
+    not depend on t') and the negative part is negligible."""
     eta = model.eta
     if eta <= 1.0:
         raise DomainError(f"gamma-only pricing requires eta > 1, got {eta}")
@@ -156,7 +156,7 @@ def gamma_route_growth(model: LinearCombinationModel,
     if bound > NEGATIVE_PART_TOL * inputs.strike:
         raise DomainError(
             f"gamma-only pricing ignores a negative part worth up to {bound:.3g}")
-    return growth
+    return growth, bound
 
 
 def price_call_gamma_series(model: LinearCombinationModel,
@@ -170,14 +170,14 @@ def price_call_gamma_series(model: LinearCombinationModel,
 
     Q the regularised upper incomplete gamma.  Requires K >= s and a model
     :func:`gamma_route_growth` accepts; the s and K sums are each completed
-    by their geometric tail.  Returns the price and the size of that
-    completion.
+    by their geometric tail.  Returns the price and its tolerance: the size
+    of that completion plus the discounted negative-part bound.
     """
     from scipy import special as sp
 
     if inputs.strike < inputs.spot_at_t:
         raise DomainError("gamma-driven series requires strike >= spot")
-    growth = gamma_route_growth(model, inputs)
+    growth, dropped = gamma_route_growth(model, inputs)
     side = build_mixture(model.scaled(inputs.t_remaining), tail_tol).pos
     eta, level = side.rate, inputs.log_moneyness
     s, strike = inputs.spot_at_t, inputs.strike
@@ -192,7 +192,7 @@ def price_call_gamma_series(model: LinearCombinationModel,
             log_w + np.log(sp.gammaincc(a, eta * level)), side.theta_max)
     discount = math.exp(-inputs.rate * inputs.maturity)
     return (discount * float(s * sum_s - strike * sum_k),
-            discount * float(abs(s * tail_s - strike * tail_k)))
+            discount * (float(abs(s * tail_s - strike * tail_k)) + dropped))
 
 
 def price_call_atm(model: LinearCombinationModel, inputs: PricingInputs,
@@ -205,17 +205,19 @@ def price_call_atm(model: LinearCombinationModel, inputs: PricingInputs,
     model :func:`gamma_route_growth` accepts; it detects a divergent
     expectation (pmf tail ratio times eta/(eta-1) reaching 1) before
     summation, so that is raised, never summed past.  Returns the price
-    and the size of its geometric tail completion."""
+    and its tolerance: the size of its geometric tail completion plus the
+    discounted negative-part bound."""
     if inputs.spot_at_t != inputs.strike:
         raise DomainError("at-the-money formula requires spot == strike")
-    growth = gamma_route_growth(model, inputs)
+    growth, dropped = gamma_route_growth(model, inputs)
     side = build_mixture(model.scaled(inputs.t_remaining), tail_tol).pos
     with np.errstate(divide="ignore"):
         log_terms = (np.log(side.pmf)
                      + (side.shape + np.arange(len(side.pmf))) * math.log(growth))
     expect, tail = _completed_series(log_terms, side.theta_max * growth)
-    scale = inputs.strike * math.exp(-inputs.rate * inputs.maturity)
-    return scale * (float(expect) - 1.0), scale * float(tail)
+    discount = math.exp(-inputs.rate * inputs.maturity)
+    scale = inputs.strike * discount
+    return scale * (float(expect) - 1.0), scale * float(tail) + discount * dropped
 
 
 def price_call_monte_carlo(model: LinearCombinationModel,

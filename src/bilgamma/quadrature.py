@@ -8,7 +8,8 @@ that tolerances and domain transformations are applied uniformly:
   ``oscillatory_integral`` and QUADPACK's dedicated oscillatory rule
   over [lower, inf), or the compactified rule at x = 0.
 
-``DEFAULT_QUAD`` is the one default budget, the CLI's included.
+Every integral runs at one fixed budget: QUADPACK's epsabs ``_ABS_TOL``,
+epsrel ``_REL_TOL`` and at most ``_MAX_SUBDIVISIONS`` bisections.
 
 scipy is imported inside the functions that call it, here and in the other
 modules, so that a command that never integrates does not pay to load it.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,8 +26,6 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_QUAD",
     "integrate_zero_to_inf",
     "oscillatory_integral",
     "fourier_density",
@@ -35,26 +33,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance budget for one adaptive integration.
-
-    abs_tol / rel_tol feed QUADPACK's epsabs / epsrel; max_subdivisions
-    caps the interval bisections.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
-            raise DomainError("abs_tol and rel_tol must be finite and positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# The one quadrature budget.  _quad and oscillatory_integral read these at
+# call time, not as default arguments.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 2000
 
 
 def _first_sentence(text: str) -> str:
@@ -62,37 +45,35 @@ def _first_sentence(text: str) -> str:
     return re.match(r".*?(?:\.(?= [A-Z])|$)", " ".join(text.split())).group(0)
 
 
-def _quad(f: Callable[[float], float], a: float, b: float,
-          spec: QuadratureSpec) -> float:
-    """scipy.integrate.quad with the spec's budget; raises on failure."""
+def _quad(f: Callable[[float], float], a: float, b: float) -> float:
+    """scipy.integrate.quad at the package's budget; raises on failure."""
     from scipy.integrate import quad
 
-    out = quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-               limit=spec.max_subdivisions, full_output=1)
+    out = quad(f, a, b, epsabs=_ABS_TOL, epsrel=_REL_TOL,
+               limit=_MAX_SUBDIVISIONS, full_output=1)
     if len(out) > 3:
         # QUADPACK flagged trouble; accept only if the error estimate still
         # meets the requested budget (roundoff-noise flags are common when
         # the integral is effectively converged).
         val, err = out[0], out[1]
-        if err > max(spec.abs_tol, spec.rel_tol * abs(val)) * 10.0:
+        if err > max(_ABS_TOL, _REL_TOL * abs(val)) * 10.0:
             raise NonConvergenceError(
                 f"QAGS quadrature failed on [{a}, {b}]: "
                 f"{_first_sentence(out[3])}")
     return out[0]
 
 
-def integrate_zero_to_inf(f: Callable[[float], float],
-                          spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def integrate_zero_to_inf(f: Callable[[float], float]) -> float:
     """Adaptive integral of ``f`` over (0, inf), via ``t = u / (1 - u)``."""
     def mapped(u: float) -> float:
         t = u / (1.0 - u)
         return f(t) / (1.0 - u) ** 2
 
-    return _quad(mapped, 0.0, 1.0, spec)
+    return _quad(mapped, 0.0, 1.0)
 
 
 def oscillatory_integral(g: Callable[[float], complex], x: float,
-                         lower: float, spec: QuadratureSpec) -> float:
+                         lower: float) -> float:
     """int_lower^inf Re(e^{-ixz} g(z)) dz: its cos and sin parts by QUADPACK's
     Fourier rule, or the plain compactified rule when x = 0.  The two parts
     run the same rule over the same nodes, so ``g`` is evaluated once per
@@ -105,7 +86,7 @@ def oscillatory_integral(g: Callable[[float], complex], x: float,
     if x == 0.0:
         # scipy 1.17's QAWF at wvar = 0 integrates from 0 whatever `lower`:
         # PRICING_GAMMA's Gil-Pelaez part on [1, inf) gave pi/2, not 1.0117
-        return integrate_zero_to_inf(lambda t: g(lower + t).real, spec)
+        return integrate_zero_to_inf(lambda t: g(lower + t).real)
 
     values: dict[float, complex] = {}
 
@@ -119,9 +100,9 @@ def oscillatory_integral(g: Callable[[float], complex], x: float,
     for part, weight in ((lambda z: at(z).real, "cos"),
                          (lambda z: at(z).imag, "sin")):
         out = quad(part, lower, np.inf, weight=weight, wvar=x,
-                   epsabs=spec.abs_tol, limlst=150,
-                   limit=spec.max_subdivisions, full_output=1)
-        if len(out) > 3 and out[1] > spec.abs_tol * 100.0:
+                   epsabs=_ABS_TOL, limlst=150,
+                   limit=_MAX_SUBDIVISIONS, full_output=1)
+        if len(out) > 3 and out[1] > _ABS_TOL * 100.0:
             # QAWF's reason is its first failing cycle's, if one failed
             bad = np.flatnonzero(out[2]["ierlst"][:out[2]["lst"]])
             reason = (f"cycle {bad[0] + 1}: {out[4][out[2]['ierlst'][bad[0]]]}"
@@ -133,10 +114,9 @@ def oscillatory_integral(g: Callable[[float], complex], x: float,
     return total
 
 
-def fourier_density(cf: Callable[[float], complex], x: float,
-                    spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def fourier_density(cf: Callable[[float], complex], x: float) -> float:
     """Density h(x) = (1/pi) int_0^inf Re(e^{-ixz} cf(z)) dz of a cf."""
-    return oscillatory_integral(cf, x, 0.0, spec) / math.pi
+    return oscillatory_integral(cf, x, 0.0) / math.pi
 
 
 def log_hyperint(a: float, b: float, x: float) -> float:
@@ -157,8 +137,7 @@ def log_hyperint(a: float, b: float, x: float) -> float:
     peak and every feature out to the reach a fair share of the nodes.
     Past either reach the integrand is below e^-50, except that past the
     left one it may instead be e^(A + a d) to within e^-40: that tail,
-    about 1/a long, is added in closed form.  Both rules run at
-    ``DEFAULT_QUAD``: the series density's kernels take no caller's budget.
+    about 1/a long, is added in closed form.
     """
     if not (a > 0.0 and x > 0.0):
         raise DomainError(f"require a > 0 and x > 0, got a={a}, x={x}")
@@ -212,7 +191,7 @@ def log_hyperint(a: float, b: float, x: float) -> float:
                 mix = hi + log1p(exp(lo - hi))
             return exp(a * d + c * mix - grow) * (1.0 + stretch)
 
-        return w * span * _quad(piece, 0.0, 1.0, DEFAULT_QUAD)
+        return w * span * _quad(piece, 0.0, 1.0)
 
     # the rules' part and the closed-form tail, added as logs because the
     # tail, 1/a long, overflows for a subnormal a

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 import bilgamma
 from bilgamma import LinearCombinationModel, build_mixture
-from bilgamma.quadrature import DEFAULT_QUAD, integrate_zero_to_inf, log_hyperint
+from bilgamma.quadrature import integrate_zero_to_inf, log_hyperint
 from bilgamma.models import (
     KAPPA_SINGLE,
     MARTINGALE,
@@ -150,8 +150,7 @@ def pdf_series_pairwise(rep, x: float) -> float:
     return total
 
 
-def stein_apply(model: LinearCombinationModel, f, x: float,
-                spec=DEFAULT_QUAD) -> float:
+def stein_apply(model: LinearCombinationModel, f, x: float) -> float:
     """Oracle A f(x) by adaptive quadrature of the two exponential-kernel
     integrals, independent of the package's closed forms and fixed rule."""
     lam, mu = model.lam, model.mu
@@ -163,8 +162,8 @@ def stein_apply(model: LinearCombinationModel, f, x: float,
     def neg(u):
         return float(f(x - u)) * float(np.sum(q * np.exp(-mu * u)))
 
-    return (-x * float(f(x)) + integrate_zero_to_inf(pos, spec)
-            - integrate_zero_to_inf(neg, spec))
+    return (-x * float(f(x)) + integrate_zero_to_inf(pos)
+            - integrate_zero_to_inf(neg))
 
 
 def block_cumulant_se(draws: np.ndarray, k: int, blocks: int = 50):

@@ -15,6 +15,7 @@ from bilgamma import (
     LinearCombinationModel,
     RandomStream,
     cli,
+    quadrature,
     sample_direct,
     sample_path,
 )
@@ -96,24 +97,6 @@ class TestPdfCommand:
         assert main([*argv, "3"]) == 3
         assert "SingularPointError" in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.parametrize("name", ["five_mixed", "pair_nonint"])
-    def test_budget_flags_reach_fourier_column_only(self, tmp_path, name):
-        # the series kernels integrate at DEFAULT_QUAD: a loose budget used
-        # to move the series column too, by up to 1.2e-7 relative
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(MODEL_GRID[name].to_json_obj()))
-        columns = {}
-        for tag, flags in (("default", []),
-                           ("loose", ["--abs-tol", "1e-3", "--rel-tol", "1e-2"])):
-            out = tmp_path / f"{tag}.csv"
-            assert main(["pdf", "--model", str(model), "--xmin", "-4.3",
-                         "--xmax", "3.7", "--points", "9", "--out", str(out),
-                         *flags]) == 0
-            _, rows = read_csv(out)
-            columns[tag] = [r[1] for r in rows], [r[2] for r in rows]
-        assert columns["loose"][1] == columns["default"][1]
-        assert columns["loose"][0] != columns["default"][0]
 
     def test_malformed_model_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -240,16 +223,19 @@ class TestSampleCommand:
         assert stdout.getvalue().encode("utf-8") == out.read_bytes()
 
     def test_peak_memory_one_copy_of_draws(self, model_file):
-        # 2**22 draws take 32 MiB: a second copy of them (np.concatenate
-        # with one stream) or a writer that holds a large block breaks the bound
-        tracemalloc.start()
-        try:
-            assert main(["sample", "--model", model_file, "--n", str(2 ** 22),
-                         "--seed", "1", "--out", os.devnull]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * 8 * 2 ** 22
+        # 2**22 draws take 32 MiB, on one stream or split over two: a second
+        # copy of them (np.concatenate of the streams' draws) or a writer
+        # that holds a large block breaks the bound
+        for streams in ("1", "2"):
+            tracemalloc.start()
+            try:
+                assert main(["sample", "--model", model_file,
+                             "--n", str(2 ** 22), "--seed", "1",
+                             "--streams", streams, "--out", os.devnull]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * 8 * 2 ** 22, streams
 
 
 class TestPinnedCsvOutput:
@@ -282,6 +268,42 @@ class TestPinnedCsvOutput:
         out = tmp_path / "out.csv"
         assert main([argv[0], "--model", str(model), *argv[1:],
                      "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestPinnedPriceOutput:
+    """SHA-256 of the JSON that ``price`` writes by the integral route, at
+    s0 = 1 and rate 0.05: the quadrature's calls must not change a byte.
+    ``auto`` on MARTINGALE takes the integral route and writes the same
+    report."""
+
+    @pytest.mark.parametrize("model, strike, maturity, method, digest", [
+        pytest.param(PRICING_GAMMA, 1.2, 1.0, "integral",
+                     "7e20da4a009bf4f444a9b058264b37f68c8d949e3590ca7bb7acd4eae025eb7c",
+                     id="gamma-T1"),
+        pytest.param(PRICING_GAMMA, 1.2, 2.0, "integral",
+                     "7d98a18cd58f14ac96ab8b72965f4c34bd2af41732ea7d4d94b9cc748794956f",
+                     id="gamma-T2"),
+        pytest.param(MARTINGALE, 1.0, 1.0, "integral",
+                     "3828ca6d344e2e692c943fb6a09f32073ee1e3b8e4fbe0af2cc98c48d9b758cb",
+                     id="martingale-T1"),
+        pytest.param(MARTINGALE, 1.0, 2.0, "integral",
+                     "0474aa3ea590501bff517324ffaffd3bb9fda9d5a1d194d6865f7c3e0d619f1a",
+                     id="martingale-T2"),
+        pytest.param(MARTINGALE, 1.0, 1.0, "auto",
+                     "3828ca6d344e2e692c943fb6a09f32073ee1e3b8e4fbe0af2cc98c48d9b758cb",
+                     id="martingale-auto-T1"),
+    ])
+    def test_json_digest(self, tmp_path, model, strike, maturity, method,
+                         digest):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(model.to_json_obj()))
+        pricing = tmp_path / "p.json"
+        pricing.write_text(json.dumps({"s0": 1.0, "strike": strike,
+                                       "rate": 0.05, "maturity": maturity}))
+        out = tmp_path / "price.json"
+        assert main(["price", "--model", str(model_file), "--pricing",
+                     str(pricing), "--method", method, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -555,14 +577,36 @@ class TestPriceCommand:
         assert code == 0
         assert json.loads(out.read_text())["price"] < 1e-8
 
-    def test_quadrature_failure_is_one_line(self, gamma_file, tmp_path, capsys):
+    @pytest.mark.parametrize("maturity", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("strike", [1.0, 1.1, 1.2, 1.5])
+    def test_integral_tolerance_holds(self, gamma_file, tmp_path, strike,
+                                      maturity):
+        # the integral route reports a fixed 1e-8; on PRICING_GAMMA it is
+        # at most 7.5e-11 from the series price (at T = 2)
+        pricing = tmp_path / "p.json"
+        pricing.write_text(json.dumps({"s0": 1.0, "strike": strike,
+                                       "rate": 0.05, "maturity": maturity}))
+        reports = {}
+        for method in ("integral", "series"):
+            out = tmp_path / f"{method}.json"
+            assert main(["price", "--model", gamma_file, "--pricing",
+                         str(pricing), "--method", method,
+                         "--out", str(out)]) == 0
+            reports[method] = json.loads(out.read_text())
+        integral = reports["integral"]
+        assert (abs(integral["price"] - reports["series"]["price"])
+                <= integral["tolerance_achieved"])
+
+    def test_quadrature_failure_is_one_line(self, gamma_file, tmp_path, capsys,
+                                            monkeypatch):
         # a QUADPACK failure exits 3 with one stderr line, not scipy's
         # table of per-cycle explanations
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
         pricing = tmp_path / "p.json"
         pricing.write_text(json.dumps(
             {"s0": 1.0, "strike": 1.2, "rate": 0.05, "maturity": 1.0}))
         code = main(["price", "--model", gamma_file, "--pricing", str(pricing),
-                     "--method", "integral", "--max-subdivisions", "1"])
+                     "--method", "integral"])
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -652,8 +696,6 @@ class TestCountArguments:
         ["sample", "--n", "10", "--seed", "5", "--streams", "0"],
         ["sample", "--n", "10", "--seed", "5", "--streams", "-2"],
         ["cp-sweep", "--n", "0", "--seed", "5"],
-        ["pdf", "--xmin", "-1", "--xmax", "1", "--max-subdivisions", "0"],
-        ["price", "--pricing", "p.json", "--max-subdivisions", "0"],
         # a negative seed exited 1 with numpy's traceback
         ["sample", "--n", "10", "--seed", "-1"],
         ["cp-sweep", "--n", "10", "--seed", "-1"],
@@ -676,9 +718,6 @@ class TestFiniteArguments:
         ["pdf", "--xmin", "-1", "--xmax", "inf", "--points", "3"],
         ["pdf", "--xmin=-inf", "--xmax", "1", "--points", "3"],
         ["cf", "--zmax", "nan", "--points", "3"],
-        # an infinite tolerance let QUADPACK stop at once: pdf_series read 0.0
-        ["pdf", "--xmin", "1", "--xmax", "1", "--points", "1", "--abs-tol", "inf"],
-        ["price", "--pricing", "p.json", "--rel-tol", "nan"],
         # a non-finite --tail-tol exited 3 with DomainError
         ["pdf", "--xmin", "1", "--xmax", "1", "--points", "1", "--tail-tol", "nan"],
         ["cf", "--points", "3", "--tail-tol", "inf"],

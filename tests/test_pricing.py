@@ -23,7 +23,7 @@ from bilgamma import (
 from bilgamma import pricing
 from bilgamma.models import MARTINGALE, PRICING_GAMMA
 from bilgamma.pricing import _tail_probability, negative_part_bound
-from bilgamma.quadrature import DEFAULT_QUAD, integrate_zero_to_inf
+from bilgamma.quadrature import integrate_zero_to_inf
 from conftest import single
 
 # shapes sum to 0.7 < 1: the cf is not absolutely integrable, so there is no
@@ -77,17 +77,17 @@ class TestTailProbability:
     def test_single_gamma_component(self, level):
         from scipy.special import gammaincc
         model = single(2.0, 1.5, 1e8, 1e-8)
-        got = _tail_probability(model.cf, level, DEFAULT_QUAD)
+        got = _tail_probability(model.cf, level)
         assert got == pytest.approx(gammaincc(1.5, 2.0 * level), abs=1e-10)
 
     def test_symmetric_half_at_origin(self, laplace_model):
-        assert _tail_probability(laplace_model.cf, 0.0, DEFAULT_QUAD) == \
+        assert _tail_probability(laplace_model.cf, 0.0) == \
             pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("level", [0.3, 1.0, 4.0])
     def test_symmetric_tails_complement(self, laplace_model, level):
-        lower = _tail_probability(laplace_model.cf, -level, DEFAULT_QUAD)
-        upper = _tail_probability(laplace_model.cf, level, DEFAULT_QUAD)
+        lower = _tail_probability(laplace_model.cf, -level)
+        upper = _tail_probability(laplace_model.cf, level)
         assert lower + upper == pytest.approx(1.0, abs=1e-12)
         assert upper == pytest.approx(0.5 * math.exp(-level), abs=1e-10)
 
@@ -104,7 +104,7 @@ class TestTailProbability:
         else:
             tail = 1.0 - integrate_zero_to_inf(
                 lambda t: rep.pdf_series(level - t))
-        got = _tail_probability(model_grid[name].cf, level, DEFAULT_QUAD)
+        got = _tail_probability(model_grid[name].cf, level)
         assert got == pytest.approx(tail, abs=1e-10)
 
     def test_cf_never_read_at_origin(self, monkeypatch):
@@ -112,11 +112,11 @@ class TestTailProbability:
         # at z = 0 is never needed: QUADPACK's nodes are interior
         nodes = []
 
-        def spy(cf, level, spec):
+        def spy(cf, level):
             def recorded(z):
                 nodes.append(z)
                 return cf(z)
-            return _tail_probability(recorded, level, spec)
+            return _tail_probability(recorded, level)
 
         monkeypatch.setattr(pricing, "_tail_probability", spy)
         for model in (MARTINGALE, PRICING_GAMMA):
@@ -319,6 +319,18 @@ class TestNegativePartGuard:
         gap = abs(price_call_integral(m, inputs)
                   - price_call_integral(positive_only, inputs))
         assert 0.0 < gap <= negative_part_bound(m, inputs)
+
+    @pytest.mark.parametrize("route, strike", [(price_call_gamma_series, 1.2),
+                                               (price_call_atm, 1.0)])
+    def test_tolerance_covers_accepted_negative_part(self, route, strike):
+        # negative shapes 1e-8 at rate 4: a bound of 9.0e-9, which the guard
+        # accepts.  The dropped part moves the price by 7.3e-9 (series) and
+        # 8.2e-9 (atm), while the geometric completion alone is 2.5e-10
+        model = LinearCombinationModel.from_components(
+            [(3.0, 1.1, 4.0, 1e-8, 1.0, 1.0), (4.0, 0.9, 4.0, 1e-8, 1.0, 1.0)])
+        inputs = base_inputs(strike=strike)
+        price, tolerance = route(model, inputs)
+        assert abs(price - price_call_integral(model, inputs)) <= tolerance
 
     @pytest.mark.parametrize("route", [price_call_atm,
                                        price_call_gamma_series])

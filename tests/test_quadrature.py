@@ -11,13 +11,12 @@ import bilgamma.combo
 from bilgamma import (
     DomainError,
     NonConvergenceError,
-    QuadratureSpec,
     integrate_zero_to_inf,
+    quadrature,
 )
 from bilgamma.combo import log_hyperint_rows
 from bilgamma.models import MODEL_GRID
 from bilgamma.quadrature import (
-    DEFAULT_QUAD,
     fourier_density,
     log_hyperint,
     oscillatory_integral,
@@ -28,22 +27,6 @@ def hyperint_F(a, b, x):
     # the second-kind confluent hypergeometric F(a, b, x) = U(a, b, x), the
     # integral I(a, b, x) of log_hyperint over Gamma(a)
     return math.exp(log_hyperint(a, b, x) - math.lgamma(a))
-
-
-class TestQuadratureSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.abs_tol == 1e-10
-        assert spec.rel_tol == 1e-10
-        assert spec.max_subdivisions == 2000
-
-    @pytest.mark.parametrize("kwargs", [
-        {"abs_tol": 0.0}, {"abs_tol": -1e-3}, {"rel_tol": 0.0},
-        {"max_subdivisions": 0}, {"abs_tol": math.inf}, {"rel_tol": math.nan},
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureSpec(**kwargs)
 
 
 class TestIntegrateEngine:
@@ -70,22 +53,23 @@ class TestIntegrateEngine:
         f = lambda x: math.exp(-x) * math.cos(3.0 * x)
         assert integrate_zero_to_inf(f) == integrate_zero_to_inf(f)
 
-    def test_nonconvergence_raises(self):
-        # sin is not integrable on (0, inf); the subdivision budget runs out.
+    def test_nonconvergence_raises(self, monkeypatch):
+        # sin is not integrable on (0, inf); the subdivision limit runs out.
         # The message is one line naming the rule, the interval and the
         # reason, not scipy's six-line advice
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 50)
         with pytest.raises(NonConvergenceError) as err:
-            integrate_zero_to_inf(math.sin, QuadratureSpec(max_subdivisions=50))
+            integrate_zero_to_inf(math.sin)
         assert str(err.value) == (
             "QAGS quadrature failed on [0.0, 1.0]: The maximum number of "
             "subdivisions (50) has been achieved.")
 
-    def test_oscillatory_nonconvergence_names_the_cycle(self):
+    def test_oscillatory_nonconvergence_names_the_cycle(self, monkeypatch):
         # QAWF's reason is the first failing cycle's explanation, not
         # scipy's table of all five explanations
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
         with pytest.raises(NonConvergenceError) as err:
-            MODEL_GRID["pair_nonint"].pdf_fourier(
-                0.5, QuadratureSpec(max_subdivisions=1))
+            MODEL_GRID["pair_nonint"].pdf_fourier(0.5)
         assert str(err.value) == (
             "oscillatory quadrature (QAWF, cos part) failed on [0.0, inf) at "
             "x=0.5: cycle 1: The maximum number of subdivisions (= limit) has "
@@ -306,7 +290,7 @@ class TestLogHyperintRows:
             next(log_hyperint_rows(1.0, 2.0, x, 3, 3))
 
 
-def two_pass_integral(g, x, lower, spec=DEFAULT_QUAD, nodes=None):
+def two_pass_integral(g, x, lower, nodes=None):
     """int_lower^inf Re(e^(-ixz) g(z)) dz as two QAWF passes that each call
     ``g`` at every node they visit, recording the nodes in ``nodes``."""
     def at(z):
@@ -315,8 +299,8 @@ def two_pass_integral(g, x, lower, spec=DEFAULT_QUAD, nodes=None):
         return g(z)
 
     return sum(quad(part, lower, np.inf, weight=weight, wvar=x,
-                    epsabs=spec.abs_tol, limlst=150,
-                    limit=spec.max_subdivisions)[0]
+                    epsabs=quadrature._ABS_TOL, limlst=150,
+                    limit=quadrature._MAX_SUBDIVISIONS)[0]
                for part, weight in ((lambda z: at(z).real, "cos"),
                                     (lambda z: at(z).imag, "sin")))
 
@@ -331,7 +315,7 @@ class TestOscillatoryIntegral:
             calls.append(z)
             return g(z)
 
-        got = oscillatory_integral(counted, x, lower, DEFAULT_QUAD)
+        got = oscillatory_integral(counted, x, lower)
         ref = two_pass_integral(g, x, lower, nodes=visited)
         assert len(calls) == len(set(calls))
         assert set(calls) == set(visited)
@@ -344,7 +328,7 @@ class TestOscillatoryIntegral:
         # QUADPACK's Fourier rule does not return from a non-finite wvar
         g = MODEL_GRID["five_mixed"].cf
         with pytest.raises(DomainError):
-            oscillatory_integral(g, x, 0.0, DEFAULT_QUAD)
+            oscillatory_integral(g, x, 0.0)
         with pytest.raises(DomainError):
             fourier_density(g, x)
 
