@@ -696,6 +696,8 @@ class TestCountArguments:
         ["sample", "--n", "10", "--seed", "5", "--streams", "0"],
         ["sample", "--n", "10", "--seed", "5", "--streams", "-2"],
         ["cp-sweep", "--n", "0", "--seed", "5"],
+        ["cf", "--points", "0"],
+        ["sample", "--n", "-5", "--seed", "5"],
         # a negative seed exited 1 with numpy's traceback
         ["sample", "--n", "10", "--seed", "-1"],
         ["cp-sweep", "--n", "10", "--seed", "-1"],
@@ -718,6 +720,8 @@ class TestFiniteArguments:
         ["pdf", "--xmin", "-1", "--xmax", "inf", "--points", "3"],
         ["pdf", "--xmin=-inf", "--xmax", "1", "--points", "3"],
         ["cf", "--zmax", "nan", "--points", "3"],
+        ["cf", "--zmax", "inf", "--points", "3"],
+        ["bounds", "--sigma", "nan"],
         # a non-finite --tail-tol exited 3 with DomainError
         ["pdf", "--xmin", "1", "--xmax", "1", "--points", "1", "--tail-tol", "nan"],
         ["cf", "--points", "3", "--tail-tol", "inf"],
