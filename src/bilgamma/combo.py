@@ -54,7 +54,9 @@ _FIELDS = ("alpha", "p", "beta", "q", "w1", "w2")
 # arguments that ``LinearCombinationModel.cf`` evaluates by its cmath loop
 _REAL_SCALARS = (float, int, np.floating, np.integer)
 
-_MOMENT_TAIL_TOL = 1e-6  # largest share of a moment its tail completion may give
+# largest share of a moment its tail completion may give, and the largest
+# pmf mass a side may drop and still be sampled (sampling.sample_mixture)
+_MOMENT_TAIL_TOL = 1e-6
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 

@@ -27,7 +27,8 @@ import numpy as np
 from .combo import LinearCombinationModel, _completed_series, build_mixture
 from .errors import DomainError, NonFiniteResultError, SeriesDivergenceError
 from .quadrature import _quad, oscillatory_integral
-from .sampling import sample_direct
+from .sampling import _check_count, _direct_mean
+from .sampling import sample_direct  # noqa: F401  (perfbench/spans.py wraps it here)
 
 __all__ = [
     "PricingInputs",
@@ -227,26 +228,28 @@ def price_call_monte_carlo(model: LinearCombinationModel,
     the time-t' law; raises NonFiniteResultError if the payoff's mean or
     variance overflows.
 
-    The payoff and the variance are computed in place on the draws, by the
-    same steps and roundings as ``payoff.mean()`` and ``payoff.std(ddof=1)``,
-    so memory is the draws plus the sampler's fixed buffer."""
-    if n < 2:
-        raise DomainError("a Monte Carlo standard error needs n >= 2 draws")
-    payoff = sample_direct(model.scaled(inputs.t_remaining), n, rng)
+    The payoff is taken in place on 2^16 draws at a time, so memory is
+    O(2^16) at any n.  Up to 2^16 draws the result is bit-identical to
+    ``payoff.mean()``, ``payoff.std(ddof=1) / sqrt(n)`` of one payoff
+    array; above that a seed gives other, equally distributed, draws."""
+    _check_count(n, 2, "a Monte Carlo standard error")
+    discount = math.exp(-inputs.rate * inputs.maturity)
+
+    def payoff(x: np.ndarray) -> np.ndarray:
+        np.exp(x, out=x)
+        x *= inputs.spot_at_t
+        x -= inputs.strike
+        np.maximum(x, 0.0, out=x)
+        x *= discount
+        return x
+
     with np.errstate(over="ignore", invalid="ignore"):
-        np.exp(payoff, out=payoff)
-        payoff *= inputs.spot_at_t
-        payoff -= inputs.strike
-        np.maximum(payoff, 0.0, out=payoff)
-        payoff *= math.exp(-inputs.rate * inputs.maturity)
-        price = float(payoff.mean())
-        if not math.isfinite(price):
-            raise NonFiniteResultError(
-                f"Monte Carlo payoff mean is {price} (spot * e^X overflows)")
-        payoff -= price
-        np.square(payoff, out=payoff)
-        variance = float(payoff.sum()) / (n - 1)
-    if not math.isfinite(variance):
+        price, se = _direct_mean(model.scaled(inputs.t_remaining), n, rng,
+                                 payoff)
+    if not math.isfinite(price):
         raise NonFiniteResultError(
-            f"Monte Carlo payoff variance is {variance} (its squares overflow)")
-    return price, math.sqrt(variance) / math.sqrt(n)
+            f"Monte Carlo payoff mean is {price} (spot * e^X overflows)")
+    if not math.isfinite(se):
+        raise NonFiniteResultError(
+            f"Monte Carlo payoff variance overflows (standard error {se})")
+    return price, se

@@ -1,7 +1,8 @@
 """Random-variate generation with reproducible stream semantics.
 
-Every sampler takes a RandomStream (anything else raises DomainError);
-identical (seed, stream_id) pairs reproduce identical draws.  The direct, path and compound-Poisson samplers
+Every sampler takes a RandomStream (anything else raises DomainError) and
+an integer count (see _check_count); identical (seed, stream_id) pairs
+reproduce identical draws.  The direct, path and compound-Poisson samplers
 share one kernel, ``_gamma_sums``, which draws the combination's Levy
 process at time t: by gamma additivity that is the combination with every
 shape scaled by t.  Gamma variates come from numpy's exact rejection
@@ -12,16 +13,23 @@ side's n variates one after another), so the generator consumes its bits
 as an unchunked draw would and a seed reproduces earlier releases' draws
 bit for bit.  Parallel Monte Carlo splits work by stream_id, so results
 depend on the stream layout but never on the worker count.
+
+The Monte Carlo estimators reduce _CHUNK draws at a time (``_direct_mean``)
+in O(_CHUNK) memory at any n.  Up to _CHUNK draws their values are
+bit-identical to the one-array mean and ``std(ddof=1) / sqrt(n)``; above
+that a seed gives other, equally distributed, draws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
+from typing import Callable
 
 import numpy as np
 
-from .combo import LinearCombinationModel, MixtureRepresentation
-from .errors import DomainError, GridError
+from .combo import _MOMENT_TAIL_TOL, LinearCombinationModel, MixtureRepresentation
+from .errors import DomainError, GridError, TruncationFailureError
 
 __all__ = [
     "RandomStream",
@@ -57,6 +65,14 @@ def _as_generator(rng) -> np.random.Generator:
     raise DomainError(f"expected a RandomStream, got {type(rng)!r}")
 
 
+def _check_count(n, least: int, what: str) -> None:
+    """Raise DomainError unless n is a Python or numpy integer >= least."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"{what} needs an integer n, got {n!r}")
+    if n < least:
+        raise DomainError(f"{what} needs n >= {least}, got {n}")
+
+
 _CHUNK = 2 ** 16  # gamma variates held in _gamma_sums' buffer at a time
 
 
@@ -89,22 +105,58 @@ def _gamma_sums(model: LinearCombinationModel, time, n: int,
 
 def sample_direct(model: LinearCombinationModel, n: int, rng) -> np.ndarray:
     """n i.i.d. draws of sum_j (w1_j X_j - w2_j Y_j), 2n gamma variates each."""
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
+    _check_count(n, 1, "a sample")
     return _gamma_sums(model, 1.0, n, _as_generator(rng))
+
+
+def _direct_mean(model: LinearCombinationModel, n: int, rng,
+                 values: Callable[[np.ndarray], np.ndarray]
+                 ) -> tuple[float, float]:
+    """Mean of ``values`` over n >= 2 direct draws, and its standard error.
+
+    One generator yields _CHUNK draws at a time through _gamma_sums,
+    ``values`` maps each chunk (it may overwrite it), and the chunk's mean
+    and centred sum of squares merge into the running ones by the pairwise
+    update of Chan, Golub & LeVeque (1983).  The first chunk sets them, so
+    one chunk gives ``v.mean()``, ``v.std(ddof=1) / sqrt(n)`` bit for bit
+    (and no inf * 0).  An overflow shows as a result that is not finite."""
+    gen = _as_generator(rng)
+
+    def moments(k: int) -> tuple[float, float]:
+        vals = values(_gamma_sums(model, 1.0, k, gen))
+        mean = float(vals.mean())
+        vals -= mean
+        return mean, float(np.square(vals, out=vals).sum())
+
+    count = min(n, _CHUNK)
+    mean, m2 = moments(count)
+    while count < n:
+        k = min(_CHUNK, n - count)
+        chunk_mean, chunk_m2 = moments(k)
+        total = count + k
+        delta = chunk_mean - mean
+        mean += delta * k / total
+        m2 += chunk_m2 + delta * delta * count * k / total
+        count = total
+    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
 def sample_mixture(rep: MixtureRepresentation, n: int, rng) -> np.ndarray:
     """n i.i.d. draws through the randomised-shape route: draw the shape
     indices from the truncated pmfs, then Ga(eta, p+L) - Ga(xi, q+M).
 
-    Residual pmf mass (at most the rep's tail_tol) is assigned to the
-    largest retained support point, keeping a proper distribution.
+    Residual pmf mass is assigned to the largest retained support point,
+    keeping a proper distribution; a side dropping more than
+    _MOMENT_TAIL_TOL raises TruncationFailureError instead.
     """
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
-    gen = _as_generator(rng)
+    _check_count(n, 1, "a sample")
     sides = (rep.pos, rep.neg)
+    for name, side in zip(("positive", "negative"), sides):
+        if (dropped := 1.0 - side.pmf.sum()) > _MOMENT_TAIL_TOL:
+            raise TruncationFailureError(
+                f"the {name} pmf drops mass {dropped:.3g} > {_MOMENT_TAIL_TOL:g}"
+                "; rebuild the mixture with a smaller tail_tol")
+    gen = _as_generator(rng)
     indices = []
     for side in sides:
         pmf = side.pmf.copy()
@@ -134,8 +186,7 @@ def sample_compound_poisson(model: LinearCombinationModel, m: int, n: int,
     at 0.  m runs from 1 to 2**53, the integers a double holds exactly.
     """
     _check_cp_order(m)
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
+    _check_count(n, 1, "a sample")
     gen = _as_generator(rng)
     return _gamma_sums(model, gen.poisson(m, n) / m, n, gen)
 

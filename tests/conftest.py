@@ -175,3 +175,15 @@ def block_cumulant_se(draws: np.ndarray, k: int, blocks: int = 50):
     parts = draws[:usable].reshape(blocks, -1)
     stats = np.array([kstat(row, k) for row in parts])
     return float(stats.mean()), float(stats.std(ddof=1) / np.sqrt(blocks))
+
+
+def chunked_direct_draws(model: LinearCombinationModel, n: int,
+                         stream) -> np.ndarray:
+    """The n direct draws the Monte Carlo estimators reduce: _CHUNK at a
+    time from one generator, concatenated (one array, for the oracle)."""
+    from bilgamma import sampling
+
+    gen = stream.generator()
+    return np.concatenate([
+        sampling._gamma_sums(model, 1.0, min(sampling._CHUNK, n - lo), gen)
+        for lo in range(0, n, sampling._CHUNK)])

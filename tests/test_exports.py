@@ -55,7 +55,10 @@ def test_no_unused_imports(module):
     mod = importlib.import_module(f"bilgamma.{module}")
     imported, read = _imported_and_read(
         ast.parse(Path(mod.__file__).read_text(encoding="utf-8")))
-    assert sorted(imported - read - set(getattr(mod, "__all__", ()))) == []
+    # the tracer looks these names up in this module: they must stay bound
+    traced = {t[1] for t in spans.TARGETS if t[0] == f"bilgamma.{module}"}
+    assert sorted(imported - read - set(getattr(mod, "__all__", ()))
+                  - traced) == []
 
 
 def _private_definitions(tree: ast.Module) -> set:

@@ -24,7 +24,7 @@ from bilgamma import pricing
 from bilgamma.models import MARTINGALE, PRICING_GAMMA
 from bilgamma.pricing import _tail_probability, negative_part_bound
 from bilgamma.quadrature import integrate_zero_to_inf
-from conftest import single
+from conftest import chunked_direct_draws, single
 
 # shapes sum to 0.7 < 1: the cf is not absolutely integrable, so there is no
 # pointwise Fourier density, but the Gil-Pelaez tails still converge
@@ -204,37 +204,66 @@ class TestMonteCarloPrice:
                                         1000, RandomStream(19, 6))
         assert repr(result) == pinned
 
-    def test_memory_is_one_array(self):
-        # the draws (8n bytes) plus the sampler's fixed buffer
-        n = 1_000_000
+    @pytest.mark.parametrize("n", [2, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5])
+    def test_chunked_mean_is_one_array_mean(self, n):
+        # the merged chunk moments equal payoff.mean() and
+        # payoff.std(ddof=1) / sqrt(n) over the same draws in one array
+        inputs = base_inputs(strike=1.0)
+        x = chunked_direct_draws(MARTINGALE.scaled(inputs.t_remaining), n,
+                                 RandomStream(8, 1))
+        payoff = np.maximum(np.exp(x) - 1.0, 0.0) * math.exp(-0.05)
+        price, se = price_call_monte_carlo(MARTINGALE, inputs, n,
+                                           RandomStream(8, 1))
+        assert price == pytest.approx(payoff.mean(), rel=1e-13, abs=0.0)
+        assert se == pytest.approx(payoff.std(ddof=1) / math.sqrt(n),
+                                   rel=1e-13, abs=0.0)
+
+    def test_memory_does_not_grow_with_n(self):
+        # two 2^16 buffers and the chunk's payoff: 31 MB held 4e6 draws
         tracemalloc.start()
         try:
-            price_call_monte_carlo(MARTINGALE, base_inputs(), n, RandomStream(3))
+            price_call_monte_carlo(MARTINGALE, base_inputs(), 4_000_000,
+                                   RandomStream(3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n + 2_000_000
+        assert peak < 3 * 2 ** 20
 
     def test_overflow_is_typed(self):
-        # spot * e^X overflows at maturity 2000
+        # spot * e^X overflows at maturity 2000, in one chunk or several
         inputs = base_inputs(strike=1.1, maturity=2000.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteResultError, match="mean"):
-                price_call_monte_carlo(PRICING_GAMMA, inputs, 1000,
-                                       RandomStream(1))
+        for n in (1000, 3 * 2 ** 16):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteResultError, match="mean"):
+                    price_call_monte_carlo(PRICING_GAMMA, inputs, n,
+                                           RandomStream(1))
 
     def test_variance_overflow_is_typed(self):
         # payoffs near 1e155 have a finite mean but squares past a double
         inputs = base_inputs(s0=1e155, strike=1e155)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteResultError, match="variance"):
-                price_call_monte_carlo(MARTINGALE, inputs, 1000, RandomStream(1))
+        for n in (1000, 3 * 2 ** 16):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteResultError, match="variance"):
+                    price_call_monte_carlo(MARTINGALE, inputs, n,
+                                           RandomStream(1))
 
     def test_needs_two_draws(self):
         with pytest.raises(DomainError, match="n >= 2"):
             price_call_monte_carlo(MARTINGALE, base_inputs(), 1, RandomStream(1))
+
+    @pytest.mark.parametrize("n", [1e4, 2.5, True])
+    def test_count_must_be_an_integer(self, n):
+        # numpy raised a bare TypeError for 1e4
+        with pytest.raises(DomainError, match="integer n"):
+            price_call_monte_carlo(MARTINGALE, base_inputs(), n, RandomStream(1))
+
+    def test_numpy_integer_count(self):
+        assert price_call_monte_carlo(
+            MARTINGALE, base_inputs(), np.int64(1000), RandomStream(19, 6)
+        ) == price_call_monte_carlo(MARTINGALE, base_inputs(), 1000,
+                                    RandomStream(19, 6))
 
 
 class TestGammaSeriesPrice:

@@ -8,7 +8,9 @@ import pytest
 from bilgamma import (
     DomainError,
     GridError,
+    LinearCombinationModel,
     RandomStream,
+    TruncationFailureError,
     build_mixture,
     empirical_kolmogorov,
     sample_compound_poisson,
@@ -63,6 +65,35 @@ class TestDirectSampler:
             sample_direct(pair_nonint, 0, RandomStream(1))
 
 
+def _samplers(model):
+    rep = build_mixture(model, tail_tol=1e-10)
+    return {"direct": lambda n, rng: sample_direct(model, n, rng),
+            "mixture": lambda n, rng: sample_mixture(rep, n, rng),
+            "compound_poisson":
+                lambda n, rng: sample_compound_poisson(model, 2, n, rng)}
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize("sampler", ["direct", "mixture", "compound_poisson"])
+    @pytest.mark.parametrize("n", [2.5, 10.0, True, "10", None])
+    def test_not_an_integer(self, pair_integer, sampler, n):
+        # each raised a bare TypeError (from numpy, or from `n < 1`)
+        with pytest.raises(DomainError, match="integer n"):
+            _samplers(pair_integer)[sampler](n, RandomStream(1))
+
+    @pytest.mark.parametrize("sampler", ["direct", "mixture", "compound_poisson"])
+    @pytest.mark.parametrize("n", [0, -3, np.int64(0)])
+    def test_below_one(self, pair_integer, sampler, n):
+        with pytest.raises(DomainError, match="n >= 1"):
+            _samplers(pair_integer)[sampler](n, RandomStream(1))
+
+    @pytest.mark.parametrize("sampler", ["direct", "mixture", "compound_poisson"])
+    def test_numpy_integer(self, pair_integer, sampler):
+        draw = _samplers(pair_integer)[sampler]
+        assert (draw(np.uint16(50), RandomStream(3)).tobytes()
+                == draw(50, RandomStream(3)).tobytes())
+
+
 class TestMixtureSampler:
     def test_agrees_with_direct(self, pair_integer):
         rep = build_mixture(pair_integer, tail_tol=1e-10)
@@ -78,6 +109,17 @@ class TestMixtureSampler:
         a = sample_direct(model, n, RandomStream(33, 0))
         b = sample_mixture(rep, n, RandomStream(33, 1))
         assert empirical_kolmogorov(a, b) < KS_CRIT_001 * math.sqrt(2.0 / n)
+
+    def test_badly_truncated_mixture_refused(self):
+        # at tail_tol 0.3 the positive pmf drops 29% of its mass; put on
+        # the last support point it gave a mean of -0.166 (SE 0.0015)
+        # against the model's 0.0833 over 200 000 draws
+        model = LinearCombinationModel.from_components(
+            [(1, 0.5, 3, 1, 1, 1), (2, 0.5, 3, 1, 1, 1)])
+        rep = build_mixture(model, tail_tol=0.3)
+        with pytest.raises(TruncationFailureError,
+                           match=r"positive pmf drops mass 0\.293 > 1e-06"):
+            sample_mixture(rep, 200_000, RandomStream(1))
 
     def test_determinism(self, pair_integer):
         rep = build_mixture(pair_integer, tail_tol=1e-10)

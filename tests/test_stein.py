@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -28,7 +29,7 @@ from bilgamma.stein import (
     d3_bg_terms,
     stein_apply_batch,
 )
-from conftest import KS_CRIT_001, single, stein_apply
+from conftest import KS_CRIT_001, chunked_direct_draws, single, stein_apply
 
 
 def sin_operator_closed_form(model, x):
@@ -79,6 +80,48 @@ class TestSteinOperator:
         est, se = stein_identity_check(pair_integer, one, 100_000,
                                        RandomStream(72))
         assert abs(est) <= 4.0 * se
+
+    def test_identity_pinned_below_one_chunk(self):
+        # up to 2^16 draws the check reduces one array, bit for bit as the
+        # releases that concatenated A f over all draws did
+        result = stein_identity_check(MODEL_GRID["five_mixed"], SIN_W3,
+                                      50_000, RandomStream(23))
+        assert repr(result) == "(0.004492484287895547, 0.004447625105867624)"
+
+    @pytest.mark.parametrize("n", [10_000, 2 ** 16, 2 ** 16 + 1,
+                                   3 * 2 ** 16 + 5])
+    def test_chunked_mean_is_one_array_mean(self, pair_nonint, n):
+        # the merged chunk moments equal vals.mean() and
+        # vals.std(ddof=1) / sqrt(n) over the same draws in one array
+        vals = stein_apply_batch(pair_nonint, SIN_W3, chunked_direct_draws(
+            pair_nonint, n, RandomStream(9, 2)))
+        est, se = stein_identity_check(pair_nonint, SIN_W3, n,
+                                       RandomStream(9, 2))
+        assert est == pytest.approx(vals.mean(), rel=1e-13, abs=0.0)
+        assert se == pytest.approx(vals.std(ddof=1) / math.sqrt(n),
+                                   rel=1e-13, abs=0.0)
+
+    def test_identity_memory_does_not_grow_with_n(self):
+        # the draws and A f of one 2^16 chunk: 30.5 MB held 1e6 values
+        tracemalloc.start()
+        try:
+            stein_identity_check(MODEL_GRID["five_mixed"], SIN_W3, 1_000_000,
+                                 RandomStream(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("n", [2e4, True, None])
+    def test_count_must_be_an_integer(self, pair_nonint, n):
+        # numpy raised a bare TypeError for 2e4
+        with pytest.raises(DomainError, match="integer n"):
+            stein_identity_check(pair_nonint, SIN_W3, n, RandomStream(1))
+
+    def test_too_few_draws(self, pair_nonint):
+        with pytest.raises(DomainError, match="n >= 10000"):
+            stein_identity_check(pair_nonint, SIN_W3, np.int32(9_999),
+                                 RandomStream(1))
 
     def test_shipped_functions_vectorised(self):
         xs = np.linspace(-3, 3, 7)
@@ -159,7 +202,7 @@ class TestClosedFormKernels:
     def test_plain_callable_rejected(self, pair_nonint, monkeypatch):
         def no_draws(*args):
             raise AssertionError("sampled before checking the function")
-        monkeypatch.setattr("bilgamma.stein.sample_direct", no_draws)
+        monkeypatch.setattr("bilgamma.sampling._gamma_sums", no_draws)
         for f in (np.sin, lambda x: x):
             with pytest.raises(DomainError, match="TestFunction"):
                 stein_apply_batch(pair_nonint, f, np.zeros(3))
