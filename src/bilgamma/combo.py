@@ -54,9 +54,7 @@ _FIELDS = ("alpha", "p", "beta", "q", "w1", "w2")
 # arguments that ``LinearCombinationModel.cf`` evaluates by its cmath loop
 _REAL_SCALARS = (float, int, np.floating, np.integer)
 
-# largest share of a moment its tail completion may give, and the largest
-# pmf mass a side may drop and still be sampled (sampling.sample_mixture)
-_MOMENT_TAIL_TOL = 1e-6
+_TAIL_MASS_TOL = 1e-6  # largest tail share a moment or a sampled pmf may lose
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -560,7 +558,7 @@ class GammaMixture:
         theta_max * (n + shape + r)/(n + shape), so the remainder past the
         last retained index is completed geometrically from the last term;
         a one-term pmf has none, so theta_max > 0 and 1 - P(0) above
-        _MOMENT_TAIL_TOL is an error.
+        _TAIL_MASS_TOL is an error.
         """
         from scipy import special as sp
 
@@ -572,7 +570,7 @@ class GammaMixture:
         rho = np.zeros(k + 1)
         if self.theta_max > 0.0 and len(a) > 1:
             rho = self.theta_max * (a[-1] + rr) / a[-1]
-        elif self.theta_max > 0.0 and 1.0 - self.pmf[0] > _MOMENT_TAIL_TOL:
+        elif self.theta_max > 0.0 and 1.0 - self.pmf[0] > _TAIL_MASS_TOL:
             raise TruncationFailureError(
                 f"factorial series of a one-term pmf drops mass {1.0 - self.pmf[0]:.3g}"
                 f"; rebuild the mixture with a smaller tail_tol")
@@ -632,7 +630,7 @@ class MixtureRepresentation:
 
         with (y)_r the ascending factorial.  Each inner series is the
         truncated sum plus its geometric tail completion; when the
-        completed share exceeds _MOMENT_TAIL_TOL relative to the result the
+        completed share exceeds _TAIL_MASS_TOL relative to the result the
         pmf is too shallow for this order and the call fails rather than
         report a value dominated by extrapolation.  A sum that overflows
         a double raises NonFiniteResultError.
@@ -657,10 +655,10 @@ class MixtureRepresentation:
                                  + pos_vals[k - j] * neg_ext[j])
         if not math.isfinite(total):
             raise NonFiniteResultError(f"moment({k}) overflows a double")
-        if extrapolated > _MOMENT_TAIL_TOL * max(1.0, scale):
+        if extrapolated > _TAIL_MASS_TOL * max(1.0, scale):
             raise TruncationFailureError(
                 f"moment({k}) extrapolated tail {extrapolated:.3g} exceeds "
-                f"tolerance {_MOMENT_TAIL_TOL:g}; rebuild the mixture with a "
+                f"tolerance {_TAIL_MASS_TOL:g}; rebuild the mixture with a "
                 f"smaller tail_tol")
         return float(total)
 

@@ -27,8 +27,7 @@ import numpy as np
 from .combo import LinearCombinationModel, _completed_series, build_mixture
 from .errors import DomainError, NonFiniteResultError, SeriesDivergenceError
 from .quadrature import _quad, oscillatory_integral
-from .sampling import _check_count, _direct_mean
-from .sampling import sample_direct  # noqa: F401  (perfbench/spans.py wraps it here)
+from .sampling import _check_count, _direct_mean, sample_direct
 
 __all__ = [
     "PricingInputs",
@@ -244,7 +243,8 @@ def price_call_monte_carlo(model: LinearCombinationModel,
         return x
 
     with np.errstate(over="ignore", invalid="ignore"):
-        price, se = _direct_mean(model.scaled(inputs.t_remaining), n, rng,
+        price, se = _direct_mean(sample_direct,
+                                 model.scaled(inputs.t_remaining), n, rng,
                                  payoff)
     if not math.isfinite(price):
         raise NonFiniteResultError(

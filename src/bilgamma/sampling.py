@@ -1,21 +1,23 @@
 """Random-variate generation with reproducible stream semantics.
 
-Every sampler takes a RandomStream (anything else raises DomainError) and
-an integer count (see _check_count); identical (seed, stream_id) pairs
-reproduce identical draws.  The direct, path and compound-Poisson samplers
-share one kernel, ``_gamma_sums``, which draws the combination's Levy
-process at time t: by gamma additivity that is the combination with every
-shape scaled by t.  Gamma variates come from numpy's exact rejection
-samplers (valid for shapes below 1 as well).  Besides the n-array it
-returns, the kernel holds one buffer of at most _CHUNK variates, scaled and
-summed in place.  Chunking keeps the component-major draw order (each
-side's n variates one after another), so the generator consumes its bits
-as an unchunked draw would and a seed reproduces earlier releases' draws
-bit for bit.  Parallel Monte Carlo splits work by stream_id, so results
-depend on the stream layout but never on the worker count.
+Every sampler takes a RandomStream (anything else raises DomainError,
+except the package's own _Resumed generator) and an integer count (see
+_check_count); identical (seed, stream_id) pairs reproduce identical
+draws.  The direct, path and compound-Poisson samplers share one kernel,
+``_gamma_sums``, which draws the combination's Levy process at time t: by
+gamma additivity that is the combination with every shape scaled by t.
+Gamma variates come from numpy's exact rejection samplers (valid for
+shapes below 1 as well).  Besides the n-array it returns, the kernel holds
+one buffer of at most _CHUNK variates, scaled and summed in place.
+Chunking keeps the component-major draw order (each side's n variates one
+after another), so the generator consumes its bits as an unchunked draw
+would and a seed reproduces earlier releases' draws bit for bit.  Parallel
+Monte Carlo splits work by stream_id, so results depend on the stream
+layout but never on the worker count.
 
-The Monte Carlo estimators reduce _CHUNK draws at a time (``_direct_mean``)
-in O(_CHUNK) memory at any n.  Up to _CHUNK draws their values are
+The Monte Carlo estimators reduce _CHUNK draws at a time (``_direct_mean``,
+each chunk one ``sample_direct`` call on a _Resumed generator) in
+O(_CHUNK) memory at any n.  Up to _CHUNK draws their values are
 bit-identical to the one-array mean and ``std(ddof=1) / sqrt(n)``; above
 that a seed gives other, equally distributed, draws.
 """
@@ -28,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .combo import _MOMENT_TAIL_TOL, LinearCombinationModel, MixtureRepresentation
+from .combo import _TAIL_MASS_TOL, LinearCombinationModel, MixtureRepresentation
 from .errors import DomainError, GridError, TruncationFailureError
 
 __all__ = [
@@ -59,9 +61,19 @@ class RandomStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
+class _Resumed:
+    """A live generator in a RandomStream's place: each sampler call
+    continues it where the last one stopped."""
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen = gen
+
+
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RandomStream):
         return rng.generator()
+    if isinstance(rng, _Resumed):
+        return rng.gen
     raise DomainError(f"expected a RandomStream, got {type(rng)!r}")
 
 
@@ -109,21 +121,24 @@ def sample_direct(model: LinearCombinationModel, n: int, rng) -> np.ndarray:
     return _gamma_sums(model, 1.0, n, _as_generator(rng))
 
 
-def _direct_mean(model: LinearCombinationModel, n: int, rng,
-                 values: Callable[[np.ndarray], np.ndarray]
+def _direct_mean(sample: Callable, model: LinearCombinationModel, n: int,
+                 rng, values: Callable[[np.ndarray], np.ndarray]
                  ) -> tuple[float, float]:
     """Mean of ``values`` over n >= 2 direct draws, and its standard error.
 
-    One generator yields _CHUNK draws at a time through _gamma_sums,
-    ``values`` maps each chunk (it may overwrite it), and the chunk's mean
-    and centred sum of squares merge into the running ones by the pairwise
-    update of Chan, Golub & LeVeque (1983).  The first chunk sets them, so
-    one chunk gives ``v.mean()``, ``v.std(ddof=1) / sqrt(n)`` bit for bit
-    (and no inf * 0).  An overflow shows as a result that is not finite."""
-    gen = _as_generator(rng)
+    ``sample`` is the caller's ``sample_direct``, called for _CHUNK draws
+    at a time on one _Resumed generator from ``rng`` (so each chunk's
+    draws pass through the name the caller imports, where perfbench's
+    tracer counts them).  ``values`` maps each chunk (it may overwrite
+    it), and the chunk's mean and centred sum of squares merge into the
+    running ones by the pairwise update of Chan, Golub & LeVeque (1983).
+    The first chunk sets them, so one chunk gives ``v.mean()``,
+    ``v.std(ddof=1) / sqrt(n)`` bit for bit (and no inf * 0).  An
+    overflow shows as a result that is not finite."""
+    stream = _Resumed(_as_generator(rng))
 
     def moments(k: int) -> tuple[float, float]:
-        vals = values(_gamma_sums(model, 1.0, k, gen))
+        vals = values(sample(model, k, stream))
         mean = float(vals.mean())
         vals -= mean
         return mean, float(np.square(vals, out=vals).sum())
@@ -147,14 +162,14 @@ def sample_mixture(rep: MixtureRepresentation, n: int, rng) -> np.ndarray:
 
     Residual pmf mass is assigned to the largest retained support point,
     keeping a proper distribution; a side dropping more than
-    _MOMENT_TAIL_TOL raises TruncationFailureError instead.
+    _TAIL_MASS_TOL raises TruncationFailureError instead.
     """
     _check_count(n, 1, "a sample")
     sides = (rep.pos, rep.neg)
     for name, side in zip(("positive", "negative"), sides):
-        if (dropped := 1.0 - side.pmf.sum()) > _MOMENT_TAIL_TOL:
+        if (dropped := 1.0 - side.pmf.sum()) > _TAIL_MASS_TOL:
             raise TruncationFailureError(
-                f"the {name} pmf drops mass {dropped:.3g} > {_MOMENT_TAIL_TOL:g}"
+                f"the {name} pmf drops mass {dropped:.3g} > {_TAIL_MASS_TOL:g}"
                 "; rebuild the mixture with a smaller tail_tol")
     gen = _as_generator(rng)
     indices = []

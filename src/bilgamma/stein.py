@@ -40,8 +40,7 @@ from .errors import (
     KappaUndefinedError,
     ModelMismatchError,
 )
-from .sampling import _check_count, _direct_mean
-from .sampling import sample_direct  # noqa: F401  (perfbench/spans.py wraps it here)
+from .sampling import _check_count, _direct_mean, sample_direct
 
 __all__ = [
     "KappaInputs",
@@ -167,7 +166,7 @@ def stein_identity_check(model: LinearCombinationModel, f: TestFunction,
     """
     _check_count(n_samples, 10_000, "the identity check")
     _require_test_function(f)
-    return _direct_mean(model, n_samples, rng,
+    return _direct_mean(sample_direct, model, n_samples, rng,
                         lambda xs: stein_apply_batch(model, f, xs))
 
 

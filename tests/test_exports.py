@@ -15,7 +15,9 @@ import pytest
 
 import bilgamma
 import bilgamma.cli
-from bilgamma.models import MODEL_GRID
+from bilgamma import PricingInputs, RandomStream
+from bilgamma.models import MARTINGALE, MODEL_GRID
+from bilgamma.stein import SIN_W3
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(bilgamma.__path__))
 
@@ -55,10 +57,7 @@ def test_no_unused_imports(module):
     mod = importlib.import_module(f"bilgamma.{module}")
     imported, read = _imported_and_read(
         ast.parse(Path(mod.__file__).read_text(encoding="utf-8")))
-    # the tracer looks these names up in this module: they must stay bound
-    traced = {t[1] for t in spans.TARGETS if t[0] == f"bilgamma.{module}"}
-    assert sorted(imported - read - set(getattr(mod, "__all__", ()))
-                  - traced) == []
+    assert sorted(imported - read - set(getattr(mod, "__all__", ()))) == []
 
 
 def _private_definitions(tree: ast.Module) -> set:
@@ -123,3 +122,21 @@ def test_trace_counts_density_path(tmp_path):
     rep = bilgamma.build_mixture(MODEL_GRID["five_mixed"], tail_tol=1e-10)
     assert tracer.counts["combo.build_mixture.terms"] == (
         len(rep.pos.pmf) + len(rep.neg.pmf))
+
+
+def test_trace_counts_monte_carlo_draws():
+    # both estimators draw chunk by chunk through the sample_direct that
+    # pricing and stein import, so the tracer sees every draw there
+    n = 2 ** 16 + 1
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        bilgamma.pricing.price_call_monte_carlo(
+            MARTINGALE, PricingInputs(s0=1.0, strike=1.0, rate=0.05,
+                                      maturity=1.0), n, RandomStream(1))
+        bilgamma.stein.stein_identity_check(
+            MODEL_GRID["five_mixed"], SIN_W3, 10_000, RandomStream(2))
+    finally:
+        tracer.restore()
+    assert tracer.counts["sampling.draws"] == n + 10_000
+    assert tracer.summary()["sampling.sample_direct"]["calls"] == 3

@@ -202,7 +202,7 @@ class TestClosedFormKernels:
     def test_plain_callable_rejected(self, pair_nonint, monkeypatch):
         def no_draws(*args):
             raise AssertionError("sampled before checking the function")
-        monkeypatch.setattr("bilgamma.sampling._gamma_sums", no_draws)
+        monkeypatch.setattr("bilgamma.stein.sample_direct", no_draws)
         for f in (np.sin, lambda x: x):
             with pytest.raises(DomainError, match="TestFunction"):
                 stein_apply_batch(pair_nonint, f, np.zeros(3))
