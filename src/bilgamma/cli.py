@@ -487,12 +487,12 @@ def cmd_price(args) -> int:
         ("s0", "strike", "rate", "maturity"), ("dividend", "t_now", "spot_at_t")))
     method = args.method
     if method == "auto":
-        # the closed form only where its own guards accept the model
+        # the gamma-only series wherever its own guards accept the model
         method = "integral"
-        if inputs.spot_at_t == inputs.strike:
+        if inputs.strike >= inputs.spot_at_t:
             try:
                 gamma_route_growth(model, inputs)
-                method = "atm"
+                method = "atm" if inputs.strike == inputs.spot_at_t else "series"
             except (DomainError, SeriesDivergenceError):
                 pass
     if method == "integral":

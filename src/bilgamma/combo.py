@@ -473,8 +473,6 @@ def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int):
         yield i, np.logaddexp.accumulate(row, out=row)
 
 
-
-
 @dataclass(frozen=True, eq=False)
 class GammaMixture:
     """One side of the mixture, the law sum_n P(N=n) Ga(rate, shape + n):
@@ -491,6 +489,8 @@ class GammaMixture:
     def build(cls, rates: np.ndarray, shapes: np.ndarray,
               tail_tol: float) -> "GammaMixture":
         """The mixture law of sum_j Ga(rates_j, shapes_j), per ``_mixture_pmf``."""
+        if not (0.0 < tail_tol < 1.0):
+            raise DomainError("tail_tol must be in (0, 1)")
         rate = float(rates.max())
         theta = 1.0 - rates / rate
         log_mass0 = float(np.sum(shapes * np.log(rates / rate)))
@@ -601,7 +601,6 @@ class MixtureRepresentation:
     negative side ``neg``.  Immutable; every method is a pure function.
     """
 
-    tail_tol: float
     pos: GammaMixture
     neg: GammaMixture
 
@@ -707,13 +706,10 @@ def build_mixture(model: LinearCombinationModel,
     """Construct the randomised-shape mixture of ``model``.
 
     Both pmfs are truncated at the first index where the exact retained
-    mass reaches 1 - tail_tol; failing to get there within
+    mass reaches 1 - tail_tol, 0 < tail_tol < 1; failing to get there within
     ``_PMF_MAX_TERMS`` terms is an error, never silent.
     """
-    if not (0.0 < tail_tol < 1.0):
-        raise DomainError("tail_tol must be in (0, 1)")
     return MixtureRepresentation(
-        tail_tol=tail_tol,
         pos=GammaMixture.build(model.lam, model.p, tail_tol),
         neg=GammaMixture.build(model.mu, model.q, tail_tol),
     )

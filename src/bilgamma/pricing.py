@@ -4,7 +4,8 @@ S_t = S0 exp(X_t) with bank account e^(rt) and dividend rate v; the
 discounted price e^(-(r-v)t) S_t is a martingale iff E[e^(X_1)] equals
 e^(r-v).  European call prices follow from the time-t' = T - t law of the
 process, whose shapes are the model's shapes scaled by t'; the gamma-only
-routes sum the shape-mixing pmf of that law.
+series sums the shape-mixing pmf of that law's positive side, and at K = s
+it is the at-the-money closed form.
 
 The pricing integral int_L^inf (s e^x - K) h(x) dx (L = ln(K/s)) is
 evaluated through the exponential tilt: s e^x h(x) = s M(1) h~(x) where h~
@@ -24,7 +25,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .combo import LinearCombinationModel, _completed_series, build_mixture
+from .combo import GammaMixture, LinearCombinationModel, _completed_series
 from .errors import DomainError, NonFiniteResultError, SeriesDivergenceError
 from .quadrature import _quad, oscillatory_integral
 from .sampling import _check_count, _direct_mean, sample_direct
@@ -169,27 +170,30 @@ def price_call_gamma_series(model: LinearCombinationModel,
                                - K Q(p+j, eta ln(K/s)) ],
 
     Q the regularised upper incomplete gamma.  Requires K >= s and a model
-    :func:`gamma_route_growth` accepts; the s and K sums are each completed
-    by their geometric tail.  Returns the price and its tolerance: the size
-    of that completion plus the discounted negative-part bound.
+    :func:`gamma_route_growth` accepts; only the mixture's positive side is
+    built.  Each sum is completed by its geometric tail; at K = s the K-sum
+    is the total mass 1.  Returns the price and its tolerance: the size of
+    the completions plus the discounted negative-part bound.
     """
-    from scipy import special as sp
-
     if inputs.strike < inputs.spot_at_t:
         raise DomainError("gamma-driven series requires strike >= spot")
     growth, dropped = gamma_route_growth(model, inputs)
-    side = build_mixture(model.scaled(inputs.t_remaining), tail_tol).pos
+    scaled = model.scaled(inputs.t_remaining)
+    side = GammaMixture.build(scaled.lam, scaled.p, tail_tol)
     eta, level = side.rate, inputs.log_moneyness
     s, strike = inputs.spot_at_t, inputs.strike
     a = side.shape + np.arange(len(side.pmf))
+    sum_k, tail_k = 1.0, 0.0
     with np.errstate(divide="ignore"):
         log_w = np.log(side.pmf)
-        sum_s, tail_s = _completed_series(
-            log_w + a * math.log(growth)
-            + np.log(sp.gammaincc(a, (eta - 1.0) * level)),
-            side.theta_max * growth)
-        sum_k, tail_k = _completed_series(
-            log_w + np.log(sp.gammaincc(a, eta * level)), side.theta_max)
+        log_s = log_w + a * math.log(growth)
+        if level > 0.0:
+            from scipy import special as sp
+
+            log_s += np.log(sp.gammaincc(a, (eta - 1.0) * level))
+            sum_k, tail_k = _completed_series(
+                log_w + np.log(sp.gammaincc(a, eta * level)), side.theta_max)
+    sum_s, tail_s = _completed_series(log_s, side.theta_max * growth)
     discount = math.exp(-inputs.rate * inputs.maturity)
     return (discount * float(s * sum_s - strike * sum_k),
             discount * (float(abs(s * tail_s - strike * tail_k)) + dropped))
@@ -202,22 +206,12 @@ def price_call_atm(model: LinearCombinationModel, inputs: PricingInputs,
         K e^(-rT) ( E[(eta/(eta-1))^(p+L)] - 1 )
 
     over the time-t' mixture (L, p of that law), requiring s = K and a
-    model :func:`gamma_route_growth` accepts; it detects a divergent
-    expectation (pmf tail ratio times eta/(eta-1) reaching 1) before
-    summation, so that is raised, never summed past.  Returns the price
-    and its tolerance: the size of its geometric tail completion plus the
-    discounted negative-part bound."""
+    model :func:`gamma_route_growth` accepts.  It is
+    :func:`price_call_gamma_series` at ln(K/s) = 0, where every incomplete
+    gamma is 1, and returns that route's price and tolerance."""
     if inputs.spot_at_t != inputs.strike:
         raise DomainError("at-the-money formula requires spot == strike")
-    growth, dropped = gamma_route_growth(model, inputs)
-    side = build_mixture(model.scaled(inputs.t_remaining), tail_tol).pos
-    with np.errstate(divide="ignore"):
-        log_terms = (np.log(side.pmf)
-                     + (side.shape + np.arange(len(side.pmf))) * math.log(growth))
-    expect, tail = _completed_series(log_terms, side.theta_max * growth)
-    discount = math.exp(-inputs.rate * inputs.maturity)
-    scale = inputs.strike * discount
-    return scale * (float(expect) - 1.0), scale * float(tail) + discount * dropped
+    return price_call_gamma_series(model, inputs, tail_tol)
 
 
 def price_call_monte_carlo(model: LinearCombinationModel,

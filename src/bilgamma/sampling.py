@@ -50,8 +50,8 @@ class RandomStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) and v >= 0
-                   for v in astuple(self)):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   and v >= 0 for v in astuple(self)):
             raise DomainError(
                 f"seed and stream_id must be non-negative integers, got {self}")
 
@@ -184,8 +184,10 @@ def sample_mixture(rep: MixtureRepresentation, n: int, rng) -> np.ndarray:
 
 
 def _check_cp_order(m: int) -> None:
-    """Raise DomainError unless 1 <= m <= 2**53, the integers a double
-    holds exactly (numpy's Poisson sampler rejects larger means)."""
+    """Raise DomainError unless m is a Python or numpy integer in [1, 2**53],
+    which a double holds exactly (numpy's Poisson sampler rejects more)."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise DomainError(f"compound-Poisson order m must be an integer, got {m!r}")
     if not 1 <= m <= 2 ** 53:
         raise DomainError(f"compound-Poisson order m must be in [1, 2**53], got {m}")
 

@@ -40,7 +40,7 @@ from .errors import (
     KappaUndefinedError,
     ModelMismatchError,
 )
-from .sampling import _check_count, _direct_mean, sample_direct
+from .sampling import _check_count, _check_cp_order, _direct_mean, sample_direct
 
 __all__ = [
     "KappaInputs",
@@ -224,9 +224,9 @@ def bound_two_sums(model_w: LinearCombinationModel,
 
 def bound_compound_poisson_k(model: LinearCombinationModel, m: int) -> float:
     """Kolmogorov bound c (|C1| + |C2|)^(2/5) m^(-1/5), c = 1, for the
-    order-m compound-Poisson approximation."""
-    if m < 1:
-        raise DomainError("compound-Poisson order m must be >= 1")
+    order-m compound-Poisson approximation, for an m that
+    :func:`sample_compound_poisson` accepts."""
+    _check_cp_order(m)
     c1c2 = abs(model.cumulant(1)) + abs(model.cumulant(2))
     return c1c2 ** 0.4 * m ** -0.2
 

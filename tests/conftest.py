@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 import bilgamma
 from bilgamma import LinearCombinationModel, build_mixture
+from bilgamma.combo import GammaMixture
 from bilgamma.quadrature import integrate_zero_to_inf, log_hyperint
 from bilgamma.models import (
     KAPPA_SINGLE,
@@ -70,6 +71,20 @@ def pricing_gamma():
 @pytest.fixture(scope="session")
 def martingale_model():
     return MARTINGALE
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Count the mixture sides built (GammaMixture.build calls)."""
+    calls = []
+    build = GammaMixture.build.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(GammaMixture, "build", classmethod(counted))
+    return calls
 
 
 def run_child(code, *args):

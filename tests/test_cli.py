@@ -13,8 +13,10 @@ import bilgamma
 from bilgamma import (
     DomainError,
     LinearCombinationModel,
+    PricingInputs,
     RandomStream,
     cli,
+    price_call_gamma_series,
     quadrature,
     sample_direct,
     sample_path,
@@ -495,6 +497,27 @@ class TestPriceCommand:
         assert payload["method"] == "atm"
         assert payload["price"] == pytest.approx(2.8007839978, rel=1e-8)
 
+    @pytest.mark.parametrize("strike, expected", [
+        (1.0000001, 0.97376955), (1.00001, 0.97376013), (1e7, 2.3113e-14),
+        (1e9, 1.5058e-18)])
+    def test_auto_above_spot_uses_series(self, gamma_file, tmp_path, strike,
+                                         expected):
+        # the integral route wrote 0.78296 at K = 1.0000001, raised at
+        # 1.00001, and wrote 9.35e-7 at 1e7 and 6.35e-5 at 1e9, each with a
+        # tolerance of 1e-8
+        pricing = tmp_path / "p.json"
+        pricing.write_text(json.dumps(
+            {"s0": 1.0, "strike": strike, "rate": 0.05, "maturity": 1.0}))
+        out = tmp_path / "price.json"
+        assert main(["price", "--model", gamma_file, "--pricing", str(pricing),
+                     "--method", "auto", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        series = price_call_gamma_series(PRICING_GAMMA, PricingInputs(
+            s0=1.0, strike=strike, rate=0.05, maturity=1.0))
+        assert payload["method"] == "series"
+        assert (payload["price"], payload["tolerance_achieved"]) == series
+        assert payload["price"] == pytest.approx(expected, rel=1e-4)
+
     def test_atm_bilateral_falls_back_to_integral(self, tmp_path):
         # the gamma-only closed form would ignore MARTINGALE's negative part
         # and return 0.565
@@ -511,20 +534,9 @@ class TestPriceCommand:
         assert payload["method"] == "integral"
         assert payload["price"] == pytest.approx(0.2250160845, rel=1e-8)
 
-    @pytest.fixture()
-    def builds(self, monkeypatch):
-        """Count mixture builds made by the CLI and the pricing routes."""
-        from bilgamma import pricing
-        calls = []
-        for module in (cli, pricing):
-            def counted(*args, _orig=module.build_mixture, **kwargs):
-                calls.append(args)
-                return _orig(*args, **kwargs)
-            monkeypatch.setattr(module, "build_mixture", counted)
-        return calls
-
     def test_auto_builds_one_mixture(self, gamma_file, tmp_path, builds):
-        # only the time-t' mixture is built, not the time-1 one as well
+        # only the positive side of the time-t' mixture is built: not the
+        # time-1 mixture as well, nor the negative side the series never reads
         pricing = tmp_path / "p.json"
         pricing.write_text(json.dumps(
             {"s0": 1.0, "strike": 1.0, "rate": 0.05, "maturity": 2.0}))

@@ -27,7 +27,7 @@ from bilgamma import (
     load_model,
     sample_direct,
 )
-from bilgamma.combo import read_fields
+from bilgamma.combo import GammaMixture, read_fields
 from bilgamma.models import MODEL_GRID, PRICING_GAMMA
 from bilgamma.quadrature import log_hyperint
 from conftest import block_cumulant_se, pdf_series_pairwise, run_child, single
@@ -233,6 +233,13 @@ class TestMixtureConstruction:
             assert rep.neg.pmf.sum() >= 1.0 - 1e-12
             assert np.all(rep.pos.pmf >= 0.0)
             assert np.all(rep.neg.pmf >= 0.0)
+
+    @pytest.mark.parametrize("tail_tol", [0.0, 1.0, 2.0, -1.0, math.nan])
+    def test_tail_tol_outside_unit_interval(self, pair_nonint, tail_tol):
+        # one side alone checks it: 2 and nan returned a one-term pmf of
+        # mass 0.43, and -1 ran to the term cap
+        with pytest.raises(DomainError, match=r"tail_tol must be in \(0, 1\)"):
+            GammaMixture.build(pair_nonint.lam, pair_nonint.p, tail_tol)
 
     def test_pmfs_read_only(self, pair_integer):
         rep = build_mixture(pair_integer)
@@ -442,7 +449,8 @@ class TestCharacteristicFunction:
 
     def test_mixture_cf_at_origin(self, mixture_grid):
         for rep in mixture_grid.values():
-            assert abs(rep.cf(0.0) - 1.0) <= 2.0 * rep.tail_tol + 1e-13
+            # twice mixture_grid's tail_tol of 1e-12
+            assert abs(rep.cf(0.0) - 1.0) <= 2.0 * 1e-12 + 1e-13
 
     def test_mixture_cf_matches_mpmath(self):
         # the power sums of the same truncated pmfs at 40 digits, each
@@ -540,7 +548,7 @@ class TestCharacteristicFunction:
             if rep is None:
                 continue
             err = np.abs(model.cf(zs) - rep.cf(zs)).max()
-            assert err <= 1e-8 + 2.0 * rep.tail_tol, i
+            assert err <= 1e-8 + 2.0 * 1e-12, i
             evaluated += 1
         assert evaluated >= 50, evaluated
 

@@ -286,10 +286,12 @@ class TestGammaSeriesPrice:
         assert abs(series - integral) / integral < 1e-6
 
     def test_strike_at_spot_matches_atm(self, pricing_gamma):
+        # at ln(K/s) = 0 the K-sum is the total mass 1, not a truncated sum
+        # plus its extrapolated tail (6.2e-6 relative off at tail_tol 1e-3)
         inputs = base_inputs(strike=1.0)
-        series, _ = price_call_gamma_series(pricing_gamma, inputs)
-        atm, _ = price_call_atm(pricing_gamma, inputs)
-        assert series == pytest.approx(atm, rel=1e-9)
+        for tail_tol in (1e-3, 1e-6, 1e-12):
+            assert (price_call_gamma_series(pricing_gamma, inputs, tail_tol)
+                    == price_call_atm(pricing_gamma, inputs, tail_tol))
 
     def test_requires_eta_above_one(self):
         with pytest.raises(DomainError):
@@ -319,6 +321,14 @@ class TestTimeScaledGammaRoutes:
         integral = price_call_integral(pricing_gamma, inputs)
         price, _ = route(pricing_gamma, inputs)
         assert abs(price - integral) / integral < 1e-6
+
+    @pytest.mark.parametrize("route, strike", [
+        (price_call_gamma_series, 1.2), (price_call_atm, 1.0)],
+        ids=["series", "atm"])
+    def test_builds_only_the_positive_side(self, pricing_gamma, builds,
+                                           route, strike):
+        route(pricing_gamma, base_inputs(strike=strike))
+        assert len(builds) == 1
 
 
 class TestGeometricCompletion:

@@ -35,7 +35,8 @@ class TestRandomStream:
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed, stream_id", [
-        (-1, 0), (1, -1), (1.5, 0), (1, 2.0), (None, 0)])
+        (-1, 0), (1, -1), (1.5, 0), (1, 2.0), (None, 0), (True, False),
+        (1, True)])
     def test_identity_is_two_non_negative_integers(self, seed, stream_id):
         with pytest.raises(DomainError, match="must be non-negative integers"):
             RandomStream(seed, stream_id)
@@ -134,6 +135,17 @@ class TestCompoundPoisson:
         # numpy's Poisson sampler rejected 1e20 with a bare ValueError
         with pytest.raises(DomainError, match=r"order m must be in \[1, 2\*\*53\]"):
             sample_compound_poisson(pair_integer, m, 10, RandomStream(6))
+
+    @pytest.mark.parametrize("m", [2.5, 3.0, np.float64(3.0), True])
+    def test_order_must_be_an_integer(self, pair_integer, m):
+        # each of these returned draws
+        with pytest.raises(DomainError, match="order m must be an integer"):
+            sample_compound_poisson(pair_integer, m, 3, RandomStream(1))
+
+    def test_numpy_integer_order(self, pair_integer):
+        np.testing.assert_array_equal(
+            sample_compound_poisson(pair_integer, np.int64(3), 10, RandomStream(1)),
+            sample_compound_poisson(pair_integer, 3, 10, RandomStream(1)))
 
     def test_atom_at_zero(self, pair_integer):
         # P(Z = 0) >= P(N = 0) = e^(-m)

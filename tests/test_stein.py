@@ -280,6 +280,16 @@ class TestCompoundPoissonBound:
         # |C1| + |C2| = 0 + 2
         assert bound_compound_poisson_k(model, 1) == pytest.approx(2.0 ** 0.4)
 
+    @pytest.mark.parametrize("m", [0, 2 ** 53 + 1, 2.5, np.float64(3.0), True])
+    def test_order_checked_as_the_sampler_does(self, pair_integer, m):
+        # 2.5 gave 1.1698
+        with pytest.raises(DomainError, match="compound-Poisson order m"):
+            bound_compound_poisson_k(pair_integer, m)
+
+    def test_numpy_integer_order(self, pair_integer):
+        assert (bound_compound_poisson_k(pair_integer, np.int64(4))
+                == bound_compound_poisson_k(pair_integer, 4))
+
     def test_rate_law(self, pair_integer):
         b1 = bound_compound_poisson_k(pair_integer, 1)
         b32 = bound_compound_poisson_k(pair_integer, 32)
