@@ -376,9 +376,12 @@ def _grid(lo: float, hi: float, points: int, what: str) -> np.ndarray:
 # -- commands ----------------------------------------------------------------
 
 
+_PDF_TAIL_TOL = 1e-10  # pmf mass the pdf command's series density drops
+
+
 def cmd_pdf(args) -> int:
     model = load_model(args.model)
-    rep = build_mixture(model, tail_tol=args.tail_tol)
+    rep = build_mixture(model, tail_tol=_PDF_TAIL_TOL)
     xs = _grid(args.xmin, args.xmax, args.points, "--xmin/--xmax")
     fourier, series = np.array(
         [(model.pdf_fourier(float(x)),
@@ -435,9 +438,9 @@ def cmd_bounds(args) -> int:
     # to 1.0, so those values are bound shapes
     payload: dict = {"constants_default": True}
     try:
-        kap = kappa_inputs(model)
-        payload["kappa"] = {"log_g_n": kap.log_g_n, "log_h_n": kap.log_h_n,
-                            "kappa_n": kap.kappa_n}
+        # the two-sums bound needs no kappa: --other alone reports none
+        if args.target or args.sigma is not None or not args.other:
+            payload["kappa"] = vars(kappa_inputs(model))
     except KappaUndefinedError as exc:
         _write_json(args.out, {"error": "kappa_undefined",
                                "log_g_n": exc.log_g_n,
@@ -500,7 +503,7 @@ def cmd_price(args) -> int:
         tolerance = 1e-8
     elif method in ("series", "atm"):
         route = price_call_gamma_series if method == "series" else price_call_atm
-        price, tolerance = route(model, inputs, args.tail_tol)
+        price, tolerance = route(model, inputs)
     else:  # monte-carlo
         if args.seed is None:
             raise ConfigError("--seed is required for the monte-carlo method")
@@ -577,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmin", type=_finite, required=True)
     p.add_argument("--xmax", type=_finite, required=True)
     p.add_argument("--points", type=_count(1), default=401)
-    p.add_argument("--tail-tol", type=_finite, default=1e-10, dest="tail_tol")
     p.add_argument("--out")
     p.set_defaults(func=cmd_pdf)
 
@@ -628,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "integral", "series", "atm", "monte-carlo"])
     p.add_argument("--n", type=_count(2), default=1000000)
     p.add_argument("--seed", type=_count(0))
-    p.add_argument("--tail-tol", type=_finite, default=1e-12, dest="tail_tol")
     p.add_argument("--out")
     p.set_defaults(func=cmd_price)
 

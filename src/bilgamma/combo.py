@@ -54,11 +54,19 @@ _FIELDS = ("alpha", "p", "beta", "q", "w1", "w2")
 # arguments that ``LinearCombinationModel.cf`` evaluates by its cmath loop
 _REAL_SCALARS = (float, int, np.floating, np.integer)
 
-_TAIL_MASS_TOL = 1e-6  # largest tail share a moment or a sampled pmf may lose
+_TAIL_MASS_TOL = 1e-6  # largest tail share a moment, a density or a draw may lose
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 _PMF_MAX_TERMS = 10_000  # terms a pmf side may take to reach 1 - tail_tol
+
+
+def _check_count(n, least: int, what: str) -> None:
+    """Raise DomainError unless n is a Python or numpy integer >= least."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"{what} needs an integer n, got {n!r}")
+    if n < least:
+        raise DomainError(f"{what} needs n >= {least}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -248,8 +256,7 @@ class LinearCombinationModel:
         """k-th cumulant (k-1)! sum_j [p_j/lam_j^k + (-1)^k q_j/mu_j^k],
         which equals int u^k against the Levy measure; raises
         NonFiniteResultError where (k-1)! overflows a double."""
-        if k < 1:
-            raise DomainError("cumulant order must be >= 1")
+        _check_count(k, 1, "the cumulant of order n")
         try:
             return math.factorial(k - 1) * float(
                 np.sum(self.p / self.lam ** k) + (-1) ** k * np.sum(self.q / self.mu ** k))
@@ -403,6 +410,18 @@ def _completed_series(log_terms, r):
     terms = np.exp(log_terms)
     tail = terms[..., -1] * r / (1.0 - r)
     return terms.sum(axis=-1) + tail, tail
+
+
+# The one dropped-mass rule, for the readers that take a pmf as the whole
+# law: the densities and the mixture sampler.  The cf and the pmf-weighted
+# series (moments, the gamma-only price) complete or bound their tails.
+def _require_mass(**sides: GammaMixture) -> None:
+    """Refuse each named side whose pmf dropped more than _TAIL_MASS_TOL."""
+    for name, side in sides.items():
+        if (dropped := 1.0 - side.pmf.sum()) > _TAIL_MASS_TOL:
+            raise TruncationFailureError(
+                f"the {name} pmf drops mass {dropped:.3g} > {_TAIL_MASS_TOL:g}"
+                "; rebuild the mixture with a smaller tail_tol")
 
 
 def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int):
@@ -589,6 +608,7 @@ class GammaMixture:
         if not (math.isfinite(x) and x > 0.0):
             raise DomainError(
                 f"gamma-mixture density needs a finite x > 0, got x={x}")
+        _require_mass(mixture=self)
         log_x = math.log(x)
         return float(np.exp((self.shape - 1.0) * log_x - self.rate * x
                             + self.log_terms(log_x)).sum())
@@ -634,8 +654,7 @@ class MixtureRepresentation:
         report a value dominated by extrapolation.  A sum that overflows
         a double raises NonFiniteResultError.
         """
-        if k < 1:
-            raise DomainError("moment order must be >= 1")
+        _check_count(k, 1, "the moment of order n")
         pos_vals, pos_ext = self.pos.factorial_sums(k)
         neg_vals, neg_ext = self.neg.factorial_sums(k)
         total = 0.0
@@ -683,6 +702,7 @@ class MixtureRepresentation:
             raise DomainError(f"series density needs a finite x, got x={x}")
         if x == 0.0:
             raise SingularPointError("series density not evaluated at x = 0")
+        _require_mass(positive=self.pos, negative=self.neg)
         ax = abs(x)
         arg = (self.pos.rate + self.neg.rate) * ax
         if not math.isfinite(arg):

@@ -25,10 +25,10 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .combo import GammaMixture, LinearCombinationModel, _completed_series
+from .combo import GammaMixture, LinearCombinationModel, _check_count, _completed_series
 from .errors import DomainError, NonFiniteResultError, SeriesDivergenceError
 from .quadrature import _quad, oscillatory_integral
-from .sampling import _check_count, _direct_mean, sample_direct
+from .sampling import _direct_mean, sample_direct
 
 __all__ = [
     "PricingInputs",
@@ -160,9 +160,11 @@ def gamma_route_growth(model: LinearCombinationModel,
     return growth, bound
 
 
+_SERIES_TAIL_TOL = 1e-12  # pmf mass the gamma-only series leaves to its completion
+
+
 def price_call_gamma_series(model: LinearCombinationModel,
-                            inputs: PricingInputs,
-                            tail_tol: float = 1e-12) -> tuple[float, float]:
+                            inputs: PricingInputs) -> tuple[float, float]:
     """Call price for the gamma-driven (positive-part) model by the
     incomplete-gamma series over the time-t' mixture (L, p of that law):
 
@@ -171,15 +173,15 @@ def price_call_gamma_series(model: LinearCombinationModel,
 
     Q the regularised upper incomplete gamma.  Requires K >= s and a model
     :func:`gamma_route_growth` accepts; only the mixture's positive side is
-    built.  Each sum is completed by its geometric tail; at K = s the K-sum
-    is the total mass 1.  Returns the price and its tolerance: the size of
-    the completions plus the discounted negative-part bound.
+    built, to _SERIES_TAIL_TOL.  Each sum is completed by its geometric
+    tail; at K = s the K-sum is the total mass 1.  Returns the price and its
+    tolerance: the completions plus the discounted negative-part bound.
     """
     if inputs.strike < inputs.spot_at_t:
         raise DomainError("gamma-driven series requires strike >= spot")
     growth, dropped = gamma_route_growth(model, inputs)
     scaled = model.scaled(inputs.t_remaining)
-    side = GammaMixture.build(scaled.lam, scaled.p, tail_tol)
+    side = GammaMixture.build(scaled.lam, scaled.p, _SERIES_TAIL_TOL)
     eta, level = side.rate, inputs.log_moneyness
     s, strike = inputs.spot_at_t, inputs.strike
     a = side.shape + np.arange(len(side.pmf))
@@ -199,8 +201,8 @@ def price_call_gamma_series(model: LinearCombinationModel,
             discount * (float(abs(s * tail_s - strike * tail_k)) + dropped))
 
 
-def price_call_atm(model: LinearCombinationModel, inputs: PricingInputs,
-                   tail_tol: float = 1e-12) -> tuple[float, float]:
+def price_call_atm(model: LinearCombinationModel,
+                   inputs: PricingInputs) -> tuple[float, float]:
     """At-the-money closed form for the gamma-driven model,
 
         K e^(-rT) ( E[(eta/(eta-1))^(p+L)] - 1 )
@@ -211,7 +213,7 @@ def price_call_atm(model: LinearCombinationModel, inputs: PricingInputs,
     gamma is 1, and returns that route's price and tolerance."""
     if inputs.spot_at_t != inputs.strike:
         raise DomainError("at-the-money formula requires spot == strike")
-    return price_call_gamma_series(model, inputs, tail_tol)
+    return price_call_gamma_series(model, inputs)
 
 
 def price_call_monte_carlo(model: LinearCombinationModel,

@@ -2,7 +2,7 @@
 
 Every sampler takes a RandomStream (anything else raises DomainError,
 except the package's own _Resumed generator) and an integer count (see
-_check_count); identical (seed, stream_id) pairs reproduce identical
+combo._check_count); identical (seed, stream_id) pairs reproduce identical
 draws.  The direct, path and compound-Poisson samplers share one kernel,
 ``_gamma_sums``, which draws the combination's Levy process at time t: by
 gamma additivity that is the combination with every shape scaled by t.
@@ -30,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .combo import _TAIL_MASS_TOL, LinearCombinationModel, MixtureRepresentation
-from .errors import DomainError, GridError, TruncationFailureError
+from .combo import LinearCombinationModel, MixtureRepresentation, _check_count, _require_mass
+from .errors import DomainError, GridError
 
 __all__ = [
     "RandomStream",
@@ -75,14 +75,6 @@ def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, _Resumed):
         return rng.gen
     raise DomainError(f"expected a RandomStream, got {type(rng)!r}")
-
-
-def _check_count(n, least: int, what: str) -> None:
-    """Raise DomainError unless n is a Python or numpy integer >= least."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"{what} needs an integer n, got {n!r}")
-    if n < least:
-        raise DomainError(f"{what} needs n >= {least}, got {n}")
 
 
 _CHUNK = 2 ** 16  # gamma variates held in _gamma_sums' buffer at a time
@@ -161,16 +153,11 @@ def sample_mixture(rep: MixtureRepresentation, n: int, rng) -> np.ndarray:
     indices from the truncated pmfs, then Ga(eta, p+L) - Ga(xi, q+M).
 
     Residual pmf mass is assigned to the largest retained support point,
-    keeping a proper distribution; a side dropping more than
-    _TAIL_MASS_TOL raises TruncationFailureError instead.
+    keeping a proper distribution, once each side passes _require_mass.
     """
     _check_count(n, 1, "a sample")
+    _require_mass(positive=rep.pos, negative=rep.neg)
     sides = (rep.pos, rep.neg)
-    for name, side in zip(("positive", "negative"), sides):
-        if (dropped := 1.0 - side.pmf.sum()) > _TAIL_MASS_TOL:
-            raise TruncationFailureError(
-                f"the {name} pmf drops mass {dropped:.3g} > {_TAIL_MASS_TOL:g}"
-                "; rebuild the mixture with a smaller tail_tol")
     gen = _as_generator(rng)
     indices = []
     for side in sides:

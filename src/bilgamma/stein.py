@@ -33,14 +33,14 @@ from typing import Callable
 
 import numpy as np
 
-from .combo import LinearCombinationModel
+from .combo import LinearCombinationModel, _check_count
 from .errors import (
     DomainError,
     EmptySampleError,
     KappaUndefinedError,
     ModelMismatchError,
 )
-from .sampling import _check_count, _check_cp_order, _direct_mean, sample_direct
+from .sampling import _check_cp_order, _direct_mean, sample_direct
 
 __all__ = [
     "KappaInputs",

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -424,6 +425,35 @@ class TestBoundsCommand:
         assert payload["log_g_n"] == pytest.approx(math.log(1.0))
         assert payload["log_h_n"] == pytest.approx(math.log(1.0))
 
+    def test_other_alone_needs_no_kappa(self, model_file, tmp_path):
+        # laplace has g = h, so kappa is undefined; the two-sums bound does
+        # not use it, but --other alone exited 3 with the kappa error
+        other = MODEL_GRID["laplace"].to_json_obj()
+        other["components"][0].update(w1=1.2, w2=0.9)
+        other_file = tmp_path / "other.json"
+        other_file.write_text(json.dumps(other))
+        out = tmp_path / "bounds.json"
+        code = main(["bounds", "--model", model_file, "--other",
+                     str(other_file), "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert "kappa" not in payload and "error" not in payload
+        assert payload["two_sums"]["value"] > 0.0
+
+    @pytest.mark.parametrize("with_target", [False, True],
+                             ids=["bare", "target_and_other"])
+    def test_kappa_error_kept(self, model_file, tmp_path, with_target):
+        # a bare report and --target need kappa, with --other or without
+        out = tmp_path / "bounds.json"
+        argv = ["bounds", "--model", model_file, "--out", str(out)]
+        if with_target:
+            target = tmp_path / "target.json"
+            target.write_text(json.dumps(
+                {"alpha": 2.0, "p": 1.3, "beta": 2.0, "q": 0.7}))
+            argv += ["--target", str(target), "--other", model_file]
+        assert main(argv) == 3
+        assert json.loads(out.read_text())["error"] == "kappa_undefined"
+
     def test_many_components_write_strict_json(self, tmp_path):
         # g = 1600^128 overflows a double; the report carries its log
         model = tmp_path / "many.json"
@@ -734,11 +764,11 @@ class TestFiniteArguments:
         ["cf", "--zmax", "nan", "--points", "3"],
         ["cf", "--zmax", "inf", "--points", "3"],
         ["bounds", "--sigma", "nan"],
+        ["pdf", "--xmin", "-1", "--xmax", "nan", "--points", "3"],
         # a non-finite --tail-tol exited 3 with DomainError
-        ["pdf", "--xmin", "1", "--xmax", "1", "--points", "1", "--tail-tol", "nan"],
         ["cf", "--points", "3", "--tail-tol", "inf"],
         ["moments", "--tail-tol", "nan"],
-        ["price", "--pricing", "p.json", "--tail-tol=-inf"],
+        ["bounds", "--sigma=-inf"],
         # finite bounds whose span overflows a double: linspace wrote NaN
         # rows (cf, exit 0) or handed the series a NaN x (pdf, exit 3)
         ["cf", "--zmax", "1e308", "--points", "4"],
@@ -755,6 +785,41 @@ class TestFiniteArguments:
         assert done.returncode == 2, done.stderr
         assert "must be finite" in done.stderr
         assert not out.exists()
+
+
+# each subcommand's option strings, in --help order: adding or removing a
+# knob is an edit to this table
+OPTIONS = {
+    "pdf": ["--model", "--xmin", "--xmax", "--points", "--out"],
+    "cf": ["--model", "--zmax", "--points", "--tail-tol", "--out"],
+    "moments": ["--model", "--kmax", "--tail-tol", "--out"],
+    "sample": ["--model", "--n", "--seed", "--streams", "--out"],
+    "bounds": ["--model", "--target", "--sigma", "--other", "--out"],
+    "cp-sweep": ["--model", "--m", "--n", "--seed", "--out"],
+    "price": ["--model", "--pricing", "--method", "--n", "--seed", "--out"],
+    "simulate": ["--model", "--tgrid", "--paths", "--seed", "--out"],
+    "verify": ["--suite", "--seed", "--out", "--corrupt-gamma"],
+}
+
+
+class TestOptionTable:
+    def test_options_pinned(self):
+        [commands] = [a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        assert {name: [s for a in p._actions if a.dest != "help"
+                       for s in a.option_strings]
+                for name, p in commands.choices.items()} == OPTIONS
+
+    @pytest.mark.parametrize("argv", [
+        ["pdf", "--xmin", "1", "--xmax", "2"],
+        ["price", "--pricing", "p.json"]])
+    def test_tail_tol_unrecognised(self, model_file, capsys, argv):
+        # the series depths of pdf and price are fixed
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--model", model_file, "--tail-tol", "1e-8"])
+        assert err.value.code == 2
+        assert ("unrecognized arguments: --tail-tol 1e-8"
+                in capsys.readouterr().err)
 
 
 class TestInputFiles:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -54,6 +55,10 @@ INTERIOR_MODE = LinearCombinationModel.from_components(
 INTERIOR_MIRROR = LinearCombinationModel(
     INTERIOR_MODE.beta, INTERIOR_MODE.q, INTERIOR_MODE.alpha,
     INTERIOR_MODE.p, INTERIOR_MODE.w2, INTERIOR_MODE.w1)
+
+# its positive pmf is P(0) = 2^-0.5 alone at tail_tol 0.3, with tail ratio 1/2
+SHALLOW = LinearCombinationModel.from_components(
+    [(1, 0.5, 3, 1, 1, 1), (2, 0.5, 3, 1, 1, 1)])
 
 # L has 506 terms and M one, so the x > 0 kernels reach log_hyperint at
 # a = 0.5, 1 with b up to ~520
@@ -779,6 +784,26 @@ class TestDensityRoutes:
         with pytest.raises(DomainError):
             MODEL_GRID["five_mixed"].pdf_fourier(x)
 
+    def test_densities_refuse_dropped_mass(self):
+        # at tail_tol 0.3 the positive pmf is P(0) = 0.707 alone: the series
+        # gave 0.0689 at x = 1 against the Fourier density's 0.1602
+        rep = build_mixture(SHALLOW, tail_tol=0.3)
+        with pytest.raises(TruncationFailureError, match=r"the positive pmf "
+                           r"drops mass 0\.293 > 1e-06; rebuild the mixture"):
+            rep.pdf_series(1.0)
+        with pytest.raises(TruncationFailureError, match=r"the mixture pmf "
+                           r"drops mass 0\.293 > 1e-06; rebuild the mixture"):
+            rep.pos.pdf(1.0)
+
+    def test_series_values_pinned(self, mixture_grid):
+        # SHA-256 of the series density on the grid at tail_tol 1e-12: the
+        # dropped-mass rule reads the pmfs and moves no value by a bit
+        values = [rep.pdf_series(x) for rep in mixture_grid.values()
+                  for x in (-3.1, -0.6, 0.45, 2.2)]
+        assert len(values) == 24
+        assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == (
+            "4588aec40f70501f34410e16dc70be3cfc6ce311cc12b7cfa368105d432170ec")
+
     def test_inversion_precondition(self):
         # total shape 0.6: the cf is not absolutely integrable, but the
         # inversion converges at every x != 0; the density is infinite at 0
@@ -959,6 +984,24 @@ class TestLevyAndCumulants:
         for k in (1, 2, 3):
             est, se = block_cumulant_se(draws, k)
             assert abs(pair_nonint.cumulant(k) - est) <= 4.0 * se
+
+    @pytest.mark.parametrize("order, message", [
+        (2.0, "integer n, got 2.0"), (2.5, "integer n, got 2.5"),
+        (True, "integer n, got True"), (np.float64(3.0), "integer n"),
+        (0, "n >= 1, got 0")])
+    def test_order_is_a_typed_integer(self, pair_nonint, mixture_grid, order,
+                                      message):
+        # a float order raised a bare TypeError, and True was read as 1
+        with pytest.raises(DomainError, match=message):
+            pair_nonint.cumulant(order)
+        with pytest.raises(DomainError, match=message):
+            mixture_grid["pair_nonint"].moment(order)
+
+    def test_numpy_integer_order(self, pair_nonint, mixture_grid):
+        rep = mixture_grid["pair_nonint"]
+        for k in (1, 3):
+            assert pair_nonint.cumulant(np.int64(k)) == pair_nonint.cumulant(k)
+            assert rep.moment(np.int64(k)) == rep.moment(k)
 
 
 class TestGammaMixtureLimit:

@@ -285,13 +285,14 @@ class TestGammaSeriesPrice:
         integral = price_call_integral(pricing_gamma, inputs)
         assert abs(series - integral) / integral < 1e-6
 
-    def test_strike_at_spot_matches_atm(self, pricing_gamma):
+    def test_strike_at_spot_matches_atm(self, pricing_gamma, monkeypatch):
         # at ln(K/s) = 0 the K-sum is the total mass 1, not a truncated sum
         # plus its extrapolated tail (6.2e-6 relative off at tail_tol 1e-3)
         inputs = base_inputs(strike=1.0)
         for tail_tol in (1e-3, 1e-6, 1e-12):
-            assert (price_call_gamma_series(pricing_gamma, inputs, tail_tol)
-                    == price_call_atm(pricing_gamma, inputs, tail_tol))
+            monkeypatch.setattr(pricing, "_SERIES_TAIL_TOL", tail_tol)
+            assert (price_call_gamma_series(pricing_gamma, inputs)
+                    == price_call_atm(pricing_gamma, inputs))
 
     def test_requires_eta_above_one(self):
         with pytest.raises(DomainError):
@@ -332,14 +333,15 @@ class TestTimeScaledGammaRoutes:
 
 
 class TestGeometricCompletion:
-    def test_exact_on_geometric_pmf(self):
+    def test_exact_on_geometric_pmf(self, monkeypatch):
         # rates (3, 6) and unit shapes: P(L=k) = (1/2)^(k+1) exactly, so the
         # geometric completion of a shallow pmf recovers the full sum
         model = LinearCombinationModel.from_components(
             [(3.0, 1.0, 1e8, 1e-8, 1.0, 1.0), (6.0, 1.0, 1e8, 1e-8, 1.0, 1.0)])
         inputs = base_inputs(strike=1.0)
         expected = math.exp(-0.05) * ((3.0 / 2.0) * (6.0 / 5.0) - 1.0)
-        price, _ = price_call_atm(model, inputs, tail_tol=1e-3)
+        monkeypatch.setattr(pricing, "_SERIES_TAIL_TOL", 1e-3)
+        price, _ = price_call_atm(model, inputs)
         assert price == pytest.approx(expected, rel=1e-12)
 
 
@@ -391,7 +393,7 @@ class TestAtmPrice:
         # the expectation is infinite and must raise, not truncate
         inputs = PricingInputs(s0=1.0, strike=1.0, rate=0.0, maturity=1.0)
         with pytest.raises(SeriesDivergenceError):
-            price_call_atm(pair_integer, inputs, tail_tol=1e-10)
+            price_call_atm(pair_integer, inputs)
 
     def test_monte_carlo_agreement(self, pricing_gamma):
         inputs = base_inputs(strike=1.0)
