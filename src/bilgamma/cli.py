@@ -491,13 +491,11 @@ def cmd_price(args) -> int:
     method = args.method
     if method == "auto":
         # the gamma-only series wherever its own guards accept the model
-        method = "integral"
-        if inputs.strike >= inputs.spot_at_t:
-            try:
-                gamma_route_growth(model, inputs)
-                method = "atm" if inputs.strike == inputs.spot_at_t else "series"
-            except (DomainError, SeriesDivergenceError):
-                pass
+        try:
+            gamma_route_growth(model, inputs)
+            method = "atm" if inputs.strike == inputs.spot_at_t else "series"
+        except (DomainError, SeriesDivergenceError):
+            method = "integral"
     if method == "integral":
         price = price_call_integral(model, inputs)
         tolerance = 1e-8

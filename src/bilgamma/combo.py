@@ -576,8 +576,8 @@ class GammaMixture:
         completion.  Consecutive tail terms have ratio close to
         theta_max * (n + shape + r)/(n + shape), so the remainder past the
         last retained index is completed geometrically from the last term;
-        a one-term pmf has none, so theta_max > 0 and 1 - P(0) above
-        _TAIL_MASS_TOL is an error.
+        a one-term pmf has none, so with theta_max > 0 it must pass
+        _require_mass.
         """
         from scipy import special as sp
 
@@ -589,10 +589,8 @@ class GammaMixture:
         rho = np.zeros(k + 1)
         if self.theta_max > 0.0 and len(a) > 1:
             rho = self.theta_max * (a[-1] + rr) / a[-1]
-        elif self.theta_max > 0.0 and 1.0 - self.pmf[0] > _TAIL_MASS_TOL:
-            raise TruncationFailureError(
-                f"factorial series of a one-term pmf drops mass {1.0 - self.pmf[0]:.3g}"
-                f"; rebuild the mixture with a smaller tail_tol")
+        elif self.theta_max > 0.0:
+            _require_mass(mixture=self)
         if rho.max() >= 1.0:
             r = int(np.argmax(rho >= 1.0))
             raise TruncationFailureError(

@@ -4,8 +4,9 @@ S_t = S0 exp(X_t) with bank account e^(rt) and dividend rate v; the
 discounted price e^(-(r-v)t) S_t is a martingale iff E[e^(X_1)] equals
 e^(r-v).  European call prices follow from the time-t' = T - t law of the
 process, whose shapes are the model's shapes scaled by t'; the gamma-only
-series sums the shape-mixing pmf of that law's positive side, and at K = s
-it is the at-the-money closed form.
+series sums the shape-mixing pmf of that law's positive side.  At K = s it
+is the at-the-money closed form, and at K <= s the forward value
+e^(-rT) (s E[e^G] - K), since G >= 0 puts every payoff in the money.
 
 The pricing integral int_L^inf (s e^x - K) h(x) dx (L = ln(K/s)) is
 evaluated through the exponential tilt: s e^x h(x) = s M(1) h~(x) where h~
@@ -171,14 +172,14 @@ def price_call_gamma_series(model: LinearCombinationModel,
         e^(-rT) sum_j P(L=j) [ s (eta/(eta-1))^(p+j) Q(p+j, (eta-1) ln(K/s))
                                - K Q(p+j, eta ln(K/s)) ],
 
-    Q the regularised upper incomplete gamma.  Requires K >= s and a model
+    Q the regularised upper incomplete gamma.  Requires a model
     :func:`gamma_route_growth` accepts; only the mixture's positive side is
     built, to _SERIES_TAIL_TOL.  Each sum is completed by its geometric
-    tail; at K = s the K-sum is the total mass 1.  Returns the price and its
-    tolerance: the completions plus the discounted negative-part bound.
+    tail.  At K <= s every Q is 1: the K-sum is the total mass 1 and the
+    price is the forward value e^(-rT) (s E[e^G] - K).  Returns the price
+    and its tolerance: the completions plus the discounted negative-part
+    bound.
     """
-    if inputs.strike < inputs.spot_at_t:
-        raise DomainError("gamma-driven series requires strike >= spot")
     growth, dropped = gamma_route_growth(model, inputs)
     scaled = model.scaled(inputs.t_remaining)
     side = GammaMixture.build(scaled.lam, scaled.p, _SERIES_TAIL_TOL)

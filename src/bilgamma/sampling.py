@@ -171,11 +171,10 @@ def sample_mixture(rep: MixtureRepresentation, n: int, rng) -> np.ndarray:
 
 
 def _check_cp_order(m: int) -> None:
-    """Raise DomainError unless m is a Python or numpy integer in [1, 2**53],
-    which a double holds exactly (numpy's Poisson sampler rejects more)."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise DomainError(f"compound-Poisson order m must be an integer, got {m!r}")
-    if not 1 <= m <= 2 ** 53:
+    """Raise DomainError unless m is a count (combo._check_count) of at most
+    2**53, which a double holds exactly (numpy's Poisson sampler rejects more)."""
+    _check_count(m, 1, "the compound-Poisson order m = n")
+    if m > 2 ** 53:
         raise DomainError(f"compound-Poisson order m must be in [1, 2**53], got {m}")
 
 

@@ -548,6 +548,25 @@ class TestPriceCommand:
         assert (payload["price"], payload["tolerance_achieved"]) == series
         assert payload["price"] == pytest.approx(expected, rel=1e-4)
 
+    @pytest.mark.parametrize("strike, expected", [
+        (0.9999999, 0.97376974), (0.99999, 0.97377916), (0.5, 1.4493843568)])
+    def test_auto_below_spot_uses_series(self, gamma_file, tmp_path, strike,
+                                         expected):
+        # auto took the integral below the money: 0.78296 with a tolerance
+        # of 1e-8 at K = 0.9999999, and exit 3 at 0.99999
+        pricing = tmp_path / "p.json"
+        pricing.write_text(json.dumps(
+            {"s0": 1.0, "strike": strike, "rate": 0.05, "maturity": 1.0}))
+        out = tmp_path / "price.json"
+        assert main(["price", "--model", gamma_file, "--pricing", str(pricing),
+                     "--method", "auto", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        series = price_call_gamma_series(PRICING_GAMMA, PricingInputs(
+            s0=1.0, strike=strike, rate=0.05, maturity=1.0))
+        assert payload["method"] == "series"
+        assert (payload["price"], payload["tolerance_achieved"]) == series
+        assert payload["price"] == pytest.approx(expected, rel=1e-8)
+
     def test_atm_bilateral_falls_back_to_integral(self, tmp_path):
         # the gamma-only closed form would ignore MARTINGALE's negative part
         # and return 0.565

@@ -298,9 +298,22 @@ class TestGammaSeriesPrice:
         with pytest.raises(DomainError):
             price_call_gamma_series(single(0.8, 1.0, 1e6, 1e-6), base_inputs())
 
-    def test_requires_strike_at_or_above_spot(self, pricing_gamma):
-        with pytest.raises(DomainError):
-            price_call_gamma_series(pricing_gamma, base_inputs(strike=0.9))
+    @pytest.mark.parametrize("maturity, t_now", [(1.0, 0.0), (2.0, 0.0),
+                                                 (1.5, 0.5)])
+    @pytest.mark.parametrize("strike", [0.5, 0.9, 0.99])
+    def test_below_spot_is_the_forward_value(self, pricing_gamma, strike,
+                                             maturity, t_now):
+        # at ln(K/s) <= 0 every Q is 1: e^(-rT) (s E[e^G] - K); the series
+        # refused K < s, and the integral wrote 0.78296 at K = 0.9999999
+        m = pricing_gamma
+        inputs = base_inputs(strike=strike, maturity=maturity, t_now=t_now,
+                             spot_at_t=1.0)
+        price, tolerance = price_call_gamma_series(m, inputs)
+        mgf_g = float(np.prod((m.lam / (m.lam - 1.0)) ** (m.p * inputs.t_remaining)))
+        forward = math.exp(-0.05 * maturity) * (mgf_g - strike)
+        assert abs(price - forward) <= tolerance
+        integral = price_call_integral(m, inputs)
+        assert abs(price - integral) / integral < 1e-9
 
     def test_tail_bound_reported(self, pricing_gamma):
         _, completion = price_call_gamma_series(pricing_gamma, base_inputs())

@@ -132,14 +132,16 @@ class TestMixtureSampler:
 class TestCompoundPoisson:
     @pytest.mark.parametrize("m", [0, 2 ** 53 + 1, 10 ** 20])
     def test_order_out_of_range(self, pair_integer, m):
-        # numpy's Poisson sampler rejected 1e20 with a bare ValueError
-        with pytest.raises(DomainError, match=r"order m must be in \[1, 2\*\*53\]"):
+        # numpy's Poisson sampler rejected 1e20 with a bare ValueError; the
+        # lower end is combo._check_count's
+        message = "needs n >= 1, got 0" if m == 0 else r"must be in \[1, 2\*\*53\]"
+        with pytest.raises(DomainError, match=f"compound-Poisson order m.*{message}"):
             sample_compound_poisson(pair_integer, m, 10, RandomStream(6))
 
     @pytest.mark.parametrize("m", [2.5, 3.0, np.float64(3.0), True])
     def test_order_must_be_an_integer(self, pair_integer, m):
         # each of these returned draws
-        with pytest.raises(DomainError, match="order m must be an integer"):
+        with pytest.raises(DomainError, match="order m = n needs an integer n"):
             sample_compound_poisson(pair_integer, m, 3, RandomStream(1))
 
     def test_numpy_integer_order(self, pair_integer):
