@@ -97,7 +97,8 @@ def martingale_gap(model: LinearCombinationModel, rate: float,
 def _tail_probability(cf, level: float) -> float:
     """P(X > level) = 1/2 + (1/pi) int_0^inf Im(e^(-iz level) cf(z)) / z dz
     (Gil-Pelaez), on [0, 1] by the adaptive rule, whose nodes are interior
-    (never z = 0), and on [1, inf) by QAWF."""
+    (never z = 0), and on [1, inf) by the Fourier rule of
+    ``oscillatory_integral``, which reads the cf on arrays of nodes."""
     def head(z: float) -> float:
         return (cmath.exp(-1j * z * level) * cf(z)).imag / z
 

@@ -2,9 +2,9 @@
 
 Runs the executable identities that tie the package together: the mixture
 cf must reproduce the product cf, the Stein identity must hold in Monte
-Carlo, mixture and direct sampling must agree in law, and the pricing
-routes must agree on the gamma-driven model.  Deterministic given the
-seed.
+Carlo, mixture and direct sampling must agree in law, and the density
+routes (near x = 0) and the pricing routes (on the gamma-driven model,
+near the money too) must agree.  Deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -86,20 +86,23 @@ def run_suite(suite: str = "full", seed: int = 1,
         d = empirical_kolmogorov(a, b)
         record(f"sampling_equivalence[{name}]", d, crit)
 
-    # pricing route agreement on the gamma-driven model
+    # Fourier against series density near x = 0: the nodes must reach the mass
+    record("density_agreement[near_zero]", max(
+        abs(m.pdf_fourier(x) - rep.pdf_series(x)) for m in grid.values()
+        for rep in [build_mixture(m)] for x in (-1e-6, 1e-6)), 1e-6)
+
+    # pricing route agreement on the gamma-driven model, out of the money,
+    # near it (where the Gil-Pelaez tails' level is near 0) and at it
     model = model_zoo.PRICING_GAMMA
-    inputs = PricingInputs(s0=1.0, strike=1.2, rate=0.05, maturity=1.0)
-    pi_integral = price_call_integral(model, inputs)
-    pi_series = price_call_gamma_series(model, inputs)[0]
-    rel = abs(pi_series - pi_integral) / pi_integral
-    record("pricing_agreement[otm]", rel, 1e-5, integral=pi_integral,
-           series=pi_series)
-    atm_inputs = PricingInputs(s0=1.0, strike=1.0, rate=0.05, maturity=1.0)
-    pi_atm = price_call_atm(model, atm_inputs)[0]
-    pi_atm_integral = price_call_integral(model, atm_inputs)
-    rel_atm = abs(pi_atm - pi_atm_integral) / pi_atm
-    record("pricing_agreement[atm]", rel_atm, 1e-5,
-           integral=pi_atm_integral, closed_form=pi_atm)
+    for label, strike, route, key in (
+            ("otm", 1.2, price_call_gamma_series, "series"),
+            ("near_money", 1.0000001, price_call_gamma_series, "series"),
+            ("atm", 1.0, price_call_atm, "closed_form")):
+        inputs = PricingInputs(s0=1.0, strike=strike, rate=0.05, maturity=1.0)
+        integral = price_call_integral(model, inputs)
+        other = route(model, inputs)[0]
+        record(f"pricing_agreement[{label}]", abs(other - integral) / integral,
+               1e-5, integral=integral, **{key: other})
 
     return {
         "suite": suite,

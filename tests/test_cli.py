@@ -255,7 +255,7 @@ class TestPinnedCsvOutput:
                      "4ed89ae7bd9b8697d38ef9b2f4b3d0898d3895118d5b93bb69efa3ea68482d92",
                      id="simulate"),
         pytest.param(["pdf", "--xmin", "-5", "--xmax", "5", "--points", "401"],
-                     "a6ce69b77d08265d7ffb97df0c102435b1c6407ae5ac1505329d5b1b379cce62",
+                     "14f2bf7f766ac7e965a4d81c99bb28ea2bc49308ecb6b2549c95ab08480612c3",
                      id="pdf"),
         pytest.param(["cf", "--zmax", "20", "--points", "401"],
                      "c4f1ca7352e77d6f45437877ca2025bc5c3495e097befe826edeb1d87ff5a7a2",
@@ -282,10 +282,10 @@ class TestPinnedPriceOutput:
 
     @pytest.mark.parametrize("model, strike, maturity, method, digest", [
         pytest.param(PRICING_GAMMA, 1.2, 1.0, "integral",
-                     "7e20da4a009bf4f444a9b058264b37f68c8d949e3590ca7bb7acd4eae025eb7c",
+                     "8b8c1ed551e3785c5caa682396a0863140167ae51034e60f8b050f83f6fb45f1",
                      id="gamma-T1"),
         pytest.param(PRICING_GAMMA, 1.2, 2.0, "integral",
-                     "7d98a18cd58f14ac96ab8b72965f4c34bd2af41732ea7d4d94b9cc748794956f",
+                     "89e54729a5b8623ed7cab405198ddb25e3d517483721c21c2b14d7029f5e05af",
                      id="gamma-T2"),
         pytest.param(MARTINGALE, 1.0, 1.0, "integral",
                      "3828ca6d344e2e692c943fb6a09f32073ee1e3b8e4fbe0af2cc98c48d9b758cb",
@@ -660,21 +660,20 @@ class TestPriceCommand:
 
     def test_quadrature_failure_is_one_line(self, gamma_file, tmp_path, capsys,
                                             monkeypatch):
-        # a QUADPACK failure exits 3 with one stderr line, not scipy's
-        # table of per-cycle explanations
-        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
+        # a quadrature failure exits 3 with one stderr line: near the money
+        # the Fourier rule needs more than its first two levels
+        monkeypatch.setattr(quadrature, "_FOURIER_LEVELS", 2)
         pricing = tmp_path / "p.json"
         pricing.write_text(json.dumps(
-            {"s0": 1.0, "strike": 1.2, "rate": 0.05, "maturity": 1.0}))
+            {"s0": 1.0, "strike": 1.001, "rate": 0.05, "maturity": 1.0}))
         code = main(["price", "--model", gamma_file, "--pricing", str(pricing),
                      "--method", "integral"])
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error: NonConvergenceError: oscillatory "
-                              "quadrature (QAWF, cos part) failed on [1.0, inf)")
-        assert err.endswith("cycle 1: The maximum number of subdivisions "
-                            "(= limit) has been achieved on this cycle.\n")
+        assert err.startswith("error: NonConvergenceError: Fourier quadrature "
+                              "failed on [1.0, inf) at x=0.0009995")
+        assert err.endswith(": 2 levels, the last two 9.89e-05 apart\n")
 
     def test_out_of_strip_exits_3(self, tmp_path, capsys):
         weak = tmp_path / "weak.json"
@@ -1016,6 +1015,16 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert report["passed"] is True
         assert any(c["name"].startswith("cf_identity") for c in report["checks"])
+
+    def test_check_names(self):
+        # the quick suite's checks, in order: the density and price routes
+        # are also compared near x = 0 and near the money
+        names = [c["name"] for c in bilgamma.verify.run_suite("quick")["checks"]]
+        assert names == [
+            *(f"cf_identity[{name}]" for name in MODEL_GRID),
+            "stein_identity[pair_nonint]", "sampling_equivalence[pair_integer]",
+            "density_agreement[near_zero]", "pricing_agreement[otm]",
+            "pricing_agreement[near_money]", "pricing_agreement[atm]"]
 
     def test_corrupted_recursion_detected(self, tmp_path):
         out = tmp_path / "report.json"

@@ -109,12 +109,13 @@ class TestTailProbability:
 
     def test_cf_never_read_at_origin(self, monkeypatch):
         # the tail reads only its cf, and the Gil-Pelaez integrand's limit
-        # at z = 0 is never needed: QUADPACK's nodes are interior
+        # at z = 0 is never needed: QUADPACK's nodes on [0, 1] are interior,
+        # and the Fourier rule's array of nodes lies in [1, inf)
         nodes = []
 
         def spy(cf, level):
             def recorded(z):
-                nodes.append(z)
+                nodes.extend(np.atleast_1d(z))
                 return cf(z)
             return _tail_probability(recorded, level)
 
