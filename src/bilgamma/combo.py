@@ -21,6 +21,7 @@ The module also reads every input document (``read_json``, ``read_fields``).
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import os
@@ -58,6 +59,7 @@ _TAIL_MASS_TOL = 1e-6  # largest tail share a moment, a density or a draw may lo
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
+_KERNEL_BLOCK = 2 ** 16  # entries of the series' kernel grid held at a time
 _PMF_MAX_TERMS = 10_000  # terms a pmf side may take to reach 1 - tail_tol
 
 
@@ -424,72 +426,68 @@ def _require_mass(**sides: GammaMixture) -> None:
                 "; rebuild the mixture with a smaller tail_tol")
 
 
-def log_hyperint_rows(a0: float, b0: float, x: float, rows: int, cols: int):
-    """Yield (i, L_i) for i = rows - 1 down to 0, where
+def log_hyperint_blocks(a0: float, b0: float, x: float, rows: int, cols: int):
+    """Yield (i, j, L) for blocks L = G[i:i + m, j:j + n] that tile the grid
+    G[i, j] = log I(a0 + i, b0 + i + j, x), i < rows, j < cols, for I the
+    integral of ``log_hyperint``, which gives two entries in one call.  The
+    rest follow from three exact relations, each run in a stable direction
+    (only (B) subtracts, forward in b, where U is the dominant solution):
 
-        L_i[j] = log I(a0 + i, b0 + i + j, x),  j = 0 .. cols - 1,
-
-    with I the integral of ``log_hyperint``.  At most two entries are
-    integrated, by ``log_hyperint``; the rest follow from three exact
-    relations, each run in a stable direction.  (D) and (A) add positive
-    terms only; (B) subtracts whenever b - a - 1 > 0, and is safe because
-    it runs forward in b, where U is the dominant solution:
-
-    * (D) (a0 + k) d_k + (b0 + k - x) d_(k+1) = x d_(k+2) for the diagonal
-      d_k = I(a0 + k, b0 + k) (by parts on
-      d/dt [t^(a0+k) (1+t)^(b0-a0) e^(-xt)]) gives the first entry of
-      every row.  It is seeded at k0 = ceil(x - b0), clipped to the
-      diagonal, and run forward above k0, where b0 + k - x >= 0, and
-      backward below it as (a0 + k) d_k = x d_(k+2) + (x - b0 - k) d_(k+1);
+    * (D) (a0 + k) d_k + (b0 + k - x) d_(k+1) = x d_(k+2), by parts on
+      d/dt [t^(a0+k) (1+t)^(b0-a0) e^(-xt)], gives the first column
+      d_k = I(a0 + k, b0 + k), run both ways from k0 = ceil(x - b0);
     * (B) x I(a, b+1) = (b - 1 + x) I(a, b) - (b - a - 1) I(a, b-1)
-      (DLMF 13.3.8) fills the last row forward in b;
-    * (A) I(a, b+1) = I(a, b) + I(a+1, b+1) (13.3.10; the integrand
-      identity (1 + t) = 1 + t) builds each earlier row as a running sum
-      of the row below it, and gives the last row's second entry from the
-      diagonal run one step past it.
-
-    At most two rows and the diagonal are held at a time.
+      (DLMF 13.3.8) fills the last row;
+    * (A) I(a, b+1) = I(a, b) + I(a+1, b+1) (13.3.10) gives the last
+      row's second entry from d_rows, and the rest along the grid's
+      shorter side: each row a running sum of the one below, or each
+      column from the one before, in blocks of about _KERNEL_BLOCK.
     """
-    if rows < 1 or cols < 1:
-        raise DomainError(f"require rows >= 1 and cols >= 1, got {rows}, {cols}")
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"require a finite x > 0, got x={x}")
-    # the diagonal runs one step past the last row when that row has a
-    # second entry to build from it
+    if rows < 1 or cols < 1 or not 0.0 < x < math.inf:
+        raise DomainError(f"require rows, cols >= 1 and a finite x > 0, got "
+                          f"rows={rows}, cols={cols}, x={x}")
+    # the diagonal runs one step past the last row if it has a 2nd entry
     n = rows + (cols > 1)
-    diag = np.empty(n)
     k0 = min(max(math.ceil(x - b0), 0), max(n - 2, 0))
-    diag[k0] = log_hyperint(a0 + k0, b0 + k0, x)
+    seeds = np.arange(min(n, 2.0))
+    diag, head = log_hyperint(a0 + k0 + seeds, b0 + k0 + seeds, x).tolist(), []
     if n > 1:
-        diag[k0 + 1] = log_hyperint(a0 + k0 + 1.0, b0 + k0 + 1.0, x)
         # (D) forward as a recurrence for the ratio d_(k+2) / d_(k+1)
-        ratio = math.exp(diag[k0 + 1] - diag[k0])
+        ratio = math.exp(diag[1] - diag[0])
         for k in range(k0, n - 2):
             ratio = ((a0 + k) / ratio + (b0 + k - x)) / x
-            diag[k + 2] = diag[k + 1] + math.log(ratio)
+            diag.append(diag[-1] + math.log(ratio))
         # (D) backward as a recurrence for the ratio d_k / d_(k+1)
-        ratio = math.exp(diag[k0] - diag[k0 + 1])
+        ratio = math.exp(diag[0] - diag[1])
         for k in range(k0 - 1, -1, -1):
             ratio = (x / ratio + (x - b0 - k)) / (a0 + k)
-            diag[k] = diag[k + 1] + math.log(ratio)
-    a, b = a0 + rows - 1, b0 + rows - 1
-    row = np.empty(cols)
-    row[0] = diag[rows - 1]
+            head.append((head[-1] if head else diag[0]) + math.log(ratio))
+    diag = head[::-1] + diag
+    last = diag[rows - 1:rows]
     if cols > 1:
-        row[1] = np.logaddexp(diag[rows - 1], diag[rows])
+        last.append(float(np.logaddexp(diag[rows - 1], diag[rows])))
         # (B) as a recurrence for the ratio I(a, b+j+1) / I(a, b+j)
-        ratio = math.exp(row[1] - row[0])
+        a, b, ratio = a0 + rows - 1, b0 + rows - 1, math.exp(last[1] - last[0])
         for j in range(1, cols - 1):
-            bj = b + j
-            ratio = (bj - 1.0 + x - (bj - a - 1.0) / ratio) / x
-            row[j + 1] = row[j] + math.log(ratio)
-    yield rows - 1, row
-    for i in range(rows - 2, -1, -1):
-        below = row
-        row = np.empty(cols)
-        row[0] = diag[i]
-        row[1:] = below[:-1]
-        yield i, np.logaddexp.accumulate(row, out=row)
+            ratio = (b + j - 1.0 + x - (b + j - a - 1.0) / ratio) / x
+            last.append(last[-1] + math.log(ratio))
+    diag, last = np.array(diag[:rows]), np.array(last)
+    wide, (lines, length) = rows <= cols, sorted((rows, cols))
+    step = max(1, _KERNEL_BLOCK // length)   # whole rows, else columns
+    for start in range(0, lines, step):
+        block = np.empty((min(step, lines - start), length))
+        for r, k in enumerate(range(start, start + len(block))):
+            if k == 0:
+                block[r] = last if wide else diag
+            elif wide:   # row rows - 1 - k
+                block[r, 0], block[r, 1:] = diag[rows - 1 - k], line[:-1]
+                np.logaddexp.accumulate(block[r], out=block[r])
+            else:        # column k
+                block[r, -1] = last[k]
+                np.logaddexp(line[:-1], line[1:], out=block[r, :-1])
+            line = block[r]
+        yield ((rows - start - len(block), 0, block[::-1]) if wide
+               else (0, start, block.T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -520,13 +518,16 @@ class GammaMixture:
     def log_terms(self, log_x: float) -> np.ndarray:
         """log(P(N=n) rate^(shape+n) x^n / Gamma(shape+n)) for every n of
         the pmf: the factors of the n-th term of the density that depend
-        on n."""
-        from scipy import special as sp
+        on n; all but x^n are built once."""
+        return self._log_weights + np.arange(len(self.pmf)) * log_x
 
+    @functools.cached_property
+    def _log_weights(self) -> np.ndarray:
+        from scipy import special as sp
         n = np.arange(len(self.pmf))
         with np.errstate(divide="ignore"):
             return (np.log(self.pmf) + (self.shape + n) * math.log(self.rate)
-                    - sp.gammaln(self.shape + n) + n * log_x)
+                    - sp.gammaln(self.shape + n))
 
     def cf(self, z) -> np.ndarray:
         """sum_n P(N=n) (1 - iz/rate)^-(shape+n) on the array z, in z's
@@ -694,7 +695,7 @@ class MixtureRepresentation:
         Every (j, k) pair of the pmfs is summed, so their truncation at
         ``tail_tol`` is the series' only one.  The kernels form a grid whose
         rows step a and b together (k for x > 0, j for x < 0) and whose
-        columns step b alone, which ``log_hyperint_rows`` fills.
+        columns step b alone, which ``log_hyperint_blocks`` fills.
         """
         if not math.isfinite(x):
             raise DomainError(f"series density needs a finite x, got x={x}")
@@ -712,11 +713,10 @@ class MixtureRepresentation:
         f_row, f_col = row.log_terms(log_ax), col.log_terms(log_ax)
         b0 = self.pos.shape + self.neg.shape
         const = (b0 - 1.0) * log_ax - col.rate * ax
-        total = 0.0
-        for i, log_kernel in log_hyperint_rows(
-                row.shape, b0, arg, len(row.pmf), len(col.pmf)):
-            total += float(np.exp(const + f_row[i] + f_col + log_kernel).sum())
-        return total
+        return sum(float(np.exp(const + f_row[i:i + len(L), None]
+                                + f_col[j:j + L.shape[1]] + L).sum())
+                   for i, j, L in log_hyperint_blocks(
+                       row.shape, b0, arg, len(row.pmf), len(col.pmf)))
 
 
 def build_mixture(model: LinearCombinationModel,

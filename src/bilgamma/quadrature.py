@@ -6,11 +6,12 @@ that tolerances and domain transformations are applied uniformly:
 * ``integrate_zero_to_inf`` compactifies (0, inf) with ``t = u / (1 - u)``,
 * Fourier-type integrals (densities, Gil-Pelaez tails) go through
   ``oscillatory_integral``: Ooura & Mori's double-exponential rule over
-  [lower, inf), one numpy call per level, or the compactified rule at x = 0.
+  [lower, inf), one numpy call per level, or the compactified rule at x = 0,
+* ``log_hyperint`` by a nested tanh-sinh rule, one numpy call per level.
 
 Every integral runs at one fixed budget: absolute error ``_ABS_TOL`` or
 relative ``_REL_TOL``, in ``_MAX_SUBDIVISIONS`` QUADPACK bisections or
-``_FOURIER_LEVELS`` levels of the Fourier rule.
+``_FOURIER_LEVELS`` or ``_HYPERINT_LEVELS`` levels of the two rules.
 
 scipy is imported inside the functions that call it, here and in the other
 modules, so that a command that never integrates does not pay to load it.
@@ -42,6 +43,7 @@ _ABS_TOL = 1e-10
 _REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 2000
 _FOURIER_LEVELS = 8  # steps h = 0.2 / 2^k, k < _FOURIER_LEVELS
+_HYPERINT_LEVELS = 6  # steps 1/16, then h = 2^-(5 + k), k < _HYPERINT_LEVELS
 
 
 def _first_sentence(text: str) -> str:
@@ -74,6 +76,19 @@ def integrate_zero_to_inf(f: Callable[[float], float]) -> float:
         return f(t) / (1.0 - u) ** 2
 
     return _quad(mapped, 0.0, 1.0)
+
+
+@functools.cache  # built on first use: importing the module builds nothing
+def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level ``level`` of a nested tanh-sinh rule for int_0^1 f(u) du
+    (Takahasi & Mori 1974): u = (1 + tanh(pi/2 sinh t)) / 2, weight h du/dt
+    at t = n h, |t| <= 3.5, h = 2^-(5 + level), for every n at level 0
+    (even n, the rule at h = 1/16, first) and odd n past it."""
+    h = 2.0 ** -(5 + level)
+    n = np.arange(-3.5 / h, 3.5 / h + 1.0)
+    t = h * (np.concatenate((n[::2], n[1::2])) if level == 0 else n[1::2])
+    v = math.pi * np.sinh(t)
+    return 1.0 / (1.0 + np.exp(-v)), h * 0.5 * math.pi * np.cosh(t) / (1.0 + np.cosh(v))
 
 
 @functools.cache  # built on first use: importing the module builds nothing
@@ -145,8 +160,9 @@ def fourier_density(cf: Callable[[float], complex], x: float) -> float:
     return oscillatory_integral(cf, x, 0.0) / math.pi
 
 
-def log_hyperint(a: float, b: float, x: float) -> float:
-    """log of I(a,b,x) = int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt.
+def log_hyperint(a, b, x):
+    """log of I(a,b,x) = int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt, on
+    floats (one float out) or on arrays that broadcast.
 
     This is Gamma(a) times the second-kind confluent hypergeometric
     function U(a, b, x) (DLMF 13.4.4); working in log space keeps
@@ -160,69 +176,77 @@ def log_hyperint(a: float, b: float, x: float) -> float:
     h(s0 + d) - h(s0) written in d alone, so no two values of h cancel.
     The peak is about w = 2 / sqrt(-h''(s0)) wide.  Each side of it is
     one rule over a finite reach in log(1 + |d| / w), which gives the
-    peak and every feature out to the reach a fair share of the nodes.
-    Past either reach the integrand is below e^-50, except that past the
-    left one it may instead be e^(A + a d) to within e^-40: that tail,
-    about 1/a long, is added in closed form.
+    peak and every feature out to the reach a fair share of the nodes of
+    ``_tanh_sinh_nodes``, on one array per level for every argument not
+    yet within the budget: each value is what it would be alone.  Past
+    either reach the integrand is below e^-50, except that past the left
+    one it may be e^(A + a d) to within e^-40 instead: that tail, about
+    1/a long, is added in closed form.
     """
-    if not (a > 0.0 and x > 0.0):
-        raise DomainError(f"require a > 0 and x > 0, got a={a}, x={x}")
-    c = b - a - 1.0
-    # t0 = a / (beta + root) = (root - beta) / x, root^2 = beta^2 + a x,
-    # each in the form that neither cancels nor overflows, taken as a log
-    beta = 0.5 * (x - b + 1.0)
-    root = math.hypot(beta, math.sqrt(a) * math.sqrt(x))
-    s0 = (math.log(a) - math.log(beta + root) if beta >= 0.0
-          else math.log(root - beta) - math.log(x))
-    log1p_t0 = max(s0, 0.0) + math.log1p(math.exp(-abs(s0)))
-    # tau = t0 / (1 + t0) and the logs of tau and of 1 - tau
-    log_tau, log_tau_c = s0 - log1p_t0, -log1p_t0
-    tau = math.exp(log_tau)
-    log_xt0 = s0 + math.log(x)
-    xt0 = math.exp(log_xt0)
-    # -h''(s0) = a + c tau^2 = x t0 - c tau (1 - tau), a sum of positives
-    w = 2.0 / math.sqrt(a + c * tau * tau if c >= 0.0
-                        else xt0 - c * tau * math.exp(log_tau_c))
-    # Below d = -left, h(s0 + d) - h(s0) is A + a d to within e^-40, with
-    # A = x t0 - c log(1 + t0), or it is below -50, as it is at most
-    # x t0 + a d + max(-c, 0) log(1 + t0) for d < 0.  Past d = right,
-    # x t0 e^d exceeds 2 (a + max(c, 0)) + 1 by e^5 and it is below -70.
-    left = min(max(s0 + math.log(x + abs(c)) + 40.0, 0.0),
-               (xt0 + max(-c, 0.0) * log1p_t0 + 50.0) / a)
-    right = math.log(2.0 * (a + max(c, 0.0)) + 1.0) - log_xt0 + 5.0
-
-    # local names: a kernel evaluates the integrand about 170 times
-    expm1, exp, log1p = math.expm1, math.exp, math.log1p
-
-    def side(reach: float) -> float:
-        # int of exp(h(s0 + d) - h(s0)) from 0 to reach by
-        # d = +-w (e^(span u) - 1), with h(s0 + d) - h(s0) =
-        # a d + c log(1 - tau + tau e^d) - x t0 (e^d - 1), each term in a
-        # form that neither overflows nor loses a small d
-        span = math.log1p(abs(reach) / w)
-        scale = math.copysign(w, reach)
-
-        def piece(u: float) -> float:
-            stretch = expm1(span * u)
-            d = scale * stretch
-            if d < 1.0:
-                e = expm1(d)
-                grow = xt0 * e
-            else:
-                grow = -exp(log_xt0 + d) * expm1(-d)
-            if -1.0 < d < 1.0:
-                mix = log1p(tau * e)
-            else:
-                hi, lo = max(log_tau_c, log_tau + d), min(log_tau_c, log_tau + d)
-                mix = hi + log1p(exp(lo - hi))
-            return exp(a * d + c * mix - grow) * (1.0 + stretch)
-
-        return w * span * _quad(piece, 0.0, 1.0)
-
-    # the rules' part and the closed-form tail, added as logs because the
-    # tail, 1/a long, overflows for a subnormal a
-    body = math.log(side(-left) + side(right))
-    tail = xt0 - c * log1p_t0 - a * left - math.log(a)
-    return (-xt0 + a * s0 + c * log1p_t0 + max(body, tail)
-            + math.log1p(math.exp(-abs(body - tail))))
-
+    args, table, ends = np.broadcast(a, b, x), [], []
+    flat = [(float(a), float(b), float(x)) for a, b, x in args]
+    for a, b, x in flat:
+        if not (0.0 < a < math.inf and math.isfinite(b) and 0.0 < x < math.inf):
+            raise DomainError(f"require finite a, x > 0 and b, got {a, b, x}")
+        c = b - a - 1.0
+        # t0 = a / (beta + root) = (root - beta) / x, root^2 = beta^2 + a x,
+        # each in the form that neither cancels nor overflows, taken as a log
+        beta = 0.5 * (x - b + 1.0)
+        root = math.hypot(beta, math.sqrt(a) * math.sqrt(x))
+        s0 = (math.log(a) - math.log(beta + root) if beta >= 0.0
+              else math.log(root - beta) - math.log(x))
+        log1p_t0 = max(s0, 0.0) + math.log1p(math.exp(-abs(s0)))
+        tau, tau_c = math.exp(s0 - log1p_t0), math.exp(-log1p_t0)  # t0/(1+t0)
+        log_xt0 = s0 + math.log(x)
+        xt0 = math.exp(log_xt0)
+        # -h''(s0) = a + c tau^2 = x t0 - c tau (1 - tau), a sum of positives
+        w = 2.0 / math.sqrt(a + c * tau * tau if c >= 0.0
+                            else xt0 - c * tau * tau_c)
+        # Below d = -left, h(s0 + d) - h(s0) is A + a d to within e^-40, A =
+        # x t0 - c log(1 + t0), or below -50, as it is at most x t0 + a d +
+        # max(-c, 0) log(1 + t0) for d < 0.  Past d = right, x t0 e^d
+        # exceeds 2 (a + max(c, 0)) + 1 by e^5 and it is below -70.
+        left = min(max(s0 + math.log(x + abs(c)) + 40.0, 0.0),
+                   (xt0 + max(-c, 0.0) * log1p_t0 + 50.0) / a)
+        right = math.log(2.0 * (a + max(c, 0.0)) + 1.0) - log_xt0 + 5.0
+        sl, sr = math.log1p(left / w), math.log1p(right / w)
+        peak = (a, c, xt0, log_xt0, tau, s0, -log1p_t0)
+        table.append([(sl, -w, w * sl, *peak), (sr, w, w * sr, *peak)])
+        ends.append((a * s0 - xt0 + c * log1p_t0,
+                     xt0 - c * log1p_t0 - a * left - math.log(a)))
+    table, ends = np.array(table), np.array(ends)
+    todo, body, total = np.arange(len(table)), np.empty(len(table)), 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for level in range(_HYPERINT_LEVELS):
+            u, weights = _tanh_sinh_nodes(level)
+            # sides (left, right) on axis 1, nodes on axis 2: at d = -+w
+            # expm1(span u), h(s0 + d) - h(s0) = a d + c log(1 - tau + tau
+            # e^d) - x t0 (e^d - 1) in terms that neither overflow nor lose
+            # a small d, plus span u for the Jacobian
+            (span, scale, jac, a, c, xt0, log_xt0, tau, s0,
+             log_tau_c) = np.moveaxis(table[..., None], 2, 0)
+            stretch = span * u
+            d = scale * np.expm1(stretch)
+            e = np.expm1(d)
+            grow = np.where(d < 1.0, xt0 * e, np.exp(log_xt0 + d) - xt0)
+            z = s0 + d   # log(tau e^d) - log(1 - tau)
+            mix = np.where(np.abs(d) < 1.0, np.log1p(tau * e), log_tau_c
+                           + np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
+            part = np.exp(a * d + c * mix - grow + stretch) * (jac * weights)
+            total = part.sum((1, 2)) + 0.5 * total
+            if level == 0:  # its even n alone are the rule one level coarser
+                last = 2.0 * part[..., :u.size // 2 + 1].sum((1, 2))
+            gap = np.abs(total - last)
+            done = gap <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))
+            body[todo[done]] = total[done]
+            if done.all():
+                break
+            todo, table, total, last, gap = (
+                v[~done] for v in (todo, table, total, total, gap))
+        else:
+            raise NonConvergenceError(
+                f"log_hyperint failed at (a, b, x) = {flat[todo[0]]}: "
+                f"{_HYPERINT_LEVELS + 1} levels, the last two {gap[0]:.3g} apart")
+    # the tail is added as a log: 1/a long, it overflows for a subnormal a
+    out = ends[:, 0] + np.logaddexp(np.log(body), ends[:, 1])
+    return out.reshape(args.shape) if args.shape else float(out[0])

@@ -255,7 +255,7 @@ class TestPinnedCsvOutput:
                      "4ed89ae7bd9b8697d38ef9b2f4b3d0898d3895118d5b93bb69efa3ea68482d92",
                      id="simulate"),
         pytest.param(["pdf", "--xmin", "-5", "--xmax", "5", "--points", "401"],
-                     "14f2bf7f766ac7e965a4d81c99bb28ea2bc49308ecb6b2549c95ab08480612c3",
+                     "d4c3af9134e2b64a35c2156533961680bfb82dd04bb16a3fb86632d0698b80a7",
                      id="pdf"),
         pytest.param(["cf", "--zmax", "20", "--points", "401"],
                      "c4f1ca7352e77d6f45437877ca2025bc5c3495e097befe826edeb1d87ff5a7a2",

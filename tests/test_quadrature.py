@@ -19,7 +19,7 @@ from bilgamma import (
     price_call_integral,
     quadrature,
 )
-from bilgamma.combo import log_hyperint_rows
+from bilgamma.combo import log_hyperint_blocks
 from bilgamma.models import MODEL_GRID, PRICING_GAMMA
 from bilgamma.quadrature import (
     fourier_density,
@@ -207,6 +207,47 @@ class TestLogHyperint:
                 1e-12 * max(1.0, abs(ref)), (a, b, x)
         assert evaluated >= 90
 
+    @pytest.mark.parametrize("a,b,x", [
+        (1.0, math.nan, 1.0), (1.0, math.inf, 1.0), (1.0, -math.inf, 1.0),
+        (math.inf, 2.0, 1.0), (1.0, 2.0, math.inf)])
+    def test_non_finite_arguments_rejected(self, a, b, x):
+        # each gave NaN with no error under the QUADPACK rule
+        with pytest.raises(DomainError, match="require finite a, x > 0 and b"):
+            log_hyperint(a, b, x)
+        with pytest.raises(DomainError, match="require finite a, x > 0 and b"):
+            log_hyperint([1.5, a], [2.0, b], [0.8, x])
+
+    def test_levels_exhausted_raise(self, monkeypatch):
+        # (0.5, 400, 1) needs h = 1/64; capped at h = 1/32 it fails with one
+        # line naming the argument, the levels and the last gap, also when
+        # the other arguments of the call converge
+        monkeypatch.setattr(quadrature, "_HYPERINT_LEVELS", 1)
+        message = (r"^log_hyperint failed at \(a, b, x\) = \(0\.5, 400\.0, "
+                   r"1\.0\): 2 levels, the last two \S+ apart$")
+        with pytest.raises(NonConvergenceError, match=message):
+            log_hyperint(0.5, 400.0, 1.0)
+        with pytest.raises(NonConvergenceError, match=message):
+            log_hyperint([1.5, 0.5, 2.0], [2.0, 400.0, 3.5], [0.8, 1.0, 1.5])
+
+    def test_batch_is_bitwise_the_scalar_calls(self):
+        # each argument closes at its own level (these 40 at h = 1/32, 1/64
+        # and 1/128) and sums its own row, so an entry does not depend on
+        # the others: permuted, duplicated or alone
+        draws = np.random.default_rng(4).uniform(
+            (-10.0, -0.99, -3.0), (3.0, 1000.0, 308.0), (40, 3))
+        a, x = 10.0 ** draws[:, 0], 10.0 ** draws[:, 2]
+        b = a + draws[:, 1]
+        alone = [log_hyperint(*v) for v in zip(a.tolist(), b.tolist(), x.tolist())]
+        assert all(type(v) is float for v in alone)
+        order = np.random.default_rng(5).permutation(np.repeat(np.arange(40), 2))
+        got = log_hyperint(a[order], b[order], x[order])
+        assert got.tolist() == [alone[i] for i in order]
+        # broadcasting keeps the shape; a 0-d call is a float
+        grid = log_hyperint(a[:6].reshape(2, 3), b[:6].reshape(2, 3), x[0])
+        assert grid.shape == (2, 3)
+        assert grid.ravel().tolist() == [log_hyperint(*v) for v in
+                                         zip(a[:6].tolist(), b[:6].tolist(), [x[0]] * 6)]
+
     @staticmethod
     def _relation_arguments(seed, ranges):
         """(a, b, x) for 100 seeded uniform draws of (a, b - a, x) over
@@ -242,6 +283,26 @@ class TestLogHyperint:
                 (a, b, x)
 
 
+def kernel_grid(a0, b0, x, rows, cols):
+    """The grid of log_hyperint_blocks, checking that its blocks tile it
+    once each."""
+    grid, hits = np.full((rows, cols), np.nan), np.zeros((rows, cols), int)
+    for i, j, block in log_hyperint_blocks(a0, b0, x, rows, cols):
+        m, n = block.shape
+        grid[i:i + m, j:j + n] = block
+        hits[i:i + m, j:j + n] += 1
+    assert (hits == 1).all()
+    return grid
+
+
+def counting_seed(seeds):
+    """log_hyperint, recording each (a, b) it integrates, arrays or floats."""
+    def seed(a, b, x):
+        seeds.extend(zip(np.ravel(a).tolist(), np.ravel(b).tolist()))
+        return log_hyperint(a, b, x)
+    return seed
+
+
 class TestLogHyperintRows:
     @pytest.mark.parametrize("a0,b0,x,rows,cols", [
         (0.7, 1.2, 0.3, 5, 7), (40.0, 45.5, 2.0, 5, 7), (2.5, 300.0, 1.0, 5, 7),
@@ -252,47 +313,47 @@ class TestLogHyperintRows:
         (0.5, 30.0, 2.0, 60, 4),
         # k0 clipped at the top (x - b0 past the grid): backward only
         (1.5, 2.0, 90.0, 40, 5),
+        # LARGE_B's x = -1 grid (506 rows of one column) and its x = 0.2
+        # grid (one row of 506 columns)
+        (15.5, 16.5, 20.0, 506, 1), (1.0, 16.5, 4.0, 1, 506),
     ])
     def test_matches_pointwise_by_diagonal(self, a0, b0, x, rows, cols,
                                            monkeypatch):
+        # the walk runs along rows where rows <= cols (the wide grids
+        # above) and along columns otherwise (the tall ones)
         seeds = []
-
-        def seed(a, b, x):
-            seeds.append((a, b))
-            return log_hyperint(a, b, x)
-
-        monkeypatch.setattr(bilgamma.combo, "log_hyperint", seed)
-        got = {i: row.copy() for i, row in
-               log_hyperint_rows(a0, b0, x, rows, cols)}
-        assert sorted(got) == list(range(rows))
-        assert len(seeds) <= 3
+        monkeypatch.setattr(bilgamma.combo, "log_hyperint", counting_seed(seeds))
+        got = kernel_grid(a0, b0, x, rows, cols)
+        assert len(seeds) <= 2
         # every seed lies on the diagonal b - a = b0 - a0
         assert all(b - a == pytest.approx(b0 - a0) for a, b in seeds)
-        for i, row in got.items():
+        for i, row in enumerate(got):
             ref = [log_hyperint(a0 + i, b0 + i + j, x) for j in range(cols)]
             np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0.0)
 
+    def test_blocks_bound_memory(self):
+        # a block holds whole rows (or columns) of about 2^16 entries
+        for rows, cols in ((3, 70_000), (70_000, 3), (300, 300)):
+            blocks = list(log_hyperint_blocks(2.0, 3.5, 1.5, rows, cols))
+            assert max(b.size for *_, b in blocks) <= max(2 ** 16, rows, cols)
+            assert sum(b.size for *_, b in blocks) == rows * cols
+
     def test_single_column_and_row(self, monkeypatch):
         seeds = []
-
-        def seed(a, b, x):
-            seeds.append((a, b))
-            return log_hyperint(a, b, x)
-
-        monkeypatch.setattr(bilgamma.combo, "log_hyperint", seed)
-        (i, row), = log_hyperint_rows(1.5, 2.0, 0.8, 1, 1)
-        assert i == 0 and row.tolist() == [log_hyperint(1.5, 2.0, 0.8)]
+        monkeypatch.setattr(bilgamma.combo, "log_hyperint", counting_seed(seeds))
+        assert kernel_grid(1.5, 2.0, 0.8, 1, 1).tolist() == [
+            [log_hyperint(1.5, 2.0, 0.8)]]
         assert seeds == [(1.5, 2.0)]
 
     @pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0)])
     def test_empty_grid_rejected(self, rows, cols):
         with pytest.raises(DomainError):
-            next(log_hyperint_rows(1.0, 2.0, 1.0, rows, cols))
+            next(log_hyperint_blocks(1.0, 2.0, 1.0, rows, cols))
 
     @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
     def test_bad_x_rejected(self, x):
         with pytest.raises(DomainError):
-            next(log_hyperint_rows(1.0, 2.0, x, 3, 3))
+            next(log_hyperint_blocks(1.0, 2.0, x, 3, 3))
 
 
 class TestOscillatoryIntegral:
