@@ -20,7 +20,6 @@ The module also reads every input document (``read_json``, ``read_fields``).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import json
 import math
@@ -52,8 +51,11 @@ __all__ = [
 
 _FIELDS = ("alpha", "p", "beta", "q", "w1", "w2")
 
-# arguments that ``LinearCombinationModel.cf`` evaluates by its cmath loop
+# arguments that ``LinearCombinationModel.cf`` evaluates by its math loop
 _REAL_SCALARS = (float, int, np.floating, np.integer)
+
+# past |u| = 2^500, log(1 + u^2) rounds to 2 log|u|; u^2 overflows at 1.3e154
+_SQUARE_SAFE = 2.0 ** 500
 
 _TAIL_MASS_TOL = 1e-6  # largest tail share a moment, a density or a draw may lose
 
@@ -112,9 +114,10 @@ class LinearCombinationModel:
                 raise DomainError(
                     f"component {bad[0]}: field '{name}' must be finite and > 0, "
                     f"got {float(arr[bad[0]])!r}")
-        # the product cf's coefficients, one tuple of floats per component
-        columns = (self.p, self.w1, 1.0 / self.alpha,
-                   self.q, self.w2, 1.0 / self.beta)
+        # the product cf's coefficients, one tuple of floats per component:
+        # half shapes, shapes and the scales 1/lam_j, 1/mu_j of z
+        columns = (0.5 * self.p, self.p, self.w1 / self.alpha,
+                   0.5 * self.q, self.q, self.w2 / self.beta)
         object.__setattr__(self, "_cf_rows",
                            tuple(zip(*(c.tolist() for c in columns))))
 
@@ -211,21 +214,37 @@ class LinearCombinationModel:
 
         prod_j (alpha_j/(alpha_j - iz w1_j))^p_j (beta_j/(beta_j + iz w2_j))^q_j
 
-        Both paths add the log factors one component at a time, in order: a
-        real scalar z (one QUADPACK node) by cmath, returning a complex; any
-        other z by numpy over z's own shape (a 0-d z returns a complex).
+        on real z, from its modulus and phase: with u_j = z w1_j/alpha_j and
+        v_j = z w2_j/beta_j,
+
+            log|cf| = -sum_j (p_j log(1 + u_j^2) + q_j log(1 + v_j^2)) / 2,
+            arg cf  =  sum_j (p_j atan u_j - q_j atan v_j),
+
+        added one component at a time, in order, each log(1 + u^2) by
+        ``_log1p_square``.  A real scalar z (one QUADPACK node) goes through
+        ``math`` and returns a complex; any other z through numpy over z's
+        own shape (a 0-d z returns a complex), elementwise, so an entry
+        does not depend on the others.  A complex z raises DomainError.
         """
         if isinstance(z, _REAL_SCALARS):
-            lib, iz = cmath, 1j * float(z)
+            z, atan, log1p_square = float(z), math.atan, _log1p_square_float
         else:
-            lib, iz = np, 1j * np.asarray(z, dtype=complex)
-        expo = -0j  # -0.0 + t == t for every t, signed zeros included
-        for p, w1, inv_alpha, q, w2, inv_beta in self._cf_rows:
-            expo += (-p * lib.log(1.0 - iz * w1 * inv_alpha)
-                     - q * lib.log(1.0 + iz * w2 * inv_beta))
-        if lib is cmath:
-            return cmath.exp(expo)
-        val = np.exp(expo)
+            z = np.asarray(z)
+            if z.dtype.kind not in "biuf":
+                raise DomainError(f"the product cf takes a real z, got {z.dtype}")
+            z = z.astype(float, copy=False)
+            atan, log1p_square = np.arctan, _log1p_square
+        log_mod = phase = 0.0
+        for half_p, p, scale_u, half_q, q, scale_v in self._cf_rows:
+            u, v = z * scale_u, z * scale_v
+            log_mod -= half_p * log1p_square(u) + half_q * log1p_square(v)
+            phase += p * atan(u) - q * atan(v)
+        if isinstance(z, float):
+            modulus = math.exp(log_mod)
+            return complex(modulus * math.cos(phase), modulus * math.sin(phase))
+        modulus, val = np.exp(log_mod), np.empty(z.shape, dtype=complex)
+        np.multiply(modulus, np.cos(phase), out=val.real)
+        np.multiply(modulus, np.sin(phase), out=val.imag)
         return complex(val) if val.ndim == 0 else val
 
     def mgf(self, z: float) -> float:
@@ -274,22 +293,45 @@ class LinearCombinationModel:
     def variance(self) -> float:
         return self.cumulant(2)
 
-    def pdf_fourier(self, x: float) -> float:
-        """Density by Fourier inversion of the product-form cf at any x != 0,
+    def pdf_fourier(self, x):
+        """Density by Fourier inversion of the product-form cf, on a float x
+        (a float out) or an array of them (an array out), at any x != 0,
         and at x = 0 when the total shape s = sum_j (p_j + q_j) exceeds 1.
         For s <= 1 the cf, ~|z|^-s, is not absolutely integrable, but the
         inversion converges at x != 0 by Dirichlet's test; the density is
-        infinite at 0, which raises SingularPointError.  Small negative
-        quadrature values (above -1e-8) are clamped to zero.
+        infinite at 0, and a grid holding 0 raises SingularPointError
+        before any quadrature.  Small negative quadrature values (above
+        -1e-8) are clamped to zero; a value below names its x.
         """
-        if x == 0.0 and self.p_total + self.q_total <= 1.0:
+        xs = np.asarray(x, dtype=float)
+        if self.p_total + self.q_total <= 1.0 and (xs == 0.0).any():
             raise SingularPointError(
                 "density is infinite at x = 0 when the total shape is <= 1")
-        raw = fourier_density(self.cf, float(x))
-        if raw < -1e-8:
+        raw = np.asarray(fourier_density(self.cf, xs))
+        if (negative := np.flatnonzero(raw < -1e-8)).size:
+            i = negative[0]
             raise NonConvergenceError(
-                f"inverted density materially negative at x={x}: {raw}")
-        return max(raw, 0.0)
+                f"inverted density materially negative at "
+                f"x={xs.flat[i].item()}: {raw.flat[i].item()}")
+        out = np.maximum(raw, 0.0)
+        return out if xs.ndim else float(out)
+
+
+def _log1p_square(u):
+    """log(1 + u^2) of an array u, also where u^2 overflows (|u| past
+    1.3e154): bitwise log1p(u * u) up to |u| = 2^500, and past there
+    2 log|u|, which it is within u^-2."""
+    a = np.abs(u)  # a numpy scalar for a 0-d u, so out is made an array
+    out = np.log1p(np.square(np.minimum(a, _SQUARE_SAFE)), out=np.empty_like(a))
+    past = a > _SQUARE_SAFE
+    np.log(a, out=out, where=past)
+    return np.multiply(out, 2.0, out=out, where=past)
+
+
+def _log1p_square_float(u: float) -> float:
+    """``_log1p_square`` of a float."""
+    a = abs(u)
+    return 2.0 * math.log(a) if a > _SQUARE_SAFE else math.log1p(a * a)
 
 
 def read_json(path, what: str = "model"):
@@ -426,12 +468,14 @@ def _require_mass(**sides: GammaMixture) -> None:
                 "; rebuild the mixture with a smaller tail_tol")
 
 
-def log_hyperint_blocks(a0: float, b0: float, x: float, rows: int, cols: int):
-    """Yield (i, j, L) for blocks L = G[i:i + m, j:j + n] that tile the grid
+def log_hyperint_blocks(grids) -> list:
+    """For each grid (a0, b0, x, rows, cols) of ``grids``, an iterator of
+    (i, j, L) for blocks L = G[i:i + m, j:j + n] that tile the grid
     G[i, j] = log I(a0 + i, b0 + i + j, x), i < rows, j < cols, for I the
-    integral of ``log_hyperint``, which gives two entries in one call.  The
-    rest follow from three exact relations, each run in a stable direction
-    (only (B) subtracts, forward in b, where U is the dominant solution):
+    integral of ``log_hyperint``, which gives two entries of every grid in
+    one call.  The rest follow from three exact relations, each run in a
+    stable direction (only (B) subtracts, forward in b, where U is the
+    dominant solution):
 
     * (D) (a0 + k) d_k + (b0 + k - x) d_(k+1) = x d_(k+2), by parts on
       d/dt [t^(a0+k) (1+t)^(b0-a0) e^(-xt)], gives the first column
@@ -442,15 +486,29 @@ def log_hyperint_blocks(a0: float, b0: float, x: float, rows: int, cols: int):
       row's second entry from d_rows, and the rest along the grid's
       shorter side: each row a running sum of the one below, or each
       column from the one before, in blocks of about _KERNEL_BLOCK.
+
+    Each grid's blocks are bitwise what they would be alone.
     """
-    if rows < 1 or cols < 1 or not 0.0 < x < math.inf:
-        raise DomainError(f"require rows, cols >= 1 and a finite x > 0, got "
-                          f"rows={rows}, cols={cols}, x={x}")
-    # the diagonal runs one step past the last row if it has a 2nd entry
-    n = rows + (cols > 1)
-    k0 = min(max(math.ceil(x - b0), 0), max(n - 2, 0))
-    seeds = np.arange(min(n, 2.0))
-    diag, head = log_hyperint(a0 + k0 + seeds, b0 + k0 + seeds, x).tolist(), []
+    starts, args = [], []
+    for a0, b0, x, rows, cols in grids:
+        if rows < 1 or cols < 1 or not 0.0 < x < math.inf:
+            raise DomainError(f"require rows, cols >= 1 and a finite x > 0, "
+                              f"got rows={rows}, cols={cols}, x={x}")
+        # the diagonal runs one step past the last row if it has a 2nd entry
+        n = rows + (cols > 1)
+        k0 = min(max(math.ceil(x - b0), 0), max(n - 2, 0))
+        starts.append((k0, len(args), len(args) + min(n, 2)))
+        args += [(a0 + k0 + s, b0 + k0 + s, x) for s in (0.0, 1.0)[:n]]
+    seeds = log_hyperint(*np.array(args).T).tolist() if args else []
+    return [_kernel_grid(*grid, k0, seeds[begin:end])
+            for grid, (k0, begin, end) in zip(grids, starts)]
+
+
+def _kernel_grid(a0: float, b0: float, x: float, rows: int, cols: int,
+                 k0: int, diag: list):
+    """The blocks of one grid of ``log_hyperint_blocks`` from its seeds
+    ``diag``, d_k0 and d_(k0+1) (d_k0 alone for a one-entry diagonal)."""
+    n, head = rows + (cols > 1), []
     if n > 1:
         # (D) forward as a recurrence for the ratio d_(k+2) / d_(k+1)
         ratio = math.exp(diag[1] - diag[0])
@@ -681,8 +739,9 @@ class MixtureRepresentation:
 
     # -- densities -----------------------------------------------------------
 
-    def pdf_series(self, x: float) -> float:
-        """Density by the mixture double series with hypergeometric kernel.
+    def pdf_series(self, x):
+        """Density by the mixture double series with hypergeometric kernel,
+        on a float x (a float out) or an array of them (an array out).
 
         For x > 0 each (j, k) term is
 
@@ -693,30 +752,39 @@ class MixtureRepresentation:
         Gamma(a) U(a, b, X); for x < 0 the mirrored kernel swaps the roles
         of the two sides: e^(xi x) (-x)^(...) I(p+j, p+q+j+k, -(eta+xi)x).
         Every (j, k) pair of the pmfs is summed, so their truncation at
-        ``tail_tol`` is the series' only one.  The kernels form a grid whose
-        rows step a and b together (k for x > 0, j for x < 0) and whose
-        columns step b alone, which ``log_hyperint_blocks`` fills.
+        ``tail_tol`` is the series' only one.  The kernels of a point form
+        a grid whose rows step a and b together (k for x > 0, j for x < 0)
+        and whose columns step b alone, which ``log_hyperint_blocks``
+        fills, seeding every point's grid in one call.  A non-finite x
+        raises DomainError and x = 0 SingularPointError, the first such x
+        in grid order.
         """
-        if not math.isfinite(x):
-            raise DomainError(f"series density needs a finite x, got x={x}")
-        if x == 0.0:
-            raise SingularPointError("series density not evaluated at x = 0")
+        xs = np.asarray(x, dtype=float)
+        flat = xs.ravel().tolist()
+        for v in flat:
+            if not math.isfinite(v):
+                raise DomainError(f"series density needs a finite x, got x={v}")
+            if v == 0.0:
+                raise SingularPointError("series density not evaluated at x = 0")
         _require_mass(positive=self.pos, negative=self.neg)
-        ax = abs(x)
-        arg = (self.pos.rate + self.neg.rate) * ax
-        if not math.isfinite(arg):
-            # the kernel argument overflows only far past where e^(-rate |x|)
-            # has underflowed: the density is 0 there, as it is at 1e300
-            return 0.0
-        log_ax = math.log(ax)
-        row, col = (self.neg, self.pos) if x > 0.0 else (self.pos, self.neg)
-        f_row, f_col = row.log_terms(log_ax), col.log_terms(log_ax)
-        b0 = self.pos.shape + self.neg.shape
-        const = (b0 - 1.0) * log_ax - col.rate * ax
-        return sum(float(np.exp(const + f_row[i:i + len(L), None]
-                                + f_col[j:j + L.shape[1]] + L).sum())
-                   for i, j, L in log_hyperint_blocks(
-                       row.shape, b0, arg, len(row.pmf), len(col.pmf)))
+        b0, rate = self.pos.shape + self.neg.shape, self.pos.rate + self.neg.rate
+        # (index, |x|, row side, column side) of each x whose kernel argument
+        # is finite: it overflows only far past where e^(-rate |x|) has
+        # underflowed, and the density is 0 there, as it is at 1e300
+        points = [(i, abs(v), *((self.neg, self.pos) if v > 0.0
+                                else (self.pos, self.neg)))
+                  for i, v in enumerate(flat) if math.isfinite(rate * abs(v))]
+        grids = log_hyperint_blocks([(row.shape, b0, rate * ax, len(row.pmf),
+                                      len(col.pmf)) for _, ax, row, col in points])
+        out = np.zeros(len(flat))
+        for (i, ax, row, col), blocks in zip(points, grids):
+            log_ax = math.log(ax)
+            f_row, f_col = row.log_terms(log_ax), col.log_terms(log_ax)
+            const = (b0 - 1.0) * log_ax - col.rate * ax
+            out[i] = sum(float(np.exp(const + f_row[k:k + len(L), None]
+                                      + f_col[j:j + L.shape[1]] + L).sum())
+                         for k, j, L in blocks)
+        return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 
 def build_mixture(model: LinearCombinationModel,

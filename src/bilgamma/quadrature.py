@@ -6,8 +6,14 @@ that tolerances and domain transformations are applied uniformly:
 * ``integrate_zero_to_inf`` compactifies (0, inf) with ``t = u / (1 - u)``,
 * Fourier-type integrals (densities, Gil-Pelaez tails) go through
   ``oscillatory_integral``: Ooura & Mori's double-exponential rule over
-  [lower, inf), one numpy call per level, or the compactified rule at x = 0,
-* ``log_hyperint`` by a nested tanh-sinh rule, one numpy call per level.
+  [lower, inf), or the compactified rule at x = 0,
+* ``log_hyperint`` by a nested tanh-sinh rule.
+
+The two numpy rules take a float (a float out) or an array of arguments,
+and evaluate each level on the nodes of every argument not yet within the
+budget, joined in batches of about ``_NODE_BLOCK`` nodes, one numpy call
+each; each argument keeps its own stopping test, so each entry is bitwise
+what it would be alone.
 
 Every integral runs at one fixed budget: absolute error ``_ABS_TOL`` or
 relative ``_REL_TOL``, in ``_MAX_SUBDIVISIONS`` QUADPACK bisections or
@@ -44,6 +50,7 @@ _REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 2000
 _FOURIER_LEVELS = 8  # steps h = 0.2 / 2^k, k < _FOURIER_LEVELS
 _HYPERINT_LEVELS = 6  # steps 1/16, then h = 2^-(5 + k), k < _HYPERINT_LEVELS
+_NODE_BLOCK = 2 ** 16  # nodes of a batch of arguments held at once by a numpy rule
 
 
 def _first_sentence(text: str) -> str:
@@ -125,38 +132,83 @@ def _fourier_nodes(level: int) -> tuple[np.ndarray, np.ndarray, int]:
     return nodes[kept], weights[kept], int(kept[:n.size].sum())
 
 
-def oscillatory_integral(g: Callable, x: float, lower: float) -> float:
-    """int_lower^inf Re(e^{-ixz} g(z)) dz: at x = 0 by the compactified
-    rule, on floats; else by ``_fourier_nodes`` on e^{-ix lower} g(lower + z),
-    z scaled by 1/|x|, one call of ``g`` per level on all nodes whose weight
-    over |x| is at least 1e-4 _ABS_TOL (bounding the share of the rest where
-    |g| <= 1, as for a cf and for cf(z)/z on z >= 1), until two levels agree
-    within the budget.  Rejects a non-finite ``x``."""
-    if not math.isfinite(x):
-        raise DomainError(f"require a finite x, got x={x}")
-    if x == 0.0:
-        return integrate_zero_to_inf(lambda t: g(lower + t).real)
-    # Re(e^{-ixz} (c + is)) = c cos(|x| z) + sign(x) s sin(|x| z)
-    omega, sign = abs(x), math.copysign(1.0, x)
-    total = gap = math.nan
-    failed = f"Fourier quadrature failed on [{lower}, inf) at x={x}"
+def oscillatory_integral(g: Callable, x, lower: float):
+    """int_lower^inf Re(e^{-ixz} g(z)) dz on a float x (a float out) or on
+    an array of them (an array of x's shape out): at x = 0 by the
+    compactified rule, on floats; else by ``_fourier_nodes`` on
+    e^{-ix lower} g(lower + z), z scaled by 1/|x|, on the nodes whose
+    weight over |x| is at least 1e-4 _ABS_TOL (bounding the share of the
+    rest where |g| <= 1, as for a cf and for cf(z)/z on z >= 1), until two
+    levels agree within the budget.  Each x keeps its own nodes and its
+    own stopping test; a level calls ``g`` on the joined nodes of the x
+    still open, in grid order, once per run of them that reaches
+    ``_NODE_BLOCK`` nodes and once on the rest, so an entry is what it
+    would be alone.  Where some x fail (a non-finite x among them), raises
+    the error of the first in grid order."""
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel().tolist()
+    out, errors, last = np.empty(len(flat)), {}, {}
+
+    def failed(i: int) -> str:
+        return f"Fourier quadrature failed on [{lower}, inf) at x={flat[i]}"
+
+    def settle(batch: list, previous: dict) -> dict:
+        """One call of g on the nodes of a batch of x; returns the x that
+        stay open, with their value and gap at this level."""
+        values, start, still = g(np.concatenate([z for *_, z in batch])), 0, {}
+        for i, split, w, z in batch:
+            # Re(e^{-ixz} (c + is)) = c cos(|x| z) + sign(x) s sin(|x| z)
+            x = flat[i]
+            v = cmath.exp(-1j * x * lower) * values[start:start + len(z)]
+            start += len(z)
+            total = float(w[:split] @ v.real[:split] + math.copysign(1.0, x) * (
+                w[split:] @ v.imag[split:])) / abs(x)
+            if (gap := abs(total - previous[i][0])) <= max(
+                    _ABS_TOL, _REL_TOL * abs(total)):
+                out[i] = total
+            else:
+                still[i] = (total, gap)
+        return still
+
+    for i, v in enumerate(flat):
+        if not math.isfinite(v):
+            errors[i] = DomainError(f"require a finite x, got x={v}")
+        elif v == 0.0:
+            try:
+                out[i] = integrate_zero_to_inf(lambda t: g(lower + t).real)
+            except NonConvergenceError as exc:
+                errors[i] = exc
+        else:
+            last[i] = (math.nan, math.nan)  # its value and gap a level before
     for level in range(_FOURIER_LEVELS):
         nodes, weights, n_cos = _fourier_nodes(level)
-        keep = np.abs(weights) >= 1e-4 * _ABS_TOL * omega
-        if keep[0] or keep[n_cos]:  # the skipped nodes must include z -> 0
-            raise NonConvergenceError(f"{failed}: |x| is below its reach")
-        split, weights = np.count_nonzero(keep[:n_cos]), weights[keep]
-        v = cmath.exp(-1j * x * lower) * g(lower + nodes[keep] / omega)
-        last, total = total, float(weights[:split] @ v.real[:split] + sign * (
-            weights[split:] @ v.imag[split:])) / omega
-        if (gap := abs(total - last)) <= max(_ABS_TOL, _REL_TOL * abs(total)):
-            return total
-    raise NonConvergenceError(
-        f"{failed}: {_FOURIER_LEVELS} levels, the last two {gap:.3g} apart")
+        size, previous, last, batch, held = np.abs(weights), last, {}, [], 0
+        for i in previous:
+            keep = size >= 1e-4 * _ABS_TOL * abs(flat[i])
+            if keep[0] or keep[n_cos]:  # the skipped nodes must include z -> 0
+                errors[i] = NonConvergenceError(
+                    f"{failed(i)}: |x| is below its reach")
+                continue
+            z = lower + nodes[keep] / abs(flat[i])
+            batch.append((i, np.count_nonzero(keep[:n_cos]), weights[keep], z))
+            if (held := held + len(z)) >= _NODE_BLOCK:
+                last.update(settle(batch, previous))
+                batch, held = [], 0
+        if batch:
+            last.update(settle(batch, previous))
+        if not last:
+            break
+    for i, (_, gap) in last.items():
+        errors[i] = NonConvergenceError(
+            f"{failed(i)}: {_FOURIER_LEVELS} levels, the last two {gap:.3g} apart")
+    if errors:
+        raise errors[min(errors)]
+    return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 
-def fourier_density(cf: Callable[[float], complex], x: float) -> float:
-    """Density h(x) = (1/pi) int_0^inf Re(e^{-ixz} cf(z)) dz of a cf."""
+def fourier_density(cf: Callable, x):
+    """Density h(x) = (1/pi) int_0^inf Re(e^{-ixz} cf(z)) dz of a cf, on a
+    float x or an array of them, per ``oscillatory_integral``."""
     return oscillatory_integral(cf, x, 0.0) / math.pi
 
 
@@ -178,10 +230,11 @@ def log_hyperint(a, b, x):
     one rule over a finite reach in log(1 + |d| / w), which gives the
     peak and every feature out to the reach a fair share of the nodes of
     ``_tanh_sinh_nodes``, on one array per level for every argument not
-    yet within the budget: each value is what it would be alone.  Past
-    either reach the integrand is below e^-50, except that past the left
-    one it may be e^(A + a d) to within e^-40 instead: that tail, about
-    1/a long, is added in closed form.
+    yet within the budget, in batches of about ``_NODE_BLOCK`` nodes:
+    each value is what it would be alone.  Past either reach the
+    integrand is below e^-50, except that past the left one it may be
+    e^(A + a d) to within e^-40 instead: that tail, about 1/a long, is
+    added in closed form.
     """
     args, table, ends = np.broadcast(a, b, x), [], []
     flat = [(float(a), float(b), float(x)) for a, b, x in args]
@@ -219,23 +272,28 @@ def log_hyperint(a, b, x):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for level in range(_HYPERINT_LEVELS):
             u, weights = _tanh_sinh_nodes(level)
-            # sides (left, right) on axis 1, nodes on axis 2: at d = -+w
-            # expm1(span u), h(s0 + d) - h(s0) = a d + c log(1 - tau + tau
-            # e^d) - x t0 (e^d - 1) in terms that neither overflow nor lose
-            # a small d, plus span u for the Jacobian
-            (span, scale, jac, a, c, xt0, log_xt0, tau, s0,
-             log_tau_c) = np.moveaxis(table[..., None], 2, 0)
-            stretch = span * u
-            d = scale * np.expm1(stretch)
-            e = np.expm1(d)
-            grow = np.where(d < 1.0, xt0 * e, np.exp(log_xt0 + d) - xt0)
-            z = s0 + d   # log(tau e^d) - log(1 - tau)
-            mix = np.where(np.abs(d) < 1.0, np.log1p(tau * e), log_tau_c
-                           + np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
-            part = np.exp(a * d + c * mix - grow + stretch) * (jac * weights)
-            total = part.sum((1, 2)) + 0.5 * total
-            if level == 0:  # its even n alone are the rule one level coarser
-                last = 2.0 * part[..., :u.size // 2 + 1].sum((1, 2))
+            sums, coarse, step = [], [], max(1, _NODE_BLOCK // (2 * u.size))
+            for start in range(0, len(table), step):
+                # sides (left, right) on axis 1, nodes on axis 2: at d = -+w
+                # expm1(span u), h(s0 + d) - h(s0) = a d + c log(1 - tau +
+                # tau e^d) - x t0 (e^d - 1) in terms that neither overflow
+                # nor lose a small d, plus span u for the Jacobian
+                (span, scale, jac, a, c, xt0, log_xt0, tau, s0, log_tau_c) = \
+                    np.moveaxis(table[start:start + step, :, :, None], 2, 0)
+                stretch = span * u
+                d = scale * np.expm1(stretch)
+                e = np.expm1(d)
+                grow = np.where(d < 1.0, xt0 * e, np.exp(log_xt0 + d) - xt0)
+                z = s0 + d   # log(tau e^d) - log(1 - tau)
+                mix = np.where(np.abs(d) < 1.0, np.log1p(tau * e), log_tau_c
+                               + np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
+                part = np.exp(a * d + c * mix - grow + stretch) * (jac * weights)
+                sums.append(part.sum((1, 2)))
+                if level == 0:  # its even n alone are the rule one level coarser
+                    coarse.append(2.0 * part[..., :u.size // 2 + 1].sum((1, 2)))
+            total = np.concatenate(sums) + 0.5 * total
+            if level == 0:
+                last = np.concatenate(coarse)
             gap = np.abs(total - last)
             done = gap <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))
             body[todo[done]] = total[done]

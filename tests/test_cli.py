@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -99,6 +100,93 @@ class TestPdfCommand:
         out.unlink()
         assert main([*argv, "3"]) == 3
         assert "SingularPointError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_pass_per_route(self, tmp_path, monkeypatch):
+        # each density route takes the whole grid in one call: the product
+        # cf is called on arrays once per level of the Fourier rule and
+        # batch of about quadrature._NODE_BLOCK nodes, the points sharing
+        # the calls (4 here; the x = 0 row's compactified rule calls it on
+        # floats), and one log_hyperint call seeds every series point
+        calls = {"cf": 0, "log_hyperint": 0}
+        cf = LinearCombinationModel.cf
+
+        def counted_cf(self, z):
+            calls["cf"] += isinstance(z, np.ndarray)
+            return cf(self, z)
+
+        def counted_seed(a, b, x):
+            calls["log_hyperint"] += 1
+            return quadrature.log_hyperint(a, b, x)
+
+        monkeypatch.setattr(LinearCombinationModel, "cf", counted_cf)
+        monkeypatch.setattr(bilgamma.combo, "log_hyperint", counted_seed)
+        model = tmp_path / "five_mixed.json"
+        model.write_text(json.dumps(MODEL_GRID["five_mixed"].to_json_obj()))
+        assert main(["pdf", "--model", str(model), "--xmin", "-5", "--xmax",
+                     "5", "--points", "401", "--out", str(tmp_path / "pdf.csv")]) == 0
+        assert 1 <= calls["cf"] <= quadrature._FOURIER_LEVELS
+        assert calls["log_hyperint"] == 1
+
+    def test_peak_memory_bounded_on_a_large_grid(self, model_file):
+        # both routes batch a grid's quadrature nodes, about
+        # quadrature._NODE_BLOCK at a time, so 1001 points peak at about
+        # 7 MiB; joining every open point's nodes in one array peaks at
+        # about 18 MiB in the cf and 32 MiB in log_hyperint
+        tracemalloc.start()
+        try:
+            assert main(["pdf", "--model", model_file, "--xmin", "-5", "--xmax",
+                         "5", "--points", "1001", "--out", os.devnull]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2 ** 20
+
+    def test_series_column_skips_origin(self, tmp_path):
+        # the grid's x = 0 takes the compactified Fourier rule, and the
+        # series, which is not evaluated there, writes nan
+        model = tmp_path / "five_mixed.json"
+        model.write_text(json.dumps(MODEL_GRID["five_mixed"].to_json_obj()))
+        out = tmp_path / "pdf.csv"
+        assert main(["pdf", "--model", str(model), "--xmin", "-1", "--xmax",
+                     "1", "--points", "5", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows[2][0] == "0"
+        assert rows[2][2:] == ["nan", "nan"]
+        assert float(rows[2][1]) == pytest.approx(
+            MODEL_GRID["five_mixed"].pdf_fourier(0.0), rel=1e-11)
+        assert all(r[2] != "nan" for r in rows[:2] + rows[3:])
+
+    @pytest.mark.parametrize("case", ["interior_nonconvergence",
+                                      "singular_origin"])
+    def test_grid_error_names_its_x(self, tmp_path, capsys, monkeypatch,
+                                    case):
+        # a route raises for the first failing x of its grid: the exit code
+        # and the error class are the pointwise loop's, on one stderr line
+        # naming that x
+        if case == "interior_nonconvergence":
+            # at two levels x = -2 and 2.6 converge alone, the x between not
+            monkeypatch.setattr(quadrature, "_FOURIER_LEVELS", 2)
+            model = MODEL_GRID["pair_nonint"]
+            for x in (-2.0, 2.6):
+                model.pdf_fourier(x)
+            bounds, line = ("-2", "2.6"), (
+                r"error: NonConvergenceError: Fourier quadrature failed on "
+                r"\[0\.0, inf\) at x=0\.2999999999999998: 2 levels, the last "
+                r"two \S+ apart")
+        else:
+            model = LinearCombinationModel.from_components(
+                [(3.0, 0.4, 4.0, 0.3, 1.0, 1.0)])
+            bounds, line = ("-1", "1"), (
+                r"error: SingularPointError: density is infinite at x = 0 "
+                r"when the total shape is <= 1")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model.to_json_obj()))
+        out = tmp_path / "pdf.csv"
+        assert main(["pdf", "--model", str(path), "--xmin", bounds[0], "--xmax",
+                     bounds[1], "--points", "3", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(line + "\n", err), err
         assert not out.exists()
 
     def test_malformed_model_exits_2(self, tmp_path, capsys):
@@ -255,10 +343,10 @@ class TestPinnedCsvOutput:
                      "4ed89ae7bd9b8697d38ef9b2f4b3d0898d3895118d5b93bb69efa3ea68482d92",
                      id="simulate"),
         pytest.param(["pdf", "--xmin", "-5", "--xmax", "5", "--points", "401"],
-                     "d4c3af9134e2b64a35c2156533961680bfb82dd04bb16a3fb86632d0698b80a7",
+                     "5f389659544529c475453a1ee7725c831a579ae0c96f2f8de42ac4e5e1fe6a56",
                      id="pdf"),
         pytest.param(["cf", "--zmax", "20", "--points", "401"],
-                     "c4f1ca7352e77d6f45437877ca2025bc5c3495e097befe826edeb1d87ff5a7a2",
+                     "a7a54c017ba05d22e8c5699e36a521d97c2d14ebec142e30841e2ff2fefdeba6",
                      id="cf"),
         pytest.param(["cp-sweep", "--m", "1,2,4,8,16,32,64", "--n", "100000",
                       "--seed", "7"],
@@ -1025,6 +1113,16 @@ class TestVerifyCommand:
             "stein_identity[pair_nonint]", "sampling_equivalence[pair_integer]",
             "density_agreement[near_zero]", "pricing_agreement[otm]",
             "pricing_agreement[near_money]", "pricing_agreement[atm]"]
+
+    def test_near_zero_density_is_the_pointwise_value(self):
+        # the check evaluates each model's two points as one grid call per
+        # route; its value is that of the float calls
+        checks = bilgamma.verify.run_suite("quick")["checks"]
+        value = next(c["value"] for c in checks
+                     if c["name"] == "density_agreement[near_zero]")
+        assert value == max(
+            abs(model.pdf_fourier(x) - bilgamma.build_mixture(model).pdf_series(x))
+            for model in MODEL_GRID.values() for x in (-1e-6, 1e-6))
 
     def test_corrupted_recursion_detected(self, tmp_path):
         out = tmp_path / "report.json"

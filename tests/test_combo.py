@@ -426,7 +426,7 @@ class TestCharacteristicFunction:
         np.testing.assert_allclose(model.cf(zs), law_cf, atol=1e-15)
 
     def test_scalar_path_matches_array_path(self):
-        # a real scalar runs the cmath loop, an array the numpy loop: 200
+        # a real scalar runs the math loop, an array the numpy loop: 200
         # seeded models of 1 to 20 components, then the corners of the
         # ranges (every rate and every shape at an end, z and k at an end)
         rng = np.random.default_rng(11)
@@ -443,6 +443,54 @@ class TestCharacteristicFunction:
                 val = model.cf(arg)
                 assert type(val) is complex
                 assert abs(val - ref) <= 1e-14, (model, arg)
+
+    def test_real_form_matches_mpmath(self):
+        # log|cf| = -sum (p log hypot(1, u) + q log hypot(1, v)) and arg cf
+        # = sum (p atan u - q atan v), against the product of the complex
+        # factors at 50 digits: seeded models of 1 to 20 components, |z|
+        # log-uniform from 1e-300 to 1e300, so |u| runs past 1.3e154, where
+        # u^2 overflows; the float (math) and the array (numpy) path, a 0-d
+        # array among the latter
+        def reference(model, z):
+            with mpmath.workdps(50):
+                z, total = mpmath.mpf(z), mpmath.mpf(0)
+                for a, p, b, q, w1, w2 in zip(*(getattr(model, f).tolist()
+                                                for f in ("alpha", "p", "beta", "q",
+                                                          "w1", "w2"))):
+                    total -= (p * mpmath.log(1 - 1j * z * mpmath.mpf(w1) / a)
+                              + q * mpmath.log(1 + 1j * z * mpmath.mpf(w2) / b))
+                return complex(mpmath.exp(total))
+
+        rng = np.random.default_rng(37)
+        past_overflow = 0
+        for model in random_models(38, 60, max_n=20):
+            zs = (np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 12))
+                  * rng.choice([-1.0, 1.0], 12))
+            zs[0] = 1e300 * np.sign(zs[0])
+            past_overflow += int((np.abs(zs) / min(model.lam.min(),
+                                                   model.mu.min()) > 1.4e154).sum())
+            for z, val in zip(zs.tolist(), model.cf(zs).tolist()):
+                ref = reference(model, z)
+                for got in (val, model.cf(z), model.cf(np.array(z))):
+                    assert abs(got - ref) <= 1e-14, (model, z)
+        assert past_overflow >= 100
+
+    def test_exact_symmetries(self, model_grid):
+        # cf(-z) is conj(cf(z)) and cf(0) is 1, exactly, on both paths
+        zs = np.concatenate([np.linspace(-300.0, 300.0, 601), [1e-300, 1e160, 1e300]])
+        for model in [*model_grid.values(), *random_models(39, 20, max_n=20)]:
+            vals = model.cf(zs)
+            assert (model.cf(-zs) == np.conj(vals)).all()
+            for z, val in zip(zs[::20].tolist(), vals[::20].tolist()):
+                assert model.cf(-z) == model.cf(z).conjugate()
+            assert model.cf(0.0) == 1 + 0j
+            assert model.cf(np.zeros(3)).tolist() == [1 + 0j] * 3
+
+    @pytest.mark.parametrize("z", [1j, 0.5 + 0j, np.array([1.0, 2j]),
+                                   np.complex128(1.0), [0.5, 1 + 1j]])
+    def test_complex_argument_rejected(self, pair_nonint, z):
+        with pytest.raises(DomainError, match="takes a real z"):
+            pair_nonint.cf(z)
 
     def test_mixture_identity(self, model_grid, mixture_grid):
         # the executable form of the randomised-shape representation
@@ -577,8 +625,9 @@ class TestDensityRoutes:
         def mp_seed(a, b, x):
             with mpmath.workdps(60):
                 return np.array([float(mpmath.log(mpmath.gamma(ai)
-                                                  * mpmath.hyperu(ai, bi, x)))
-                                 for ai, bi in zip(np.ravel(a), np.ravel(b))])
+                                                  * mpmath.hyperu(ai, bi, xi)))
+                                 for ai, bi, xi in zip(*map(
+                                     np.ravel, np.broadcast_arrays(a, b, x)))])
 
         rep = build_mixture(PRICING_GAMMA, tail_tol=1e-10)
         xs = (0.25, 1.0, 2.5, 5.0)
@@ -752,6 +801,41 @@ class TestDensityRoutes:
                 calls.clear()
                 assert rep.pdf_series(x) > 0.0
                 assert 1 <= len(calls) <= 2, (x, calls)
+
+    @pytest.mark.parametrize("name", list(MODEL_GRID))
+    def test_series_grid_is_bitwise_the_pointwise_calls(self, mixture_grid,
+                                                        name, monkeypatch):
+        # one log_hyperint call seeds every point of a grid, and each point
+        # walks its own kernel grid, so an entry is bitwise its float call:
+        # signs mixed, |x| from 1e-9 to 50, duplicates, a kernel argument
+        # that overflows (density 0), a one-point array, any shape
+        rep = mixture_grid[name]
+        rng = np.random.default_rng(38)
+        sizes = np.exp(rng.uniform(math.log(1e-9), math.log(50.0), 12))
+        xs = np.concatenate([sizes * rng.choice([-1.0, 1.0], 12),
+                             [1e-9, -50.0, 1.7e308]])
+        xs = np.concatenate([xs, xs[[2, 0]]])
+        alone = [rep.pdf_series(x) for x in xs.tolist()]
+        assert all(type(v) is float for v in alone)
+        calls = []
+
+        def counted(a, b, x):
+            calls.append(np.size(a))
+            return log_hyperint(a, b, x)
+
+        monkeypatch.setattr(bilgamma.combo, "log_hyperint", counted)
+        assert rep.pdf_series(xs).tolist() == alone
+        assert len(calls) == 1 and calls[0] <= 2 * (len(xs) - 1)
+        assert rep.pdf_series(xs[::-1].reshape(1, -1, 1)).ravel().tolist() == \
+            alone[::-1]
+        assert rep.pdf_series(xs[[4]]).tolist() == [alone[4]]
+
+    def test_series_grid_rejects_its_first_bad_x(self, mixture_grid):
+        rep = mixture_grid["pair_nonint"]
+        with pytest.raises(SingularPointError):
+            rep.pdf_series(np.array([1.0, 0.0, math.nan]))
+        with pytest.raises(DomainError, match=r"got x=inf$"):
+            rep.pdf_series(np.array([1.0, math.inf, 0.0]))
 
     def test_densities_off_zero_load_no_quadpack(self):
         # at x != 0 neither density route imports scipy.integrate, about

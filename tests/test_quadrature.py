@@ -287,7 +287,8 @@ def kernel_grid(a0, b0, x, rows, cols):
     """The grid of log_hyperint_blocks, checking that its blocks tile it
     once each."""
     grid, hits = np.full((rows, cols), np.nan), np.zeros((rows, cols), int)
-    for i, j, block in log_hyperint_blocks(a0, b0, x, rows, cols):
+    [blocks] = log_hyperint_blocks([(a0, b0, x, rows, cols)])
+    for i, j, block in blocks:
         m, n = block.shape
         grid[i:i + m, j:j + n] = block
         hits[i:i + m, j:j + n] += 1
@@ -334,7 +335,8 @@ class TestLogHyperintRows:
     def test_blocks_bound_memory(self):
         # a block holds whole rows (or columns) of about 2^16 entries
         for rows, cols in ((3, 70_000), (70_000, 3), (300, 300)):
-            blocks = list(log_hyperint_blocks(2.0, 3.5, 1.5, rows, cols))
+            [blocks] = log_hyperint_blocks([(2.0, 3.5, 1.5, rows, cols)])
+            blocks = list(blocks)
             assert max(b.size for *_, b in blocks) <= max(2 ** 16, rows, cols)
             assert sum(b.size for *_, b in blocks) == rows * cols
 
@@ -345,15 +347,37 @@ class TestLogHyperintRows:
             [log_hyperint(1.5, 2.0, 0.8)]]
         assert seeds == [(1.5, 2.0)]
 
+    def test_grids_share_one_seed_call(self, monkeypatch):
+        # one log_hyperint call seeds every grid, and each grid's blocks are
+        # bitwise what they are when it is seeded alone
+        grids = [(0.7, 1.2, 0.3, 5, 7), (0.05, 0.3, 400.0, 600, 3),
+                 (1.5, 2.0, 0.8, 1, 1), (15.5, 16.5, 20.0, 506, 1),
+                 (1.0, 16.5, 4.0, 1, 506), (0.7, 1.2, 0.3, 5, 7)]
+        alone = [kernel_grid(*grid) for grid in grids]
+        calls = []
+
+        def counted(a, b, x):
+            calls.append(np.size(a))
+            return log_hyperint(a, b, x)
+
+        monkeypatch.setattr(bilgamma.combo, "log_hyperint", counted)
+        for blocks, ref in zip(log_hyperint_blocks(grids), alone):
+            got = np.full(ref.shape, np.nan)
+            for i, j, block in blocks:
+                got[i:i + block.shape[0], j:j + block.shape[1]] = block
+            assert got.tobytes() == ref.tobytes()
+        assert calls == [11]
+        assert log_hyperint_blocks([]) == []
+
     @pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0)])
     def test_empty_grid_rejected(self, rows, cols):
         with pytest.raises(DomainError):
-            next(log_hyperint_blocks(1.0, 2.0, 1.0, rows, cols))
+            log_hyperint_blocks([(1.0, 2.0, 1.0, rows, cols)])
 
     @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
     def test_bad_x_rejected(self, x):
         with pytest.raises(DomainError):
-            next(log_hyperint_blocks(1.0, 2.0, x, 3, 3))
+            log_hyperint_blocks([(1.0, 2.0, x, 3, 3)])
 
 
 class TestOscillatoryIntegral:
@@ -377,6 +401,62 @@ class TestOscillatoryIntegral:
             for x, rate in ((size, alpha), (-size, beta)):
                 closed = scale * math.exp(-rate * size)
                 assert abs(model.pdf_fourier(x) - closed) <= 1e-13, x
+
+    @pytest.mark.parametrize("name", ["laplace", "pair_nonint", "five_mixed"])
+    def test_grid_is_bitwise_the_pointwise_calls(self, name):
+        # each x of a grid keeps its own nodes and stopping test, and a
+        # level shares only its one call of g, so an entry is bitwise its
+        # float call: signs mixed, |x| from 1e-9 to 50, x = 0 on the
+        # compactified rule, duplicates, points that close at different
+        # levels, a one-point array, and the Gil-Pelaez tail's g on [1, inf)
+        model = MODEL_GRID[name]
+        rng = np.random.default_rng(37)
+        sizes = np.exp(rng.uniform(math.log(1e-9), math.log(50.0), 16))
+        xs = np.concatenate([sizes * rng.choice([-1.0, 1.0], 16),
+                             [0.0, 1e-9, -50.0]])
+        xs = np.concatenate([xs, xs[[3, 16, 0]]])
+        levels = []
+
+        def counted(z):
+            levels[-1] += isinstance(z, np.ndarray)
+            return model.cf(z)
+
+        alone = []
+        for x in xs.tolist():
+            levels.append(0)
+            alone.append(oscillatory_integral(counted, x, 0.0))
+        assert all(type(v) is float for v in alone)
+        assert len({n for n in levels if n}) >= 3, levels
+        got = oscillatory_integral(model.cf, xs, 0.0)
+        assert got.tolist() == alone
+        assert oscillatory_integral(model.cf, xs[::-1].reshape(2, 11), 0.0
+                                    ).ravel().tolist() == alone[::-1]
+        assert oscillatory_integral(model.cf, xs[[5]], 0.0).tolist() == [alone[5]]
+        assert model.pdf_fourier(xs).tolist() == [
+            model.pdf_fourier(x) for x in xs.tolist()]
+        assert type(model.pdf_fourier(0.5)) is float
+
+        def tail(z):
+            return -1j * model.cf(z) / z
+
+        levels_at = xs[:8]
+        assert oscillatory_integral(tail, levels_at, 1.0).tolist() == [
+            oscillatory_integral(tail, x, 1.0) for x in levels_at.tolist()]
+
+    def test_grid_raises_its_first_failing_x(self, monkeypatch):
+        # every x runs; the error raised is the first in grid order, named
+        # by its x, whichever failed first in time
+        monkeypatch.setattr(quadrature, "_FOURIER_LEVELS", 2)
+        model = MODEL_GRID["pair_nonint"]
+        with pytest.raises(NonConvergenceError, match=(
+                r"^Fourier quadrature failed on \[0\.0, inf\) at x=0\.3: "
+                r"2 levels, the last two \S+ apart$")):
+            model.pdf_fourier(np.array([-3.0, 0.3, 0.01, 2.0]))
+        with pytest.raises(DomainError, match=r"got x=nan$"):
+            model.pdf_fourier(np.array([-3.0, math.nan, 0.01]))
+        with pytest.raises(NonConvergenceError, match=r"at x=1e-300: \|x\| "
+                           r"is below its reach$"):
+            model.pdf_fourier(np.array([1e-300, 0.01]))
 
     def test_below_reach_raises(self):
         # the node tables run until their weights underflow, which at
