@@ -115,9 +115,8 @@ class LinearCombinationModel:
                     f"component {bad[0]}: field '{name}' must be finite and > 0, "
                     f"got {float(arr[bad[0]])!r}")
         # the product cf's coefficients, one tuple of floats per component:
-        # half shapes, shapes and the scales 1/lam_j, 1/mu_j of z
-        columns = (0.5 * self.p, self.p, self.w1 / self.alpha,
-                   0.5 * self.q, self.q, self.w2 / self.beta)
+        # the shapes and the scales 1/lam_j, 1/mu_j of z
+        columns = (self.p, self.w1 / self.alpha, self.q, self.w2 / self.beta)
         object.__setattr__(self, "_cf_rows",
                            tuple(zip(*(c.tolist() for c in columns))))
 
@@ -221,10 +220,11 @@ class LinearCombinationModel:
             arg cf  =  sum_j (p_j atan u_j - q_j atan v_j),
 
         added one component at a time, in order, each log(1 + u^2) by
-        ``_log1p_square``.  A real scalar z (one QUADPACK node) goes through
-        ``math`` and returns a complex; any other z through numpy over z's
-        own shape (a 0-d z returns a complex), elementwise, so an entry
-        does not depend on the others.  A complex z raises DomainError.
+        ``_log1p_square``.  A real scalar z, as QUADPACK passes its nodes
+        one at a time, goes through ``math`` and returns a complex; any
+        other z through numpy over z's own shape (a 0-d z returns a
+        complex), elementwise, so an entry does not depend on the others.
+        A complex z raises DomainError.
         """
         if isinstance(z, _REAL_SCALARS):
             z, atan, log1p_square = float(z), math.atan, _log1p_square_float
@@ -235,9 +235,9 @@ class LinearCombinationModel:
             z = z.astype(float, copy=False)
             atan, log1p_square = np.arctan, _log1p_square
         log_mod = phase = 0.0
-        for half_p, p, scale_u, half_q, q, scale_v in self._cf_rows:
+        for p, scale_u, q, scale_v in self._cf_rows:
             u, v = z * scale_u, z * scale_v
-            log_mod -= half_p * log1p_square(u) + half_q * log1p_square(v)
+            log_mod -= 0.5 * (p * log1p_square(u) + q * log1p_square(v))
             phase += p * atan(u) - q * atan(v)
         if isinstance(z, float):
             modulus = math.exp(log_mod)

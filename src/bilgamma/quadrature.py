@@ -3,10 +3,11 @@
 All adaptive integration in the package funnels through the helpers here so
 that tolerances and domain transformations are applied uniformly:
 
-* ``integrate_zero_to_inf`` compactifies (0, inf) with ``t = u / (1 - u)``,
+* ``_quad`` runs QUADPACK: QAGS on a finite interval, QAGI on (0, inf)
+  for ``integrate_zero_to_inf``,
 * Fourier-type integrals (densities, Gil-Pelaez tails) go through
   ``oscillatory_integral``: Ooura & Mori's double-exponential rule over
-  [lower, inf), or the compactified rule at x = 0,
+  [lower, inf), or ``integrate_zero_to_inf`` at x = 0,
 * ``log_hyperint`` by a nested tanh-sinh rule.
 
 The two numpy rules take a float (a float out) or an array of arguments,
@@ -59,7 +60,8 @@ def _first_sentence(text: str) -> str:
 
 
 def _quad(f: Callable[[float], float], a: float, b: float) -> float:
-    """scipy.integrate.quad at the package's budget; raises on failure."""
+    """scipy.integrate.quad at the package's budget: QUADPACK's QAGS on a
+    finite [a, b], its QAGI where b is inf; raises on failure."""
     from scipy.integrate import quad
 
     out = quad(f, a, b, epsabs=_ABS_TOL, epsrel=_REL_TOL,
@@ -71,18 +73,14 @@ def _quad(f: Callable[[float], float], a: float, b: float) -> float:
         val, err = out[0], out[1]
         if err > max(_ABS_TOL, _REL_TOL * abs(val)) * 10.0:
             raise NonConvergenceError(
-                f"QAGS quadrature failed on [{a}, {b}]: "
+                f"QUADPACK quadrature failed on [{a}, {b}]: "
                 f"{_first_sentence(out[3])}")
     return out[0]
 
 
 def integrate_zero_to_inf(f: Callable[[float], float]) -> float:
-    """Adaptive integral of ``f`` over (0, inf), via ``t = u / (1 - u)``."""
-    def mapped(u: float) -> float:
-        t = u / (1.0 - u)
-        return f(t) / (1.0 - u) ** 2
-
-    return _quad(mapped, 0.0, 1.0)
+    """Adaptive integral of ``f`` over (0, inf) by QUADPACK's QAGI."""
+    return _quad(f, 0.0, math.inf)
 
 
 @functools.cache  # built on first use: importing the module builds nothing
@@ -134,8 +132,8 @@ def _fourier_nodes(level: int) -> tuple[np.ndarray, np.ndarray, int]:
 
 def oscillatory_integral(g: Callable, x, lower: float):
     """int_lower^inf Re(e^{-ixz} g(z)) dz on a float x (a float out) or on
-    an array of them (an array of x's shape out): at x = 0 by the
-    compactified rule, on floats; else by ``_fourier_nodes`` on
+    an array of them (an array of x's shape out): at x = 0 by
+    ``integrate_zero_to_inf``, on floats; else by ``_fourier_nodes`` on
     e^{-ix lower} g(lower + z), z scaled by 1/|x|, on the nodes whose
     weight over |x| is at least 1e-4 _ABS_TOL (bounding the share of the
     rest where |g| <= 1, as for a cf and for cf(z)/z on z >= 1), until two

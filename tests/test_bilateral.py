@@ -109,6 +109,17 @@ class TestDensity:
         for x in (1e-7, -1e-7):
             assert abs(bg_pdf(law, x) - mid) < 1e-6
 
+    @pytest.mark.parametrize("total_shape", [1.02, 1.05, 1.2, 2.0])
+    def test_origin_closed_form(self, total_shape):
+        # BG(1, a, 2, a) at 0 is int_0^inf f_Ga(a,1)(y) f_Ga(a,2)(y) dy =
+        # 2^a Gamma(2a - 1) / (Gamma(a)^2 3^(2a - 1)); the cf decays only
+        # as |z|^-2a, so near 2a = 1 the x = 0 rule meets a slow tail
+        a = 0.5 * total_shape
+        closed = (2.0 ** a * math.gamma(2.0 * a - 1.0)
+                  / (math.gamma(a) ** 2 * 3.0 ** (2.0 * a - 1.0)))
+        assert single(1.0, a, 2.0, a).pdf_fourier(0.0) == pytest.approx(
+            closed, rel=1e-11)
+
     def test_origin_singularity(self):
         # p + q <= 1: the density is unbounded at 0 and neither route
         # returns a number there

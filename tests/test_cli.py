@@ -106,7 +106,7 @@ class TestPdfCommand:
         # each density route takes the whole grid in one call: the product
         # cf is called on arrays once per level of the Fourier rule and
         # batch of about quadrature._NODE_BLOCK nodes, the points sharing
-        # the calls (4 here; the x = 0 row's compactified rule calls it on
+        # the calls (4 here; the x = 0 row's QUADPACK rule calls it on
         # floats), and one log_hyperint call seeds every series point
         calls = {"cf": 0, "log_hyperint": 0}
         cf = LinearCombinationModel.cf
@@ -143,7 +143,7 @@ class TestPdfCommand:
         assert peak <= 12 * 2 ** 20
 
     def test_series_column_skips_origin(self, tmp_path):
-        # the grid's x = 0 takes the compactified Fourier rule, and the
+        # the grid's x = 0 takes QUADPACK's infinite-range rule, and the
         # series, which is not evaluated there, writes nan
         model = tmp_path / "five_mixed.json"
         model.write_text(json.dumps(MODEL_GRID["five_mixed"].to_json_obj()))
@@ -376,13 +376,13 @@ class TestPinnedPriceOutput:
                      "89e54729a5b8623ed7cab405198ddb25e3d517483721c21c2b14d7029f5e05af",
                      id="gamma-T2"),
         pytest.param(MARTINGALE, 1.0, 1.0, "integral",
-                     "3828ca6d344e2e692c943fb6a09f32073ee1e3b8e4fbe0af2cc98c48d9b758cb",
+                     "bc56fd34d0bf08230c1462e602269196886bde9c50d1226952e9f1e97f84b2c0",
                      id="martingale-T1"),
         pytest.param(MARTINGALE, 1.0, 2.0, "integral",
-                     "0474aa3ea590501bff517324ffaffd3bb9fda9d5a1d194d6865f7c3e0d619f1a",
+                     "261207c7e2d2566cae82510d01191ee27eac81bcea4574cfe9b7e91e899ab5f0",
                      id="martingale-T2"),
         pytest.param(MARTINGALE, 1.0, 1.0, "auto",
-                     "3828ca6d344e2e692c943fb6a09f32073ee1e3b8e4fbe0af2cc98c48d9b758cb",
+                     "bc56fd34d0bf08230c1462e602269196886bde9c50d1226952e9f1e97f84b2c0",
                      id="martingale-auto-T1"),
     ])
     def test_json_digest(self, tmp_path, model, strike, maturity, method,
@@ -670,6 +670,25 @@ class TestPriceCommand:
         payload = json.loads(out.read_text())
         assert payload["method"] == "integral"
         assert payload["price"] == pytest.approx(0.2250160845, rel=1e-8)
+
+    def test_integral_at_the_money_small_shapes(self, tmp_path):
+        # at K = s both tails run the x = 0 rule; shapes of 0.022 and 0.0056
+        # at T = 0.1 leave a slowly decaying cf.  The reference sums both
+        # tails (plain and tilted) as beta mixtures of the two pmfs, as in
+        # test_pricing's test_origin_beta_mixture
+        model = tmp_path / "small.json"
+        model.write_text(json.dumps(LinearCombinationModel.from_components([(
+            1.2452897069876583, 0.22044315796499303, 3.1816312211953135,
+            0.05615180819612869, 0.5550991280346753,
+            0.11500072777503195)]).to_json_obj()))
+        pricing = tmp_path / "p.json"
+        pricing.write_text(json.dumps(
+            {"s0": 1.0, "strike": 1.0, "rate": 0.05, "maturity": 0.1}))
+        out = tmp_path / "price.json"
+        assert main(["price", "--model", str(model), "--pricing", str(pricing),
+                     "--method", "integral", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["price"] == pytest.approx(
+            0.013011769567883918, abs=1e-11)
 
     def test_auto_builds_one_mixture(self, gamma_file, tmp_path, builds):
         # only the positive side of the time-t' mixture is built: not the

@@ -21,7 +21,7 @@ from bilgamma import (
     price_call_monte_carlo,
 )
 from bilgamma import pricing
-from bilgamma.models import MARTINGALE, PRICING_GAMMA
+from bilgamma.models import MARTINGALE, MODEL_GRID, PRICING_GAMMA
 from bilgamma.pricing import _tail_probability, negative_part_bound
 from bilgamma.quadrature import integrate_zero_to_inf
 from conftest import chunked_direct_draws, single
@@ -106,6 +106,26 @@ class TestTailProbability:
                 lambda t: rep.pdf_series(level - t))
         got = _tail_probability(model_grid[name].cf, level)
         assert got == pytest.approx(tail, abs=1e-10)
+
+    @pytest.mark.parametrize("t_prime", [0.01, 0.05, 0.25, 1.0, 2.0])
+    @pytest.mark.parametrize("model", [MARTINGALE, MODEL_GRID["five_mixed"],
+                                       MODEL_GRID["pair_nonint"]],
+                             ids=["MARTINGALE", "five_mixed", "pair_nonint"])
+    def test_origin_beta_mixture(self, model, t_prime):
+        # the at-the-money tail P(G > N), G ~ Ga(p + j, eta) and N ~
+        # Ga(q + k, xi) mixed by the pmfs of L and M, is the mixture of
+        # P(Beta(p + j, q + k) > eta / (eta + xi)); short maturities leave
+        # shapes near 0, whose cf decays slowly
+        from scipy.special import betaincc
+        scaled = model.scaled(t_prime)
+        rep = build_mixture(scaled, tail_tol=1e-14)
+        pos, neg = rep.pos, rep.neg
+        j, k = np.ix_(np.arange(len(pos.pmf)), np.arange(len(neg.pmf)))
+        cut = pos.rate / (pos.rate + neg.rate)
+        reference = float(np.sum(np.outer(pos.pmf, neg.pmf) * betaincc(
+            pos.shape + j, neg.shape + k, cut)))
+        assert _tail_probability(scaled.cf, 0.0) == pytest.approx(
+            reference, abs=1e-12)
 
     def test_cf_never_read_at_origin(self, monkeypatch):
         # the tail reads only its cf, and the Gil-Pelaez integrand's limit

@@ -60,14 +60,14 @@ class TestIntegrateEngine:
         assert integrate_zero_to_inf(f) == integrate_zero_to_inf(f)
 
     def test_nonconvergence_raises(self, monkeypatch):
-        # sin is not integrable on (0, inf); the subdivision limit runs out.
-        # The message is one line naming the rule, the interval and the
-        # reason, not scipy's six-line advice
+        # sin is not integrable on (0, inf); the subdivision limit of QAGI
+        # runs out.  The message is one line naming the library, the
+        # interval as given and the reason, not scipy's six-line advice
         monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 50)
         with pytest.raises(NonConvergenceError) as err:
             integrate_zero_to_inf(math.sin)
         assert str(err.value) == (
-            "QAGS quadrature failed on [0.0, 1.0]: The maximum number of "
+            "QUADPACK quadrature failed on [0.0, inf]: The maximum number of "
             "subdivisions (50) has been achieved.")
 
     def test_oscillatory_nonconvergence_names_the_cycle(self, monkeypatch):
@@ -406,8 +406,8 @@ class TestOscillatoryIntegral:
     def test_grid_is_bitwise_the_pointwise_calls(self, name):
         # each x of a grid keeps its own nodes and stopping test, and a
         # level shares only its one call of g, so an entry is bitwise its
-        # float call: signs mixed, |x| from 1e-9 to 50, x = 0 on the
-        # compactified rule, duplicates, points that close at different
+        # float call: signs mixed, |x| from 1e-9 to 50, x = 0 on QUADPACK's
+        # infinite-range rule, duplicates, points that close at different
         # levels, a one-point array, and the Gil-Pelaez tail's g on [1, inf)
         model = MODEL_GRID[name]
         rng = np.random.default_rng(37)
