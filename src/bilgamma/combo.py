@@ -321,11 +321,11 @@ def _log1p_square(u):
     """log(1 + u^2) of an array u, also where u^2 overflows (|u| past
     1.3e154): bitwise log1p(u * u) up to |u| = 2^500, and past there
     2 log|u|, which it is within u^-2."""
-    a = np.abs(u)  # a numpy scalar for a 0-d u, so out is made an array
-    out = np.log1p(np.square(np.minimum(a, _SQUARE_SAFE)), out=np.empty_like(a))
-    past = a > _SQUARE_SAFE
-    np.log(a, out=out, where=past)
-    return np.multiply(out, 2.0, out=out, where=past)
+    with np.errstate(over="ignore"):  # an array out for a 0-d u too
+        out = np.log1p(np.square(u), out=np.empty(np.shape(u)))
+    if (past := np.flatnonzero(np.abs(u) > _SQUARE_SAFE)).size:  # rare
+        out.flat[past] = 2.0 * np.log(np.abs(np.ravel(u)[past]))
+    return out
 
 
 def _log1p_square_float(u: float) -> float:
@@ -594,19 +594,22 @@ class GammaMixture:
 
         The series is a power sum in one ratio r per point, with its index
         split as n = B m + i, B = isqrt(K) (baby-step/giant-step, Paterson &
-        Stockmeyer 1973): the baby steps r^i, i < B, and the giant steps
-        r^(shape + B m) take B + K/B complex exps per point instead of K.
-        The pmf is laid out once per call as the zero-padded (G x B) matrix
-        of its blocks P(N = B m + i), so a point's inner sums
-        sum_i P(N = B m + i) r^i are one matrix-vector product of that
-        matrix with the point's B baby powers, on the real and the
-        imaginary part.  Every point's product has the same shape, so its
-        rounding does not depend on the other points of the call or on how
-        the grid is blocked.  One matrix product over the whole grid would
-        be faster, but BLAS blocks such a product by the number of points,
-        and a point's value would then change with the grid.  The points are
-        taken in blocks of 2**12 // B, so the (points x B) temporaries hold
-        about 2**12 entries for any grid.
+        Stockmeyer 1973): the B baby steps r^i, i < B, are one complex exp
+        each, and the G = ceil(K/B) giant steps r^(shape + B m) are the
+        running products of r^shape by r^B, so a point takes B + 2 exps
+        and G - 1 complex products instead of K exps.  (Baby steps as
+        running products too would compound the rounding of r over B
+        steps.)  The pmf is laid out once per call as the zero-padded
+        (G x B) matrix of its blocks P(N = B m + i), so a point's inner sums
+        sum_i P(N = B m + i) r^i are one real (G x B) @ (B x 2) product of
+        that matrix with the point's baby powers as (re, im) columns.  Every
+        point's product has the same shape, so its rounding does not depend
+        on the other points of the call or on how the grid is blocked.  One
+        matrix product over the whole grid would be faster, but BLAS blocks
+        such a product by the number of points, and a point's value would
+        then change with the grid.  The points are taken in blocks of
+        2**12 // B, so the (points x B) temporaries hold about 2**12 entries
+        for any grid.
         """
         z = np.asarray(z, dtype=complex)
         flat = z.reshape(-1)
@@ -619,13 +622,12 @@ class GammaMixture:
         for start in range(0, len(flat), rows):
             log_r = -np.log(1.0 - 1j * flat[start:start + rows, None] / self.rate)
             baby = np.exp(np.arange(step) * log_r)
-            baby_re = np.ascontiguousarray(baby.real)[:, :, None]
-            baby_im = np.ascontiguousarray(baby.imag)[:, :, None]
-            inner = np.empty((len(log_r), giants), dtype=complex)
-            inner.real = np.matmul(blocks, baby_re)[..., 0]
-            inner.imag = np.matmul(blocks, baby_im)[..., 0]
-            giant = np.exp((self.shape + step * np.arange(giants)) * log_r)
-            val[start:start + rows] = (inner * giant).sum(axis=-1)
+            inner = np.matmul(blocks, baby.view(float).reshape(len(log_r), step, 2))
+            giant = np.empty((len(log_r), giants), dtype=complex)
+            giant[:, :1] = np.exp(self.shape * log_r)
+            giant[:, 1:] = np.exp(step * log_r)
+            np.multiply.accumulate(giant, axis=1, out=giant)
+            val[start:start + rows] = (inner.view(complex)[..., 0] * giant).sum(axis=-1)
         return val.reshape(z.shape)
 
     def factorial_sums(self, k: int):
@@ -636,15 +638,16 @@ class GammaMixture:
         theta_max * (n + shape + r)/(n + shape), so the remainder past the
         last retained index is completed geometrically from the last term;
         a one-term pmf has none, so with theta_max > 0 it must pass
-        _require_mass.
+        _require_mass.  log (a)_r is the running sum of log(a + i), i < r:
+        k logs per term, where a difference of log-gammas would cancel.
         """
-        from scipy import special as sp
-
         a = np.arange(len(self.pmf)) + self.shape
         rr = np.arange(k + 1)
+        log_rising = np.zeros((k + 1, len(a)))
+        for r in range(k):
+            np.add(log_rising[r], np.log(a + r), out=log_rising[r + 1])
         with np.errstate(divide="ignore"):
-            log_terms = (np.log(self.pmf) + sp.gammaln(a + rr[:, None])
-                         - sp.gammaln(a))
+            log_terms = np.log(self.pmf) + log_rising
         rho = np.zeros(k + 1)
         if self.theta_max > 0.0 and len(a) > 1:
             rho = self.theta_max * (a[-1] + rr) / a[-1]

@@ -346,7 +346,7 @@ class TestPinnedCsvOutput:
                      "5f389659544529c475453a1ee7725c831a579ae0c96f2f8de42ac4e5e1fe6a56",
                      id="pdf"),
         pytest.param(["cf", "--zmax", "20", "--points", "401"],
-                     "a7a54c017ba05d22e8c5699e36a521d97c2d14ebec142e30841e2ff2fefdeba6",
+                     "20d80cc169642bda91d39465b2eb98da81813c9943d346f0b20342c5a70c4bfc",
                      id="cf"),
         pytest.param(["cp-sweep", "--m", "1,2,4,8,16,32,64", "--n", "100000",
                       "--seed", "7"],
@@ -1212,7 +1212,9 @@ class TestColdStart:
 
     def test_closed_form_commands_load_no_scipy(self, files, tmp_path):
         out = str(tmp_path / "out")
+        moments = ["moments", "--model", files["pair"], "--kmax", "3", "--out"]
         argvs = [
+            moments + [str(tmp_path / "moments.json")],
             ["cf", "--model", files["five"], "--points", "41", "--out", out],
             ["sample", "--model", files["five"], "--n", "1000", "--seed", "3",
              "--streams", "2", "--out", out],
@@ -1233,6 +1235,10 @@ class TestColdStart:
         assert len(report["commands"]) == len(argvs)
         for name, before, code, after in report["commands"]:
             assert (before, code, after) == ([], 0, []), name
+        # a cold command writes what the same command writes warm
+        assert main(moments + [str(tmp_path / "warm.json")]) == 0
+        data = (tmp_path / "moments.json").read_bytes()
+        assert data and data == (tmp_path / "warm.json").read_bytes()
 
     def test_integrating_commands_cold_match_warm(self, files, tmp_path):
         # each command runs in its own child, which starts without scipy and
@@ -1243,14 +1249,12 @@ class TestColdStart:
                             "--xmax", "3", "--points", "7"],
                 "price.json": ["price", "--model", files["gamma"], "--pricing",
                                files["otm"], "--method", "series"],
-                "moments.json": ["moments", "--model", files["pair"],
-                                 "--kmax", "3"],
             }[name] + ["--out", str(out / name)]
 
         cold, warm = tmp_path / "cold", tmp_path / "warm"
         cold.mkdir()
         warm.mkdir()
-        for name in ("pdf.csv", "price.json", "moments.json"):
+        for name in ("pdf.csv", "price.json"):
             report = self.run_cold([argv(name, cold)])
             [(_, before, code, after)] = report["commands"]
             assert (report["import"], before, code) == ([], [], 0), name

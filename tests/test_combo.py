@@ -526,6 +526,31 @@ class TestCharacteristicFunction:
                                    1 / (1 + iz / rep.neg.rate)))
                 assert abs(rep.cf(z) - complex(ref)) <= 1e-15, z
 
+    def test_deep_pmf_cf_matches_50_digit_sum(self):
+        # perfbench's first deep_model of seed 1, a positive pmf of 5548
+        # terms: the giant steps are running products, and the baby steps
+        # are one exp each, since running products there would compound the
+        # rounding of r over the steps (3.9e-15 off at z = 1e-4)
+        pos = build_mixture(LinearCombinationModel.from_components([
+            (0.020578722920889487, 1.000409767807781, 1.798018897012621,
+             0.9425439362893997, 1.0462957778589972, 0.9895376488061844),
+            (0.26238415069624993, 1.0672145091210792, 1.9891833007497774,
+             0.957235460449877, 0.9035107050379795, 0.9932372834451382),
+            (3.6410474191252566, 1.0983718721428084, 1.865456997025744,
+             1.022795290723043, 0.9223883614738747, 1.0659708375976384)]),
+            tail_tol=1e-12).pos
+        assert len(pos.pmf) == 5548
+        zs = np.array([1e-4, 1e-3, 1e-2, 0.05, 1.0, -7.0, 20.0, -150.0, 2000.0])
+        vals = pos.cf(zs)
+        with mpmath.workdps(50):
+            for z, val in zip(zs.tolist(), vals):
+                r = 1 / (1 - mpmath.mpc(0, z) / pos.rate)
+                acc, power = mpmath.mpc(0), r ** pos.shape
+                for w in pos.pmf.tolist():
+                    acc += w * power
+                    power *= r
+                assert abs(val - complex(acc)) <= 2e-15 * abs(complex(acc)), z
+
     def test_mixture_cf_grid_independent(self):
         # a point's value does not depend on the other points of the call
         # or on how the points are blocked
@@ -966,6 +991,20 @@ class TestMomentTransform:
             expected = float(np.sum(model.p * model.w1 / model.alpha
                                     - model.q * model.w2 / model.beta))
             assert rep.moment(1) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [812.4, 5547.9, 123456.7])
+    def test_moment_at_large_shape(self, p):
+        # one component, so each factorial sum is one rising factorial
+        # (p)_r: within 1e-14 of the 50-digit binomial sum, where a
+        # difference of log-gammas loses 7.5e-13, 5.4e-12 and 2.5e-10
+        rep = build_mixture(single(2.0, p, 3.0, 0.7))
+        with mpmath.workdps(50):
+            for k in range(1, 5):
+                ref = mpmath.fsum(
+                    mpmath.binomial(k, j) * (-1) ** j * mpmath.rf(p, k - j)
+                    * mpmath.rf(0.7, j) / (mpmath.mpf(2) ** (k - j) * 3 ** j)
+                    for j in range(k + 1))
+                assert abs(rep.moment(k) - ref) <= 1e-14 * abs(ref), k
 
     def test_symmetric_first_moment(self):
         rep = build_mixture(single(2.0, 1.5, 2.0, 1.5))
