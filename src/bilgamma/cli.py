@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .combo import (
+    _PMF_TAIL_TOL,
     LinearCombinationModel,
     build_mixture,
     load_model,
@@ -376,12 +377,9 @@ def _grid(lo: float, hi: float, points: int, what: str) -> np.ndarray:
 # -- commands ----------------------------------------------------------------
 
 
-_PDF_TAIL_TOL = 1e-10  # pmf mass the pdf command's series density drops
-
-
 def cmd_pdf(args) -> int:
     model = load_model(args.model)
-    rep = build_mixture(model, tail_tol=_PDF_TAIL_TOL)
+    rep = build_mixture(model)
     xs = _grid(args.xmin, args.xmax, args.points, "--xmin/--xmax")
     # each route takes the whole grid in one call; the series skips x = 0
     fourier, series = model.pdf_fourier(xs), np.full(xs.shape, math.nan)
@@ -409,7 +407,7 @@ def cmd_moments(args) -> int:
     model = load_model(args.model)
     rep = build_mixture(model, tail_tol=args.tail_tol)
     payload = {
-        "moments": {str(k): rep.moment(k) for k in range(1, args.kmax + 1)},
+        "moments": {str(k): m for k, m in enumerate(rep.moments(args.kmax), 1)},
         "cumulants": {str(k): model.cumulant(k) for k in range(1, args.kmax + 1)},
         "mean": model.mean,
         "variance": model.variance,
@@ -584,14 +582,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--zmax", type=_finite, default=20.0)
     p.add_argument("--points", type=_count(1), default=401)
-    p.add_argument("--tail-tol", type=_finite, default=1e-12, dest="tail_tol")
+    p.add_argument("--tail-tol", type=_finite, default=_PMF_TAIL_TOL, dest="tail_tol")
     p.add_argument("--out")
     p.set_defaults(func=cmd_cf)
 
     p = sub.add_parser("moments", help="moments and cumulants up to kmax")
     p.add_argument("--model", required=True)
     p.add_argument("--kmax", type=_count(1), default=4)
-    p.add_argument("--tail-tol", type=_finite, default=1e-12, dest="tail_tol")
+    p.add_argument("--tail-tol", type=_finite, default=_PMF_TAIL_TOL, dest="tail_tol")
     p.add_argument("--out")
     p.set_defaults(func=cmd_moments)
 

@@ -63,6 +63,7 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 _KERNEL_BLOCK = 2 ** 16  # entries of the series' kernel grid held at a time
 _PMF_MAX_TERMS = 10_000  # terms a pmf side may take to reach 1 - tail_tol
+_PMF_TAIL_TOL = 1e-12  # the pmf mass a side drops: the package's one cut
 
 
 def _check_count(n, least: int, what: str) -> None:
@@ -562,7 +563,7 @@ class GammaMixture:
 
     @classmethod
     def build(cls, rates: np.ndarray, shapes: np.ndarray,
-              tail_tol: float) -> "GammaMixture":
+              tail_tol: float = _PMF_TAIL_TOL) -> "GammaMixture":
         """The mixture law of sum_j Ga(rates_j, shapes_j), per ``_mixture_pmf``."""
         if not (0.0 < tail_tol < 1.0):
             raise DomainError("tail_tol must be in (0, 1)")
@@ -633,32 +634,23 @@ class GammaMixture:
     def factorial_sums(self, k: int):
         """Ascending-factorial sums sum_n P(N=n) (n + shape)_r for r = 0..k.
 
-        Returns the completed sums and the size of each geometric tail
-        completion.  Consecutive tail terms have ratio close to
-        theta_max * (n + shape + r)/(n + shape), so the remainder past the
-        last retained index is completed geometrically from the last term;
-        a one-term pmf has none, so with theta_max > 0 it must pass
-        _require_mass.  log (a)_r is the running sum of log(a + i), i < r:
-        k logs per term, where a difference of log-gammas would cancel.
+        Returns the completed sums, the size of each geometric tail
+        completion and its ratio rho_r = theta_max (n + shape + r)/(n +
+        shape) at the last retained n, near that of consecutive tail terms
+        (0 for a one-term pmf, which has no tail).  A row with rho_r >= 1
+        means nothing; each reader refuses the rows it takes.  Row r is the
+        same at every k >= r.  log (a)_r is the running sum of log(a + i),
+        i < r: k logs per term, where a difference of log-gammas cancels.
         """
         a = np.arange(len(self.pmf)) + self.shape
-        rr = np.arange(k + 1)
         log_rising = np.zeros((k + 1, len(a)))
         for r in range(k):
             np.add(log_rising[r], np.log(a + r), out=log_rising[r + 1])
-        with np.errstate(divide="ignore"):
-            log_terms = np.log(self.pmf) + log_rising
         rho = np.zeros(k + 1)
         if self.theta_max > 0.0 and len(a) > 1:
-            rho = self.theta_max * (a[-1] + rr) / a[-1]
-        elif self.theta_max > 0.0:
-            _require_mass(mixture=self)
-        if rho.max() >= 1.0:
-            r = int(np.argmax(rho >= 1.0))
-            raise TruncationFailureError(
-                f"factorial series of order {r} has non-contracting tail "
-                f"(ratio {rho[r]:.4g}); rebuild the mixture with a smaller tail_tol")
-        return _completed_series(log_terms, rho)
+            rho = self.theta_max * (a[-1] + np.arange(k + 1)) / a[-1]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return (*_completed_series(np.log(self.pmf) + log_rising, rho), rho)
 
     def pdf(self, x: float) -> float:
         """Density of the mixture (the gamma-combination density),
@@ -700,7 +692,6 @@ class MixtureRepresentation:
 
     # -- moments -------------------------------------------------------------
 
-    @np.errstate(over="ignore", invalid="ignore")
     def moment(self, k: int) -> float:
         """E[T^k] by the binomial expansion over the two gamma mixtures:
 
@@ -708,15 +699,35 @@ class MixtureRepresentation:
             * sum_l P(L=l) (l+p)_{k-j} * sum_m P(M=m) (m+q)_j
 
         with (y)_r the ascending factorial.  Each inner series is the
-        truncated sum plus its geometric tail completion; when the
-        completed share exceeds _TAIL_MASS_TOL relative to the result the
-        pmf is too shallow for this order and the call fails rather than
-        report a value dominated by extrapolation.  A sum that overflows
-        a double raises NonFiniteResultError.
+        truncated sum plus its geometric tail completion, which must
+        contract (a one-term pmf, with none, must pass _require_mass); when
+        the completed share exceeds _TAIL_MASS_TOL relative to the result
+        the pmf is too shallow for this order and the call fails rather
+        than report a value dominated by extrapolation.  A sum that
+        overflows a double raises NonFiniteResultError.
         """
         _check_count(k, 1, "the moment of order n")
-        pos_vals, pos_ext = self.pos.factorial_sums(k)
-        neg_vals, neg_ext = self.neg.factorial_sums(k)
+        return self._moment(k, self.pos.factorial_sums(k), self.neg.factorial_sums(k))
+
+    def moments(self, kmax: int) -> list[float]:
+        """[moment(1), ..., moment(kmax)], each order judged as moment(k)
+        judges it, from one factorial_sums table of order kmax per side."""
+        _check_count(kmax, 1, "the moments up to order n")
+        pos, neg = self.pos.factorial_sums(kmax), self.neg.factorial_sums(kmax)
+        return [self._moment(k, pos, neg) for k in range(1, kmax + 1)]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _moment(self, k: int, pos: tuple, neg: tuple) -> float:
+        """moment(k) from rows 0..k of each side's factorial_sums."""
+        for side, (_, _, rho) in ((self.pos, pos), (self.neg, neg)):
+            if side.theta_max > 0.0 and len(side.pmf) == 1:
+                _require_mass(mixture=side)
+            if (rho[:k + 1] >= 1.0).any():
+                r = int(np.argmax(rho >= 1.0))
+                raise TruncationFailureError(
+                    f"factorial series of order {r} has non-contracting tail "
+                    f"(ratio {rho[r]:.4g}); rebuild the mixture with a smaller tail_tol")
+        (pos_vals, pos_ext, _), (neg_vals, neg_ext, _) = pos, neg
         total = 0.0
         extrapolated = 0.0
         scale = 0.0
@@ -791,11 +802,12 @@ class MixtureRepresentation:
 
 
 def build_mixture(model: LinearCombinationModel,
-                  tail_tol: float = 1e-12) -> MixtureRepresentation:
+                  tail_tol: float = _PMF_TAIL_TOL) -> MixtureRepresentation:
     """Construct the randomised-shape mixture of ``model``.
 
     Both pmfs are truncated at the first index where the exact retained
-    mass reaches 1 - tail_tol, 0 < tail_tol < 1; failing to get there within
+    mass reaches 1 - tail_tol, 0 < tail_tol < 1, by default the package's
+    one cut ``_PMF_TAIL_TOL`` = 1e-12; failing to get there within
     ``_PMF_MAX_TERMS`` terms is an error, never silent.
     """
     return MixtureRepresentation(

@@ -162,9 +162,6 @@ def gamma_route_growth(model: LinearCombinationModel,
     return growth, bound
 
 
-_SERIES_TAIL_TOL = 1e-12  # pmf mass the gamma-only series leaves to its completion
-
-
 def price_call_gamma_series(model: LinearCombinationModel,
                             inputs: PricingInputs) -> tuple[float, float]:
     """Call price for the gamma-driven (positive-part) model by the
@@ -175,15 +172,15 @@ def price_call_gamma_series(model: LinearCombinationModel,
 
     Q the regularised upper incomplete gamma.  Requires a model
     :func:`gamma_route_growth` accepts; only the mixture's positive side is
-    built, to _SERIES_TAIL_TOL.  Each sum is completed by its geometric
-    tail.  At K <= s every Q is 1: the K-sum is the total mass 1 and the
-    price is the forward value e^(-rT) (s E[e^G] - K).  Returns the price
-    and its tolerance: the completions plus the discounted negative-part
-    bound.
+    built, at the package's pmf cut ``combo._PMF_TAIL_TOL`` (1e-12).  Each
+    sum is completed by its geometric tail.  At K <= s every Q is 1: the
+    K-sum is the total mass 1 and the price is the forward value
+    e^(-rT) (s E[e^G] - K).  Returns the price and its tolerance: the
+    completions plus the discounted negative-part bound.
     """
     growth, dropped = gamma_route_growth(model, inputs)
     scaled = model.scaled(inputs.t_remaining)
-    side = GammaMixture.build(scaled.lam, scaled.p, _SERIES_TAIL_TOL)
+    side = GammaMixture.build(scaled.lam, scaled.p)
     eta, level = side.rate, inputs.log_moneyness
     s, strike = inputs.spot_at_t, inputs.strike
     a = side.shape + np.arange(len(side.pmf))

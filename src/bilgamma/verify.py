@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import models as model_zoo
-from .combo import build_mixture
+from .combo import _PMF_TAIL_TOL, build_mixture
 from .errors import DomainError
 from .pricing import (
     PricingInputs,
@@ -55,15 +55,16 @@ def run_suite(suite: str = "full", seed: int = 1,
         checks.append({"name": name, "value": value, "threshold": threshold,
                        "passed": bool(value <= threshold), **extra})
 
+    # each shipped model's mixture at the package's pmf cut, which the cf
+    # identity (on a corrupted copy if asked), the KS and the density read
+    reps = {name: build_mixture(model) for name, model in grid.items()}
+
     # characteristic-function identity: mixture form against product form
     zs = np.linspace(-20.0, 20.0, 401)
-    tail_tol = 1e-12
     for name, model in grid.items():
-        rep = build_mixture(model, tail_tol=tail_tol)
-        if corrupt_gamma:
-            rep = _corrupted(rep)
+        rep = _corrupted(reps[name]) if corrupt_gamma else reps[name]
         err = float(np.abs(model.cf(zs) - rep.cf(zs)).max())
-        record(f"cf_identity[{name}]", err, 1e-8 + 2.0 * tail_tol)
+        record(f"cf_identity[{name}]", err, 1e-8 + 2.0 * _PMF_TAIL_TOL)
 
     # Stein identity in Monte Carlo
     stein_models = list(grid.items()) if full else [("pair_nonint",
@@ -80,17 +81,16 @@ def run_suite(suite: str = "full", seed: int = 1,
     ks_models = list(grid.items()) if full else [("pair_integer",
                                                   grid["pair_integer"])]
     for i, (name, model) in enumerate(ks_models):
-        rep = build_mixture(model, tail_tol=1e-10)
         a = sample_direct(model, n_ks, RandomStream(seed, 200 + i))
-        b = sample_mixture(rep, n_ks, RandomStream(seed, 300 + i))
+        b = sample_mixture(reps[name], n_ks, RandomStream(seed, 300 + i))
         d = empirical_kolmogorov(a, b)
         record(f"sampling_equivalence[{name}]", d, crit)
 
     # Fourier against series density near x = 0: the nodes must reach the mass
     near = np.array([-1e-6, 1e-6])
     record("density_agreement[near_zero]", max(float(np.abs(
-        m.pdf_fourier(near) - build_mixture(m).pdf_series(near)).max())
-        for m in grid.values()), 1e-6)
+        m.pdf_fourier(near) - reps[name].pdf_series(near)).max())
+        for name, m in grid.items()), 1e-6)
 
     # pricing route agreement on the gamma-driven model, out of the money,
     # near it (where the Gil-Pelaez tails' level is near 0) and at it

@@ -157,6 +157,33 @@ class TestPdfCommand:
             MODEL_GRID["five_mixed"].pdf_fourier(0.0), rel=1e-11)
         assert all(r[2] != "nan" for r in rows[:2] + rows[3:])
 
+    def test_pair_integer_closed_form(self, pair_file, tmp_path):
+        # pair_integer is E1 + E2 - F3 - F4, exponentials of rates lam = 1, 2
+        # and mu = 3, 4.  By partial fractions its density for x > 0 is
+        #   sum_i prod_{l != i} lam_l/(lam_l - lam_i) lam_i e^(-lam_i x)
+        #         * prod_k mu_k/(mu_k + lam_i),
+        # and for x < 0 the same with the two sides swapped.  At a pmf cut
+        # of 1e-10 the series was 2.3e-5 relative (1.6e-11) off at x = -5
+        def side(rates, others, y):
+            return sum(math.prod(r / (r - ri) for r in rates if r != ri)
+                       * ri * math.exp(-ri * y)
+                       * math.prod(o / (o + ri) for o in others)
+                       for ri in rates)
+
+        out = tmp_path / "pdf.csv"
+        assert main(["pdf", "--model", pair_file, "--xmin", "-5", "--xmax",
+                     "5", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 401
+        for x, fourier, series, _ in ([float(v) for v in r] for r in rows):
+            exact = (side((1.0, 2.0), (3.0, 4.0), x) if x > 0.0
+                     else side((3.0, 4.0), (1.0, 2.0), -x))
+            assert abs(fourier - exact) <= 1e-7 * exact, x
+            if x == 0.0:
+                assert math.isnan(series)
+            else:
+                assert abs(series - exact) <= min(1e-6 * exact, 1e-12), x
+
     @pytest.mark.parametrize("case", ["interior_nonconvergence",
                                       "singular_origin"])
     def test_grid_error_names_its_x(self, tmp_path, capsys, monkeypatch,
@@ -343,7 +370,7 @@ class TestPinnedCsvOutput:
                      "4ed89ae7bd9b8697d38ef9b2f4b3d0898d3895118d5b93bb69efa3ea68482d92",
                      id="simulate"),
         pytest.param(["pdf", "--xmin", "-5", "--xmax", "5", "--points", "401"],
-                     "5f389659544529c475453a1ee7725c831a579ae0c96f2f8de42ac4e5e1fe6a56",
+                     "0209c15eb4916742ba3aab50b48314bb54093d4dd33b9510eb999e3f65f7e299",
                      id="pdf"),
         pytest.param(["cf", "--zmax", "20", "--points", "401"],
                      "20d80cc169642bda91d39465b2eb98da81813c9943d346f0b20342c5a70c4bfc",

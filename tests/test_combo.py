@@ -1078,6 +1078,31 @@ class TestMomentTransform:
                                  r"non-contracting tail \(ratio 1\.1\)"):
             rep.moment(2)
 
+    def test_moments_judge_each_order(self):
+        # moments(kmax) reads one factorial table of order kmax per side and
+        # judges each order as moment(k) does: the same bits, or the error
+        # of the first order that fails, whichever of the four it is
+        cases = [(model, cut, 8) for model in MODEL_GRID.values()
+                 for cut in (1e-4, 1e-12)]
+        # theta 0.9: at cut 0.1 order 1 extrapolates too much, and the order
+        # 2 tail does not contract; at 0.5 already the order 1 tail does not
+        wide = LinearCombinationModel.from_components(
+            [(1, 0.5, 3, 1, 1, 1), (10, 0.5, 3, 1, 1, 1)])
+        cases += [(wide, 0.1, 4), (wide, 0.5, 4), (SHALLOW, 0.3, 4),
+                  (single(0.1, 1.0, 0.2, 1.0), 1e-12, 200)]
+        raised = set()
+        for model, cut, kmax in cases:
+            rep = build_mixture(model, tail_tol=cut)
+            try:
+                want = [rep.moment(k) for k in range(1, kmax + 1)]
+            except BilgammaError as exc:
+                raised.add(re.sub(r"[\d.]+(e[+-]?\d+)?", "#", str(exc)))
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    rep.moments(kmax)
+            else:
+                assert rep.moments(kmax) == want
+        assert len(raised) == 4, raised
+
 
 class TestLevyAndCumulants:
     def test_single_reduces(self):

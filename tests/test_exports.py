@@ -60,6 +60,41 @@ def test_no_unused_imports(module):
     assert sorted(imported - read - set(getattr(mod, "__all__", ()))) == []
 
 
+# the calls that build a pmf, by the number of arguments before the cut
+_PMF_BUILDERS = {"build_mixture": 1, "GammaMixture.build": 2}
+
+
+def _pmf_cuts(tree: ast.Module) -> list:
+    """(top-level definition, source of the cut) of each pmf-building call
+    in ``tree`` that passes a cut, positionally or by keyword."""
+    cuts = []
+    for stmt in tree.body:
+        where = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            leading = next((n for name, n in _PMF_BUILDERS.items()
+                            if func == name or func.endswith("." + name)), None)
+            if leading is None:
+                continue
+            cuts += [(where, ast.unparse(a)) for a in node.args[leading:]]
+            cuts += [(where, ast.unparse(kw.value)) for kw in node.keywords
+                     if kw.arg in ("tail_tol", None)]
+    return cuts
+
+
+@pytest.mark.parametrize("module", [m for m in SUBMODULES if m != "combo"])
+def test_pmf_cut_chosen_in_combo(module):
+    # combo names the package's one pmf cut; the only other caller that
+    # chooses one is the user, through --tail-tol of cf and moments
+    tree = ast.parse(Path(importlib.import_module(
+        f"bilgamma.{module}").__file__).read_text(encoding="utf-8"))
+    allowed = ([("cmd_cf", "args.tail_tol"), ("cmd_moments", "args.tail_tol")]
+               if module == "cli" else [])
+    assert sorted(_pmf_cuts(tree)) == allowed
+
+
 def _private_definitions(tree: ast.Module) -> set:
     """The module-level ``_name``s a module defines: functions, classes
     and constants (dunder names aside)."""
@@ -118,8 +153,8 @@ def test_trace_counts_density_path(tmp_path):
                  "quadrature.log_hyperint"):
         assert summary.get(name, {"calls": 0})["calls"] >= 1, name
     # the term counter reads the pmf lengths of the one mixture built, at
-    # the pdf command's default tail_tol
-    rep = bilgamma.build_mixture(MODEL_GRID["five_mixed"], tail_tol=1e-10)
+    # the package's pmf cut
+    rep = bilgamma.build_mixture(MODEL_GRID["five_mixed"])
     assert tracer.counts["combo.build_mixture.terms"] == (
         len(rep.pos.pmf) + len(rep.neg.pmf))
 

@@ -21,6 +21,7 @@ from bilgamma import (
     price_call_monte_carlo,
 )
 from bilgamma import pricing
+from bilgamma.combo import GammaMixture
 from bilgamma.models import MARTINGALE, MODEL_GRID, PRICING_GAMMA
 from bilgamma.pricing import _tail_probability, negative_part_bound
 from bilgamma.quadrature import integrate_zero_to_inf
@@ -309,9 +310,11 @@ class TestGammaSeriesPrice:
     def test_strike_at_spot_matches_atm(self, pricing_gamma, monkeypatch):
         # at ln(K/s) = 0 the K-sum is the total mass 1, not a truncated sum
         # plus its extrapolated tail (6.2e-6 relative off at tail_tol 1e-3)
+        # (the series builds its side at GammaMixture.build's default cut)
         inputs = base_inputs(strike=1.0)
         for tail_tol in (1e-3, 1e-6, 1e-12):
-            monkeypatch.setattr(pricing, "_SERIES_TAIL_TOL", tail_tol)
+            monkeypatch.setattr(GammaMixture.build.__func__, "__defaults__",
+                                (tail_tol,))
             assert (price_call_gamma_series(pricing_gamma, inputs)
                     == price_call_atm(pricing_gamma, inputs))
 
@@ -374,7 +377,7 @@ class TestGeometricCompletion:
             [(3.0, 1.0, 1e8, 1e-8, 1.0, 1.0), (6.0, 1.0, 1e8, 1e-8, 1.0, 1.0)])
         inputs = base_inputs(strike=1.0)
         expected = math.exp(-0.05) * ((3.0 / 2.0) * (6.0 / 5.0) - 1.0)
-        monkeypatch.setattr(pricing, "_SERIES_TAIL_TOL", 1e-3)
+        monkeypatch.setattr(GammaMixture.build.__func__, "__defaults__", (1e-3,))
         price, _ = price_call_atm(model, inputs)
         assert price == pytest.approx(expected, rel=1e-12)
 
