@@ -11,11 +11,12 @@ never depend on the worker count.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import functools
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -74,60 +75,53 @@ class ConfigError(Exception):
     pass
 
 
-_CSV_BLOCK_ROWS = 65_536
-# A block of %.<P>g cells holds at most this many cells, so that the
-# formatter's temporaries stay in the CPU cache.
-_G_BLOCK_CELLS = 8_192
+# Every CSV line ends in CRLF, the csv module's default line terminator.
+_CRLF = "\r\n"
+# A block of rows holds at most this many cells, so that the formatter's
+# temporaries stay in the CPU cache.
+_CSV_BLOCK_CELLS = 8_192
 
 
 def _write_csv(path: str | None, header, formats, *tables):
-    """Write ``header``, then the rows of each of ``tables`` in turn.  A
-    table is a list of equal-length float arrays, its columns; each value
-    of a row is %-formatted by its entry of ``formats`` (%.17g reads back
-    exactly).  Rows are formatted as text in blocks of _CSV_BLOCK_ROWS, so
-    that neither a per-value f-string nor the whole text is ever
-    materialised.  When every format is one %.<P>g, the blocks are smaller
-    and _GFormatter writes them, byte for byte as % would."""
-    out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        terminator = writer.dialect.lineterminator
+    """Write ``header`` (plain names, which need no quoting), then the rows
+    of each of ``tables`` in turn, every line ended by _CRLF.  A table is a
+    list of equal-length float arrays, its columns; each value of a row is
+    %-formatted by its entry of ``formats`` (%.17g reads back exactly), in
+    blocks of at most _CSV_BLOCK_CELLS cells (one row at least), so that
+    neither a per-value f-string nor the whole text is ever materialised.
+    Rows of one %.<P>g go through _GFormatter, byte for byte as % would."""
+    with (open(path, "w", newline="", encoding="utf-8") if path
+          else contextlib.nullcontext(sys.stdout)) as out:
+        out.write(",".join(header) + _CRLF)
+        rows = max(1, _CSV_BLOCK_CELLS // len(formats))
         precision = _g_precision(formats)
         if precision is None:
-            rows = _CSV_BLOCK_ROWS
-            line = ",".join(formats) + terminator
+            line = ",".join(formats) + _CRLF
 
             def format_block(block):
                 return line * len(block) % tuple(block.ravel().tolist())
         else:
-            rows = max(1, min(_CSV_BLOCK_ROWS, _G_BLOCK_CELLS // len(formats)))
-            format_block = _GFormatter(precision, rows, len(formats), terminator)
+            format_block = _GFormatter(precision, rows, len(formats))
         for columns in tables:
             for i in range(0, len(columns[0]), rows):
                 out.write(format_block(
                     np.column_stack([c[i:i + rows] for c in columns])))
-    finally:
-        if path:
-            out.close()
 
 
 def _g_precision(formats) -> int | None:
     """P when every entry of ``formats`` is the same %.<P>g with
     1 <= P <= 17, else None."""
-    first = formats[0]
-    digits = first[2:-1]
-    if (first[:2] != "%." or first[-1:] != "g" or not digits.isdigit()
-            or not 1 <= int(digits) <= 17 or any(f != first for f in formats)):
+    match = re.fullmatch(r"%\.([1-9]|1[0-7])g", formats[0])
+    if match is None or any(f != formats[0] for f in formats):
         return None
-    return int(digits)
+    return int(match[1])
 
 
 # Byte offsets in the 64-byte row where _GFormatter lays out one cell before
 # a mask picks its text: "  -0.000" (the sign, and the "0." and zeros of
 # 0.000ddd), the digits of D zero-padded to 20 (integer part, or all digits),
 # the same 20 digits with a "." over D's leading digit (fraction part), the
-# exponent "e+XXX", and "," followed by the line terminator.
+# exponent "e+XXX", and "," followed by _CRLF.
 _G_SIGN, _G_ZERO, _G_POINT, _G_ZEROS = 2, 3, 4, 5
 _G_INT, _G_FRAC, _G_EXP, _G_SEP, _G_ROW = 8, 28, 48, 56, 64
 # Tables over decimal exponents e10 cover |e10| <= _G_E10, which holds the
@@ -138,10 +132,9 @@ _VELTKAMP = 134_217_729.0  # 2**27 + 1 splits a double into two 26-bit halves
 
 
 @functools.cache  # built on first use: importing the CLI builds nothing
-def _g_tables(precision: int, terminator: str):
-    """Read-only lookup tables of _GFormatter for %.<precision>g rows that
-    end in ``terminator``.  A table over decimal exponents e10 is indexed
-    by e10 + _G_E10."""
+def _g_tables(precision: int):
+    """Read-only lookup tables of _GFormatter for %.<precision>g rows.  A
+    table over decimal exponents e10 is indexed by e10 + _G_E10."""
     p = precision
     e10 = np.arange(-_G_E10, _G_E10 + 1)
     # 10**(p - 1 - e10) as an unevaluated sum hi + lo of doubles, both
@@ -184,7 +177,7 @@ def _g_tables(precision: int, terminator: str):
                                     | ((j >= point + lead) & (j < point + nd)))
     mask |= expform & ((j == _G_EXP) | (j == _G_EXP + 1) | (j == _G_EXP + 3)
                        | (j == _G_EXP + 4) | ((j == _G_EXP + 2) & (cls == p + 5)))
-    mask |= np.where(last, (j > _G_SEP) & (j <= _G_SEP + len(terminator)), j == _G_SEP)
+    mask |= np.where(last, (j > _G_SEP) & (j <= _G_SEP + len(_CRLF)), j == _G_SEP)
     # the 4 ASCII digits of 0..9999 as one uint32 each, and their trailing zeros
     k = np.arange(10_000)
     quads = (np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
@@ -219,15 +212,14 @@ class _GFormatter:
     1234567890123456.25 at P = 17, and some values next to a power of ten
     -- is written by % itself."""
 
-    def __init__(self, precision: int, rows: int, cols: int, terminator: str):
+    def __init__(self, precision: int, rows: int, cols: int):
         self.precision = precision
-        self.tables = _g_tables(precision, terminator)
+        self.tables = _g_tables(precision)
         cells = rows * cols
         self.row = np.zeros((cells, _G_ROW), np.uint8)
         self.row[:, :_G_INT] = np.frombuffer(b"  -0.000", np.uint8)
-        self.row[:, _G_SEP] = ord(",")
-        self.row[:, _G_SEP + 1:_G_SEP + 1 + len(terminator)] = np.frombuffer(
-            terminator.encode("ascii"), np.uint8)
+        sep = ("," + _CRLF).encode("ascii")
+        self.row[:, _G_SEP:_G_SEP + len(sep)] = np.frombuffer(sep, np.uint8)
         self.mask = np.empty((cells, _G_ROW), bool)
         self.last = (np.arange(cells) % cols == cols - 1).astype(np.intp)
 

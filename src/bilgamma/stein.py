@@ -172,11 +172,15 @@ def stein_identity_check(model: LinearCombinationModel, f: TestFunction,
 
 def empirical_kolmogorov(sample_a, sample_b) -> float:
     """Two-sample Kolmogorov distance: exact sup of |F_a - F_b| over the
-    pooled order statistics."""
+    pooled order statistics.  A NaN has no rank, so a sample that holds
+    one is a DomainError; -inf and inf are order statistics like any."""
     a = np.sort(np.asarray(sample_a, dtype=float))
     b = np.sort(np.asarray(sample_b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise EmptySampleError("both samples must be non-empty")
+    for name, s in (("sample_a", a), ("sample_b", b)):
+        if math.isnan(s[-1]):  # np.sort puts NaN last
+            raise DomainError(f"{name} holds a NaN")
     pooled = np.concatenate([a, b])
     fa = np.searchsorted(a, pooled, side="right") / a.size
     fb = np.searchsorted(b, pooled, side="right") / b.size

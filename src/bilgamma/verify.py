@@ -44,9 +44,11 @@ def _corrupted(rep):
 
 def run_suite(suite: str = "full", seed: int = 1,
               corrupt_gamma: bool = False) -> dict:
-    """Run the invariant suite; returns a JSON-ready report."""
+    """Run the invariant suite; returns a JSON-ready report.  The Monte
+    Carlo checks also report their statistic's p-value."""
     if suite not in ("full", "quick"):
         raise DomainError(f"unknown suite {suite!r}")
+    from scipy.special import kolmogorov  # deferred: importing stays scipy-free
     full = suite == "full"
     grid = model_zoo.MODEL_GRID
     checks: list[dict] = []
@@ -73,7 +75,8 @@ def run_suite(suite: str = "full", seed: int = 1,
     for i, (name, model) in enumerate(stein_models):
         est, se = stein_identity_check(model, SIN_W3, n_stein,
                                        RandomStream(seed, 100 + i))
-        record(f"stein_identity[{name}]", abs(est), 4.0 * se, std_error=se)
+        record(f"stein_identity[{name}]", abs(est), 4.0 * se, std_error=se,
+               p_value=math.erfc(abs(est) / (se * math.sqrt(2.0))))
 
     # sampling equivalence, two-sample Kolmogorov at level 0.01
     n_ks = 100_000 if full else 20_000
@@ -84,7 +87,8 @@ def run_suite(suite: str = "full", seed: int = 1,
         a = sample_direct(model, n_ks, RandomStream(seed, 200 + i))
         b = sample_mixture(reps[name], n_ks, RandomStream(seed, 300 + i))
         d = empirical_kolmogorov(a, b)
-        record(f"sampling_equivalence[{name}]", d, crit)
+        record(f"sampling_equivalence[{name}]", d, crit,
+               p_value=float(kolmogorov(d * math.sqrt(n_ks / 2.0))))
 
     # Fourier against series density near x = 0: the nodes must reach the mass
     near = np.array([-1e-6, 1e-6])

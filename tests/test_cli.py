@@ -303,8 +303,8 @@ class TestSampleCommand:
 
     def test_values_exact_across_blocks(self, pair_file, tmp_path,
                                         monkeypatch):
-        # a block size of 7 puts several block boundaries inside 200 rows
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
+        # blocks of 7 one-cell rows put several boundaries inside 200 rows
+        monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", 7)
         out = tmp_path / "a.csv"
         assert main(["sample", "--model", pair_file, "--n", "200",
                      "--seed", "9", "--out", str(out)]) == 0
@@ -330,10 +330,15 @@ class TestSampleCommand:
                          "5", "--streams", streams, "--out", str(out)]) == 0
         assert out4.read_bytes() == out2.read_bytes()
 
-    def test_stdout_matches_out(self, model_file, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sample", "--n", "300", "--seed", "4"], id="sample"),
+        # six mixed formats: the % path, where sample takes the %.17g one
+        pytest.param(["cf", "--points", "41"], id="cf"),
+    ])
+    def test_stdout_matches_out(self, model_file, tmp_path, monkeypatch, argv):
         # without --out the CSV goes through the text stream sys.stdout
         out = tmp_path / "a.csv"
-        argv = ["sample", "--model", model_file, "--n", "300", "--seed", "4"]
+        argv = [argv[0], "--model", model_file, *argv[1:]]
         assert main([*argv, "--out", str(out)]) == 0
         stdout = io.StringIO()
         monkeypatch.setattr("sys.stdout", stdout)
@@ -358,8 +363,8 @@ class TestSampleCommand:
 
 class TestPinnedCsvOutput:
     """SHA-256 of the CSV each CSV command writes for five_mixed at the
-    README settings: the writer must not change a byte.  The sample size
-    crosses the 65 536-row block boundary."""
+    README settings: the writer must not change a byte.  The sample's
+    65 537 rows cross several block boundaries."""
 
     @pytest.mark.parametrize("argv, digest", [
         pytest.param(["sample", "--n", "65537", "--seed", "19"],
@@ -471,21 +476,22 @@ class TestWriteCsvOracle:
     def test_random_bit_patterns(self, tmp_path, fmt):
         self.check(tmp_path, [fmt], [self.finite_for(fmt, _random_bits(100_000, 23))])
 
-    @pytest.mark.parametrize("block_rows", [1, 7, cli._CSV_BLOCK_ROWS])
+    # 65 536 cells hold each table here in one block, as the default does
+    @pytest.mark.parametrize("block_cells", [1, 7, 65_536])
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_special_values(self, tmp_path, monkeypatch, fmt, block_rows):
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    def test_special_values(self, tmp_path, monkeypatch, fmt, block_cells):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", block_cells)
         self.check(tmp_path, [fmt], [self.finite_for(fmt, _SPECIAL)])
 
-    @pytest.mark.parametrize("block_rows", [1, 7, cli._CSV_BLOCK_ROWS])
+    @pytest.mark.parametrize("block_cells", [1, 7, 65_536])
     @pytest.mark.parametrize("formats", [
         ["%.17g"] * 3, ["%.12g"] * 3, ["%.17g", "%.12g", "%.17g"],
         ["%.12g", "%.12e", "%.3e"]])
     def test_rows_mixing_certified_and_fallback_cells(self, tmp_path,
                                                       monkeypatch, formats,
-                                                      block_rows):
+                                                      block_cells):
         # each row pairs a special value with draws that certify
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(29)
         n = _SPECIAL.size
         self.check(tmp_path, formats, [rng.gamma(0.3, size=n), _SPECIAL,
@@ -858,8 +864,8 @@ class TestSimulateCommand:
 
     def test_columns_exact_across_blocks(self, pair_file, tmp_path,
                                          monkeypatch):
-        # a block size of 3 puts block boundaries inside 11 rows of 3 columns
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+        # 9 cells, 3 rows of 3 columns, put block boundaries inside 11 rows
+        monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", 9)
         out = tmp_path / "paths.csv"
         assert main(["simulate", "--model", pair_file, "--tgrid", "0:0.1:1",
                      "--paths", "2", "--seed", "4", "--out", str(out)]) == 0
@@ -1183,6 +1189,26 @@ class TestVerifyCommand:
         assert len(failed) < len(report["checks"])
         for c in report["checks"]:
             assert c["passed"] is (c["value"] <= c["threshold"]), c
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_p_value_decides_statistical_checks(self, seed):
+        # a Monte Carlo record passes exactly when its p-value reaches its
+        # gate's level: 4 standard errors for the Stein mean, the level-0.01
+        # coefficient 1.628 for the KS distance (seed 2 fails it by chance)
+        from scipy.special import kolmogorov
+        levels = {"stein_identity": math.erfc(4.0 / math.sqrt(2.0)),
+                  "sampling_equivalence": float(kolmogorov(1.628))}
+        checks = bilgamma.verify.run_suite("quick", seed)["checks"]
+        for c in checks:
+            level = levels.get(c["name"].split("[")[0])
+            if level is None:
+                assert "p_value" not in c, c
+            else:
+                assert c["passed"] is (c["p_value"] >= level), c
+        ks = next(c for c in checks if c["name"].startswith("sampling"))
+        assert ks["passed"] is (seed == 1)
+        if seed == 2:
+            assert ks["p_value"] == pytest.approx(7.0e-4, rel=0.01)
 
     def test_unknown_suite_is_a_domain_error(self):
         with pytest.raises(DomainError, match="unknown suite 'bogus'"):

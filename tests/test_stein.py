@@ -230,6 +230,34 @@ class TestEmpiricalDistances:
         with pytest.raises(EmptySampleError):
             empirical_kolmogorov([1.0], [])
 
+    @pytest.mark.parametrize("a, b, name", [
+        ([math.nan], [1.0], "sample_a"),
+        ([0.1, math.nan, 0.3], [0.2, 0.4], "sample_a"),
+        ([0.2, 0.4], [0.1, math.nan, 0.3], "sample_b"),
+    ])
+    def test_nan_is_a_domain_error(self, a, b, name):
+        # a NaN has no rank; counted as the largest value these read 1.0 and 0.333
+        with pytest.raises(DomainError, match=f"{name} holds a NaN"):
+            empirical_kolmogorov(a, b)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kolmogorov_brute_force(self, seed):
+        # rounded draws tie inside and across samples of unequal sizes, and
+        # -inf and inf are order statistics like any other value
+        rng = np.random.default_rng(seed)
+        a = np.round(rng.standard_normal(301), 1)
+        b = np.round(0.3 * seed + rng.standard_normal(170), 1)
+        a[:3] = -math.inf, math.inf, math.inf
+        b[:2] = -math.inf, -math.inf
+        pooled = np.concatenate([a, b])
+        expected = float(np.abs(
+            np.count_nonzero(a <= pooled[:, None], axis=1) / a.size
+            - np.count_nonzero(b <= pooled[:, None], axis=1) / b.size).max())
+        d = empirical_kolmogorov(a, b)
+        assert d == expected > 0.0
+        assert empirical_kolmogorov(b, a) == d
+        assert empirical_kolmogorov(rng.permutation(a), rng.permutation(b)) == d
+
 
 class TestKappa:
     def test_balanced_single(self):
