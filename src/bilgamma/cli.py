@@ -57,6 +57,8 @@ from .sampling import (
 )
 from .stein import (
     bound_compound_poisson_k,
+    bound_d3_bg,
+    bound_d3_normal,
     bound_two_sums,
     d3_bg_terms,
     d3_normal_terms,
@@ -440,11 +442,11 @@ def cmd_bounds(args) -> int:
                              ("alpha", "p", "beta", "q"))
         target = LinearCombinationModel.from_components(
             [[*fields.values(), 1.0, 1.0]])
-        terms = d3_bg_terms(model, target)
-        payload["d3_bg"] = {"value": float(sum(terms.values())), "terms": terms}
+        payload["d3_bg"] = {"value": bound_d3_bg(model, target),
+                            "terms": d3_bg_terms(model, target)}
     if args.sigma is not None:
-        terms = d3_normal_terms(model, args.sigma)
-        payload["d3_normal"] = {"value": float(sum(terms.values())), "terms": terms}
+        payload["d3_normal"] = {"value": bound_d3_normal(model, args.sigma),
+                                "terms": d3_normal_terms(model, args.sigma)}
     if args.other:
         other = load_model(args.other)
         payload["two_sums"] = {"value": bound_two_sums(model, other)}

@@ -795,9 +795,9 @@ class MixtureRepresentation:
             log_ax = math.log(ax)
             f_row, f_col = row.log_terms(log_ax), col.log_terms(log_ax)
             const = (b0 - 1.0) * log_ax - col.rate * ax
-            out[i] = sum(float(np.exp(const + f_row[k:k + len(L), None]
-                                      + f_col[j:j + L.shape[1]] + L).sum())
-                         for k, j, L in blocks)
+            out[i] = math.fsum(np.exp(const + f_row[k:k + len(L), None]
+                                      + f_col[j:j + L.shape[1]] + L).sum()
+                               for k, j, L in blocks)
         return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 

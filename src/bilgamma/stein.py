@@ -281,8 +281,8 @@ def bound_d3_bg(model: LinearCombinationModel,
                   + kappa |E T - E Z|
 
     for Z ~ BG(a, p, b, q), the one-component ``target`` (a, b its
-    effective rates); exact constants, no configuration."""
-    return float(sum(d3_bg_terms(model, target).values()))
+    effective rates); exact constants, the terms' correctly rounded sum."""
+    return math.fsum(d3_bg_terms(model, target).values())
 
 
 def d3_normal_terms(model: LinearCombinationModel, sigma: float) -> dict:
@@ -301,5 +301,5 @@ def d3_normal_terms(model: LinearCombinationModel, sigma: float) -> dict:
 
 
 def bound_d3_normal(model: LinearCombinationModel, sigma: float) -> float:
-    """Order-3 smooth-Wasserstein bound against N(0, sigma^2)."""
-    return float(sum(d3_normal_terms(model, sigma).values()))
+    """Order-3 smooth-Wasserstein bound against N(0, sigma^2), summed exactly."""
+    return math.fsum(d3_normal_terms(model, sigma).values())

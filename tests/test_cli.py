@@ -17,6 +17,8 @@ from bilgamma import (
     LinearCombinationModel,
     PricingInputs,
     RandomStream,
+    bound_d3_bg,
+    bound_d3_normal,
     cli,
     price_call_gamma_series,
     quadrature,
@@ -511,6 +513,28 @@ class TestBoundsCommand:
         assert payload["d3_bg"]["value"] == pytest.approx(0.0, abs=1e-12)
         assert payload["constants_default"] is True
         assert payload["kappa"]["kappa_n"] == pytest.approx(4.0 / 3.0)
+
+    @pytest.mark.parametrize("flag", ["--target", "--sigma"])
+    def test_values_are_the_library_bounds(self, kappa_file, tmp_path, flag):
+        # the report's totals are stein's, bit for bit, and the correctly
+        # rounded sums of its terms; here a left-to-right float sum of the
+        # terms is an ulp off (0.8629629629629629, 1.4333333333333331)
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(
+            {"alpha": 1.5, "p": 0.5, "beta": 1.5, "q": 0.3}))
+        out = tmp_path / "bounds.json"
+        value = str(target) if flag == "--target" else "1.0"
+        assert main(["bounds", "--model", kappa_file, flag, value,
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        if flag == "--target":
+            key, expected = "d3_bg", bound_d3_bg(
+                KAPPA_SINGLE, LinearCombinationModel.from_components(
+                    [(1.5, 0.5, 1.5, 0.3, 1.0, 1.0)]))
+        else:
+            key, expected = "d3_normal", bound_d3_normal(KAPPA_SINGLE, 1.0)
+        assert payload[key]["value"] == expected
+        assert payload[key]["value"] == math.fsum(payload[key]["terms"].values())
 
     def test_non_numeric_target_exits_2(self, kappa_file, tmp_path, capsys):
         target = tmp_path / "target.json"

@@ -932,6 +932,21 @@ print([m for m in sys.modules if m.startswith("scipy.integrate")])
         assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == (
             "bb036b69351af9e16929a1fd228b1046e904ba395d136923eedd87594b1c3987")
 
+    def test_series_total_across_kernel_blocks(self, mixture_grid, monkeypatch):
+        # the default block holds each point's kernel grid whole; at 64
+        # entries the multi-component models' grids split into many blocks,
+        # whose exactly totalled sums stay within 2.1e-16 of the whole sum
+        xs = (-3.1, -0.6, 0.45, 2.2)
+        whole = {name: [rep.pdf_series(x) for x in xs]
+                 for name, rep in mixture_grid.items()}
+        assert sum(len(rep.pos.pmf) * len(rep.neg.pmf) > 64
+                   for rep in mixture_grid.values()) >= 4
+        monkeypatch.setattr(bilgamma.combo, "_KERNEL_BLOCK", 64)
+        for name, rep in mixture_grid.items():
+            for x, expected in zip(xs, whole[name]):
+                assert rep.pdf_series(x) == pytest.approx(
+                    expected, rel=1e-14, abs=0.0), (name, x)
+
     def test_inversion_precondition(self):
         # total shape 0.6: the cf is not absolutely integrable, but the
         # inversion converges at every x != 0; the density is infinite at 0

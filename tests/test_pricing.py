@@ -369,6 +369,43 @@ class TestTimeScaledGammaRoutes:
         assert len(builds) == 1
 
 
+_STRIKES = np.linspace(0.6, 1.6, 41)
+
+
+def _series_price(model, inputs):
+    return price_call_gamma_series(model, inputs)[0]
+
+
+def _strike_strip(route, model, maturity):
+    return np.array([route(model, base_inputs(strike=float(k), maturity=maturity))
+                     for k in _STRIKES])
+
+
+@pytest.mark.parametrize("maturity", [0.25, 1.0])
+class TestStrikeShape:
+    """A call price falls and is convex in the strike, with slopes in
+    [-e^(-rT), 0]; on K = 0.6..1.6 at s0 = 1 and r = 0.05."""
+
+    @pytest.mark.parametrize("route, model", [
+        (price_call_integral, MARTINGALE), (price_call_integral, PRICING_GAMMA),
+        (_series_price, PRICING_GAMMA)],
+        ids=["integral-martingale", "integral-gamma", "series-gamma"])
+    def test_decreasing_convex_bounded_slope(self, route, model, maturity):
+        prices = _strike_strip(route, model, maturity)
+        assert np.all(np.diff(prices) < 0.0)
+        # worst -3.3e-15 on the integral route and -4.4e-16 on the series
+        assert np.diff(prices, 2).min() >= -1e-12
+        slopes = np.diff(prices) / np.diff(_STRIKES)
+        assert slopes.min() >= -math.exp(-0.05 * maturity) - 1e-9
+        assert slopes.max() <= 0.0
+
+    def test_series_matches_integral(self, maturity):
+        # worst 2.2e-10 relative, at T = 0.25
+        series = _strike_strip(_series_price, PRICING_GAMMA, maturity)
+        integral = _strike_strip(price_call_integral, PRICING_GAMMA, maturity)
+        assert np.max(np.abs(series - integral) / integral) < 1e-8
+
+
 class TestGeometricCompletion:
     def test_exact_on_geometric_pmf(self, monkeypatch):
         # rates (3, 6) and unit shapes: P(L=k) = (1/2)^(k+1) exactly, so the
