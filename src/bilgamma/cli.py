@@ -369,10 +369,10 @@ def _grid(lo: float, hi: float, points: int, what: str) -> np.ndarray:
 
 
 # -- commands ----------------------------------------------------------------
+# Every command but verify takes the model that main loads from --model.
 
 
-def cmd_pdf(args) -> int:
-    model = load_model(args.model)
+def cmd_pdf(model, args) -> int:
     rep = build_mixture(model)
     xs = _grid(args.xmin, args.xmax, args.points, "--xmin/--xmax")
     # each route takes the whole grid in one call; the series skips x = 0
@@ -384,8 +384,7 @@ def cmd_pdf(args) -> int:
     return EXIT_OK
 
 
-def cmd_cf(args) -> int:
-    model = load_model(args.model)
+def cmd_cf(model, args) -> int:
     rep = build_mixture(model, tail_tol=args.tail_tol)
     zs = _grid(-args.zmax, args.zmax, args.points, "--zmax")
     prod = model.cf(zs)
@@ -397,8 +396,7 @@ def cmd_cf(args) -> int:
     return EXIT_OK
 
 
-def cmd_moments(args) -> int:
-    model = load_model(args.model)
+def cmd_moments(model, args) -> int:
     rep = build_mixture(model, tail_tol=args.tail_tol)
     payload = {
         "moments": {str(k): m for k, m in enumerate(rep.moments(args.kmax), 1)},
@@ -410,8 +408,7 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def cmd_sample(args) -> int:
-    model = load_model(args.model)
+def cmd_sample(model, args) -> int:
     streams = min(args.streams, args.n)
     counts = [args.n // streams + (1 if i < args.n % streams else 0)
               for i in range(streams)]
@@ -423,8 +420,7 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    model = load_model(args.model)
+def cmd_bounds(model, args) -> int:
     # the two-sums and compound-Poisson bounds set their universal constants
     # to 1.0, so those values are bound shapes
     payload: dict = {"constants_default": True}
@@ -454,8 +450,7 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def cmd_cp_sweep(args) -> int:
-    model = load_model(args.model)
+def cmd_cp_sweep(model, args) -> int:
     try:
         orders = [int(v) for v in args.m.split(",")]
     except ValueError:
@@ -474,8 +469,7 @@ def cmd_cp_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_price(args) -> int:
-    model = load_model(args.model)
+def cmd_price(model, args) -> int:
     inputs = PricingInputs(**read_fields(
         read_json(args.pricing, "pricing"), "pricing file",
         ("s0", "strike", "rate", "maturity"), ("dividend", "t_now", "spot_at_t")))
@@ -509,8 +503,7 @@ def cmd_price(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    model = load_model(args.model)
+def cmd_simulate(model, args) -> int:
     grid = _parse_tgrid(args.tgrid)
     paths = _fan_out(lambda i: sample_path(model, grid,
                                            RandomStream(args.seed, i)),
@@ -564,79 +557,65 @@ def build_parser() -> argparse.ArgumentParser:
                     "transforms, bounds, simulation, and option pricing.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pdf", help="density grid (Fourier and series routes)")
-    p.add_argument("--model", required=True)
+    def command(name, func, help, model=True):
+        """Subparser ``name``, which runs ``func``; --model first if ``model``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if model:
+            p.add_argument("--model", required=True)
+        return p
+
+    p = command("pdf", cmd_pdf, "density grid (Fourier and series routes)")
     p.add_argument("--xmin", type=_finite, required=True)
     p.add_argument("--xmax", type=_finite, required=True)
     p.add_argument("--points", type=_count(1), default=401)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_pdf)
 
-    p = sub.add_parser("cf", help="characteristic-function grid (both routes)")
-    p.add_argument("--model", required=True)
+    p = command("cf", cmd_cf, "characteristic-function grid (both routes)")
     p.add_argument("--zmax", type=_finite, default=20.0)
     p.add_argument("--points", type=_count(1), default=401)
     p.add_argument("--tail-tol", type=_finite, default=_PMF_TAIL_TOL, dest="tail_tol")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_cf)
 
-    p = sub.add_parser("moments", help="moments and cumulants up to kmax")
-    p.add_argument("--model", required=True)
+    p = command("moments", cmd_moments, "moments and cumulants up to kmax")
     p.add_argument("--kmax", type=_count(1), default=4)
     p.add_argument("--tail-tol", type=_finite, default=_PMF_TAIL_TOL, dest="tail_tol")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("sample", help="i.i.d. draws of the combination")
-    p.add_argument("--model", required=True)
+    p = command("sample", cmd_sample, "i.i.d. draws of the combination")
     p.add_argument("--n", type=_count(1), required=True)
     p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--streams", type=_count(1), default=1)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("bounds", help="approximation-bound report")
-    p.add_argument("--model", required=True)
+    p = command("bounds", cmd_bounds, "approximation-bound report")
     p.add_argument("--target", help="bilateral-gamma target JSON")
     p.add_argument("--sigma", type=_finite, help="normal target std dev")
     p.add_argument("--other", help="second model (weights-only difference)")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("cp-sweep",
-                       help="compound-Poisson Kolmogorov-distance sweep")
-    p.add_argument("--model", required=True)
+    p = command("cp-sweep", cmd_cp_sweep,
+                "compound-Poisson Kolmogorov-distance sweep")
     p.add_argument("--m", default="1,2,4,8,16,32,64")
     p.add_argument("--n", type=_count(1), default=100000)
     p.add_argument("--seed", type=_count(0), required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_cp_sweep)
 
-    p = sub.add_parser("price", help="European call price")
-    p.add_argument("--model", required=True)
+    p = command("price", cmd_price, "European call price")
     p.add_argument("--pricing", required=True)
     p.add_argument("--method", default="auto",
                    choices=["auto", "integral", "series", "atm", "monte-carlo"])
     p.add_argument("--n", type=_count(2), default=1000000)
     p.add_argument("--seed", type=_count(0))
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_price)
 
-    p = sub.add_parser("simulate", help="process paths on a time grid")
-    p.add_argument("--model", required=True)
+    p = command("simulate", cmd_simulate, "process paths on a time grid")
     p.add_argument("--tgrid", required=True, help="start:step:stop")
     p.add_argument("--paths", type=_count(0), default=1)
     p.add_argument("--seed", type=_count(0), required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="run the invariant suite")
+    p = command("verify", cmd_verify, "run the invariant suite", model=False)
     p.add_argument("--suite", default="full", choices=["full", "quick"])
     p.add_argument("--seed", type=_count(0), required=True)
-    p.add_argument("--out")
+
+    for each in sub.choices.values():
+        each.add_argument("--out")
+    # p is still verify's parser: a fault-injection hook, hidden from --help
     p.add_argument("--corrupt-gamma", action="store_true",
                    help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -645,7 +624,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if "model" not in args:  # verify builds its own models
+            return args.func(args)
+        # the model is read before any other input file
+        return args.func(load_model(args.model), args)
     # an OSError is an --out that cannot be written; its text names the path
     except (ConfigError, ModelFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

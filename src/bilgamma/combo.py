@@ -589,9 +589,9 @@ class GammaMixture:
                     - sp.gammaln(self.shape + n))
 
     def cf(self, z) -> np.ndarray:
-        """sum_n P(N=n) (1 - iz/rate)^-(shape+n) on the array z, in z's
-        shape.  Truncation error is bounded by the dropped pmf mass since
-        every term has modulus <= 1.
+        """sum_n P(N=n) (1 - iz/rate)^-(shape+n) on the real array z, in
+        z's shape (a complex z raises DomainError).  Truncation error is
+        bounded by the dropped pmf mass since every term has modulus <= 1.
 
         The series is a power sum in one ratio r per point, with its index
         split as n = B m + i, B = isqrt(K) (baby-step/giant-step, Paterson &
@@ -612,8 +612,10 @@ class GammaMixture:
         2**12 // B, so the (points x B) temporaries hold about 2**12 entries
         for any grid.
         """
-        z = np.asarray(z, dtype=complex)
-        flat = z.reshape(-1)
+        z = np.asarray(z)
+        if z.dtype.kind not in "biuf":
+            raise DomainError(f"the mixture cf takes a real z, got {z.dtype}")
+        flat = z.astype(complex).reshape(-1)
         step = math.isqrt(len(self.pmf))
         giants = -(-len(self.pmf) // step)
         blocks = np.pad(self.pmf, (0, giants * step - len(self.pmf)))
@@ -684,9 +686,9 @@ class MixtureRepresentation:
     # -- transforms ---------------------------------------------------------
 
     def cf(self, z):
-        """Mixture form of the cf, sum_{j,k} P(L=j) P(M=k) (1 - iz/eta)^-(p+j)
-        (1 + iz/xi)^-(q+k), which factorises as pos.cf(z) * neg.cf(-z)."""
-        z = np.asarray(z, dtype=complex)
+        """Mixture form of the cf on a real z, pos.cf(z) * neg.cf(-z) =
+        sum_{j,k} P(L=j) P(M=k) (1 - iz/eta)^-(p+j) (1 + iz/xi)^-(q+k)."""
+        z = np.asarray(z)
         val = self.pos.cf(z) * self.neg.cf(-z)
         return complex(val) if val.ndim == 0 else val
 

@@ -1030,6 +1030,15 @@ class TestInputFiles:
             assert errors[what] == errors["model"].replace(
                 "model file", f"{what} file")
 
+    @pytest.mark.parametrize("flag", ["--pricing", "--target", "--other"])
+    def test_model_read_before_other_files(self, tmp_path, capsys, flag):
+        # main loads --model before a command opens any other input file
+        missing = tmp_path / "none.json"
+        command = "price" if flag == "--pricing" else "bounds"
+        assert main([command, flag, str(tmp_path / "other.json"),
+                     "--model", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: model file not found: {missing}\n"
+
     @pytest.mark.parametrize("value", ["2.5", " 7 ", True])
     def test_numeric_string_or_boolean_exits_2(self, gamma_file, kappa_file,
                                                tmp_path, capsys, value):

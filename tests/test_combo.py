@@ -18,6 +18,7 @@ from bilgamma import (
     DomainError,
     LinearCombinationModel,
     ModelFileError,
+    NonConvergenceError,
     NonFiniteResultError,
     OutOfStripError,
     RandomStream,
@@ -492,6 +493,18 @@ class TestCharacteristicFunction:
         with pytest.raises(DomainError, match="takes a real z"):
             pair_nonint.cf(z)
 
+    @pytest.mark.parametrize("z", [-1.2j, np.array(-2j), np.array([0.5, 1j])],
+                             ids=["scalar", "0-d", "1-d"])
+    @pytest.mark.parametrize("side", ["mixture", "gamma"])
+    def test_mixture_cf_rejects_complex(self, mixture_grid, side, z):
+        # the truncated series gave a plausible wrong number on pair_nonint:
+        # 2.749426640157239 at -1.2j, where the mgf at 1.2 is
+        # 2.7519270467759993, and 84713.1 at -2j, past the mgf's strip
+        rep = mixture_grid["pair_nonint"]
+        cf = rep.cf if side == "mixture" else rep.pos.cf
+        with pytest.raises(DomainError, match="takes a real z"):
+            cf(z)
+
     def test_mixture_identity(self, model_grid, mixture_grid):
         # the executable form of the randomised-shape representation
         zs = np.linspace(-20.0, 20.0, 401)
@@ -642,6 +655,18 @@ class TestDensityRoutes:
     def test_laplace_closed_form(self, laplace_model):
         assert laplace_model.pdf_fourier(1.0) == pytest.approx(
             0.5 * math.exp(-1.0), abs=1e-9)
+
+    def test_fourier_negative_values(self, monkeypatch, laplace_model):
+        # a value below -1e-8 names the first such x; one above is clamped
+        xs = np.array([-1.0, 0.5, 1.5, 2.0])
+        raw = np.array([0.1, -5e-9, -2e-8, 0.3])
+        monkeypatch.setattr(bilgamma.combo, "fourier_density",
+                            lambda cf, x: raw.copy())
+        with pytest.raises(NonConvergenceError,
+                           match=r"negative at x=1\.5: -2e-08$"):
+            laplace_model.pdf_fourier(xs)
+        raw[2] = 0.2
+        assert laplace_model.pdf_fourier(xs).tolist() == [0.1, 0.0, 0.2, 0.3]
 
     def test_series_near_one_sided(self, monkeypatch):
         # PRICING_GAMMA's negative side has shape 2e-8, so every x > 0

@@ -399,6 +399,22 @@ class TestStrikeShape:
         assert slopes.min() >= -math.exp(-0.05 * maturity) - 1e-9
         assert slopes.max() <= 0.0
 
+    @pytest.mark.parametrize("model", [MARTINGALE, PRICING_GAMMA,
+                                       MODEL_GRID["pair_kappa"]],
+                             ids=["martingale", "gamma", "pair_kappa"])
+    def test_deep_in_the_money_put_bounds(self, model, maturity):
+        # the put that parity with the model's own forward s M_T(1) implies
+        # lies in [0, e^(-rT) K] and does not fall as K rises: lowest
+        # -2.2e-15 (gamma), largest put / (e^(-rT) K) 0.13 (pair_kappa, T = 1)
+        strikes = np.array([0.01, 0.1, 0.3, 0.6, 0.9])
+        discount = math.exp(-0.05 * maturity)
+        calls = np.array([price_call_integral(model, base_inputs(
+            strike=float(k), maturity=maturity)) for k in strikes])
+        puts = calls - discount * (model.scaled(maturity).mgf(1.0) - strikes)
+        assert puts.min() >= -1e-12
+        assert np.all(puts <= discount * strikes)
+        assert np.diff(puts).min() >= -1e-12
+
     def test_series_matches_integral(self, maturity):
         # worst 2.2e-10 relative, at T = 0.25
         series = _strike_strip(_series_price, PRICING_GAMMA, maturity)

@@ -458,6 +458,20 @@ class TestOscillatoryIntegral:
                            r"is below its reach$"):
             model.pdf_fourier(np.array([1e-300, 0.01]))
 
+    def test_grid_raises_a_failure_at_zero_in_grid_order(self):
+        # x = 0 goes to QUADPACK, and its error is kept beside the Fourier
+        # rule's: whichever x comes first in the grid names the error
+        def g(z):
+            return np.sin(z) + 0j
+
+        with pytest.raises(NonConvergenceError, match=(
+                r"^QUADPACK quadrature failed on \[0\.0, inf\]: "
+                r"The algorithm does not converge\.$")):
+            oscillatory_integral(g, np.array([0.0, 1.0]), 0.0)
+        with pytest.raises(NonConvergenceError, match=(
+                r"^Fourier quadrature failed on \[0\.0, inf\) at x=1\.0: ")):
+            oscillatory_integral(g, np.array([1.0, 0.0]), 0.0)
+
     def test_below_reach_raises(self):
         # the node tables run until their weights underflow, which at
         # |x| = 1e-300 leaves every node far past the cf's mass: a typed
