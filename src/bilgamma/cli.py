@@ -91,23 +91,20 @@ def _write_csv(path: str | None, header, formats, *tables):
     %-formatted by its entry of ``formats`` (%.17g reads back exactly), in
     blocks of at most _CSV_BLOCK_CELLS cells (one row at least), so that
     neither a per-value f-string nor the whole text is ever materialised.
-    Rows of one %.<P>g go through _GFormatter, byte for byte as % would."""
+    Rows of one %.<P>g go through _GFormatter, byte for byte as % would; a
+    block it declines is %-formatted like any other."""
     with (open(path, "w", newline="", encoding="utf-8") if path
           else contextlib.nullcontext(sys.stdout)) as out:
         out.write(",".join(header) + _CRLF)
         rows = max(1, _CSV_BLOCK_CELLS // len(formats))
+        line = ",".join(formats) + _CRLF
         precision = _g_precision(formats)
-        if precision is None:
-            line = ",".join(formats) + _CRLF
-
-            def format_block(block):
-                return line * len(block) % tuple(block.ravel().tolist())
-        else:
-            format_block = _GFormatter(precision, rows, len(formats))
+        g_format = _GFormatter(precision, rows, len(formats)) if precision else None
         for columns in tables:
             for i in range(0, len(columns[0]), rows):
-                out.write(format_block(
-                    np.column_stack([c[i:i + rows] for c in columns])))
+                block = np.column_stack([c[i:i + rows] for c in columns])
+                text = g_format(block) if g_format else None
+                out.write(text or line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _g_precision(formats) -> int | None:
@@ -209,10 +206,10 @@ class _GFormatter:
     e10 the exponent, whatever floor(log10) did near a power of ten.  D's
     digits come from 4-digit table lookups, and a mask row per layout (%g's
     fixed or exponent form, the trailing zeros to strip, the sign, the
-    separator) picks the cell's bytes.  Every value that is not certified
-    -- 0, -0, inf, nan, |x| outside [1e-280, 1e280], ties such as
+    separator) picks the cell's bytes.  A block that holds a value it cannot
+    certify -- 0, -0, inf, nan, |x| outside [1e-280, 1e280], ties such as
     1234567890123456.25 at P = 17, and some values next to a power of ten
-    -- is written by % itself."""
+    -- is declined: the call returns None and formats nothing."""
 
     def __init__(self, precision: int, rows: int, cols: int):
         self.precision = precision
@@ -225,15 +222,15 @@ class _GFormatter:
         self.mask = np.empty((cells, _G_ROW), bool)
         self.last = (np.arange(cells) % cols == cols - 1).astype(np.intp)
 
-    def __call__(self, block: np.ndarray) -> str:
+    def __call__(self, block: np.ndarray) -> str | None:
         p = self.precision
         (hi_t, head_t, tail_t, lo_t, expo, layout, masks, quads,
          quad_zeros) = self.tables
         x = np.ascontiguousarray(block, dtype=np.float64).ravel()
         n = x.size
         a = np.abs(x)
-        ok = (a >= 1e-280) & (a <= 1e280)  # before any arithmetic: no nan, inf
-        a = np.where(ok, a, 1.0)
+        if not ((a >= 1e-280) & (a <= 1e280)).all():  # also 0, nan and inf
+            return None
         e10 = np.log10(a)
         e10 = np.floor(e10, out=e10).astype(np.intp)
         e10 += _G_E10
@@ -261,11 +258,13 @@ class _GFormatter:
         carry = np.floor(y)
         y -= carry
         digits += carry.astype(np.int64)
-        ok &= digits >= 10 ** (p - 1)
+        ok = digits >= 10 ** (p - 1)
         y -= 0.5
         digits += y > 0
         ok &= np.abs(y, out=y) > 1e-7
         ok &= digits < 10 ** p
+        if not ok.all():
+            return None
         # five 4-digit groups of the zero-padded 20-digit D
         groups = np.empty((n, 5), np.intp)
         high = digits // 100_000_000
@@ -298,18 +297,6 @@ class _GFormatter:
         key += self.last[:n]
         # every key is in range; "clip" lets take write into out unbuffered
         mask = np.take(masks, key, axis=0, out=self.mask[:n], mode="clip")
-        fallback = np.flatnonzero(~ok)
-        if fallback.size:
-            fmt = f"%.{p}g"
-            texts = [fmt % v for v in x[fallback].tolist()]
-            lengths = np.fromiter(map(len, texts), np.intp, len(texts))
-            offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
-            row[np.repeat(fallback, lengths),
-                _G_INT + np.arange(offsets.size) - offsets] = np.frombuffer(
-                    "".join(texts).encode("ascii"), np.uint8)
-            span = np.arange(_G_SEP)
-            mask[fallback, :_G_SEP] = ((span >= _G_INT)
-                                       & (span < _G_INT + lengths[:, None]))
         return str(row[mask].data, "ascii")
 
 

@@ -104,9 +104,9 @@ class LinearCombinationModel:
             object.__setattr__(self, name, arr)
             arrays[name] = arr
             if n is None:
-                n = arr.shape[0]
-            elif arr.shape != (n,):
-                raise DomainError(f"field '{name}' has length {arr.shape}, expected ({n},)")
+                n = len(arr)
+            if arr.shape != (n,):
+                raise DomainError(f"field '{name}' has shape {arr.shape}, expected ({n},)")
         if n < 1:
             raise DomainError("model needs at least one component")
         for name, arr in arrays.items():

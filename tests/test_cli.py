@@ -303,6 +303,14 @@ class TestSampleCommand:
               "--streams", "4", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_thread_cap_must_be_an_integer(self, model_file, monkeypatch,
+                                           capsys):
+        monkeypatch.setenv("BILGAMMA_THREADS", "two")
+        assert main(["sample", "--model", model_file, "--n", "10",
+                     "--seed", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: BILGAMMA_THREADS must be an integer, got 'two'\n")
+
     def test_values_exact_across_blocks(self, pair_file, tmp_path,
                                         monkeypatch):
         # blocks of 7 one-cell rows put several boundaries inside 200 rows
@@ -498,6 +506,36 @@ class TestWriteCsvOracle:
         n = _SPECIAL.size
         self.check(tmp_path, formats, [rng.gamma(0.3, size=n), _SPECIAL,
                                        rng.standard_normal(n) * 1e3])
+
+
+class TestFastPathShare:
+    """_GFormatter declines a whole block for one cell it cannot certify,
+    and the %-formatted block costs about 3x more.  Every byte is the same
+    either way, so only these counts notice a change that widens the set
+    of uncertified cells."""
+
+    @staticmethod
+    def declined(precision, columns):
+        """Start rows of the blocks of ``columns`` that _GFormatter
+        declines, cut as _write_csv cuts them."""
+        rows = max(1, cli._CSV_BLOCK_CELLS // len(columns))
+        g_format = cli._GFormatter(precision, rows, len(columns))
+        return [i for i in range(0, len(columns[0]), rows)
+                if g_format(np.column_stack([c[i:i + rows] for c in columns]))
+                is None]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sample_blocks_all_formatted(self, seed):
+        draws = sample_direct(MODEL_GRID["five_mixed"], 300_000,
+                              RandomStream(seed, 0))
+        assert self.declined(17, [draws]) == []
+
+    def test_simulate_declines_only_the_block_at_t_zero(self):
+        # t = 0 and every path's 0 there are the only uncertified cells
+        grid = cli._parse_tgrid("0:0.001:1")
+        paths = [sample_path(MODEL_GRID["five_mixed"], grid, RandomStream(5, i))
+                 for i in range(20)]
+        assert self.declined(12, [grid] + paths) == [0]
 
 
 class TestBoundsCommand:
@@ -1156,10 +1194,13 @@ class TestNonFiniteAndOverflow:
         # a spot other than s0 at t_now = 0 used to be priced
         (["price", "--model", "gamma", "--pricing", "two_spots",
           "--method", "integral"], 3),
+        # a grid that parses but does not start at 0: sample_path's rule
+        (["simulate", "--model", "pair", "--tgrid", "0.5:0.1:1",
+          "--seed", "1"], 3),
     ], ids=["integral", "monte_carlo", "series", "sigma_nan", "sigma_inf",
             "kmax_171", "kmax_172", "kmax_400", "one_term_pmf", "tgrid_size",
             "tgrid_nan", "cp_order", "cp_order_0", "cp_order_negative",
-            "two_spots"])
+            "two_spots", "tgrid_start"])
     def test_typed_exit(self, files, tmp_path, argv, code):
         out = tmp_path / "out"
         argv = [files(v) if prev in ("--model", "--pricing") else v

@@ -158,6 +158,37 @@ class TestModelValidation:
             LinearCombinationModel.from_components(
                 [(1, 1, 1, 1, 1, 1, 9), (2, 1, 1, 1, 1, 1)])
 
+    @pytest.mark.parametrize("fields, message", [
+        # a 2-D first field set n from its rows and passed: a (1, 2) alpha
+        # was one component with mean -0.1667, a (2, 1) alpha broadcast
+        # against the other fields
+        (([[2.0, 3.0]], [1.0], [1.0], [1.0], [1.0], [1.0]),
+         "field 'alpha' has shape (1, 2), expected (1,)"),
+        (([[2.0], [3.0]],) + ([1.0, 1.0],) * 5,
+         "field 'alpha' has shape (2, 1), expected (2,)"),
+        (([2.0, 3.0], [1.0, 1.0], [1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]),
+         "field 'beta' has shape (1,), expected (2,)"),
+        (([],) * 6, "model needs at least one component"),
+    ], ids=["alpha_row", "alpha_column", "short_beta", "empty"])
+    def test_every_field_one_dimensional_of_length_n(self, fields, message):
+        with pytest.raises(DomainError) as err:
+            LinearCombinationModel(*fields)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"model": []}, "model document must contain a 'components' list"),
+        ({"components": []}, "'components' must be a non-empty list"),
+    ])
+    def test_document_without_components(self, obj, message):
+        with pytest.raises(ModelFileError) as err:
+            LinearCombinationModel.from_json_obj(obj)
+        assert str(err.value) == message
+
+    def test_time_scale_positive(self, pair_nonint):
+        with pytest.raises(DomainError) as err:
+            pair_nonint.scaled(0.0)
+        assert str(err.value) == "time scale must be > 0"
+
     def test_json_round_trip(self, pair_nonint, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(pair_nonint.to_json_obj()))

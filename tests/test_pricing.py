@@ -63,6 +63,17 @@ class TestPricingInputs:
         with pytest.raises(DomainError):
             PricingInputs(s0=1, strike=1, rate=0.0, maturity=1.0, t_now=0.3)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"s0": 0.0}, "spot and strike must be positive"),
+        ({"strike": -1.0}, "spot and strike must be positive"),
+        ({"t_now": 0.5, "spot_at_t": 0.0}, "spot_at_t must be positive"),
+    ])
+    def test_rejects_nonpositive_prices(self, kw, message):
+        with pytest.raises(DomainError) as err:
+            PricingInputs(**{"s0": 1.0, "strike": 1.0, "rate": 0.0,
+                             "maturity": 1.0, **kw})
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("field, value", [
         ("s0", math.nan), ("strike", math.nan), ("strike", math.inf),
         ("rate", math.inf), ("maturity", math.inf), ("spot_at_t", math.nan)])
@@ -376,9 +387,26 @@ def _series_price(model, inputs):
     return price_call_gamma_series(model, inputs)[0]
 
 
-def _strike_strip(route, model, maturity):
+def _strike_strip(route, model, maturity, strikes=_STRIKES):
     return np.array([route(model, base_inputs(strike=float(k), maturity=maturity))
-                     for k in _STRIKES])
+                     for k in strikes])
+
+
+def _random_pricing_models(seed, count):
+    """``count`` seeded models of 1 to 3 components: alpha and beta
+    log-uniform in [1, 8], p and q log-uniform in [0.05, 3], the weights
+    uniform in [0.3, 1.5].  A model with some alpha_j / w1_j <= 1, whose
+    e^X has no mean, is drawn again."""
+    rng = np.random.default_rng(seed)
+    models = []
+    while len(models) < count:
+        n = int(rng.integers(1, 4))
+        alpha, beta = np.exp(rng.uniform(0.0, math.log(8.0), (2, n)))
+        p, q = np.exp(rng.uniform(math.log(0.05), math.log(3.0), (2, n)))
+        w1, w2 = rng.uniform(0.3, 1.5, (2, n))
+        if np.all(alpha / w1 > 1.0):
+            models.append(LinearCombinationModel(alpha, p, beta, q, w1, w2))
+    return models
 
 
 @pytest.mark.parametrize("maturity", [0.25, 1.0])
@@ -414,6 +442,27 @@ class TestStrikeShape:
         assert puts.min() >= -1e-12
         assert np.all(puts <= discount * strikes)
         assert np.diff(puts).min() >= -1e-12
+
+    def test_integral_route_on_random_models(self, maturity):
+        # 20 models: the largest rise between strikes -2.9e-9, the smallest
+        # change of slope 6.7e-8, slopes in [-e^(-rT) + 1.1e-4, -5.9e-8],
+        # and parity puts in [1.2e-10, 0.85 e^(-rT) K]
+        discount = math.exp(-0.05 * maturity)
+        strikes = np.linspace(0.6, 1.6, 21)
+        put_strikes = np.array([0.3, 0.6, 0.9, 1.0, 1.1, 1.6, 3.0])
+        for model in _random_pricing_models(20261022, 20):
+            prices = _strike_strip(price_call_integral, model, maturity, strikes)
+            assert np.all(np.diff(prices) < 0.0), model
+            assert np.diff(prices, 2).min() >= -1e-12, model
+            slopes = np.diff(prices) / np.diff(strikes)
+            assert slopes.min() >= -discount - 1e-9, model
+            assert slopes.max() <= 0.0, model
+            calls = _strike_strip(price_call_integral, model, maturity,
+                                  put_strikes)
+            puts = calls - discount * (model.scaled(maturity).mgf(1.0)
+                                       - put_strikes)
+            assert puts.min() >= -1e-12, model
+            assert np.all(puts <= discount * put_strikes), model
 
     def test_series_matches_integral(self, maturity):
         # worst 2.2e-10 relative, at T = 0.25
