@@ -501,8 +501,7 @@ def cmd_simulate(model, args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(suite=args.suite, seed=args.seed,
-                       corrupt_gamma=args.corrupt_gamma)
+    report = run_suite(suite=args.suite, seed=args.seed)
     _write_json(args.out, report)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
@@ -600,9 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for each in sub.choices.values():
         each.add_argument("--out")
-    # p is still verify's parser: a fault-injection hook, hidden from --help
-    p.add_argument("--corrupt-gamma", action="store_true",
-                   help=argparse.SUPPRESS)
 
     return parser
 

@@ -9,7 +9,6 @@ near the money too) must agree.  Deterministic given the seed.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -31,19 +30,7 @@ __all__ = ["run_suite"]
 _KS_CRIT_001 = 1.628  # asymptotic two-sample critical coefficient at level 0.01
 
 
-def _corrupted(rep):
-    """Test hook: perturb the first recursion weight so the cf identity
-    breaks detectably."""
-    pmf = rep.pos.pmf.copy()
-    if len(pmf) > 1:
-        pmf[1] *= 1.001
-    else:
-        pmf[0] *= 0.999
-    return dataclasses.replace(rep, pos=dataclasses.replace(rep.pos, pmf=pmf))
-
-
-def run_suite(suite: str = "full", seed: int = 1,
-              corrupt_gamma: bool = False) -> dict:
+def run_suite(suite: str = "full", seed: int = 1) -> dict:
     """Run the invariant suite; returns a JSON-ready report.  The Monte
     Carlo checks also report their statistic's p-value."""
     if suite not in ("full", "quick"):
@@ -58,14 +45,13 @@ def run_suite(suite: str = "full", seed: int = 1,
                        "passed": bool(value <= threshold), **extra})
 
     # each shipped model's mixture at the package's pmf cut, which the cf
-    # identity (on a corrupted copy if asked), the KS and the density read
+    # identity, the KS and the density read
     reps = {name: build_mixture(model) for name, model in grid.items()}
 
     # characteristic-function identity: mixture form against product form
     zs = np.linspace(-20.0, 20.0, 401)
     for name, model in grid.items():
-        rep = _corrupted(reps[name]) if corrupt_gamma else reps[name]
-        err = float(np.abs(model.cf(zs) - rep.cf(zs)).max())
+        err = float(np.abs(model.cf(zs) - reps[name].cf(zs)).max())
         record(f"cf_identity[{name}]", err, 1e-8 + 2.0 * _PMF_TAIL_TOL)
 
     # Stein identity in Monte Carlo
@@ -112,7 +98,6 @@ def run_suite(suite: str = "full", seed: int = 1,
     return {
         "suite": suite,
         "seed": seed,
-        "corrupt_gamma": corrupt_gamma,
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
     }

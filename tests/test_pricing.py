@@ -409,6 +409,77 @@ def _random_pricing_models(seed, count):
     return models
 
 
+# PRICING_GAMMA call prices at s0 = 1 and r = 0.05, keyed by (K, T); see
+# TestFarStrikeReference for how they were made
+FAR_STRIKE_PRICES = {
+    (1.2, 1.0): 7.9297808914179947e-01,
+    (1e4, 0.05): 1.2129586262069709e-11,
+    (1e6, 0.05): 8.4628023461176246e-16,
+    (1e8, 1.0): 2.5988228185214774e-16,
+    (1e9, 2.0): 6.6809848439962640e-16,
+}
+
+
+def _far_strike_cell(route, strike, maturity, item):
+    marks = () if item is None else pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=f"ROADMAP item {item}: the {route} price is off this far "
+               "out of the money")
+    return pytest.param(route, strike, maturity, marks=marks,
+                        id=f"{route}-K{strike:g}-T{maturity:g}")
+
+
+class TestFarStrikeReference:
+    """Both deterministic routes against exact prices far out of the money.
+
+    PRICING_GAMMA's positive side G is the mixture sum_n P(n) Ga(4, 2T + n)
+    with P(n) = (3/4)^(1.1T) (1.1T)_n / n! 4^-n, and its negative side (q =
+    1e-8 T at rate 1e8) moves a price by under 1e-16 relative.  So at s0 = 1,
+    with k = ln K and Q the regularised upper incomplete gamma,
+
+        price = e^(-rT) sum_n P(n) [(4/3)^(2T+n) Q(2T+n, 3k) - K Q(2T+n, 4k)].
+
+    FAR_STRIKE_PRICES is that sum to n = 400 at 50 digits, made by::
+
+        from mpmath import mp, mpf, exp, log, rf, factorial, gammainc
+        mp.dps = 50
+
+        def price(strike, maturity, rate=mpf("0.05"), terms=400):
+            t, k = mpf(maturity), log(mpf(strike))
+            total = mpf(0)
+            for n in range(terms + 1):
+                weight = ((mpf(3) / 4) ** (mpf("1.1") * t)
+                          * rf(mpf("1.1") * t, n) / factorial(n) / mpf(4) ** n)
+                a = 2 * t + n
+                total += weight * ((mpf(4) / 3) ** a
+                                   * gammainc(a, 3 * k, regularized=True)
+                                   - strike * gammainc(a, 4 * k,
+                                                       regularized=True))
+            return exp(-rate * t) * total
+
+        for strike, maturity in [("1.2", "1"), ("1e4", "0.05"),
+                                 ("1e6", "0.05"), ("1e8", "1"), ("1e9", "2")]:
+            print(mp.nstr(price(mpf(strike), mpf(maturity)), 17))
+    """
+
+    @pytest.mark.parametrize("route,strike,maturity", [
+        _far_strike_cell(route, strike, maturity,
+                         None if strike == 1.2 else item)
+        for route, item in (("integral", "23(a)"), ("series", "23(b)"))
+        for strike, maturity in FAR_STRIKE_PRICES])
+    def test_route_matches_reference(self, route, strike, maturity):
+        # each failing cell names the fix that must flip it; the series'
+        # tolerance must also cover its error
+        exact = FAR_STRIKE_PRICES[strike, maturity]
+        inputs = base_inputs(strike=strike, maturity=maturity)
+        if route == "integral":
+            price = price_call_integral(PRICING_GAMMA, inputs)
+        else:
+            price, tolerance = price_call_gamma_series(PRICING_GAMMA, inputs)
+            assert tolerance >= abs(price - exact)
+        assert abs(price - exact) <= 1e-8 * exact
+
+
 @pytest.mark.parametrize("maturity", [0.25, 1.0])
 class TestStrikeShape:
     """A call price falls and is convex in the strike, with slopes in
